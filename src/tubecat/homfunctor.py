@@ -9,6 +9,18 @@ oracle, vertex by vertex.
 
 Coordinates are normalized so the top summand is (1, n-1); the vanishing
 locus outside the fundamental domain is stated in those coordinates.
+
+Each object T gets one table, built on first use and replaced when another
+object is asked about, so the module holds state for one object at a time.
+The table keeps the summands as (orbit, ql) integers, the translates of the
+summands, the subwing triples and the shifted-arrow endpoints as vertex
+numbers, and memoises the chain of every swept x, each chain's string, the
+connecting arrow and joined string of each pair of chains, and each
+string's module. Memoising on the chains is exact: a chain string depends
+only on its chain, and the connecting arrow, the joined string and the
+predicted modules only on (chain T, chain D, in the domain, in add tau T).
+So every wing, triple, string and relation check still runs once for each
+distinct input, while the oracle comparison still runs for every x.
 """
 
 from __future__ import annotations
@@ -16,12 +28,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
+from tubecat import kernel
 from tubecat import strings as st
+from tubecat import tube
 from tubecat.endo import LOOP_ID, cached_endomorphism_algebra
-from tubecat.quiver import Presentation
-from tubecat.rigid import RigidObject, subwing_decomposition, tau_rigid
+from tubecat.rigid import RigidObject, subwing_decomposition
 from tubecat.strings import StringModule, StringWord, ZERO_STRING
-from tubecat.tube import Indec, hom_cluster_oracle, hom_tube, in_wing, tau
+from tubecat.tube import Indec, in_wing, tau
+
+Chain = tuple[int, ...]  # summand vertices of a reverse hammock, by ascending ql
 
 
 @dataclass(frozen=True)
@@ -56,22 +71,91 @@ def normalize_rotation(t: RigidObject) -> int:
     return t.top.orbit - 1
 
 
+def _normalized_orbit(t: RigidObject, x: Indec) -> int:
+    """Orbit of x translated by `normalize_rotation(t)`."""
+    return (x.orbit - t.top.orbit) % t.rank + 1
+
+
+def _in_domain(n: int, orbit: int, ql: int) -> bool:
+    """`fundamental_domain` membership of a top-normalized point."""
+    return ql <= n - 1 or orbit + ql <= 2 * n - 1
+
+
 def in_fundamental_domain(t: RigidObject, x: Indec) -> bool:
-    return tau(x, normalize_rotation(t)) in fundamental_domain(t.rank)
+    return _in_domain(t.rank, _normalized_orbit(t, x), x.ql)
 
 
 def in_add_tau(t: RigidObject, x: Indec) -> bool:
-    return any(tau(s, 1) == x for s in t.summands)
+    return (x.rank, x.orbit, x.ql) in _table(t).add_tau
 
 
 def on_vanishing_locus(t: RigidObject, x: Indec) -> bool:
     """Outside the fundamental domain, Hom vanishes exactly on the objects
     (n, kn - 1), k >= 2, in top-normalized coordinates."""
     n = t.rank
-    xn = tau(x, normalize_rotation(t))
-    if xn in fundamental_domain(n):
+    orbit = _normalized_orbit(t, x)
+    if _in_domain(n, orbit, x.ql):
         return False
-    return xn.orbit == n and (xn.ql + 1) % n == 0 and xn.ql >= 2 * n - 1
+    return orbit == n and (x.ql + 1) % n == 0 and x.ql >= 2 * n - 1
+
+
+# --- the table of one object ----------------------------------------------------
+
+class _ObjectTable:
+    """Integer data of one maximal rigid object and its memos.
+
+    Vertices are 1-based positions in the canonical summand order.
+    """
+
+    def __init__(self, t: RigidObject):
+        n = t.rank
+        self.obj = t
+        self.lam = cached_endomorphism_algebra(t)
+        self.coords = tuple((s.orbit, s.ql) for s in t.summands)
+        self.add_tau = frozenset((n, (a - 2) % n + 1, b) for a, b in self.coords)
+        self.triples: dict[int, tuple[int | None, int | None]] = {}
+        for summand, triple in subwing_decomposition(t).items():
+            left = t.vertex_of(triple.left) if triple.left is not None else None
+            right = t.vertex_of(triple.right) if triple.right is not None else None
+            self.triples[t.vertex_of(summand)] = (left, right)
+        self.d_arrows = {
+            (a.src, a.tgt): a.id for a in self.lam.quiver.arrows if a.kind == "D"
+        }
+        self.chains: dict[tuple[int, int, int, str], Chain] = {}
+        self.words: dict[Chain, StringWord] = {}
+        self.betas: dict[tuple[Chain, Chain], str | None] = {}
+        self.joined: dict[tuple[Chain, Chain], StringWord] = {}
+        self.modules: dict[StringWord, StringModule] = {}
+
+    def chain(self, x: Indec, kind: str) -> Chain:
+        key = (x.rank, x.orbit, x.ql, kind)
+        chain = self.chains.get(key)
+        if chain is None:
+            t = self.obj
+            chain = tuple(t.vertex_of(s) for s in reverse_hammock(t, x, kind))
+            self.chains[key] = chain
+        return chain
+
+    def chain_pair(self, x: Indec) -> tuple[Chain, Chain]:
+        return self.chain(x, "T"), self.chain(x, "D")
+
+    def module(self, word: StringWord) -> StringModule:
+        module = self.modules.get(word)
+        if module is None:
+            module = self.modules[word] = st.string_module(self.lam, word)
+        return module
+
+
+_held: _ObjectTable | None = None
+
+
+def _table(t: RigidObject) -> _ObjectTable:
+    """The table of t, replacing the one held for any other object."""
+    global _held
+    table = _held
+    if table is None or table.obj is not t:
+        table = _held = _ObjectTable(t)
+    return table
 
 
 # --- reverse hammocks and their strings --------------------------------------
@@ -79,43 +163,50 @@ def on_vanishing_locus(t: RigidObject, x: Indec) -> bool:
 def reverse_hammock(t: RigidObject, x: Indec, kind: str) -> list[Indec]:
     """Summands with tube maps to x (kind "T") or shifted-part maps to x
     (kind "D"), by ascending quasilength; a wing-nested chain."""
+    n, a, b = t.rank, x.orbit, x.ql
+    if x.rank != n:
+        raise ValueError(f"rank mismatch: {x.rank} != {n}")
+    coords = _table(t).coords
     if kind == "T":
-        members = [s for s in t.summands if hom_tube(s, x) > 0]
+        members = [
+            s for s, (c, d) in zip(t.summands, coords)
+            if kernel.hom_tube_dim(n, c, d, a, b) > 0
+        ]
     elif kind == "D":
-        members = [s for s in t.summands if hom_tube(x, tau(s, 2)) > 0]
+        members = [
+            s for s, (c, d) in zip(t.summands, coords)
+            if kernel.hom_tube_dim(n, a, b, c - 2, d) > 0
+        ]
     else:
         raise ValueError(f"kind must be 'T' or 'D', got {kind!r}")
     members.sort(key=lambda s: s.ql)
     return members
 
 
-@lru_cache(maxsize=None)
-def _triples_by_vertex(t: RigidObject) -> dict[int, tuple[int | None, int | None]]:
-    out = {}
-    for summand, triple in subwing_decomposition(t).items():
-        left = t.vertex_of(triple.left) if triple.left is not None else None
-        right = t.vertex_of(triple.right) if triple.right is not None else None
-        out[t.vertex_of(summand)] = (left, right)
-    return out
-
-
 def sigma_string(t: RigidObject, x: Indec, kind: str) -> StringWord:
     """The unique string traversing the reverse-hammock chain once each,
     without shifted-part arrows, ending at the highest-quasilength vertex.
     The zero string when the chain is empty."""
-    chain = reverse_hammock(t, x, kind)
+    table = _table(t)
+    chain = table.chain(x, kind)
+    word = table.words.get(chain)
+    if word is None:
+        word = table.words[chain] = _chain_string(table, chain)
+    return word
+
+
+def _chain_string(table: _ObjectTable, chain: Chain) -> StringWord:
     if not chain:
         return ZERO_STRING
-    vertices = [t.vertex_of(s) for s in chain]
-    if len(vertices) == 1:
-        return st.trivial(vertices[0])
-    triples = _triples_by_vertex(t)
+    if len(chain) == 1:
+        return st.trivial(chain[0])
+    t = table.obj
     letters: list[st.Letter] = []
-    for low, high in zip(chain, chain[1:]):
+    for v_low, v_high in zip(chain, chain[1:]):
+        low, high = t.summand(v_low), t.summand(v_high)
         if not in_wing(low, high):
             raise AssertionError(f"hammock chain not wing-nested at {low}, {high}")
-        v_low, v_high = t.vertex_of(low), t.vertex_of(high)
-        left, right = triples.get(v_high, (None, None))
+        left, right = table.triples.get(v_high, (None, None))
         if left == v_low:
             letters.append((f"a{v_high}_{v_low}", -1))
         elif right == v_low:
@@ -125,8 +216,7 @@ def sigma_string(t: RigidObject, x: Indec, kind: str) -> StringWord:
                 f"chain members {low}, {high} are not triple-related"
             )
     word = st.word(letters)
-    lam = cached_endomorphism_algebra(t)
-    if not st.is_string(lam, word):
+    if not st.is_string(table.lam, word):
         raise AssertionError(f"constructed chain word is not a string: {word}")
     return word
 
@@ -134,7 +224,15 @@ def sigma_string(t: RigidObject, x: Indec, kind: str) -> StringWord:
 def beta_arrow(t: RigidObject, x: Indec) -> str | None:
     """Connecting arrow from the end of the tube-side string to the end of
     the shifted-side string; None when either string is zero."""
-    lam = cached_endomorphism_algebra(t)
+    table = _table(t)
+    pair = table.chain_pair(x)
+    if pair not in table.betas:
+        table.betas[pair] = _connecting_arrow(table, x)
+    return table.betas[pair]
+
+
+def _connecting_arrow(table: _ObjectTable, x: Indec) -> str | None:
+    t, lam = table.obj, table.lam
     sig_t = sigma_string(t, x, "T")
     sig_d = sigma_string(t, x, "D")
     if sig_t.is_zero or sig_d.is_zero:
@@ -148,12 +246,12 @@ def beta_arrow(t: RigidObject, x: Indec) -> str | None:
                 f"both chains end at non-top vertex {end_t} for {x}"
             )
         return LOOP_ID
-    for a in lam.quiver.arrows:
-        if a.kind == "D" and a.src == end_t and a.tgt == end_d:
-            return a.id
-    raise AssertionError(
-        f"no connecting arrow {end_t} -> {end_d} exists for {x}"
-    )
+    arrow = table.d_arrows.get((end_t, end_d))
+    if arrow is None:
+        raise AssertionError(
+            f"no connecting arrow {end_t} -> {end_d} exists for {x}"
+        )
+    return arrow
 
 
 def sigma(t: RigidObject, x: Indec) -> StringWord:
@@ -163,7 +261,16 @@ def sigma(t: RigidObject, x: Indec) -> StringWord:
         raise ValueError(f"{x} is a translate of a summand; no string assigned")
     if not in_fundamental_domain(t, x):
         raise ValueError(f"{x} is outside the fundamental domain")
-    lam = cached_endomorphism_algebra(t)
+    table = _table(t)
+    pair = table.chain_pair(x)
+    joined = table.joined.get(pair)
+    if joined is None:
+        joined = table.joined[pair] = _joined_string(table, x)
+    return joined
+
+
+def _joined_string(table: _ObjectTable, x: Indec) -> StringWord:
+    t = table.obj
     sig_t = sigma_string(t, x, "T")
     sig_d = sigma_string(t, x, "D")
     if sig_t.is_zero and sig_d.is_zero:
@@ -174,7 +281,7 @@ def sigma(t: RigidObject, x: Indec) -> StringWord:
         return sig_d
     beta = beta_arrow(t, x)
     parts = [p for p in (sig_t, st.word([(beta, 1)]), sig_d.inverse()) if p.kind == "word"]
-    return st.concatenate(lam, *parts)
+    return st.concatenate(table.lam, *parts)
 
 
 # --- predictions ---------------------------------------------------------------
@@ -183,16 +290,16 @@ def predicted_module(t: RigidObject, x: Indec) -> tuple[StringModule, ...]:
     """Predicted image of x: nothing for translates of summands, the single
     string module inside the fundamental domain, and the direct sum of the
     two chain modules outside it (empty exactly on the vanishing locus)."""
-    lam = cached_endomorphism_algebra(t)
     if in_add_tau(t, x):
         return ()
+    table = _table(t)
     if in_fundamental_domain(t, x):
-        return (st.string_module(lam, sigma(t, x)),)
+        return (table.module(sigma(t, x)),)
     parts = []
     for kind in ("T", "D"):
         sig = sigma_string(t, x, kind)
         if not sig.is_zero:
-            parts.append(st.string_module(lam, sig))
+            parts.append(table.module(sig))
     return tuple(parts)
 
 
@@ -201,10 +308,16 @@ def predicted_dims(t: RigidObject, x: Indec) -> dict[int, int]:
 
 
 def oracle_dims(t: RigidObject, x: Indec) -> dict[int, int]:
-    """Per-vertex cluster-Hom dimensions from the linear-algebra oracle."""
+    """Per-vertex cluster-Hom dimensions from the linear-algebra oracle:
+    Hom(s, x) in the tube plus Hom(x, tau^2 s), for each summand s."""
+    n, a, b = t.rank, x.orbit, x.ql
+    if x.rank != n:
+        raise ValueError(f"rank mismatch: {x.rank} != {n}")
     out = {}
-    for i, s in enumerate(t.summands, start=1):
-        total = hom_cluster_oracle(s, x).total
+    for i, (c, d) in enumerate(_table(t).coords, start=1):
+        total = tube._oracle_dim(n, d, b, (a - c) % n) + tube._oracle_dim(
+            n, b, d, (c - 2 - a) % n
+        )
         if total:
             out[i] = total
     return out

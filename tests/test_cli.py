@@ -1,0 +1,108 @@
+"""Command-line front end: exit codes, JSON schema, and a full verify run."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from tubecat import cli, homfunctor
+
+OUTCOME_KEYS = {"check", "rank", "ok", "detail", "subject", "seconds"}
+
+
+def run_cli(argv, capsys):
+    """(exit code, stdout, stderr) of one in-process invocation."""
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+class TestVerify:
+    def test_ranks_two_to_five_all_ok(self, capsys):
+        code, out, _ = run_cli(["verify", "--rank", "2..5"], capsys)
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[-1].startswith("all checks passed")
+        assert not [line for line in lines if line.startswith("FAIL")]
+        ranks = {int(line.split()[1].removeprefix("n=")) for line in lines[:-1]}
+        assert ranks == {2, 3, 4, 5}
+
+    def test_json_schema(self, capsys):
+        code, out, _ = run_cli(["verify", "--rank", "2..3", "--json"], capsys)
+        assert code == 0
+        data = json.loads(out)
+        assert set(data) == {"ok", "checks"}
+        assert data["ok"] is True
+        assert data["checks"]
+        for outcome in data["checks"]:
+            assert set(outcome) == OUTCOME_KEYS
+            assert outcome["ok"] is True
+        assert {o["check"] for o in data["checks"]} == set(cli.CHECK_NAMES)
+
+    def test_failure_exits_one(self, capsys, monkeypatch):
+        honest = homfunctor.oracle_dims
+
+        def inflated(t, x):
+            dims = honest(t, x)
+            dims[1] = dims.get(1, 0) + 1
+            return dims
+
+        monkeypatch.setattr(homfunctor, "oracle_dims", inflated)
+        code, out, _ = run_cli(["verify", "--rank", "2", "--only", "hom-functor"], capsys)
+        assert code == 1
+        assert "FAIL" in out and out.splitlines()[-1].startswith("FAILURES present")
+
+    def test_failure_in_json_exits_one(self, capsys, monkeypatch):
+        monkeypatch.setattr(homfunctor, "oracle_dims", lambda t, x: {1: 99})
+        code, out, _ = run_cli(
+            ["verify", "--rank", "2", "--only", "hom-functor", "--json"], capsys
+        )
+        assert code == 1
+        data = json.loads(out)
+        assert data["ok"] is False
+        assert all(not o["ok"] for o in data["checks"])
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["verify", "--rank", "4..3"], "empty rank range"),
+            (["verify", "--rank", "1"], "rank must be >= 2"),
+            (["verify", "--rank", "two"], "invalid literal"),
+            (["verify", "--rank", "2", "--only", "nothing"], "invalid choice"),
+            (["rigid", "--rank", "1"], "rank must be >= 2"),
+            (["endo", "--rank", "3", "--top", "1", "--tilting", "1-2,9"], "bad interval"),
+            ([], "required"),
+        ],
+    )
+    def test_exit_two(self, argv, message, capsys):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert message in err
+        assert out == ""
+
+    def test_rank_cap_from_environment(self, capsys, monkeypatch):
+        monkeypatch.setenv("TUBECAT_MAX_RANK", "3")
+        code, _, err = run_cli(["verify", "--rank", "2..4"], capsys)
+        assert code == 2
+        assert "exceeds the cap 3" in err
+
+
+def test_module_entry_point_exit_codes():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH", "")) if p
+    ))
+    command = [sys.executable, "-m", "tubecat.cli", "verify"]
+    ok = subprocess.run(command + ["--rank", "2"], capture_output=True, text=True, env=env, timeout=120)
+    assert ok.returncode == 0, ok.stderr
+    empty = subprocess.run(command + ["--rank", "3..2"], capture_output=True, text=True, env=env, timeout=120)
+    assert empty.returncode == 2
+    assert "empty rank range" in empty.stderr

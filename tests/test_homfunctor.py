@@ -1,7 +1,11 @@
 """Fundamental domain, hammock strings and image-prediction tests."""
 
+import hashlib
+import json
+
 import pytest
 
+from tubecat import homfunctor
 from tubecat.endo import cached_endomorphism_algebra
 from tubecat.homfunctor import (
     beta_arrow,
@@ -222,8 +226,9 @@ class TestSigma:
                         ),
                         key=lambda s: s.ql,
                     )
-                    sig = sigma(t, q)
-                    assert 0 <= sig.length <= 2 * (n - 1) - 1
+                    if not in_add_tau(t, q):  # Hom(T, tau T) = 0: no string
+                        sig = sigma(t, q)
+                        assert 0 <= sig.length <= 2 * (n - 1) - 1
                     assert predicted_dims(t, q) == oracle_dims(t, q)
 
     def test_rejects_translates_and_outsiders(self):
@@ -384,3 +389,105 @@ class TestHammockLemmas:
                     for v in range(min(corays), max(corays) + 1)
                 }
                 assert coords == product, (x, kind)
+
+
+class TestObjectTable:
+    """The per-object table and its memos against the definitions they
+    replace."""
+
+    # SHA-256 of the sorted-key JSON of every report of a rank, computed
+    # from the implementation that rebuilt every chain for every x.
+    REPORT_DIGESTS = {
+        (2, None): "47dcbb26652125f108f8c52a9543ba32f974fa046b5b4a792cdd3c2f02d9b324",
+        (3, None): "0dc89310f4f7c49a1eaa0d4c556a2d8ae7b763fb23d02d3327baeb7ba75f0872",
+        (4, None): "b1541c37e8ba496569fe19d0371d1ebce7d456d1405ad78b30eb7fc464a85e48",
+        (5, 30): "9a013f2782340afbf6198f5372af5f4c971b7498b38c2543de2fcfc09dee53c1",
+    }
+
+    @pytest.mark.parametrize("n, cap", list(REPORT_DIGESTS))
+    def test_reports_match_pinned_digest(self, n, cap):
+        reports = [verify_hom_functor(t, cap).to_json() for t in maximal_rigid_objects(n)]
+        data = json.dumps(reports, sort_keys=True).encode()
+        assert hashlib.sha256(data).hexdigest() == self.REPORT_DIGESTS[(n, cap)]
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_domain_test_matches_members(self, n):
+        members = fundamental_domain(n).members
+        for t in maximal_rigid_objects(n):
+            rotation = normalize_rotation(t)
+            for x in indecomposables_up_to(n, 3 * n):
+                xn = tau(x, rotation)
+                expected = xn.ql <= n - 1 or xn in members
+                assert in_fundamental_domain(t, x) == expected, (t, x)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_add_tau_matches_translates(self, n):
+        for t in maximal_rigid_objects(n):
+            translates = {tau(s, 1) for s in t.summands}
+            for x in indecomposables_up_to(n, 3 * n):
+                assert in_add_tau(t, x) == (x in translates), (t, x)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_reverse_hammock_matches_filter(self, n):
+        for t in maximal_rigid_objects(n):
+            for x in indecomposables_up_to(n, 3 * n):
+                tube_side = sorted(
+                    (s for s in t.summands if hom_tube(s, x) > 0),
+                    key=lambda s: s.ql,
+                )
+                shifted = sorted(
+                    (s for s in t.summands if hom_tube(x, tau(s, 2)) > 0),
+                    key=lambda s: s.ql,
+                )
+                assert reverse_hammock(t, x, "T") == tube_side, (t, x)
+                assert reverse_hammock(t, x, "D") == shifted, (t, x)
+
+    def test_rejects_other_rank_after_memoising(self):
+        assert sigma_string(T3, Indec(3, 1, 1), "T").kind == "trivial"
+        with pytest.raises(ValueError, match="rank mismatch"):
+            sigma_string(T3, Indec(2, 1, 1), "T")
+        with pytest.raises(ValueError, match="rank mismatch"):
+            oracle_dims(T3, Indec(2, 1, 1))
+
+    def test_wrong_oracle_for_one_x_is_reported(self, monkeypatch):
+        """An oracle off by one at a single x fails exactly that x, also
+        when its chains were already memoised for an earlier x."""
+        t = maximal_rigid_objects(4)[3]
+        seen = set()
+        target = None
+        for x in indecomposables_up_to(4, 12):
+            pair = (tuple(reverse_hammock(t, x, "T")), tuple(reverse_hammock(t, x, "D")))
+            if pair in seen and pair != ((), ()):
+                target = x
+                break
+            seen.add(pair)
+        assert target is not None
+
+        honest = homfunctor.oracle_dims
+
+        def off_by_one(obj, x):
+            dims = honest(obj, x)
+            if x == target:
+                dims[1] = dims.get(1, 0) + 1
+            return dims
+
+        monkeypatch.setattr(homfunctor, "oracle_dims", off_by_one)
+        report = verify_hom_functor(t)
+        assert not report.ok
+        assert [r["x"] for r in report.dimension_failures] == [target.to_json()]
+
+    def test_state_held_for_one_object(self):
+        objects = maximal_rigid_objects(5)
+        for t in objects:
+            assert verify_hom_functor(t).ok
+        tables = [
+            value for value in vars(homfunctor).values()
+            if isinstance(value, homfunctor._ObjectTable)
+        ]
+        assert len(tables) == 1 and tables[0].obj is objects[-1]
+        caches = {
+            name for name, value in vars(homfunctor).items()
+            if hasattr(value, "cache_info")
+            and getattr(value, "__module__", None) == homfunctor.__name__
+        }
+        assert caches == {"fundamental_domain"}  # keyed by rank, bounded
