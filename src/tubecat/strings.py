@@ -212,7 +212,10 @@ def enumerate_strings(p: Presentation, cap: int | None = None) -> StringEnumerat
 
     A letter repeating along one growing branch closes a cycle of valid
     transitions, which is exactly a band; bands are recorded and the walk
-    is cut at the cap. Without bands the walk terminates by itself.
+    is cut at the cap. Without bands the walk terminates by itself. The
+    walk keeps its own stack, so the cap is not limited by Python's
+    recursion depth; a walk of more than a million nodes raises
+    RuntimeError.
     """
     sb = is_special_biserial(p)
     if not sb:
@@ -227,13 +230,20 @@ def enumerate_strings(p: Presentation, cap: int | None = None) -> StringEnumerat
     by_source: dict[int, list[Letter]] = {}
     for letter in all_letters:
         by_source.setdefault(letter_source(p, letter), []).append(letter)
+    # Whether y may follow x depends on (x, y) only: the walk's edges.
+    successors = {
+        x: [y for y in by_source.get(letter_target(p, x), ())
+            if letters_composable(p, x, y)]
+        for x in all_letters
+    }
 
     found: set[StringWord] = {trivial(v) for v in p.quiver.vertices}
     bands: set[StringWord] = set()
     capped = False
     budget = 1_000_000
 
-    def extend(letters: list[Letter], first_seen: dict[Letter, int]):
+    def visit(letters: list[Letter]):
+        """Record the string `letters`; return its next letters."""
         nonlocal capped, budget
         budget -= 1
         if budget < 0:
@@ -243,24 +253,30 @@ def enumerate_strings(p: Presentation, cap: int | None = None) -> StringEnumerat
         found.add(word(letters).canonical())
         if len(letters) >= cap:
             capped = True
-            return
-        last = letters[-1]
-        for nxt in by_source.get(letter_target(p, last), ()):
-            if not letters_composable(p, last, nxt):
-                continue
-            fresh = nxt not in first_seen
-            if fresh:
-                first_seen[nxt] = len(letters)
-            else:
-                bands.add(_canonical_band(letters[first_seen[nxt]:]))
-            letters.append(nxt)
-            extend(letters, first_seen)
-            letters.pop()
-            if fresh:
-                del first_seen[nxt]
+            return iter(())
+        return iter(successors[letters[-1]])
 
     for first in all_letters:
-        extend([first], {first: 0})
+        # One iterator over the remaining next letters per letter of the
+        # growing branch; `first_seen` maps each letter on the branch to
+        # the position of its first occurrence.
+        letters = [first]
+        first_seen = {first: 0}
+        branches = [visit(letters)]
+        while branches:
+            nxt = next(branches[-1], None)
+            if nxt is None:
+                branches.pop()
+                last = letters.pop()
+                if first_seen[last] == len(letters):
+                    del first_seen[last]
+                continue
+            if nxt in first_seen:
+                bands.add(_canonical_band(letters[first_seen[nxt]:]))
+            else:
+                first_seen[nxt] = len(letters)
+            letters.append(nxt)
+            branches.append(visit(letters))
 
     if capped and not bands:
         raise RuntimeError(

@@ -3,16 +3,17 @@
 Indecomposables are points (orbit, ql) on an infinite cylinder of width n.
 The closed-form Hom count lives in the kernel backend; `hom_tube_oracle`
 recomputes the same dimension from an explicit nilpotent-representation
-model and is the ground truth the closed form is validated against.
+model and is the ground truth the closed form is validated against. The
+oracle is plain exact linear algebra: the nullity of a sparse commutation
+system, with the rank taken by elimination over GF(p). It imports nothing
+from `kernel` and uses no closed-form reasoning about the tube.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, NamedTuple
-
-import numpy as np
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from tubecat import kernel
 
@@ -162,73 +163,75 @@ def hom_tube_oracle(x: Indec, y: Indec) -> int:
 
 @lru_cache(maxsize=None)
 def _oracle_dim(n: int, b: int, d: int, shift: int) -> int:
+    """Nullity of the commutation system for X = (0, b) and Y = (shift, d).
+
+    The unknowns are the entries (i, j) of a graded map with e^X_i and e^Y_j
+    at the same vertex, found by joining each vertex to the Y slots there.
+    Each row says that the map commutes with one arrow at one basis vector,
+    and is stored sparsely as {column: coefficient}.
+    """
     vx = [(b - 1 - i) % n for i in range(b)]        # vertex of e^X_i, orbit a = 0
     vy = [(shift + d - 1 - j) % n for j in range(d)]  # vertex of e^Y_j
+    slots: dict[int, list[int]] = {}
+    for j, v in enumerate(vy):
+        slots.setdefault(v, []).append(j)
 
     unknowns = {}
-    for i in range(b):
-        for j in range(d):
-            if vx[i] == vy[j]:
-                unknowns[(i, j)] = len(unknowns)
+    for i, v in enumerate(vx):
+        for j in slots.get(v, ()):
+            unknowns[(i, j)] = len(unknowns)
     if not unknowns:
         return 0
 
     rows = []
     for i in range(b):
-        target = (vx[i] - 1) % n
-        for m in range(d):
-            if vy[m] != target:
-                continue
-            row = [0] * len(unknowns)
-            used = False
+        for m in slots.get((vx[i] - 1) % n, ()):
+            row = {}
             if i + 1 < b:
-                row[unknowns[(i + 1, m)]] += 1
-                used = True
+                row[unknowns[(i + 1, m)]] = 1
             if m - 1 >= 0 and (i, m - 1) in unknowns:
-                row[unknowns[(i, m - 1)]] -= 1
-                used = True
-            if used:
+                row[unknowns[(i, m - 1)]] = -1
+            if row:
                 rows.append(row)
-
-    if not rows:
-        return len(unknowns)
-    matrix = np.array(rows, dtype=np.int64)
-    return len(unknowns) - _rank_mod_p(matrix)
+    return len(unknowns) - _rank_mod_p(rows)
 
 
 _PRIME = 2_147_483_647
 
 
-def _rank_mod_p(matrix: np.ndarray) -> int:
-    """Exact rank over GF(p) for a large prime p.
+def _rank_mod_p(rows: Iterable[Mapping[int, int]]) -> int:
+    """Exact rank over GF(p), p = 2^31 - 1, of sparse integer rows.
 
-    The commutation systems have at most one +1 and one -1 per row, hence
-    are totally unimodular; their rank over GF(p) equals the rank over the
-    rationals for any p.
+    Each row is a {column: coefficient} mapping; coefficients that vanish
+    mod p are dropped and any integers are accepted. A row is reduced
+    against the stored pivot rows by its least column until it is zero or
+    its least column has no pivot yet; it is then normalised and stored
+    as that column's pivot. The rank is the number of pivots.
+
+    Over GF(p) the rank of an integer matrix can only drop below its rank
+    r over the rationals, and does so exactly when p divides every r x r
+    minor. The commutation systems have at most one +1 and one -1 per
+    row, hence are totally unimodular: every minor is 0 or +-1, and their
+    GF(p) rank equals the rational rank for any p.
     """
-    m = matrix % _PRIME
-    n_rows, n_cols = m.shape
-    rank = 0
-    for col in range(n_cols):
-        pivot = None
-        for r in range(rank, n_rows):
-            if m[r, col]:
-                pivot = r
+    pivots: dict[int, dict[int, int]] = {}
+    for row in rows:
+        r = {c: v % _PRIME for c, v in row.items() if v % _PRIME}
+        while r:
+            col = min(r)
+            pivot = pivots.get(col)
+            if pivot is None:
+                inv = pow(r[col], -1, _PRIME)
+                pivots[col] = {c: v * inv % _PRIME for c, v in r.items()}
                 break
-        if pivot is None:
-            continue
-        if pivot != rank:
-            m[[rank, pivot]] = m[[pivot, rank]]
-        inv = pow(int(m[rank, col]), _PRIME - 2, _PRIME)
-        m[rank] = m[rank] * inv % _PRIME
-        below = m[rank + 1:, col].nonzero()[0]
-        if below.size:
-            rows = below + rank + 1
-            m[rows] = (m[rows] - np.outer(m[rows, col], m[rank])) % _PRIME
-        rank += 1
-        if rank == n_rows:
-            break
-    return rank
+            f = r[col]
+            for c, v in pivot.items():
+                v = (r.get(c, 0) - f * v) % _PRIME
+                if v:
+                    r[c] = v
+                else:
+                    r.pop(c, None)
+    return len(pivots)
 
 
 def hom_cluster_oracle(x: Indec, y: Indec) -> HomDims:

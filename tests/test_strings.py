@@ -1,5 +1,8 @@
 """String and band combinatorics tests."""
 
+import hashlib
+import json
+
 import pytest
 
 from tubecat.endo import cached_endomorphism_algebra
@@ -100,6 +103,35 @@ class TestEnumeration:
         bad = presentation([1, 2], [("a", 1, 2), ("b", 1, 2), ("c", 1, 2)])
         with pytest.raises(ValueError):
             enumerate_strings(bad)
+
+    def test_pinned_for_all_objects(self):
+        # Digest of every enumeration at ranks 2..6 (strings, bands, cap)
+        # as produced by the earlier recursive walk.
+        data = []
+        for n in range(2, 7):
+            for t in maximal_rigid_objects(n):
+                enum = enumerate_strings(cached_endomorphism_algebra(t))
+                data.append([
+                    n,
+                    str(t),
+                    [s.to_json() for s in enum.strings],
+                    [b.to_json() for b in enum.bands],
+                    enum.complete,
+                    enum.cap,
+                ])
+        assert len(data) == 350
+        digest = hashlib.sha256(json.dumps(data).encode()).hexdigest()
+        assert digest == "3719ae74722a4b20dd54043076eea905b91f131fd37bf65cc7d163f6c8de9291"
+
+    def test_long_walk_does_not_recurse(self):
+        # A branch of 1500 letters is deeper than Python's default
+        # recursion limit.
+        loop = presentation([1], [("w", 1, 1, "loop")])
+        enum = enumerate_strings(loop, cap=1500)
+        assert enum.bands == (word([("w", 1)]),)
+        assert not enum.complete
+        assert len(enum.strings) == 1501
+        assert max(s.length for s in enum.strings) == 1500
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_count_formula_for_all_objects(self, n):

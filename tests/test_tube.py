@@ -4,11 +4,16 @@ Expected values marked as oracle-derived were computed by running
 hom_tube_oracle (the nilpotent-representation model) and frozen here.
 """
 
+import hashlib
+import json
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from tubecat.tube import (
+    _PRIME,
     HomDims,
     Indec,
     ext1_cluster,
@@ -25,6 +30,8 @@ from tubecat.tube import (
     quasisimples,
     rigid_indecomposables,
     tau,
+    _oracle_dim,
+    _rank_mod_p,
     wing_members,
 )
 
@@ -121,6 +128,85 @@ class TestHomTube:
             for x in xs:
                 for y in xs:
                     assert hom_tube(x, y) <= 1
+
+
+def _oracle_keys():
+    """n in 2..6 with b, d in 1..3n, plus n = 5 with b, d in 1..30."""
+    keys = {
+        (n, b, d, s)
+        for n in range(2, 7)
+        for b in range(1, 3 * n + 1)
+        for d in range(1, 3 * n + 1)
+        for s in range(n)
+    }
+    keys |= {
+        (5, b, d, s) for b in range(1, 31) for d in range(1, 31) for s in range(5)
+    }
+    return sorted(keys)
+
+
+def _rational_rank(matrix):
+    m = [[Fraction(v) for v in row] for row in matrix]
+    rank = 0
+    for col in range(len(m[0]) if m else 0):
+        pivot = next((r for r in range(rank, len(m)) if m[r][col]), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        for r in range(rank + 1, len(m)):
+            f = m[r][col] / m[rank][col]
+            m[r] = [u - f * v for u, v in zip(m[r], m[rank])]
+        rank += 1
+    return rank
+
+
+def _symmetric_residue(v):
+    r = v % _PRIME
+    return r - _PRIME if r > _PRIME // 2 else r
+
+
+@hst.composite
+def integer_matrix(draw):
+    """Up to 6 columns of small entries and of entries near +-p, with
+    duplicated and zero rows mixed in."""
+    n_cols = draw(hst.integers(1, 6))
+    entry = hst.one_of(
+        hst.integers(-4, 4),
+        hst.sampled_from([_PRIME, -_PRIME, _PRIME + 1, -_PRIME - 2, 3 * _PRIME]),
+    )
+    rows = draw(hst.lists(hst.lists(entry, min_size=n_cols, max_size=n_cols), max_size=5))
+    if rows:
+        rows += draw(hst.lists(hst.sampled_from(rows), max_size=2))
+    rows += [[0] * n_cols] * draw(hst.integers(0, 2))
+    return draw(hst.permutations(rows))
+
+
+class TestOracle:
+    def test_table_pinned_to_dense_reference(self):
+        # Digest of the oracle table as computed by the earlier dense
+        # row reduction; recomputed here past the cache.
+        data = [[*key, _oracle_dim.__wrapped__(*key)] for key in _oracle_keys()]
+        assert len(data) == 7335
+        digest = hashlib.sha256(json.dumps(data).encode()).hexdigest()
+        assert digest == "061273862ceb7942a235aba3f1fa5c0ca0f0371153133a381a461caaa97c8587"
+
+    @given(integer_matrix())
+    @settings(max_examples=300)
+    def test_rank_matches_rational_rank(self, matrix):
+        # After reduction to symmetric residues every entry lies in [-4, 4],
+        # so each minor is below p in absolute value (Hadamard: at most
+        # (4 * sqrt(6))^6 < 10^6) and vanishes mod p only if it is 0.
+        rows = [dict(enumerate(row)) for row in matrix]
+        reduced = [[_symmetric_residue(v) for v in row] for row in matrix]
+        assert _rank_mod_p(rows) == _rational_rank(reduced)
+
+    def test_rank_examples(self):
+        assert _rank_mod_p([]) == 0
+        assert _rank_mod_p([{0: 0, 3: _PRIME}]) == 0
+        assert _rank_mod_p([{0: 1, 1: 1}, {0: 1, 1: 1 + _PRIME}]) == 1
+        assert _rank_mod_p([{0: 2, 1: 3}, {0: 4, 1: 5}]) == 2
+        # A row needs reducing by several pivots before it vanishes.
+        assert _rank_mod_p([{0: 1, 1: -1}, {1: 1, 2: -1}, {0: 1, 2: -1}]) == 2
 
 
 class TestHomCluster:
