@@ -23,7 +23,6 @@ from tubecat.quiver import (
     connecting_vertices,
     count_paths,
     find_isomorphism,
-    is_cluster_tilted_A,
     to_dot,
 )
 from tubecat.rigid import RigidObject, maximal_rigid_objects, subwing_decomposition, tau_rigid
@@ -137,35 +136,40 @@ def cartan_check(t: RigidObject, p: Presentation | None = None) -> CartanReport:
 _REALIZE_LIMIT = 8
 
 
-def realize_quiver(q: Quiver, c: int, limit: int = _REALIZE_LIMIT) -> RigidObject | None:
-    """A maximal rigid object whose loopless endomorphism quiver is
-    isomorphic to q with the loop vertex landing on c, or None."""
-    check = is_cluster_tilted_A(q)
-    if not check:
-        raise ValueError(f"not a type-A cluster-tilted quiver: {check.witness}")
+def _realizations(q: Quiver, c: int, limit: int):
+    """The maximal rigid objects, in enumeration order, whose loopless
+    endomorphism quiver is isomorphic to q with the loop vertex landing on
+    c. Validates q and c before the first object is looked at."""
     if c not in connecting_vertices(q):
         raise ValueError(f"vertex {c} is not connecting")
     if len(q.vertices) > limit:
         raise SizeLimitError(f"realization search limited to {limit} vertices")
-    n = len(q.vertices) + 1
-    for t in maximal_rigid_objects(n):
+    for t in maximal_rigid_objects(len(q.vertices) + 1):
         bare, loop_vertex = loopless_quiver(cached_endomorphism_algebra(t))
         if find_isomorphism(bare, q, pin=(loop_vertex, c)) is not None:
-            return t
-    return None
+            yield t
+
+
+def realize_quiver(q: Quiver, c: int, limit: int = _REALIZE_LIMIT) -> RigidObject | None:
+    """A maximal rigid object whose loopless endomorphism quiver is
+    isomorphic to q with the loop vertex landing on c, or None. Raises
+    ValueError unless q is type-A cluster-tilted and c is connecting."""
+    return next(_realizations(q, c, limit), None)
 
 
 def realizing_objects(q: Quiver, c: int, limit: int = _REALIZE_LIMIT) -> list[RigidObject]:
-    first = realize_quiver(q, c, limit)
-    if first is None:
-        return []
-    n = len(q.vertices) + 1
-    out = []
-    for t in maximal_rigid_objects(n):
-        bare, loop_vertex = loopless_quiver(cached_endomorphism_algebra(t))
-        if find_isomorphism(bare, q, pin=(loop_vertex, c)) is not None:
-            out.append(t)
-    return out
+    """Every object `realize_quiver` could return, in one scan."""
+    return list(_realizations(q, c, limit))
+
+
+def _is_translate_orbit(members: list[RigidObject]) -> bool:
+    """Whether the members are exactly the translates of the first one."""
+    current = members[0]
+    orbit = set()
+    for _ in range(current.rank):
+        orbit.add(current)
+        current = tau_rigid(current, 1)
+    return orbit == set(members)
 
 
 def tau_orbit_count(q: Quiver, c: int, limit: int = _REALIZE_LIMIT) -> int:
@@ -177,12 +181,7 @@ def tau_orbit_count(q: Quiver, c: int, limit: int = _REALIZE_LIMIT) -> int:
         raise AssertionError(
             f"expected {n} realizing objects, found {len(witnesses)}"
         )
-    orbit = set()
-    current = witnesses[0]
-    for _ in range(n):
-        orbit.add(current)
-        current = tau_rigid(current, 1)
-    if orbit != set(witnesses):
+    if not _is_translate_orbit(witnesses):
         raise AssertionError("realizing objects do not form a single orbit")
     return len(witnesses)
 

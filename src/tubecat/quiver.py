@@ -21,6 +21,15 @@ class SizeLimitError(ValueError):
     """Input exceeds the exhaustive-search size limit."""
 
 
+class NotClusterTiltedError(ValueError):
+    """The quiver fails the type-A cluster-tilted recognition; `witness` is
+    the recognizer's first violation."""
+
+    def __init__(self, witness: str | None):
+        super().__init__(f"not a type-A cluster-tilted quiver: {witness}")
+        self.witness = witness
+
+
 @dataclass(frozen=True, order=True)
 class Arrow:
     id: str
@@ -439,11 +448,11 @@ def connecting_vertices(q: Quiver) -> frozenset[int]:
     """Vertices of valency one, or of valency two traversed by a 3-cycle.
 
     For the one-vertex quiver the lone vertex is connecting. Rejects
-    quivers that fail the type-A recognition.
+    quivers that fail the type-A recognition with NotClusterTiltedError.
     """
     check = is_cluster_tilted_A(q)
     if not check:
-        raise ValueError(f"not a type-A cluster-tilted quiver: {check.witness}")
+        raise NotClusterTiltedError(check.witness)
     if len(q.vertices) == 1:
         return frozenset(q.vertices)
     triangle_vertices = {
@@ -460,6 +469,49 @@ def connecting_vertices(q: Quiver) -> frozenset[int]:
 # --- isomorphism ------------------------------------------------------------
 
 _ISO_LIMIT = 12
+
+
+def pinned_invariant(q: Quiver, v: int) -> int:
+    """Isomorphism invariant of the quiver q with the vertex v pinned.
+
+    Colour refinement (1-WL) on the directed multigraph: vertices start
+    coloured "is v" or not, and each round recolours a vertex by its colour
+    and the multisets of (colour, arrow multiplicity) of its out- and
+    in-neighbours, until the number of colours stops growing. Each round's
+    colours are renumbered through the sorted palette of its signatures, and
+    the key hashes the sequence of sorted signature multisets. Vertex
+    numbers and arrow ids and order never enter it, so it is unchanged by
+    any relabelling of vertices that carries v along, any reordering of the
+    arrows and any renaming of their ids: if (q, v) and (q', v') are
+    isomorphic with v mapped to v', their keys are equal. The converse need
+    not hold, so equal keys still call for `find_isomorphism`.
+    """
+    if v not in q.vertices:
+        raise ValueError(f"pinned vertex {v} is not a vertex of the quiver")
+    out: dict[int, dict[int, int]] = {u: {} for u in q.vertices}
+    into: dict[int, dict[int, int]] = {u: {} for u in q.vertices}
+    for a in q.arrows:
+        out[a.src][a.tgt] = out[a.src].get(a.tgt, 0) + 1
+        into[a.tgt][a.src] = into[a.tgt].get(a.src, 0) + 1
+    colour = {u: int(u == v) for u in q.vertices}
+    n_colours = len(set(colour.values()))
+    key = 0
+    while True:
+        signature = {
+            u: (
+                colour[u],
+                tuple(sorted((colour[w], m) for w, m in out[u].items())),
+                tuple(sorted((colour[w], m) for w, m in into[u].items())),
+            )
+            for u in q.vertices
+        }
+        key = hash((key, tuple(sorted(signature.values()))))
+        palette = sorted(set(signature.values()))
+        if len(palette) == n_colours:
+            return key
+        n_colours = len(palette)
+        index = {s: i for i, s in enumerate(palette)}
+        colour = {u: index[signature[u]] for u in q.vertices}
 
 
 def find_isomorphism(

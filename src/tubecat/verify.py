@@ -13,19 +13,21 @@ from math import comb
 
 from tubecat import strings as st
 from tubecat.endo import (
+    _is_translate_orbit,
     cached_endomorphism_algebra,
     cartan_check,
     loopless_quiver,
 )
 from tubecat.homfunctor import verify_hom_functor
 from tubecat.quiver import (
+    NotClusterTiltedError,
     connecting_vertices,
     find_isomorphism,
     gorenstein_bound,
-    is_cluster_tilted_A,
     is_gentle,
+    pinned_invariant,
 )
-from tubecat.rigid import enumerate_maximal_rigid, maximal_rigid_objects, tau_rigid
+from tubecat.rigid import enumerate_maximal_rigid, maximal_rigid_objects
 from tubecat.tube import (
     Indec,
     ext1_cluster,
@@ -189,10 +191,11 @@ def check_endo(n: int) -> list[Outcome]:
             if not rep.ok:
                 return False, f"path/Hom mismatch at {rep.mismatches[:3]}"
             bare, loop_vertex = loopless_quiver(lam)
-            rec = is_cluster_tilted_A(bare)
-            if not rec:
-                return False, f"recognizer: {rec.witness}"
-            if loop_vertex not in connecting_vertices(bare):
+            try:
+                connecting = connecting_vertices(bare)
+            except NotClusterTiltedError as exc:
+                return False, f"recognizer: {exc.witness}"
+            if loop_vertex not in connecting:
                 return False, f"loop at non-connecting vertex {loop_vertex}"
             return True, f"dimension {rep.total_paths}, loop at {loop_vertex}"
 
@@ -264,36 +267,46 @@ def check_converse(n: int) -> list[Outcome]:
     """Group objects by the isomorphism class of (loopless quiver, loop
     vertex); every class must contain exactly n objects forming one
     translate orbit, and every connecting vertex of every class quiver must
-    be realized by some class."""
+    be realized by some class.
+
+    Classes are kept in buckets keyed by `pinned_invariant` of their
+    (quiver, loop vertex). An object is compared with `find_isomorphism`
+    only against the classes of its own bucket, and a connecting vertex c
+    of a class quiver only against the bucket of (quiver, c). The key is an
+    isomorphism invariant, so isomorphic pairs always share a bucket and
+    the search skips only pairs that cannot be isomorphic; every membership
+    and every realization is still decided by `find_isomorphism`. The
+    classes, their order and their members are those of a scan over all
+    classes, so the verdict and the detail are too.
+    """
 
     def run():
+        buckets: dict[int, list[tuple]] = {}
         classes: list[tuple] = []  # (quiver, loop vertex, members)
         for t in maximal_rigid_objects(n):
             bare, lv = loopless_quiver(cached_endomorphism_algebra(t))
-            for quiver, vertex, members in classes:
+            bucket = buckets.setdefault(pinned_invariant(bare, lv), [])
+            for quiver, vertex, members in bucket:
                 if find_isomorphism(bare, quiver, pin=(lv, vertex)) is not None:
                     members.append(t)
                     break
             else:
-                classes.append((bare, lv, [t]))
+                bucket.append((bare, lv, [t]))
+                classes.append(bucket[-1])
 
         for quiver, vertex, members in classes:
             if len(members) != n:
                 return False, f"class at vertex {vertex} has {len(members)} objects"
-            orbit = set()
-            current = members[0]
-            for _ in range(n):
-                orbit.add(current)
-                current = tau_rigid(current, 1)
-            if orbit != set(members):
+            if not _is_translate_orbit(members):
                 return False, f"class at vertex {vertex} is not one translate orbit"
 
         # every connecting vertex of every arising quiver is realized
         for quiver, _, _ in classes:
             for c in connecting_vertices(quiver):
+                bucket = buckets.get(pinned_invariant(quiver, c), ())
                 if not any(
                     find_isomorphism(quiver, q2, pin=(c, v2)) is not None
-                    for q2, v2, _ in classes
+                    for q2, v2, _ in bucket
                 ):
                     return False, f"connecting vertex {c} of a class quiver unrealized"
         return True, f"{len(classes)} classes, each a full translate orbit"

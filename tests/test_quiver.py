@@ -1,8 +1,12 @@
 """Tests for quivers with quadratic monomial relations."""
 
+import random
+from functools import lru_cache
+
 import numpy as np
 import pytest
 
+from tubecat.endo import cached_endomorphism_algebra, loopless_quiver
 from tubecat.quiver import (
     Arrow,
     DivergentPathsError,
@@ -17,11 +21,13 @@ from tubecat.quiver import (
     is_gentle,
     is_special_biserial,
     oriented_triangles,
+    pinned_invariant,
     presentation,
     quivers_isomorphic,
     to_dot,
     total_dimension,
 )
+from tubecat.rigid import maximal_rigid_objects
 
 DUAL_NUMBERS = presentation([1], [("w", 1, 1, "loop")], [("w", "w")])
 RANK3_ALGEBRA = presentation(
@@ -290,6 +296,94 @@ class TestIsomorphism:
         big = Quiver(tuple(range(13)), ())
         with pytest.raises(SizeLimitError):
             quivers_isomorphic(big, big)
+
+
+@lru_cache(maxsize=None)
+def _arising_pins(top_rank):
+    """Every (loopless endomorphism quiver, pin) of ranks 2..top_rank, pinned
+    at the loop vertex and then at each connecting vertex."""
+    out = []
+    for n in range(2, top_rank + 1):
+        for t in maximal_rigid_objects(n):
+            bare, loop_vertex = loopless_quiver(cached_endomorphism_algebra(t))
+            for v in (loop_vertex, *sorted(connecting_vertices(bare))):
+                out.append((bare, v))
+    return out
+
+
+def _relabel_vertices(q, v, rng):
+    images = list(q.vertices)
+    rng.shuffle(images)
+    perm = dict(zip(q.vertices, images))
+    arrows = tuple(Arrow(a.id, perm[a.src], perm[a.tgt], a.kind) for a in q.arrows)
+    return Quiver(tuple(images), arrows), perm[v]
+
+
+def _shuffle_arrows(q, v, rng):
+    arrows = list(q.arrows)
+    rng.shuffle(arrows)
+    return Quiver(q.vertices, tuple(arrows)), v
+
+
+def _rename_arrows(q, v, rng):
+    names = [f"z{i}" for i in range(len(q.arrows))]
+    rng.shuffle(names)
+    arrows = tuple(Arrow(name, a.src, a.tgt, a.kind) for name, a in zip(names, q.arrows))
+    return Quiver(q.vertices, arrows), v
+
+
+class TestPinnedInvariant:
+    @pytest.mark.parametrize(
+        "change", [_relabel_vertices, _shuffle_arrows, _rename_arrows]
+    )
+    def test_unchanged_on_arising_pins(self, change):
+        rng = random.Random(7)
+        pairs = 0
+        for bare, v in _arising_pins(7):
+            moved, w = change(bare, v, rng)
+            assert pinned_invariant(moved, w) == pinned_invariant(bare, v), (bare, v)
+            pairs += 1
+        assert pairs > 924
+
+    def test_unchanged_by_all_three_at_once(self):
+        rng = random.Random(11)
+        for bare, v in _arising_pins(6):
+            moved, w = bare, v
+            for change in (_rename_arrows, _shuffle_arrows, _relabel_vertices):
+                moved, w = change(moved, w, rng)
+            assert moved != bare or not bare.arrows
+            assert find_isomorphism(moved, bare, pin=(w, v)) is not None
+            assert pinned_invariant(moved, w) == pinned_invariant(bare, v)
+
+    def test_separates_the_arising_classes(self):
+        # one key per translate orbit: Catalan(n - 1) classes at rank n
+        for n, classes in zip(range(2, 8), (1, 2, 5, 14, 42, 132)):
+            keys = {
+                pinned_invariant(*loopless_quiver(cached_endomorphism_algebra(t)))
+                for t in maximal_rigid_objects(n)
+            }
+            assert len(keys) == classes, n
+
+    def test_moving_the_pin_changes_the_key(self):
+        linear = Quiver((1, 2, 3), (Arrow("x", 1, 2), Arrow("y", 2, 3)))
+        source, middle, sink = (pinned_invariant(linear, v) for v in (1, 2, 3))
+        assert len({source, middle, sink}) == 3
+        sources = Quiver((1, 2, 3), (Arrow("x", 1, 2), Arrow("y", 3, 2)))
+        assert pinned_invariant(sources, 1) == pinned_invariant(sources, 3)
+        assert pinned_invariant(sources, 1) != pinned_invariant(sources, 2)
+        assert len({pinned_invariant(CYCLE3, v) for v in (1, 2, 3)}) == 1
+        assert pinned_invariant(CYCLE3, 1) != source
+
+    def test_counts_arrow_multiplicity(self):
+        double = Quiver((1, 2), (Arrow("a", 1, 2), Arrow("b", 1, 2)))
+        single = Quiver((1, 2), (Arrow("a", 1, 2),))
+        loop = Quiver((1, 2), (Arrow("a", 1, 2), Arrow("b", 1, 1)))
+        keys = {pinned_invariant(q, 1) for q in (double, single, loop)}
+        assert len(keys) == 3
+
+    def test_pin_outside_the_quiver(self):
+        with pytest.raises(ValueError, match="pinned vertex 4"):
+            pinned_invariant(CYCLE3, 4)
 
 
 class TestEmission:

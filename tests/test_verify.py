@@ -1,9 +1,16 @@
 """The verification suite itself: outcome records, error capture, check
-selection, and a fault injected into the oracle."""
+selection, faults injected into the oracle and the converse check, and the
+bucketed converse search shown equal to a scan over all classes."""
+
+import hashlib
+import json
 
 import pytest
 
-from tubecat import verify
+from tubecat import quiver, verify
+from tubecat.endo import cached_endomorphism_algebra
+from tubecat.quiver import Arrow, Quiver
+from tubecat.rigid import maximal_rigid_objects, tau_rigid
 from tubecat.tube import Indec
 
 OUTCOME_KEYS = {"check", "rank", "ok", "detail", "subject", "seconds"}
@@ -102,3 +109,110 @@ class TestOracleFault:
         agreement = verify.check_oracle(3)[0]
         assert agreement.ok
         assert agreement.detail == "729 pairs agree exactly"
+
+
+def _rows(outcomes):
+    return [{k: v for k, v in o.to_json().items() if k != "seconds"} for o in outcomes]
+
+
+def _digest(outcomes):
+    return hashlib.sha256(json.dumps(_rows(outcomes), sort_keys=True).encode()).hexdigest()
+
+
+# SHA-256 of the outcome JSON without `seconds`, ranks 2..6, taken from the
+# scan over all classes that the bucketed search replaced.
+CONVERSE_DIGEST = "e2ee0e6c80a90d5838321016c9c8e7795164249190a18a86cdf245c402f46c07"
+ENDO_DIGEST = "b17839b49d1e484dd29fe828dc87742ca174aa28f0ae1a0b11441c90dcf5daa5"
+
+
+class TestConverse:
+    def test_outcomes_pinned(self):
+        converse = [o for n in range(2, 7) for o in verify.check_converse(n)]
+        endo = [o for n in range(2, 7) for o in verify.check_endo(n)]
+        assert _digest(converse) == CONVERSE_DIGEST
+        assert _digest(endo) == ENDO_DIGEST
+
+    def test_rank_seven(self):
+        (out,) = verify.check_converse(7)
+        assert out.ok
+        assert out.detail == "132 classes, each a full translate orbit"
+
+    def test_one_bucket_gives_the_same_outcomes(self, monkeypatch):
+        # A constant key puts every class in one bucket: the full scan.
+        expected = [verify.check_converse(n) for n in range(2, 7)]
+        monkeypatch.setattr(verify, "pinned_invariant", lambda q, v: 0)
+        scanned = [verify.check_converse(n) for n in range(2, 7)]
+        assert [_rows(o) for o in scanned] == [_rows(o) for o in expected]
+        assert _digest([o for outs in scanned for o in outs]) == CONVERSE_DIGEST
+
+    def test_isomorphism_searches_stay_linear(self, monkeypatch):
+        calls = []
+        real = verify.find_isomorphism
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(verify, "find_isomorphism", counting)
+        (out,) = verify.check_converse(6)
+        assert out.ok
+        # 252 objects in 42 classes: 210 joins and 112 (class quiver,
+        # connecting vertex) pairs, each decided by at least one search. A
+        # scan over all classes takes 7,744.
+        assert 210 + 112 <= len(calls) < 2 * 252
+
+    def test_relabelled_copy_joins_its_class(self, monkeypatch):
+        # One translate orbit is given a vertex-relabelled copy of the first
+        # class's (quiver, loop vertex): isomorphic, not equal. The copies
+        # must land in that class and make it too large.
+        real = verify.loopless_quiver
+        pairs = [real(cached_endomorphism_algebra(t)) for t in maximal_rigid_objects(5)]
+        target, target_vertex = pairs[0]
+        victim = next(
+            t for t, (bare, lv) in zip(maximal_rigid_objects(5), pairs)
+            if quiver.find_isomorphism(bare, target, pin=(lv, target_vertex)) is None
+        )
+        victims = [cached_endomorphism_algebra(tau_rigid(victim, k)) for k in range(5)]
+        perm = dict(zip(target.vertices, reversed(target.vertices)))
+        copy = Quiver(
+            target.vertices,
+            tuple(Arrow(a.id, perm[a.src], perm[a.tgt], a.kind) for a in target.arrows),
+        )
+        assert copy != target and perm[target_vertex] != target_vertex
+
+        def faulty(p):
+            if any(p is v for v in victims):
+                return copy, perm[target_vertex]
+            return real(p)
+
+        monkeypatch.setattr(verify, "loopless_quiver", faulty)
+        (out,) = verify.check_converse(5)
+        assert not out.ok
+        assert out.detail == f"class at vertex {target_vertex} has 10 objects"
+
+
+class TestEndo:
+    def test_recognizer_runs_once_per_object(self, monkeypatch):
+        calls = []
+        real = quiver.is_cluster_tilted_A
+
+        def counting(q):
+            calls.append(q)
+            return real(q)
+
+        # check_endo may reach the recognizer directly or through
+        # connecting_vertices; count both routes
+        monkeypatch.setattr(quiver, "is_cluster_tilted_A", counting)
+        monkeypatch.setattr(verify, "is_cluster_tilted_A", counting, raising=False)
+        outcomes = verify.check_endo(5)
+        assert all(o.ok for o in outcomes)
+        assert len(calls) == len(outcomes) == 70
+
+    def test_recognizer_witness_in_detail(self, monkeypatch):
+        def planted(q):
+            return quiver.CheckResult(False, "planted witness")
+
+        monkeypatch.setattr(quiver, "is_cluster_tilted_A", planted)
+        monkeypatch.setattr(verify, "is_cluster_tilted_A", planted, raising=False)
+        outcomes = verify.check_endo(3)
+        assert [o.detail for o in outcomes] == ["recognizer: planted witness"] * 6
