@@ -5,7 +5,6 @@ classifies string modules, and verifies the structural results by
 independent brute-force oracles at desk scale.
 """
 
-from tubecat.kernel import BACKEND
 from tubecat.tube import (
     HomDims,
     Indec,
@@ -21,7 +20,6 @@ from tubecat.tube import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BACKEND",
     "HomDims",
     "Indec",
     "ext1_cluster",

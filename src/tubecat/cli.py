@@ -13,9 +13,8 @@ import os
 import sys
 from pathlib import Path
 
-from tubecat import __version__, kernel
+from tubecat import __version__
 from tubecat.endo import bundle_dot, bundle_json
-from tubecat.quiver import to_dot
 from tubecat.rigid import (
     enumerate_maximal_rigid,
     from_tilting,
@@ -156,7 +155,7 @@ def cmd_verify(parser, args) -> int:
         for outcome in report.outcomes:
             print(outcome.line())
         status = "all checks passed" if report.ok else "FAILURES present"
-        print(f"{status} ({len(report.outcomes)} outcomes, backend={kernel.BACKEND})")
+        print(f"{status} ({len(report.outcomes)} outcomes)")
     return 0 if report.ok else 1
 
 

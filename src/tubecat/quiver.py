@@ -8,7 +8,6 @@ quivers, connecting vertices, and small-scale isomorphism testing.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -642,7 +641,3 @@ def to_dot(p: Presentation | Quiver, name: str = "quiver") -> str:
         lines.append(f"  {u} -> {w} [style=dashed, constraint=false];")
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def to_json_str(p: Presentation | Quiver) -> str:
-    return json.dumps(_as_presentation(p).to_json(), indent=2, sort_keys=True)

@@ -9,9 +9,6 @@ Canonical forms identify a word with its inverse.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-
-import numpy as np
 
 from tubecat.quiver import Presentation, is_special_biserial
 
@@ -337,10 +334,11 @@ class StringModule:
     def total_dim(self) -> int:
         return sum(d for _, d in self.dims)
 
-    def action(self, arrow_id: str) -> np.ndarray:
-        for aid, shape, entries in self.actions:
+    def action(self, arrow_id: str) -> tuple[tuple[int, ...], ...]:
+        """The matrix of the arrow's action, as a tuple of row tuples."""
+        for aid, (rows, cols), entries in self.actions:
             if aid == arrow_id:
-                return np.array(entries, dtype=np.int8).reshape(shape)
+                return tuple(entries[i * cols:(i + 1) * cols] for i in range(rows))
         raise KeyError(arrow_id)
 
     def to_json(self) -> dict:
@@ -368,28 +366,27 @@ def string_module(p: Presentation, w: StringWord) -> StringModule:
         slot.append(dims[v])
         dims[v] += 1
 
-    mats = {
-        a.id: np.zeros((dims[a.tgt], dims[a.src]), dtype=np.int8)
-        for a in p.quiver.arrows
-    }
+    # Row-major 0/1 matrices, (target dim) x (source dim), as flat lists.
+    shapes = {a.id: (dims[a.tgt], dims[a.src]) for a in p.quiver.arrows}
+    mats = {aid: [0] * (rows * cols) for aid, (rows, cols) in shapes.items()}
     if w.kind == "word":
         for i, (aid, d) in enumerate(w.letters):
-            if d > 0:
-                mats[aid][slot[i + 1], slot[i]] = 1
-            else:
-                mats[aid][slot[i], slot[i + 1]] = 1
+            row, col = (slot[i + 1], slot[i]) if d > 0 else (slot[i], slot[i + 1])
+            mats[aid][row * shapes[aid][1] + col] = 1
 
+    # With 0/1 entries, second @ first is nonzero iff some nonzero entry
+    # (i, j) of `second` meets a nonzero row j of `first`.
     for second, first in p.relations:
-        prod = mats[second] @ mats[first]
-        if prod.any():
+        rows, cols = shapes[first]
+        mat = mats[first]
+        live = {j for j in range(rows) if any(mat[j * cols:(j + 1) * cols])}
+        inner = shapes[second][1]
+        if any(x and k % inner in live for k, x in enumerate(mats[second])):
             raise AssertionError(f"relation ({second}, {first}) acts nonzero")
 
     return StringModule(
         tuple(sorted((v, d) for v, d in dims.items() if d)),
-        tuple(
-            (aid, mat.shape, tuple(int(x) for x in mat.reshape(-1)))
-            for aid, mat in sorted(mats.items())
-        ),
+        tuple((aid, shapes[aid], tuple(mat)) for aid, mat in sorted(mats.items())),
     )
 
 

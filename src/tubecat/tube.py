@@ -1,7 +1,7 @@
 """Coordinates and Hom/Ext combinatorics of the rank-n tube and cluster tube.
 
 Indecomposables are points (orbit, ql) on an infinite cylinder of width n.
-The closed-form Hom count lives in the kernel backend; `hom_tube_oracle`
+The closed-form Hom count lives in `kernel`; `hom_tube_oracle`
 recomputes the same dimension from an explicit nilpotent-representation
 model and is the ground truth the closed form is validated against. The
 oracle is plain exact linear algebra: the nullity of a sparse commutation

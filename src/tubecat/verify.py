@@ -109,7 +109,7 @@ def _timed(check, rank, detail_ok, predicate, subject=None):
 def check_oracle(n: int, ql_cap: int | None = None, seed: int = 0) -> list[Outcome]:
     """Closed-form Hom counts against the linear-algebra oracle, plus the
     calibration contracts and the boundary facts they pin down."""
-    cap = ql_cap or 3 * n
+    cap = 3 * n if ql_cap is None else ql_cap
 
     def agreement():
         xs = list(indecomposables_up_to(n, cap))
@@ -335,6 +335,17 @@ def run_suite(
     for name in names:
         if name not in _CHECK_FUNCTIONS:
             raise ValueError(f"unknown check {name!r}; choose from {CHECK_NAMES}")
+    ranks = list(ranks)
+    if ql_cap is not None and ranks:
+        # The fundamental domain of rank n reaches quasilength 2n - 2; a
+        # lower cap would sweep only part of it.
+        n = max(ranks)
+        least = max(1, 2 * n - 2)
+        if ql_cap < least:
+            raise ValueError(
+                f"ql_cap {ql_cap} is below {least}, the largest quasilength "
+                f"of the fundamental domain at rank {n}"
+            )
     report = SuiteReport()
     for n in ranks:
         for name in names:

@@ -45,6 +45,13 @@ class TestVerify:
             assert outcome["ok"] is True
         assert {o["check"] for o in data["checks"]} == set(cli.CHECK_NAMES)
 
+    def test_ql_cap_covering_the_domain(self, capsys):
+        # The rank-3 fundamental domain reaches quasilength 4.
+        code, out, _ = run_cli(["verify", "--rank", "3", "--ql-cap", "4"], capsys)
+        assert code == 0
+        assert out.splitlines()[-1].startswith("all checks passed")
+        assert "FAIL" not in out
+
     def test_failure_exits_one(self, capsys, monkeypatch):
         honest = homfunctor.oracle_dims
 
@@ -88,6 +95,15 @@ class TestUsageErrors:
         assert message in err
         assert out == ""
 
+    @pytest.mark.parametrize("cap", ["3", "0", "-3"])
+    def test_ql_cap_below_the_domain(self, cap, capsys):
+        code, out, err = run_cli(
+            ["verify", "--rank", "3", "--only", "hom-functor", "--ql-cap", cap], capsys
+        )
+        assert code == 2
+        assert f"ql_cap {cap} is below 4" in err and "at rank 3" in err
+        assert out == ""
+
     def test_rank_cap_from_environment(self, capsys, monkeypatch):
         monkeypatch.setenv("TUBECAT_MAX_RANK", "3")
         code, _, err = run_cli(["verify", "--rank", "2..4"], capsys)
@@ -95,14 +111,39 @@ class TestUsageErrors:
         assert "exceeds the cap 3" in err
 
 
-def test_module_entry_point_exit_codes():
+def child_env() -> dict:
+    """The environment with this checkout's `src` first on PYTHONPATH."""
     src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH", "")) if p
     ))
+
+
+def test_module_entry_point_exit_codes():
+    env = child_env()
     command = [sys.executable, "-m", "tubecat.cli", "verify"]
     ok = subprocess.run(command + ["--rank", "2"], capture_output=True, text=True, env=env, timeout=120)
     assert ok.returncode == 0, ok.stderr
     empty = subprocess.run(command + ["--rank", "3..2"], capture_output=True, text=True, env=env, timeout=120)
     assert empty.returncode == 2
     assert "empty rank range" in empty.stderr
+
+
+def test_runs_without_numpy():
+    """The package needs only the standard library: with numpy made
+    unimportable, it imports and verifies rank 3."""
+    script = "\n".join([
+        "import sys",
+        "sys.modules['numpy'] = None",
+        "import tubecat, tubecat.cli, tubecat.verify",
+        "report = tubecat.verify.run_suite([3])",
+        "assert report.ok, [o.line() for o in report.outcomes if not o.ok]",
+        "assert 'numpy' not in {m.split('.')[0] for m in sys.modules if sys.modules[m]}",
+        "print(len(report.outcomes))",
+    ])
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, env=child_env(), timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["30"]

@@ -6,6 +6,7 @@ from math import comb
 import networkx as nx
 import pytest
 
+from tubecat import kernel
 from tubecat.rigid import (
     RigidObject,
     enumerate_maximal_rigid,
@@ -20,9 +21,11 @@ from tubecat.rigid import (
 )
 from tubecat.tube import (
     Indec,
+    hom_cluster_oracle,
     in_wing,
     is_compatible,
     rigid_indecomposables,
+    tau,
     wing_members,
 )
 
@@ -248,3 +251,47 @@ class TestTauAction:
     def test_translate_permutes_objects(self, n):
         objects = set(maximal_rigid_objects(n))
         assert {tau_rigid(t, 1) for t in objects} == objects
+
+
+def oracle_ext1(x: Indec, y: Indec) -> int:
+    """dim Ext^1(x, y) = total Hom from y to tau(x), both parts from the
+    linear-algebra oracle."""
+    return sum(hom_cluster_oracle(y, tau(x)))
+
+
+class TestKernel:
+    """The kernel's masks and subset search against routes that share no
+    code with it."""
+
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_compat_masks_match_oracle(self, n):
+        # Rank 7 has 42 candidates and rank 9 has 72, past 32- and 64-bit
+        # masks.
+        rigids = rigid_indecomposables(n)
+        expected = [
+            sum(
+                1 << j
+                for j, y in enumerate(rigids)
+                if j != i and oracle_ext1(x, y) == 0 and oracle_ext1(y, x) == 0
+            )
+            for i, x in enumerate(rigids)
+        ]
+        assert kernel.compat_masks(n) == expected
+
+    def test_masks_cross_64_bits(self):
+        assert max(kernel.compat_masks(9)).bit_length() > 64
+
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_rigid_coords_follow_rigid_indecomposables(self, n):
+        coords = [kernel.rigid_coords(n, i) for i in range(n * (n - 1))]
+        assert coords == [(x.orbit, x.ql) for x in rigid_indecomposables(n)]
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_compatible_subsets_match_literal_filter(self, n):
+        masks = kernel.compat_masks(n)
+        literal = [
+            subset
+            for subset in itertools.combinations(range(len(masks)), n - 1)
+            if all(masks[i] >> j & 1 for i, j in itertools.combinations(subset, 2))
+        ]
+        assert kernel.compatible_subsets(masks, n - 1) == literal

@@ -3,8 +3,10 @@
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
+from tubecat import strings
 from tubecat.endo import cached_endomorphism_algebra
 from tubecat.quiver import count_paths, presentation
 from tubecat.rigid import maximal_rigid_objects
@@ -30,6 +32,15 @@ from tubecat.tube import Indec, in_wing
 RANK3 = presentation([1, 2], [("w", 1, 1, "loop"), ("a", 1, 2, "T")], [("w", "w")])
 KRONECKER = presentation([1, 2], [("a", 1, 2), ("b", 1, 2)])
 LINEAR_A3 = presentation([1, 2, 3], [("a", 1, 2), ("b", 2, 3)])
+
+
+def stored_matrix(m, arrow_id):
+    """An arrow's action as a numpy array, read from the stored
+    (arrow id, shape, entries) record rather than from `action`."""
+    for aid, shape, entries in m.actions:
+        if aid == arrow_id:
+            return np.array(entries, dtype=int).reshape(shape)
+    raise KeyError(arrow_id)
 
 
 class TestWords:
@@ -166,7 +177,29 @@ class TestStringModules:
         for s in enumerate_strings(lam).strings:
             m = string_module(lam, s)
             for second, first in lam.relations:
-                assert not (m.action(second) @ m.action(first)).any()
+                assert not (stored_matrix(m, second) @ stored_matrix(m, first)).any()
+
+    def test_action_rows_match_stored_entries(self):
+        lam = cached_endomorphism_algebra(maximal_rigid_objects(4)[0])
+        for s in enumerate_strings(lam).strings:
+            m = string_module(lam, s)
+            for aid, shape, _ in m.actions:
+                rows = m.action(aid)
+                assert len(rows) == shape[0]
+                assert [list(r) for r in rows] == stored_matrix(m, aid).tolist()
+
+    def test_empty_actions_keep_their_shape(self):
+        # At e1 the arrow a: 1 -> 2 acts 0 x 1, at e2 it acts 1 x 0.
+        assert string_module(RANK3, trivial(1)).action("a") == ()
+        assert string_module(RANK3, trivial(2)).action("a") == ((),)
+        with pytest.raises(KeyError):
+            string_module(RANK3, trivial(1)).action("nope")
+
+    def test_relation_acting_nonzero_is_caught(self, monkeypatch):
+        # w*w is a relation, so only a forged string can pass through it.
+        monkeypatch.setattr(strings, "is_string", lambda p, w: True)
+        with pytest.raises(AssertionError, match=r"relation \(w, w\) acts nonzero"):
+            string_module(RANK3, word([("w", 1), ("w", 1)]))
 
     def test_rejects_non_string(self):
         with pytest.raises(ValueError):
@@ -174,9 +207,10 @@ class TestStringModules:
 
     def test_json_schema(self):
         m = string_module(RANK3, word([("w", 1)]))
-        data = m.to_json()
+        data = json.loads(json.dumps(m.to_json()))
         assert data["dims"] == {"1": 2}
         assert data["actions"]["w"] == [[0, 0], [1, 0]]
+        assert data["actions"]["a"] == []
 
     def test_module_dims_sums(self):
         m1 = string_module(RANK3, trivial(1))

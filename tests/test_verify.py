@@ -70,6 +70,20 @@ class TestRunSuite:
         ]
         assert report.ok
 
+    @pytest.mark.parametrize("cap", [3, 0, -3])
+    def test_ql_cap_below_the_domain_rejected(self, cap, monkeypatch):
+        ran = []
+        monkeypatch.setitem(
+            verify._CHECK_FUNCTIONS, "rigid", lambda n, c, s: ran.append(n) or []
+        )
+        with pytest.raises(ValueError, match=f"ql_cap {cap} is below 4, .* at rank 3"):
+            verify.run_suite([2, 3], only="rigid", ql_cap=cap)
+        assert ran == []
+
+    def test_ql_cap_at_the_domain_accepted(self):
+        assert verify.run_suite([2, 3], only="rigid", ql_cap=4).ok
+        assert verify.run_suite([2], only="rigid", ql_cap=2).ok
+
     def test_rank_three_outcome_counts(self):
         report = verify.run_suite([3])
         assert report.ok
@@ -104,6 +118,11 @@ class TestOracleFault:
         assert not agreement.ok
         assert agreement.detail == "1/729 disagreements, first at (1,9)->(2,9)"
         assert calibration.ok and boundary.ok and symmetry.ok
+
+    def test_cap_zero_is_not_the_default(self):
+        assert verify.check_oracle(2, ql_cap=0)[0].detail == "0 pairs agree exactly"
+        assert verify.check_oracle(2, ql_cap=1)[0].detail == "4 pairs agree exactly"
+        assert verify.check_oracle(2)[0].detail == "144 pairs agree exactly"
 
     def test_unfaulted_oracle_agrees(self):
         agreement = verify.check_oracle(3)[0]
