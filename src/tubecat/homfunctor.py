@@ -51,9 +51,6 @@ class FundamentalDomain:
             return True
         return x in self.members
 
-    def sorted_members(self) -> list[Indec]:
-        return sorted(self.members, key=lambda x: (x.ql, x.orbit))
-
 
 @lru_cache(maxsize=64)
 def fundamental_domain(n: int) -> FundamentalDomain:

@@ -78,8 +78,13 @@ def from_summands(n: int, summands: Iterable[Indec]) -> RigidObject:
 
 
 def tau_rigid(t: RigidObject, k: int = 1) -> RigidObject:
-    """Apply the translate to every summand."""
-    return from_summands(t.rank, [tau(s, k) for s in t.summands])
+    """Apply the translate to every summand.
+
+    The translate is an autoequivalence, so the result is maximal rigid
+    again, and canonical order is relative to the top, so it keeps its
+    order: no re-validation through `from_summands` is needed.
+    """
+    return RigidObject(t.rank, tuple(tau(s, k) for s in t.summands))
 
 
 def is_maximal_rigid(n: int, summands: Iterable[Indec]) -> bool:

@@ -2,6 +2,32 @@
 
 Each check emits outcome records that the command line prints or serializes;
 a record is one (check, rank[, object]) verdict with a short detail string.
+
+The per-object checks endo, gentle, strings and hom-functor compute their
+verdict once per translate orbit, on the member whose top summand is at
+orbit 1 (Catalan(n - 1) representatives of the C(2n - 2, n - 1) objects),
+and carry it to the other n - 1 members; see `_per_orbit`. The quotient is
+exact because each verdict depends on T only through data that the translate
+leaves unchanged:
+
+- `canonical_order` lists the summands relative to the top, so T and tau T
+  have the same vertex numbering, hence the same labelled endomorphism
+  algebra, Cartan matrix, loop vertex, gentleness, Gorenstein data and
+  strings.
+- `kernel.hom_tube_dim` sees orbits only through (c - a) mod n, so every
+  closed-form Hom count between summands, and from a summand to x, is
+  invariant when both are translated.
+- `tube._oracle_dim` is keyed on that shift alone, so the oracle's
+  dimensions are too.
+- The Hom-functor sweep covers every orbit 1..n for each ql <= cap, so the
+  swept set of x is closed under the translate, and the fundamental domain
+  and the vanishing locus are stated in top-normalized coordinates.
+
+Each member still gets its own outcome, and takes its representative's only
+after an exact certificate: its summands are the representative's translated
+element by element. `check_rigid`, `check_oracle` and `check_converse` stay
+per object; converse is the check that proves each isomorphism class of
+(quiver, loop vertex) is one full translate orbit.
 """
 
 from __future__ import annotations
@@ -27,7 +53,7 @@ from tubecat.quiver import (
     is_gentle,
     pinned_invariant,
 )
-from tubecat.rigid import enumerate_maximal_rigid, maximal_rigid_objects
+from tubecat.rigid import enumerate_maximal_rigid, maximal_rigid_objects, tau_rigid
 from tubecat.tube import (
     Indec,
     ext1_cluster,
@@ -101,6 +127,17 @@ def _timed(check, rank, detail_ok, predicate, subject=None):
     if ok and detail is None:
         detail = detail_ok
     return Outcome(check, rank, ok, detail, subject, time.perf_counter() - start)
+
+
+def _check_ql_cap(n: int, ql_cap: int | None) -> None:
+    """Reject a sweep cap below the fundamental domain of rank n, which
+    reaches quasilength 2n - 2; a lower cap would sweep only part of it."""
+    least = max(1, 2 * n - 2)
+    if ql_cap is not None and ql_cap < least:
+        raise ValueError(
+            f"ql_cap {ql_cap} is below {least}, the largest quasilength "
+            f"of the fundamental domain at rank {n}"
+        )
 
 
 # --- individual checks -------------------------------------------------------
@@ -182,85 +219,115 @@ def check_rigid(n: int) -> list[Outcome]:
     return [_timed("rigid", n, "", count)]
 
 
-def check_endo(n: int) -> list[Outcome]:
+def _endo_verdict(t) -> tuple[bool, str]:
+    lam = cached_endomorphism_algebra(t)
+    rep = cartan_check(t, lam)
+    if not rep.ok:
+        return False, f"path/Hom mismatch at {rep.mismatches[:3]}"
+    bare, loop_vertex = loopless_quiver(lam)
+    try:
+        connecting = connecting_vertices(bare)
+    except NotClusterTiltedError as exc:
+        return False, f"recognizer: {exc.witness}"
+    if loop_vertex not in connecting:
+        return False, f"loop at non-connecting vertex {loop_vertex}"
+    return True, f"dimension {rep.total_paths}, loop at {loop_vertex}"
+
+
+def _gentle_verdict(t) -> tuple[bool, str]:
+    n = t.rank
+    lam = cached_endomorphism_algebra(t)
+    g = is_gentle(lam)
+    if not g:
+        return False, f"not gentle: {g.witness}"
+    mismatch = not st.projectives_match_injectives(lam)
+    rep = gorenstein_bound(lam, not_self_injective=mismatch)
+    expected = 0 if n == 2 else 1
+    if rep.dimension != expected:
+        return False, f"dimension {rep.dimension}, expected {expected}"
+    if n >= 3 and rep.gentle_arrows and rep.n_g != 1:
+        return False, f"critical bound {rep.n_g} with gentle arrows"
+    return True, f"gentle, dimension {rep.dimension} (n_g={rep.n_g})"
+
+
+def _strings_verdict(t) -> tuple[bool, str]:
+    n = t.rank
+    expected = (3 * n * n - 5 * n + 2) // 2
+    enum = st.enumerate_strings(cached_endomorphism_algebra(t))
+    if enum.bands:
+        return False, f"band detected: {enum.bands[0]}"
+    if len(enum.strings) != expected:
+        return False, f"{len(enum.strings)} strings, expected {expected}"
+    return True, f"count={len(enum.strings)}, no bands"
+
+
+def _hom_functor_verdict(t, ql_cap: int | None) -> tuple[bool, str]:
+    rep = verify_hom_functor(t, ql_cap)
+    if not rep.ok:
+        issues = []
+        if rep.dimension_failures:
+            issues.append(f"{len(rep.dimension_failures)} dimension mismatches")
+        if not rep.bijection_ok:
+            issues.append("string bijection fails")
+        if not rep.domain_size_ok:
+            issues.append("domain count off")
+        if rep.locus_failures:
+            issues.append(f"vanishing locus: {rep.locus_failures[0]}")
+        return False, "; ".join(issues)
+    return True, f"bijection onto {rep.expected_count} strings, dimensions match"
+
+
+def _per_orbit(check: str, n: int, verdict) -> list[Outcome]:
+    """One outcome per object, in enumeration order, with `verdict` run once
+    per translate orbit when the orbit's representative passes.
+
+    A representative is the member whose top is at orbit 1; they come first
+    in enumeration order. Any other member t, with k = top.orbit - 1, takes
+    its representative's outcome only if the translate certificate holds:
+    `tau_rigid(t, k).summands` is, element by element, the summands tuple of
+    a verified representative. If it is not, t fails with a detail naming
+    it. If the representative failed, t runs `verdict` itself, so every
+    failure keeps its own concrete witness.
+    """
+    representatives: dict[tuple, Outcome] = {}
     out = []
     for t in maximal_rigid_objects(n):
-        def one(t=t):
-            lam = cached_endomorphism_algebra(t)
-            rep = cartan_check(t, lam)
-            if not rep.ok:
-                return False, f"path/Hom mismatch at {rep.mismatches[:3]}"
-            bare, loop_vertex = loopless_quiver(lam)
-            try:
-                connecting = connecting_vertices(bare)
-            except NotClusterTiltedError as exc:
-                return False, f"recognizer: {exc.witness}"
-            if loop_vertex not in connecting:
-                return False, f"loop at non-connecting vertex {loop_vertex}"
-            return True, f"dimension {rep.total_paths}, loop at {loop_vertex}"
+        k = t.top.orbit - 1
 
-        out.append(_timed("endo", n, "", one, subject=str(t)))
+        def one(t=t, k=k):
+            if k == 0:
+                return verdict(t)
+            rep = representatives.get(tau_rigid(t, k).summands)
+            if rep is None:
+                return False, (
+                    f"translate certificate fails: tau^{k} of {t} is no representative"
+                )
+            if not rep.ok:
+                return verdict(t)
+            return True, rep.detail
+
+        outcome = _timed(check, n, "", one, subject=str(t))
+        if k == 0:
+            representatives[t.summands] = outcome
+        out.append(outcome)
     return out
+
+
+def check_endo(n: int) -> list[Outcome]:
+    return _per_orbit("endo", n, _endo_verdict)
 
 
 def check_gentle(n: int) -> list[Outcome]:
-    out = []
-    for t in maximal_rigid_objects(n):
-        def one(t=t):
-            lam = cached_endomorphism_algebra(t)
-            g = is_gentle(lam)
-            if not g:
-                return False, f"not gentle: {g.witness}"
-            mismatch = not st.projectives_match_injectives(lam)
-            rep = gorenstein_bound(lam, not_self_injective=mismatch)
-            expected = 0 if n == 2 else 1
-            if rep.dimension != expected:
-                return False, f"dimension {rep.dimension}, expected {expected}"
-            if n >= 3 and rep.gentle_arrows and rep.n_g != 1:
-                return False, f"critical bound {rep.n_g} with gentle arrows"
-            return True, f"gentle, dimension {rep.dimension} (n_g={rep.n_g})"
-
-        out.append(_timed("gentle", n, "", one, subject=str(t)))
-    return out
+    return _per_orbit("gentle", n, _gentle_verdict)
 
 
 def check_strings(n: int) -> list[Outcome]:
-    expected = (3 * n * n - 5 * n + 2) // 2
-    out = []
-    for t in maximal_rigid_objects(n):
-        def one(t=t):
-            lam = cached_endomorphism_algebra(t)
-            enum = st.enumerate_strings(lam)
-            if enum.bands:
-                return False, f"band detected: {enum.bands[0]}"
-            if len(enum.strings) != expected:
-                return False, f"{len(enum.strings)} strings, expected {expected}"
-            return True, f"count={len(enum.strings)}, no bands"
-
-        out.append(_timed("strings", n, "", one, subject=str(t)))
-    return out
+    return _per_orbit("strings", n, _strings_verdict)
 
 
 def check_hom_functor(n: int, ql_cap: int | None = None) -> list[Outcome]:
-    out = []
-    for t in maximal_rigid_objects(n):
-        def one(t=t):
-            rep = verify_hom_functor(t, ql_cap)
-            if not rep.ok:
-                issues = []
-                if rep.dimension_failures:
-                    issues.append(f"{len(rep.dimension_failures)} dimension mismatches")
-                if not rep.bijection_ok:
-                    issues.append("string bijection fails")
-                if not rep.domain_size_ok:
-                    issues.append("domain count off")
-                if rep.locus_failures:
-                    issues.append(f"vanishing locus: {rep.locus_failures[0]}")
-                return False, "; ".join(issues)
-            return True, f"bijection onto {rep.expected_count} strings, dimensions match"
-
-        out.append(_timed("hom-functor", n, "", one, subject=str(t)))
-    return out
+    _check_ql_cap(n, ql_cap)
+    return _per_orbit("hom-functor", n, lambda t: _hom_functor_verdict(t, ql_cap))
 
 
 def check_converse(n: int) -> list[Outcome]:
@@ -336,16 +403,8 @@ def run_suite(
         if name not in _CHECK_FUNCTIONS:
             raise ValueError(f"unknown check {name!r}; choose from {CHECK_NAMES}")
     ranks = list(ranks)
-    if ql_cap is not None and ranks:
-        # The fundamental domain of rank n reaches quasilength 2n - 2; a
-        # lower cap would sweep only part of it.
-        n = max(ranks)
-        least = max(1, 2 * n - 2)
-        if ql_cap < least:
-            raise ValueError(
-                f"ql_cap {ql_cap} is below {least}, the largest quasilength "
-                f"of the fundamental domain at rank {n}"
-            )
+    if ranks:
+        _check_ql_cap(max(ranks), ql_cap)
     report = SuiteReport()
     for n in ranks:
         for name in names:

@@ -252,6 +252,16 @@ class TestTauAction:
         objects = set(maximal_rigid_objects(n))
         assert {tau_rigid(t, 1) for t in objects} == objects
 
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_equals_the_validating_route(self, n):
+        # tau_rigid skips from_summands; its result, summand order included,
+        # must be the one from_summands builds and validates.
+        for t in maximal_rigid_objects(n):
+            for k in range(n + 1):
+                fast = tau_rigid(t, k)
+                slow = from_summands(n, [tau(s, k) for s in t.summands])
+                assert fast.summands == slow.summands and fast == slow
+
 
 def oracle_ext1(x: Indec, y: Indec) -> int:
     """dim Ext^1(x, y) = total Hom from y to tau(x), both parts from the

@@ -1,6 +1,7 @@
 """The verification suite itself: outcome records, error capture, check
-selection, faults injected into the oracle and the converse check, and the
-bucketed converse search shown equal to a scan over all classes."""
+selection, faults injected into the oracle and the converse check, the
+bucketed converse search shown equal to a scan over all classes, and the
+per-orbit checks shown equal to a loop over every object."""
 
 import hashlib
 import json
@@ -101,6 +102,19 @@ class TestRunSuite:
             "hom-functor": 6,
             "converse": 1,
         }
+
+
+class TestHomFunctorCap:
+    def test_cap_below_the_domain_rejected(self, monkeypatch):
+        ran = []
+        monkeypatch.setattr(verify, "verify_hom_functor", lambda *a: ran.append(a))
+        with pytest.raises(ValueError, match="ql_cap 3 is below 4, .* at rank 3"):
+            verify.check_hom_functor(3, 3)
+        assert ran == []
+
+    def test_cap_at_the_domain_accepted(self):
+        outcomes = verify.check_hom_functor(3, 4)
+        assert len(outcomes) == 6 and all(o.ok for o in outcomes)
 
 
 class TestOracleFault:
@@ -211,7 +225,7 @@ class TestConverse:
 
 
 class TestEndo:
-    def test_recognizer_runs_once_per_object(self, monkeypatch):
+    def test_recognizer_runs_once_per_representative(self, monkeypatch):
         calls = []
         real = quiver.is_cluster_tilted_A
 
@@ -225,7 +239,10 @@ class TestEndo:
         monkeypatch.setattr(verify, "is_cluster_tilted_A", counting, raising=False)
         outcomes = verify.check_endo(5)
         assert all(o.ok for o in outcomes)
-        assert len(calls) == len(outcomes) == 70
+        # one call per translate orbit: Catalan(4) representatives, and
+        # still one outcome for each of the 70 objects
+        assert len(calls) == 14
+        assert len(outcomes) == 70
 
     def test_recognizer_witness_in_detail(self, monkeypatch):
         def planted(q):
@@ -235,3 +252,78 @@ class TestEndo:
         monkeypatch.setattr(verify, "is_cluster_tilted_A", planted, raising=False)
         outcomes = verify.check_endo(3)
         assert [o.detail for o in outcomes] == ["recognizer: planted witness"] * 6
+
+
+PER_ORBIT = {
+    "endo": (verify.check_endo, verify._endo_verdict),
+    "gentle": (verify.check_gentle, verify._gentle_verdict),
+    "strings": (verify.check_strings, verify._strings_verdict),
+    "hom-functor": (
+        verify.check_hom_functor,
+        lambda t: verify._hom_functor_verdict(t, None),
+    ),
+}
+
+
+def _per_object(check, n, verdict):
+    """The loop that `_per_orbit` replaced: every object's own verdict."""
+    return [
+        verify._timed(check, n, "", lambda t=t: verdict(t), subject=str(t))
+        for t in maximal_rigid_objects(n)
+    ]
+
+
+class TestPerOrbit:
+    @pytest.mark.parametrize("check", sorted(PER_ORBIT))
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_equals_the_loop_over_every_object(self, check, n):
+        run, verdict = PER_ORBIT[check]
+        assert _rows(run(n)) == _rows(_per_object(check, n, verdict))
+
+    @pytest.mark.parametrize("check", ["endo", "gentle", "strings"])
+    def test_equals_the_loop_over_every_object_at_rank_seven(self, check):
+        run, verdict = PER_ORBIT[check]
+        assert _rows(run(7)) == _rows(_per_object(check, 7, verdict))
+
+    def test_orphaned_members_fail_by_name(self, monkeypatch):
+        objects = maximal_rigid_objects(4)
+        dropped = objects[2]
+        assert dropped.top.orbit == 1
+        orphans = {tau_rigid(dropped, -k) for k in range(1, 4)}
+        monkeypatch.setattr(
+            verify, "maximal_rigid_objects", lambda n: [t for t in objects if t != dropped]
+        )
+        for check in ("endo", "gentle", "strings", "hom-functor"):
+            outcomes = PER_ORBIT[check][0](4)
+            assert len(outcomes) == 19
+            failed = [o for o in outcomes if not o.ok]
+            assert {o.subject for o in failed} == {str(t) for t in orphans}
+            for o in failed:
+                assert o.detail.startswith("translate certificate fails:")
+                assert o.subject in o.detail
+
+    def test_failed_representative_makes_members_run_their_own(self, monkeypatch):
+        n = 5
+        objects = maximal_rigid_objects(n)
+        rep = objects[3]
+        planted = cached_endomorphism_algebra(rep)
+        calls = []
+        real = verify.is_gentle
+
+        def faulty(lam):
+            calls.append(lam)
+            if lam is planted:
+                return quiver.CheckResult(False, "planted witness")
+            return real(lam)
+
+        monkeypatch.setattr(verify, "is_gentle", faulty)
+        outcomes = verify.check_gentle(n)
+        assert len(outcomes) == 70
+        assert [o.subject for o in outcomes if not o.ok] == [str(rep)]
+        assert outcomes[3].detail == "not gentle: planted witness"
+        # 14 representatives, plus the 4 other members of the failed orbit
+        assert len(calls) == 14 + 4
+        members = {tau_rigid(rep, -k) for k in range(1, n)}
+        assert {id(lam) for lam in calls[14:]} == {
+            id(cached_endomorphism_algebra(t)) for t in members
+        }
