@@ -21,6 +21,26 @@ only on its chain, and the connecting arrow, the joined string and the
 predicted modules only on (chain T, chain D, in the domain, in add tau T).
 So every wing, triple, string and relation check still runs once for each
 distinct input, while the oracle comparison still runs for every x.
+
+Both reverse hammocks of every x are painted into the table once per
+summand instead of being filtered once per x. `kernel.hom_tube_dim(n, a, b,
+c, d)` counts the k with max(0, b - d) <= k <= b - 1 and k = c - a (mod n).
+A summand s = (c, d) is rigid, so d <= n - 1 and each window holds at most
+one such k. Hence, for x = (a, b):
+
+- Hom(s, x) > 0 exactly when r = (a - c) mod n < d and b >= d - r: from
+  orbit a, s paints the ray of all b >= d - r;
+- Hom(x, tau^2 s) > 0 exactly when b lies in [k + 1, k + d] for some
+  k >= 0 with k = (c - 2 - a) mod n: s paints one interval every n steps.
+
+Summands are painted in ascending (ql, vertex) order, so each chain comes
+out in the order a stable sort by ql of the filtered summands gives. The
+sweep paints up to its cap first; a later x above the painted cap extends
+the painting to at least twice the old cap.
+
+A report keeps only what failed; `HomFunctorReport.records` rebuilds the
+record of every swept x on access, with the helper that builds each failure
+record during the sweep.
 """
 
 from __future__ import annotations
@@ -28,7 +48,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from tubecat import kernel
 from tubecat import strings as st
 from tubecat import tube
 from tubecat.endo import LOOP_ID, cached_endomorphism_algebra
@@ -109,6 +128,7 @@ class _ObjectTable:
         self.obj = t
         self.lam = cached_endomorphism_algebra(t)
         self.coords = tuple((s.orbit, s.ql) for s in t.summands)
+        self.vertex = {s: v for v, s in enumerate(t.summands, start=1)}
         self.add_tau = frozenset((n, (a - 2) % n + 1, b) for a, b in self.coords)
         self.triples: dict[int, tuple[int | None, int | None]] = {}
         for summand, triple in subwing_decomposition(t).items():
@@ -118,23 +138,67 @@ class _ObjectTable:
         self.d_arrows = {
             (a.src, a.tgt): a.id for a in self.lam.quiver.arrows if a.kind == "D"
         }
+        # Summand vertices by ascending (ql, vertex): the painting order.
+        self.by_ql = sorted(
+            range(1, len(self.coords) + 1), key=lambda v: self.coords[v - 1][1]
+        )
+        self.painted = 0
+        self.hammocks: dict[str, dict[tuple[int, int], list[int]]] = {"T": {}, "D": {}}
         self.chains: dict[tuple[int, int, int, str], Chain] = {}
         self.words: dict[Chain, StringWord] = {}
         self.betas: dict[tuple[Chain, Chain], str | None] = {}
         self.joined: dict[tuple[Chain, Chain], StringWord] = {}
         self.modules: dict[StringWord, StringModule] = {}
 
+    def paint(self, cap: int) -> None:
+        """Extend both reverse hammocks of every x from ql `painted` to `cap`.
+
+        Cells above the old cap are empty, so appending the summands in
+        `by_ql` order keeps every chain sorted by (ql, vertex).
+        """
+        n, lo = self.obj.rank, self.painted + 1
+        if cap < lo:
+            return
+        tube_side, shifted = self.hammocks["T"], self.hammocks["D"]
+        for v in self.by_ql:
+            c, d = self.coords[v - 1]
+            for a in range(1, n + 1):
+                r = (a - c) % n
+                if r < d:
+                    for b in range(max(d - r, lo), cap + 1):
+                        tube_side.setdefault((a, b), []).append(v)
+                k = (c - 2 - a) % n
+                while k < cap:
+                    for b in range(max(k + 1, lo), min(k + d, cap) + 1):
+                        shifted.setdefault((a, b), []).append(v)
+                    k += n
+        self.painted = cap
+
+    def hammock(self, a: int, b: int, kind: str) -> list[int]:
+        """Painted chain of (a, b), repainting to a larger cap if b is above."""
+        if b > self.painted:
+            self.paint(max(b, 2 * self.painted))
+        return self.hammocks[kind].get((a, b), [])
+
     def chain(self, x: Indec, kind: str) -> Chain:
         key = (x.rank, x.orbit, x.ql, kind)
         chain = self.chains.get(key)
         if chain is None:
             t = self.obj
-            chain = tuple(t.vertex_of(s) for s in reverse_hammock(t, x, kind))
+            chain = tuple(self.vertex[s] for s in reverse_hammock(t, x, kind))
             self.chains[key] = chain
         return chain
 
     def chain_pair(self, x: Indec) -> tuple[Chain, Chain]:
         return self.chain(x, "T"), self.chain(x, "D")
+
+    def sigma(self, x: Indec) -> StringWord:
+        """`sigma` of x without its domain checks."""
+        pair = self.chain_pair(x)
+        joined = self.joined.get(pair)
+        if joined is None:
+            joined = self.joined[pair] = _joined_string(self, x)
+        return joined
 
     def module(self, word: StringWord) -> StringModule:
         module = self.modules.get(word)
@@ -159,25 +223,13 @@ def _table(t: RigidObject) -> _ObjectTable:
 
 def reverse_hammock(t: RigidObject, x: Indec, kind: str) -> list[Indec]:
     """Summands with tube maps to x (kind "T") or shifted-part maps to x
-    (kind "D"), by ascending quasilength; a wing-nested chain."""
-    n, a, b = t.rank, x.orbit, x.ql
-    if x.rank != n:
-        raise ValueError(f"rank mismatch: {x.rank} != {n}")
-    coords = _table(t).coords
-    if kind == "T":
-        members = [
-            s for s, (c, d) in zip(t.summands, coords)
-            if kernel.hom_tube_dim(n, c, d, a, b) > 0
-        ]
-    elif kind == "D":
-        members = [
-            s for s, (c, d) in zip(t.summands, coords)
-            if kernel.hom_tube_dim(n, a, b, c - 2, d) > 0
-        ]
-    else:
+    (kind "D"), by ascending quasilength; a wing-nested chain. Read from
+    the painted table of t."""
+    if x.rank != t.rank:
+        raise ValueError(f"rank mismatch: {x.rank} != {t.rank}")
+    if kind not in ("T", "D"):
         raise ValueError(f"kind must be 'T' or 'D', got {kind!r}")
-    members.sort(key=lambda s: s.ql)
-    return members
+    return [t.summands[v - 1] for v in _table(t).hammock(x.orbit, x.ql, kind)]
 
 
 def sigma_string(t: RigidObject, x: Indec, kind: str) -> StringWord:
@@ -258,12 +310,7 @@ def sigma(t: RigidObject, x: Indec) -> StringWord:
         raise ValueError(f"{x} is a translate of a summand; no string assigned")
     if not in_fundamental_domain(t, x):
         raise ValueError(f"{x} is outside the fundamental domain")
-    table = _table(t)
-    pair = table.chain_pair(x)
-    joined = table.joined.get(pair)
-    if joined is None:
-        joined = table.joined[pair] = _joined_string(table, x)
-    return joined
+    return _table(t).sigma(x)
 
 
 def _joined_string(table: _ObjectTable, x: Indec) -> StringWord:
@@ -291,7 +338,7 @@ def predicted_module(t: RigidObject, x: Indec) -> tuple[StringModule, ...]:
         return ()
     table = _table(t)
     if in_fundamental_domain(t, x):
-        return (table.module(sigma(t, x)),)
+        return (table.module(table.sigma(x)),)
     parts = []
     for kind in ("T", "D"):
         sig = sigma_string(t, x, kind)
@@ -322,11 +369,35 @@ def oracle_dims(t: RigidObject, x: Indec) -> dict[int, int]:
 
 # --- verification ---------------------------------------------------------------
 
+def _sweep(n: int, ql_cap: int) -> list[Indec]:
+    return [Indec(n, a, b) for b in range(1, ql_cap + 1) for a in range(1, n + 1)]
+
+
+def _record(t: RigidObject, x: Indec, pred: dict[int, int], orac: dict[int, int]) -> dict:
+    """The report record of x, given its predicted and oracle dimensions."""
+    in_f = in_fundamental_domain(t, x)
+    is_tau = in_add_tau(t, x)
+    sig_t = sigma_string(t, x, "T")
+    sig_d = sigma_string(t, x, "D")
+    beta = beta_arrow(t, x) if in_f and not is_tau and not sig_t.is_zero and not sig_d.is_zero else None
+    return {
+        "x": x.to_json(),
+        "in_F": in_f,
+        "in_add_tau": is_tau,
+        "sigmaT": sig_t.to_json(),
+        "sigmaD": sig_d.to_json(),
+        "beta": beta,
+        "predicted_dims": {str(v): d for v, d in sorted(pred.items())},
+        "oracle_dims": {str(v): d for v, d in sorted(orac.items())},
+        "ok": pred == orac,
+    }
+
+
 @dataclass(frozen=True)
 class HomFunctorReport:
     rank: int
     rigid_object: RigidObject
-    records: tuple[dict, ...]
+    ql_cap: int
     dimension_failures: tuple[dict, ...]
     bijection_ok: bool
     domain_size_ok: bool
@@ -340,6 +411,15 @@ class HomFunctorReport:
             and self.bijection_ok
             and self.domain_size_ok
             and not self.locus_failures
+        )
+
+    @property
+    def records(self) -> tuple[dict, ...]:
+        """One record per swept x, rebuilt on each access."""
+        t = self.rigid_object
+        return tuple(
+            _record(t, x, predicted_dims(t, x), oracle_dims(t, x))
+            for x in _sweep(self.rank, self.ql_cap)
         )
 
     def to_json(self) -> dict:
@@ -363,37 +443,19 @@ def verify_hom_functor(t: RigidObject, ql_cap: int | None = None) -> HomFunctorR
     if ql_cap is None:
         ql_cap = 3 * n
     lam = cached_endomorphism_algebra(t)
+    _table(t).paint(ql_cap)
 
-    records = []
     failures = []
     locus_failures = []
     assigned: dict[StringWord, Indec] = {}
 
-    sweep = [Indec(n, a, b) for b in range(1, ql_cap + 1) for a in range(1, n + 1)]
-    for x in sweep:
+    for x in _sweep(n, ql_cap):
         in_f = in_fundamental_domain(t, x)
         is_tau = in_add_tau(t, x)
-        sig_t = sigma_string(t, x, "T")
-        sig_d = sigma_string(t, x, "D")
-        beta = beta_arrow(t, x) if in_f and not is_tau and not sig_t.is_zero and not sig_d.is_zero else None
         pred = predicted_dims(t, x)
         orac = oracle_dims(t, x)
-        ok = pred == orac
-        records.append(
-            {
-                "x": x.to_json(),
-                "in_F": in_f,
-                "in_add_tau": is_tau,
-                "sigmaT": sig_t.to_json(),
-                "sigmaD": sig_d.to_json(),
-                "beta": beta,
-                "predicted_dims": {str(v): d for v, d in sorted(pred.items())},
-                "oracle_dims": {str(v): d for v, d in sorted(orac.items())},
-                "ok": ok,
-            }
-        )
-        if not ok:
-            failures.append(records[-1])
+        if pred != orac:
+            failures.append(_record(t, x, pred, orac))
         if in_f and not is_tau:
             assigned[sigma(t, x).canonical()] = x
         if not in_f:
@@ -419,7 +481,7 @@ def verify_hom_functor(t: RigidObject, ql_cap: int | None = None) -> HomFunctorR
     return HomFunctorReport(
         rank=n,
         rigid_object=t,
-        records=tuple(records),
+        ql_cap=ql_cap,
         dimension_failures=tuple(failures),
         bijection_ok=bijection_ok,
         domain_size_ok=size_ok,

@@ -66,8 +66,8 @@ class StringWord:
     def canonical(self) -> "StringWord":
         if self.kind != "word":
             return self
-        inv = self.inverse()
-        return self if _letter_keys(self) <= _letter_keys(inv) else inv
+        letters = _canonical_letters(self.letters)
+        return self if letters is self.letters else StringWord("word", letters)
 
     def to_json(self) -> list | None:
         """Right-to-left display order, inverse letters suffixed with ^-1."""
@@ -98,8 +98,15 @@ def word(letters) -> StringWord:
     return StringWord("word", tuple(letters))
 
 
-def _letter_keys(w: StringWord):
-    return tuple((aid, 0 if d > 0 else 1) for aid, d in w.letters)
+def _letter_keys(letters: tuple[Letter, ...]):
+    return tuple((aid, 0 if d > 0 else 1) for aid, d in letters)
+
+
+def _canonical_letters(letters: tuple[Letter, ...]) -> tuple[Letter, ...]:
+    """`letters` or its inverse, whichever has the smaller key; `letters`
+    itself on a tie."""
+    inverse = tuple((aid, -d) for aid, d in reversed(letters))
+    return letters if _letter_keys(letters) <= _letter_keys(inverse) else inverse
 
 
 def letter_source(p: Presentation, letter: Letter) -> int:
@@ -158,9 +165,9 @@ def is_string(p: Presentation, w: StringWord) -> bool:
         return True
     if w.kind == "trivial":
         return w.vertex in p.quiver.vertices
-    for letter in w.letters:
-        if letter[0] not in {a.id for a in p.quiver.arrows}:
-            return False
+    arrow_ids = {a.id for a in p.quiver.arrows}
+    if any(aid not in arrow_ids for aid, _ in w.letters):
+        return False
     return all(
         letters_composable(p, x, y) for x, y in zip(w.letters, w.letters[1:])
     )
@@ -209,8 +216,14 @@ def enumerate_strings(p: Presentation, cap: int | None = None) -> StringEnumerat
 
     A letter repeating along one growing branch closes a cycle of valid
     transitions, which is exactly a band; bands are recorded and the walk
-    is cut at the cap. Without bands the walk terminates by itself. The
-    walk keeps its own stack, so the cap is not limited by Python's
+    is cut at the cap. Without bands the walk terminates by itself.
+
+    A string and its inverse are one string (Butler-Ringel). Each visited
+    walk is canonicalised on its letter tuple: the walk or its inverse,
+    whichever is smaller under the key `StringWord.canonical` uses, goes
+    into a set of tuples, and each `StringWord` is built once, at the end.
+
+    The walk keeps its own stack, so the cap is not limited by Python's
     recursion depth; a walk of more than a million nodes raises
     RuntimeError.
     """
@@ -234,7 +247,7 @@ def enumerate_strings(p: Presentation, cap: int | None = None) -> StringEnumerat
         for x in all_letters
     }
 
-    found: set[StringWord] = {trivial(v) for v in p.quiver.vertices}
+    found: set[tuple[Letter, ...]] = set()
     bands: set[StringWord] = set()
     capped = False
     budget = 1_000_000
@@ -247,7 +260,7 @@ def enumerate_strings(p: Presentation, cap: int | None = None) -> StringEnumerat
             raise RuntimeError(
                 f"string walk exceeded the node budget at cap {cap}"
             )
-        found.add(word(letters).canonical())
+        found.add(_canonical_letters(tuple(letters)))
         if len(letters) >= cap:
             capped = True
             return iter(())
@@ -279,9 +292,11 @@ def enumerate_strings(p: Presentation, cap: int | None = None) -> StringEnumerat
         raise RuntimeError(
             f"string walk exceeded cap {cap} without finding a band"
         )
-    return StringEnumeration(
-        tuple(sorted(found)), tuple(sorted(bands)), not bands, cap
+    # Trivial strings sort before words, and words by their letters.
+    strings = tuple(trivial(v) for v in sorted(p.quiver.vertices)) + tuple(
+        StringWord("word", letters) for letters in sorted(found)
     )
+    return StringEnumeration(strings, tuple(sorted(bands)), not bands, cap)
 
 
 def _canonical_band(cycle: list[Letter]) -> StringWord:
@@ -301,7 +316,7 @@ def _canonical_band(cycle: list[Letter]) -> StringWord:
     backward = tuple((aid, -d) for aid, d in reversed(forward))
     best = min(
         rotations(forward) + rotations(backward),
-        key=lambda ls: _letter_keys(word(ls)),
+        key=_letter_keys,
     )
     return word(best)
 

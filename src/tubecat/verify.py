@@ -146,6 +146,7 @@ def _check_ql_cap(n: int, ql_cap: int | None) -> None:
 def check_oracle(n: int, ql_cap: int | None = None, seed: int = 0) -> list[Outcome]:
     """Closed-form Hom counts against the linear-algebra oracle, plus the
     calibration contracts and the boundary facts they pin down."""
+    _check_ql_cap(n, ql_cap)
     cap = 3 * n if ql_cap is None else ql_cap
 
     def agreement():

@@ -402,6 +402,7 @@ class TestObjectTable:
         (3, None): "0dc89310f4f7c49a1eaa0d4c556a2d8ae7b763fb23d02d3327baeb7ba75f0872",
         (4, None): "b1541c37e8ba496569fe19d0371d1ebce7d456d1405ad78b30eb7fc464a85e48",
         (5, 30): "9a013f2782340afbf6198f5372af5f4c971b7498b38c2543de2fcfc09dee53c1",
+        (6, None): "a3a9b3937b9ed0509ca80c7c8a33fd4cdcf8f54ae69d9d1798b6616b2e8f15b9",
     }
 
     @pytest.mark.parametrize("n, cap", list(REPORT_DIGESTS))
@@ -427,20 +428,53 @@ class TestObjectTable:
             for x in indecomposables_up_to(n, 3 * n):
                 assert in_add_tau(t, x) == (x in translates), (t, x)
 
+    @staticmethod
+    def _assert_hammocks_match_filter(t, xs):
+        """Painted reverse hammocks against the Hom filter over summands,
+        stably sorted by quasilength."""
+        for x in xs:
+            tube_side = sorted(
+                (s for s in t.summands if hom_tube(s, x) > 0),
+                key=lambda s: s.ql,
+            )
+            shifted = sorted(
+                (s for s in t.summands if hom_tube(x, tau(s, 2)) > 0),
+                key=lambda s: s.ql,
+            )
+            assert reverse_hammock(t, x, "T") == tube_side, (t, x)
+            assert reverse_hammock(t, x, "D") == shifted, (t, x)
+
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_reverse_hammock_matches_filter(self, n):
         for t in maximal_rigid_objects(n):
-            for x in indecomposables_up_to(n, 3 * n):
-                tube_side = sorted(
-                    (s for s in t.summands if hom_tube(s, x) > 0),
-                    key=lambda s: s.ql,
-                )
-                shifted = sorted(
-                    (s for s in t.summands if hom_tube(x, tau(s, 2)) > 0),
-                    key=lambda s: s.ql,
-                )
-                assert reverse_hammock(t, x, "T") == tube_side, (t, x)
-                assert reverse_hammock(t, x, "D") == shifted, (t, x)
+            self._assert_hammocks_match_filter(t, indecomposables_up_to(n, 3 * n))
+
+    def test_painting_matches_filter_on_rank7_representatives(self):
+        n = 7
+        for t in maximal_rigid_objects(n):
+            if t.top.orbit == 1:
+                self._assert_hammocks_match_filter(t, indecomposables_up_to(n, 3 * n))
+
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_repaint_above_a_sweep(self, n):
+        """x at ql 10n after a sweep painted to 3n extends the painting."""
+        for t in maximal_rigid_objects(n):
+            assert verify_hom_functor(t).ok
+            assert homfunctor._table(t).painted == 3 * n
+            top = [Indec(n, a, 10 * n) for a in range(1, n + 1)]
+            self._assert_hammocks_match_filter(t, top)
+            assert homfunctor._table(t).painted >= 10 * n
+            self._assert_hammocks_match_filter(t, indecomposables_up_to(n, 10 * n))
+
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_paint_high_before_low(self, n, monkeypatch):
+        """On a fresh table, ql 3n + 1 is asked for before ql 1."""
+        for t in maximal_rigid_objects(n):
+            monkeypatch.setattr(homfunctor, "_held", None)
+            high = [Indec(n, a, 3 * n + 1) for a in range(1, n + 1)]
+            low = [Indec(n, a, 1) for a in range(1, n + 1)]
+            self._assert_hammocks_match_filter(t, high + low)
+            self._assert_hammocks_match_filter(t, indecomposables_up_to(n, 3 * n + 1))
 
     def test_rejects_other_rank_after_memoising(self):
         assert sigma_string(T3, Indec(3, 1, 1), "T").kind == "trivial"

@@ -49,6 +49,15 @@ class TestEnumeration:
         assert structured == brute
         assert len(structured) == n * catalan(n - 1)
 
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_orbit_representatives_come_first(self, n):
+        """The order `verify._per_orbit` relies on: the Catalan(n - 1)
+        objects with top at orbit 1 precede every other object."""
+        tops = [t.top.orbit for t in maximal_rigid_objects(n)]
+        first = catalan(n - 1)
+        assert tops[:first] == [1] * first
+        assert 1 not in tops[first:]
+
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_against_literal_subset_filter(self, n):
         """Independent route: filter every (n-1)-subset of the rigid

@@ -134,8 +134,11 @@ class TestOracleFault:
         assert calibration.ok and boundary.ok and symmetry.ok
 
     def test_cap_zero_is_not_the_default(self):
-        assert verify.check_oracle(2, ql_cap=0)[0].detail == "0 pairs agree exactly"
-        assert verify.check_oracle(2, ql_cap=1)[0].detail == "4 pairs agree exactly"
+        """A cap below the fundamental domain is rejected before any
+        outcome, as `run_suite` rejects it; the default cap is 3n."""
+        for cap in (0, 1):
+            with pytest.raises(ValueError, match=f"ql_cap {cap} is below 2, .* at rank 2"):
+                verify.check_oracle(2, ql_cap=cap)
         assert verify.check_oracle(2)[0].detail == "144 pairs agree exactly"
 
     def test_unfaulted_oracle_agrees(self):
