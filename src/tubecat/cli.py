@@ -27,15 +27,22 @@ DEFAULT_MAX_RANK = 7
 
 def max_rank() -> int:
     value = os.environ.get("TUBECAT_MAX_RANK")
-    return int(value) if value else DEFAULT_MAX_RANK
+    if not value:
+        return DEFAULT_MAX_RANK
+    try:
+        return int(value)
+    except ValueError:
+        raise ValueError(f"TUBECAT_MAX_RANK must be an integer N, got {value!r}") from None
 
 
 def parse_rank_range(text: str) -> tuple[int, int]:
-    if ".." in text:
-        lo_text, hi_text = text.split("..", 1)
-        lo, hi = int(lo_text), int(hi_text)
-    else:
-        lo = hi = int(text)
+    """`N` or `LO..HI` as (lo, hi); the `type` of `verify --rank`."""
+    lo_text, dots, hi_text = text.partition("..")
+    try:
+        lo = int(lo_text)
+        hi = int(hi_text) if dots else lo
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected N or LO..HI, got {text!r}") from None
     return lo, hi
 
 
@@ -74,7 +81,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_endo.add_argument("--out", type=Path, help="directory for .dot files")
 
     p_verify = sub.add_parser("verify", help="run the verification suite")
-    p_verify.add_argument("--rank", required=True, help="rank or range, e.g. 3 or 2..5")
+    p_verify.add_argument(
+        "--rank", required=True, type=parse_rank_range, help="rank or range, e.g. 3 or 2..5"
+    )
     p_verify.add_argument("--only", choices=CHECK_NAMES)
     p_verify.add_argument("--json", action="store_true")
     p_verify.add_argument("--ql-cap", type=int, help="quasilength cap for sweeps")
@@ -143,9 +152,9 @@ def cmd_endo(parser, args) -> int:
 
 
 def cmd_verify(parser, args) -> int:
-    lo, hi = parse_rank_range(args.rank)
+    lo, hi = args.rank
     if lo > hi:
-        parser.error(f"empty rank range {args.rank}")
+        parser.error(f"empty rank range {lo}..{hi}")
     for n in (lo, hi):
         _check_rank(parser, n)
     report = run_suite(range(lo, hi + 1), args.only, args.ql_cap, args.seed)

@@ -369,6 +369,17 @@ def oracle_dims(t: RigidObject, x: Indec) -> dict[int, int]:
 
 # --- verification ---------------------------------------------------------------
 
+def check_ql_cap(n: int, ql_cap: int | None) -> None:
+    """Reject a sweep cap below the fundamental domain of rank n, which
+    reaches quasilength 2n - 2; a lower cap would sweep only part of it."""
+    least = max(1, 2 * n - 2)
+    if ql_cap is not None and ql_cap < least:
+        raise ValueError(
+            f"ql_cap {ql_cap} is below {least}, the largest quasilength "
+            f"of the fundamental domain at rank {n}"
+        )
+
+
 def _sweep(n: int, ql_cap: int) -> list[Indec]:
     return [Indec(n, a, b) for b in range(1, ql_cap + 1) for a in range(1, n + 1)]
 
@@ -440,6 +451,7 @@ def verify_hom_functor(t: RigidObject, ql_cap: int | None = None) -> HomFunctorR
     quasilength cap, the string bijection on the fundamental domain, its
     cardinality, and the outside vanishing locus."""
     n = t.rank
+    check_ql_cap(n, ql_cap)
     if ql_cap is None:
         ql_cap = 3 * n
     lam = cached_endomorphism_algebra(t)

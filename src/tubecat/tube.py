@@ -4,16 +4,19 @@ Indecomposables are points (orbit, ql) on an infinite cylinder of width n.
 The closed-form Hom count lives in `kernel`; `hom_tube_oracle`
 recomputes the same dimension from an explicit nilpotent-representation
 model and is the ground truth the closed form is validated against. The
-oracle is plain exact linear algebra: the nullity of a sparse commutation
-system, with the rank taken by elimination over GF(p). It imports nothing
-from `kernel` and uses no closed-form reasoning about the tube.
+oracle is the nullity of the model's commutation system. Each row of that
+system equates two unknowns or sets one unknown to zero, so over any field
+the nullity is the number of connected components of the graph of equated
+unknowns that hold no zero-row; union-find counts them (see `_oracle_dim`).
+The oracle uses nothing from `kernel` and no closed-form reasoning about
+the tube.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from tubecat import kernel
 
@@ -167,8 +170,14 @@ def _oracle_dim(n: int, b: int, d: int, shift: int) -> int:
 
     The unknowns are the entries (i, j) of a graded map with e^X_i and e^Y_j
     at the same vertex, found by joining each vertex to the Y slots there.
-    Each row says that the map commutes with one arrow at one basis vector,
-    and is stored sparsely as {column: coefficient}.
+    Each row says that the map commutes with one arrow at one basis vector:
+    the arrow sends e^X_i to e^X_{i+1} and e^Y_m to e^Y_{m-1}, so the row
+    equates the unknowns (i + 1, m) and (i, m - 1), or sets the one that
+    exists to zero when the other index falls off its basis. A system of
+    such rows is solved by exactly the assignments that are constant on
+    each connected component of the graph joining equated unknowns and
+    zero on every component holding a zero-row, over any field; `_nullity`
+    counts the free components.
     """
     vx = [(b - 1 - i) % n for i in range(b)]        # vertex of e^X_i, orbit a = 0
     vy = [(shift + d - 1 - j) % n for j in range(d)]  # vertex of e^Y_j
@@ -186,52 +195,44 @@ def _oracle_dim(n: int, b: int, d: int, shift: int) -> int:
     rows = []
     for i in range(b):
         for m in slots.get((vx[i] - 1) % n, ()):
-            row = {}
+            row = ()
             if i + 1 < b:
-                row[unknowns[(i + 1, m)]] = 1
+                row = (unknowns[(i + 1, m)],)
             if m - 1 >= 0 and (i, m - 1) in unknowns:
-                row[unknowns[(i, m - 1)]] = -1
+                row += (unknowns[(i, m - 1)],)
             if row:
                 rows.append(row)
-    return len(unknowns) - _rank_mod_p(rows)
+    return _nullity(len(unknowns), rows)
 
 
-_PRIME = 2_147_483_647
+def _nullity(size: int, rows: Iterable[tuple[int, ...]]) -> int:
+    """Dimension of the solutions in k^size of rows x_u = x_v, given as
+    (u, v), and x_u = 0, given as (u,), over any field k.
 
-
-def _rank_mod_p(rows: Iterable[Mapping[int, int]]) -> int:
-    """Exact rank over GF(p), p = 2^31 - 1, of sparse integer rows.
-
-    Each row is a {column: coefficient} mapping; coefficients that vanish
-    mod p are dropped and any integers are accepted. A row is reduced
-    against the stored pivot rows by its least column until it is zero or
-    its least column has no pivot yet; it is then normalised and stored
-    as that column's pivot. The rank is the number of pivots.
-
-    Over GF(p) the rank of an integer matrix can only drop below its rank
-    r over the rationals, and does so exactly when p divides every r x r
-    minor. The commutation systems have at most one +1 and one -1 per
-    row, hence are totally unimodular: every minor is 0 or +-1, and their
-    GF(p) rank equals the rational rank for any p.
+    A solution is constant on each connected component of the graph whose
+    edges are the equating rows, and zero on each component that holds a
+    zero-row; any such assignment is a solution. So the nullity is the
+    number of components without a zero-row, found by union-find with
+    path halving.
     """
-    pivots: dict[int, dict[int, int]] = {}
+    parent = list(range(size))
+    grounded = [False] * size
     for row in rows:
-        r = {c: v % _PRIME for c, v in row.items() if v % _PRIME}
-        while r:
-            col = min(r)
-            pivot = pivots.get(col)
-            if pivot is None:
-                inv = pow(r[col], -1, _PRIME)
-                pivots[col] = {c: v * inv % _PRIME for c, v in r.items()}
-                break
-            f = r[col]
-            for c, v in pivot.items():
-                v = (r.get(c, 0) - f * v) % _PRIME
-                if v:
-                    r[c] = v
-                else:
-                    r.pop(c, None)
-    return len(pivots)
+        u = row[0]
+        while parent[u] != u:
+            parent[u] = parent[parent[u]]
+            u = parent[u]
+        if len(row) == 1:
+            grounded[u] = True
+            continue
+        v = row[1]
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        if u != v:
+            parent[v] = u
+            grounded[u] = grounded[u] or grounded[v]
+    return sum(1 for u in range(size) if parent[u] == u and not grounded[u])
 
 
 def hom_cluster_oracle(x: Indec, y: Indec) -> HomDims:

@@ -44,7 +44,7 @@ from tubecat.endo import (
     cartan_check,
     loopless_quiver,
 )
-from tubecat.homfunctor import verify_hom_functor
+from tubecat.homfunctor import check_ql_cap, verify_hom_functor
 from tubecat.quiver import (
     NotClusterTiltedError,
     connecting_vertices,
@@ -129,24 +129,13 @@ def _timed(check, rank, detail_ok, predicate, subject=None):
     return Outcome(check, rank, ok, detail, subject, time.perf_counter() - start)
 
 
-def _check_ql_cap(n: int, ql_cap: int | None) -> None:
-    """Reject a sweep cap below the fundamental domain of rank n, which
-    reaches quasilength 2n - 2; a lower cap would sweep only part of it."""
-    least = max(1, 2 * n - 2)
-    if ql_cap is not None and ql_cap < least:
-        raise ValueError(
-            f"ql_cap {ql_cap} is below {least}, the largest quasilength "
-            f"of the fundamental domain at rank {n}"
-        )
-
-
 # --- individual checks -------------------------------------------------------
 
 
 def check_oracle(n: int, ql_cap: int | None = None, seed: int = 0) -> list[Outcome]:
     """Closed-form Hom counts against the linear-algebra oracle, plus the
     calibration contracts and the boundary facts they pin down."""
-    _check_ql_cap(n, ql_cap)
+    check_ql_cap(n, ql_cap)
     cap = 3 * n if ql_cap is None else ql_cap
 
     def agreement():
@@ -327,7 +316,7 @@ def check_strings(n: int) -> list[Outcome]:
 
 
 def check_hom_functor(n: int, ql_cap: int | None = None) -> list[Outcome]:
-    _check_ql_cap(n, ql_cap)
+    check_ql_cap(n, ql_cap)
     return _per_orbit("hom-functor", n, lambda t: _hom_functor_verdict(t, ql_cap))
 
 
@@ -405,7 +394,7 @@ def run_suite(
             raise ValueError(f"unknown check {name!r}; choose from {CHECK_NAMES}")
     ranks = list(ranks)
     if ranks:
-        _check_ql_cap(max(ranks), ql_cap)
+        check_ql_cap(max(ranks), ql_cap)
     report = SuiteReport()
     for n in ranks:
         for name in names:

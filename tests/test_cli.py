@@ -82,11 +82,13 @@ class TestUsageErrors:
         [
             (["verify", "--rank", "4..3"], "empty rank range"),
             (["verify", "--rank", "1"], "rank must be >= 2"),
-            (["verify", "--rank", "two"], "invalid literal"),
+            (["verify", "--rank", "two"], "argument --rank: expected N or LO..HI, got 'two'"),
             (["verify", "--rank", "2", "--only", "nothing"], "invalid choice"),
             (["rigid", "--rank", "1"], "rank must be >= 2"),
             (["endo", "--rank", "3", "--top", "1", "--tilting", "1-2,9"], "bad interval"),
             ([], "required"),
+            (["verify", "--rank", "2..x"], "argument --rank: expected N or LO..HI, got '2..x'"),
+            (["verify", "--rank", "2..3..4"], "argument --rank: expected N or LO..HI"),
         ],
     )
     def test_exit_two(self, argv, message, capsys):
@@ -109,6 +111,14 @@ class TestUsageErrors:
         code, _, err = run_cli(["verify", "--rank", "2..4"], capsys)
         assert code == 2
         assert "exceeds the cap 3" in err
+
+    @pytest.mark.parametrize("command", [["verify", "--rank", "2"], ["rigid", "--rank", "2"]])
+    def test_rank_cap_variable_is_named(self, command, capsys, monkeypatch):
+        monkeypatch.setenv("TUBECAT_MAX_RANK", "abc")
+        code, out, err = run_cli(command, capsys)
+        assert code == 2
+        assert "TUBECAT_MAX_RANK must be an integer N, got 'abc'" in err
+        assert out == ""
 
 
 def child_env() -> dict:

@@ -295,6 +295,21 @@ class TestVerifyHomFunctor:
         assert data["ok"] is True
         assert data["expected_count"] == 2
 
+    @pytest.mark.parametrize("cap", [3, 0, -3])
+    def test_cap_below_the_domain_raises_before_painting(self, cap, monkeypatch):
+        # The rank-3 fundamental domain reaches quasilength 4.
+        painted = []
+        monkeypatch.setattr(homfunctor._ObjectTable, "paint", lambda self, c: painted.append(c))
+        with pytest.raises(ValueError, match=f"ql_cap {cap} is below 4, .* at rank 3"):
+            verify_hom_functor(T3, cap)
+        assert painted == []
+
+    def test_cap_covering_the_domain(self):
+        for t in maximal_rigid_objects(3):
+            report = verify_hom_functor(t, 4)
+            assert report.ok and report.bijection_ok and report.domain_size_ok
+            assert report.ql_cap == 4
+
 
 class TestHammockLemmas:
     """Exhaustive checks of the hammock facts used by the construction."""

@@ -4,7 +4,9 @@ Expected values marked as oracle-derived were computed by running
 hom_tube_oracle (the nilpotent-representation model) and frozen here.
 """
 
+import ast
 import hashlib
+import inspect
 import json
 from fractions import Fraction
 
@@ -12,8 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
+from tubecat import tube
 from tubecat.tube import (
-    _PRIME,
     HomDims,
     Indec,
     ext1_cluster,
@@ -30,8 +32,8 @@ from tubecat.tube import (
     quasisimples,
     rigid_indecomposables,
     tau,
+    _nullity,
     _oracle_dim,
-    _rank_mod_p,
     wing_members,
 )
 
@@ -160,25 +162,54 @@ def _rational_rank(matrix):
     return rank
 
 
-def _symmetric_residue(v):
-    r = v % _PRIME
-    return r - _PRIME if r > _PRIME // 2 else r
-
-
 @hst.composite
-def integer_matrix(draw):
-    """Up to 6 columns of small entries and of entries near +-p, with
-    duplicated and zero rows mixed in."""
-    n_cols = draw(hst.integers(1, 6))
-    entry = hst.one_of(
-        hst.integers(-4, 4),
-        hst.sampled_from([_PRIME, -_PRIME, _PRIME + 1, -_PRIME - 2, 3 * _PRIME]),
-    )
-    rows = draw(hst.lists(hst.lists(entry, min_size=n_cols, max_size=n_cols), max_size=5))
+def equality_system(draw):
+    """(size, rows) over at most 8 unknowns: rows (u, v) for x_u = x_v,
+    self-equalities included, and (u,) for x_u = 0, with some rows
+    repeated and a cycle through some of the unknowns."""
+    size = draw(hst.integers(0, 8))
+    if size == 0:
+        return 0, []
+    unknown = hst.integers(0, size - 1)
+    rows = draw(hst.lists(
+        hst.one_of(hst.tuples(unknown, unknown), hst.tuples(unknown)), max_size=10
+    ))
+    cycle = draw(hst.lists(unknown, unique=True, max_size=size))
+    rows += [(u, v) for u, v in zip(cycle, cycle[1:] + cycle[:1])]
     if rows:
-        rows += draw(hst.lists(hst.sampled_from(rows), max_size=2))
-    rows += [[0] * n_cols] * draw(hst.integers(0, 2))
-    return draw(hst.permutations(rows))
+        rows += draw(hst.lists(hst.sampled_from(rows), max_size=3))
+    return size, draw(hst.permutations(rows))
+
+
+def _coefficient_row(size, row):
+    """The row as a vector: e_u - e_v for (u, v), e_u for (u,)."""
+    vector = [0] * size
+    vector[row[0]] += 1
+    if len(row) == 2:
+        vector[row[1]] -= 1
+    return vector
+
+
+def _references(tree, roots):
+    """Every name and attribute read by the top-level functions `roots` of
+    a module and by the top-level functions they name, transitively."""
+    functions = {
+        node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)
+    }
+    seen, todo, names = set(), list(roots), set()
+    while todo:
+        name = todo.pop()
+        if name in seen:
+            continue
+        seen.add(name)
+        for node in ast.walk(functions[name]):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+                if node.id in functions:
+                    todo.append(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+    return names | seen
 
 
 class TestOracle:
@@ -190,23 +221,29 @@ class TestOracle:
         digest = hashlib.sha256(json.dumps(data).encode()).hexdigest()
         assert digest == "061273862ceb7942a235aba3f1fa5c0ca0f0371153133a381a461caaa97c8587"
 
-    @given(integer_matrix())
+    @given(equality_system())
     @settings(max_examples=300)
-    def test_rank_matches_rational_rank(self, matrix):
-        # After reduction to symmetric residues every entry lies in [-4, 4],
-        # so each minor is below p in absolute value (Hadamard: at most
-        # (4 * sqrt(6))^6 < 10^6) and vanishes mod p only if it is 0.
-        rows = [dict(enumerate(row)) for row in matrix]
-        reduced = [[_symmetric_residue(v) for v in row] for row in matrix]
-        assert _rank_mod_p(rows) == _rational_rank(reduced)
+    def test_nullity_matches_rational_rank(self, system):
+        size, rows = system
+        matrix = [_coefficient_row(size, row) for row in rows]
+        assert _nullity(size, rows) == size - _rational_rank(matrix)
 
-    def test_rank_examples(self):
-        assert _rank_mod_p([]) == 0
-        assert _rank_mod_p([{0: 0, 3: _PRIME}]) == 0
-        assert _rank_mod_p([{0: 1, 1: 1}, {0: 1, 1: 1 + _PRIME}]) == 1
-        assert _rank_mod_p([{0: 2, 1: 3}, {0: 4, 1: 5}]) == 2
-        # A row needs reducing by several pivots before it vanishes.
-        assert _rank_mod_p([{0: 1, 1: -1}, {1: 1, 2: -1}, {0: 1, 2: -1}]) == 2
+    def test_nullity_examples(self):
+        assert _nullity(0, []) == 0
+        assert _nullity(3, []) == 3  # isolated unknowns are free
+        assert _nullity(3, [(0, 1), (1, 2), (2, 0)]) == 1  # a cycle
+        assert _nullity(3, [(0, 1), (1, 2), (2,)]) == 0  # a grounded chain
+        # Two components, one of them grounded.
+        assert _nullity(4, [(0, 1), (2, 3), (3,), (3,)]) == 1
+
+    def test_oracle_independent_of_closed_forms(self):
+        tree = ast.parse(inspect.getsource(tube))
+        forbidden = {"kernel", "hom_tube", "hom_cluster", "ext1_cluster"}
+        used = _references(tree, ["hom_tube_oracle", "_oracle_dim", "_nullity"])
+        assert {"_oracle_dim", "_nullity", "_same_rank"} <= used
+        assert not used & forbidden, used & forbidden
+        # The scan sees a closed form's use of the kernel.
+        assert "kernel" in _references(tree, ["hom_tube"])
 
 
 class TestHomCluster:
