@@ -47,12 +47,16 @@ def parse_rank_range(text: str) -> tuple[int, int]:
 
 
 def parse_tilting(text: str) -> list[tuple[int, int]]:
+    """`LO-HI[,LO-HI...]` as a list of pairs; the `type` of `endo --tilting`."""
     out = []
     for piece in text.split(","):
         lo_text, _, hi_text = piece.strip().partition("-")
-        if not hi_text:
-            raise ValueError(f"bad interval {piece!r}; expected like 1-3")
-        out.append((int(lo_text), int(hi_text)))
+        try:
+            out.append((int(lo_text), int(hi_text)))
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"bad interval {piece!r}; expected like 1-3,1-1"
+            ) from None
     return out
 
 
@@ -75,6 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_endo.add_argument(
         "--tilting",
         required=True,
+        type=parse_tilting,
         help="comma-separated wing intervals for all summands, e.g. 1-3,1-1,3-3",
     )
     p_endo.add_argument("--format", choices=("json", "dot", "table"), default="table")
@@ -124,15 +129,17 @@ def cmd_rigid(parser, args) -> int:
 def cmd_endo(parser, args) -> int:
     _check_rank(parser, args.rank)
     try:
-        intervals = parse_tilting(args.tilting)
-        t = from_tilting(args.rank, args.top, intervals)
+        t = from_tilting(args.rank, args.top, args.tilting)
     except ValueError as exc:
         parser.error(str(exc))
     data = bundle_json(t)
     if args.out is not None:
-        args.out.mkdir(parents=True, exist_ok=True)
-        for name, text in bundle_dot(t).items():
-            (args.out / f"{name}.dot").write_text(text)
+        try:
+            args.out.mkdir(parents=True, exist_ok=True)
+            for name, text in bundle_dot(t).items():
+                (args.out / f"{name}.dot").write_text(text)
+        except OSError as exc:
+            parser.error(f"argument --out: cannot write to {args.out}: {exc.strerror}")
         print(f"wrote 3 dot files to {args.out}")
     if args.format == "json":
         print(json.dumps(data, indent=2, sort_keys=True))
@@ -141,7 +148,8 @@ def cmd_endo(parser, args) -> int:
             print(f"// {name}")
             print(text)
     else:
-        print(f"object {t} (intervals {args.tilting}, top orbit {args.top})")
+        intervals = ",".join(f"{lo}-{hi}" for lo, hi in args.tilting)
+        print(f"object {t} (intervals {intervals}, top orbit {args.top})")
         for name in ("tilted", "cluster_tilted", "endomorphism"):
             pres = data[name]
             print(

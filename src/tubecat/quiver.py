@@ -2,12 +2,13 @@
 
 Path counting, the special biserial and gentle conditions, the critical-path
 bound on the Gorenstein dimension, recognition of type-A cluster-tilted
-quivers, connecting vertices, and small-scale isomorphism testing.
+quivers by one shortest-path search per edge, connecting vertices, and
+small-scale isomorphism testing.
 """
 
 from __future__ import annotations
 
-import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -330,26 +331,15 @@ def _is_dual_number_algebra(p: Presentation) -> bool:
 
 # --- type-A cluster-tilted quiver recognition --------------------------------
 
-def _underlying_edges(q: Quiver) -> dict[frozenset[int], list[Arrow]]:
-    edges: dict[frozenset[int], list[Arrow]] = {}
-    for a in q.arrows:
-        edges.setdefault(frozenset((a.src, a.tgt)), []).append(a)
-    return edges
-
-
-def _is_connected(q: Quiver) -> bool:
-    if not q.vertices:
-        return False
-    seen = {q.vertices[0]}
-    frontier = [q.vertices[0]]
+def _is_connected(adj: Mapping[int, set[int]]) -> bool:
+    start = next(iter(adj))
+    seen = {start}
+    frontier = [start]
     while frontier:
-        v = frontier.pop()
-        for a in q.arrows:
-            for w in (a.tgt, a.src):
-                if v in (a.src, a.tgt) and w not in seen:
-                    seen.add(w)
-                    frontier.append(w)
-    return len(seen) == len(q.vertices)
+        for w in adj[frontier.pop()] - seen:
+            seen.add(w)
+            frontier.append(w)
+    return len(seen) == len(adj)
 
 
 def oriented_triangles(q: Quiver) -> list[tuple[Arrow, Arrow, Arrow]]:
@@ -366,81 +356,79 @@ def oriented_triangles(q: Quiver) -> list[tuple[Arrow, Arrow, Arrow]]:
 
 
 def is_cluster_tilted_A(q: Quiver) -> CheckResult:
-    """Recognize quivers of type-A cluster-tilted algebras.
+    """Recognize quivers of type-A cluster-tilted algebras (Buan-Vatne 2008).
 
-    Chordless cycles of the underlying graph must be oriented 3-cycles,
+    In this order, the first failure being the witness: the underlying graph
+    is connected, without loops or 2-cycles; its 3-cycles are oriented;
     valencies are at most four, and the arrows at valency-3 and valency-4
-    vertices split over 3-cycles as 2+1 and 2+2. The underlying graph must
-    also be connected (type A algebras are connected).
+    vertices split over 3-cycles as 2+1 and 2+2; no chordless cycle has
+    length >= 4. Then each edge {u, v} lies on at most one 3-cycle, say with
+    third vertex x, and a shortest u-v path avoiding the edge and x closes a
+    chordless cycle of length >= 4: a chord would shorten the path, and a
+    path of length 2 would be a second 3-cycle on the edge. Conversely such a
+    cycle through {u, v} avoids x, which would give it a chord.
     """
     if not q.vertices:
         return CheckResult(False, "empty vertex set")
-    if not _is_connected(q):
+    adj: dict[int, set[int]] = {v: set() for v in q.vertices}
+    for a in q.arrows:
+        adj[a.src].add(a.tgt)
+        adj[a.tgt].add(a.src)
+    if not _is_connected(adj):
         return CheckResult(False, "underlying graph is not connected")
     for a in q.arrows:
         if a.src == a.tgt:
             return CheckResult(False, f"loop {a.id} is a length-1 cycle")
-    edges = _underlying_edges(q)
-    for pair, multi in edges.items():
-        if len(multi) > 1:
+    for pair, arrows in Counter(frozenset((a.src, a.tgt)) for a in q.arrows).items():
+        if arrows > 1:
             u, v = sorted(pair)
             return CheckResult(False, f"length-2 cycle between {u} and {v}")
 
-    triangles = oriented_triangles(q)
-    triangle_vertex_sets = {frozenset((a.src, b.src, c.src)) for a, b, c in triangles}
+    # 3-cycles in vertex-list order, from the common neighbours of each edge
+    order = {v: i for i, v in enumerate(q.vertices)}
+    later = {u: sorted((w for w in adj[u] if order[w] > order[u]), key=order.get) for u in adj}
+    directed = {(a.src, a.tgt) for a in q.arrows}
+    triangles = []
+    for u in q.vertices:
+        for v in later[u]:
+            for w in (w for w in later[v] if w in adj[u]):
+                if not ((u, v) in directed) == ((v, w) in directed) == ((w, u) in directed):
+                    return CheckResult(False, f"unoriented 3-cycle on {(u, v, w)}")
+                triangles.append((u, v, w))
+    third = {frozenset(t) - {x}: x for t in triangles for x in t}  # edge -> a 3-cycle's apex
 
-    # chordless cycles: vertex subsets whose induced simple graph is a cycle
-    simple = {pair for pair in edges}
-    for size in range(3, len(q.vertices) + 1):
-        for subset in itertools.combinations(q.vertices, size):
-            sub = set(subset)
-            degs = {
-                v: sum(1 for e in simple if v in e and e <= sub) for v in subset
-            }
-            if any(d != 2 for d in degs.values()):
-                continue
-            if not _is_connected_subset(simple, sub):
-                continue
-            if size != 3:
-                return CheckResult(False, f"chordless cycle of length {size}: {subset}")
-            if frozenset(subset) not in triangle_vertex_sets:
-                return CheckResult(False, f"unoriented 3-cycle on {subset}")
-
-    arrows_on_triangles = {
-        a.id for tri in triangles for a in tri
-    }
     for v in q.vertices:
-        val = q.valency(v)
+        val = len(adj[v])  # no loops or parallel arrows remain
         if val > 4:
             return CheckResult(False, f"vertex {v} has valency {val}")
-        incident = [a for a in q.arrows if v in (a.src, a.tgt)]
-        on_cycle = [a for a in incident if a.id in arrows_on_triangles]
-        if val == 4:
-            tris_at_v = [t for t in triangles if v in {t[0].src, t[1].src, t[2].src}]
-            if len(on_cycle) != 4 or len(tris_at_v) != 2:
-                return CheckResult(
-                    False, f"valency-4 vertex {v} does not split 2+2 over two 3-cycles"
-                )
-        if val == 3 and len(on_cycle) != 2:
+        on_cycle = sum(frozenset((v, w)) in third for w in adj[v])
+        if val == 4 and (on_cycle != 4 or sum(v in t for t in triangles) != 2):
+            return CheckResult(
+                False, f"valency-4 vertex {v} does not split 2+2 over two 3-cycles"
+            )
+        if val == 3 and on_cycle != 2:
             return CheckResult(
                 False, f"valency-3 vertex {v} does not split 2+1 over a 3-cycle"
             )
+
+    for a in q.arrows:  # breadth-first search for a detour around each edge
+        u, v = a.src, a.tgt
+        x = third.get(frozenset((u, v)))
+        parent = {u: u, x: x}  # blocks x (None when no 3-cycle holds the edge)
+        frontier = [u]
+        for w in frontier:
+            for y in adj[w] - parent.keys():
+                if (w, y) != (u, v):
+                    parent[y] = w
+                    frontier.append(y)
+        if v in parent:
+            cycle = [v]
+            while cycle[-1] != u:
+                cycle.append(parent[cycle[-1]])
+            return CheckResult(
+                False, f"chordless cycle of length {len(cycle)}: {tuple(reversed(cycle))}"
+            )
     return CheckResult(True)
-
-
-def _is_connected_subset(simple_edges: set[frozenset[int]], sub: set[int]) -> bool:
-    start = next(iter(sub))
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        v = frontier.pop()
-        for e in simple_edges:
-            if v in e and e <= sub:
-                (w,) = e - {v} if len(e) == 2 else (v,)
-                if w not in seen:
-                    seen.add(w)
-                    frontier.append(w)
-    return seen == sub
 
 
 def connecting_vertices(q: Quiver) -> frozenset[int]:
@@ -532,14 +520,14 @@ def find_isomorphism(
             f"isomorphism search limited to {_ISO_LIMIT} vertices"
         )
 
-    def degree_key(q: Quiver, rel: frozenset[tuple[str, str]], v: int):
+    def degree_key(q: Quiver, v: int):
         outs = len(q.arrows_from(v))
         ins = len(q.arrows_into(v))
         loops = sum(1 for x in q.arrows if x.src == x.tgt == v)
         return (outs, ins, loops)
 
-    keys_a = {v: degree_key(qa, pa.relations, v) for v in qa.vertices}
-    keys_b = {v: degree_key(qb, pb.relations, v) for v in qb.vertices}
+    keys_a = {v: degree_key(qa, v) for v in qa.vertices}
+    keys_b = {v: degree_key(qb, v) for v in qb.vertices}
     if sorted(keys_a.values()) != sorted(keys_b.values()):
         return None
 
@@ -600,20 +588,21 @@ def _relations_match(pa: Presentation, pb: Presentation, mapping: dict[int, int]
     if not pa.relations and not pb.relations:
         return True
 
-    def arrow_images(q_from: Quiver, q_to: Quiver, arrow: Arrow) -> list[Arrow]:
+    qa, qb = pa.quiver, pb.quiver
+
+    def arrow_images(arrow: Arrow) -> list[Arrow]:
         return [
             x
-            for x in q_to.arrows
+            for x in qb.arrows
             if x.src == mapping[arrow.src] and x.tgt == mapping[arrow.tgt]
         ]
 
-    qa, qb = pa.quiver, pb.quiver
     for second, first in pa.relations:
         sa, fa = qa.arrow(second), qa.arrow(first)
         found = any(
             pb.is_relation(sx.id, fx.id)
-            for sx in arrow_images(qa, qb, sa)
-            for fx in arrow_images(qa, qb, fa)
+            for sx in arrow_images(sa)
+            for fx in arrow_images(fa)
         )
         if not found:
             return False

@@ -198,7 +198,7 @@ def _oracle_dim(n: int, b: int, d: int, shift: int) -> int:
             row = ()
             if i + 1 < b:
                 row = (unknowns[(i + 1, m)],)
-            if m - 1 >= 0 and (i, m - 1) in unknowns:
+            if m >= 1:
                 row += (unknowns[(i, m - 1)],)
             if row:
                 rows.append(row)

@@ -4,11 +4,15 @@ import json
 import os
 import subprocess
 import sys
+from math import comb
 from pathlib import Path
 
 import pytest
 
 from tubecat import cli, homfunctor
+from tubecat.endo import bundle_dot, bundle_json
+from tubecat.quiver import Presentation
+from tubecat.rigid import RigidObject, enumerate_maximal_rigid, tilting_intervals
 
 OUTCOME_KEYS = {"check", "rank", "ok", "detail", "subject", "seconds"}
 
@@ -89,12 +93,28 @@ class TestUsageErrors:
             ([], "required"),
             (["verify", "--rank", "2..x"], "argument --rank: expected N or LO..HI, got '2..x'"),
             (["verify", "--rank", "2..3..4"], "argument --rank: expected N or LO..HI"),
+            (
+                ["endo", "--rank", "3", "--top", "1", "--tilting", "1-x"],
+                "argument --tilting: bad interval '1-x'; expected like 1-3,1-1",
+            ),
         ],
     )
     def test_exit_two(self, argv, message, capsys):
         code, out, err = run_cli(argv, capsys)
         assert code == 2
         assert message in err
+        assert out == ""
+
+    @pytest.mark.parametrize("target", ["plain", "plain/sub"])
+    def test_out_at_or_under_a_regular_file(self, target, tmp_path, capsys):
+        (tmp_path / "plain").write_text("")
+        out_dir = tmp_path / target
+        code, out, err = run_cli(
+            ["endo", "--rank", "3", "--top", "1", "--tilting", "1-2,1-1", "--out", str(out_dir)],
+            capsys,
+        )
+        assert code == 2
+        assert f"argument --out: cannot write to {out_dir}" in err
         assert out == ""
 
     @pytest.mark.parametrize("cap", ["3", "0", "-3"])
@@ -119,6 +139,72 @@ class TestUsageErrors:
         assert code == 2
         assert "TUBECAT_MAX_RANK must be an integer N, got 'abc'" in err
         assert out == ""
+
+
+# a rank-4 object whose top is not at orbit 1, named as on the command line
+ENDO_OBJECT = enumerate_maximal_rigid(4)[-1]
+ENDO_TILTING = ",".join(f"{lo}-{hi}" for lo, hi in tilting_intervals(ENDO_OBJECT))
+ENDO_ARGV = [
+    "endo", "--rank", "4", "--top", str(ENDO_OBJECT.top.orbit), "--tilting", ENDO_TILTING,
+]
+BUNDLE_NAMES = ("tilted", "cluster_tilted", "endomorphism")
+
+
+class TestSuccessPaths:
+    def test_endo_table(self, capsys):
+        code, out, err = run_cli(ENDO_ARGV, capsys)
+        assert code == 0 and err == ""
+        head, *rows = out.splitlines()
+        assert head == (
+            f"object {ENDO_OBJECT} (intervals {ENDO_TILTING}, "
+            f"top orbit {ENDO_OBJECT.top.orbit})"
+        )
+        data = bundle_json(ENDO_OBJECT)
+        assert [row.split(":")[0].strip() for row in rows] == list(BUNDLE_NAMES)
+        for row, name in zip(rows, BUNDLE_NAMES):
+            assert f"{len(data[name]['arrows'])} arrows" in row
+
+    def test_endo_json(self, capsys):
+        code, out, _ = run_cli(ENDO_ARGV + ["--format", "json"], capsys)
+        assert code == 0
+        data = json.loads(out)
+        assert data == bundle_json(ENDO_OBJECT)
+        assert RigidObject.from_json(data) == ENDO_OBJECT
+        assert data["tilting_intervals"] == ENDO_TILTING.split(",")
+        for name in BUNDLE_NAMES:
+            Presentation.from_json(data[name])
+
+    def test_endo_dot(self, capsys):
+        code, out, _ = run_cli(ENDO_ARGV + ["--format", "dot"], capsys)
+        assert code == 0
+        for name, text in bundle_dot(ENDO_OBJECT).items():
+            assert f"// {name}\n{text}" in out
+
+    def test_endo_out_writes_three_dot_files(self, tmp_path, capsys):
+        out_dir = tmp_path / "new" / "dots"
+        code, out, _ = run_cli(ENDO_ARGV + ["--out", str(out_dir)], capsys)
+        assert code == 0
+        assert out.splitlines()[0] == f"wrote 3 dot files to {out_dir}"
+        assert sorted(p.name for p in out_dir.iterdir()) == sorted(
+            f"{name}.dot" for name in BUNDLE_NAMES
+        )
+        for name, text in bundle_dot(ENDO_OBJECT).items():
+            assert (out_dir / f"{name}.dot").read_text() == text
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_rigid_count(self, n, capsys):
+        code, out, _ = run_cli(["rigid", "--rank", str(n), "--count"], capsys)
+        assert code == 0
+        assert out == f"{comb(2 * n - 2, n - 1)}\n"
+
+    def test_rigid_json_round_trips(self, capsys):
+        code, out, _ = run_cli(["rigid", "--rank", "4", "--format", "json"], capsys)
+        assert code == 0
+        records = json.loads(out)
+        objects = [RigidObject.from_json(record) for record in records]
+        assert objects == list(enumerate_maximal_rigid(4))
+        for record, t in zip(records, objects):
+            assert record["tilting_intervals"] == [f"{lo}-{hi}" for lo, hi in tilting_intervals(t)]
 
 
 def child_env() -> dict:

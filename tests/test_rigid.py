@@ -3,7 +3,6 @@
 import itertools
 from math import comb
 
-import networkx as nx
 import pytest
 
 from tubecat import kernel
@@ -72,6 +71,7 @@ class TestEnumeration:
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_every_maximal_clique_has_full_size(self, n):
+        nx = pytest.importorskip("networkx")
         graph = nx.Graph()
         rigids = rigid_indecomposables(n)
         graph.add_nodes_from(rigids)
