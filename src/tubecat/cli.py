@@ -69,11 +69,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_rigid = sub.add_parser("rigid", help="enumerate maximal rigid objects")
+    p_rigid.set_defaults(run=cmd_rigid, parser=p_rigid)
     p_rigid.add_argument("--rank", required=True, type=int)
     p_rigid.add_argument("--count", action="store_true", help="print only the tally")
     p_rigid.add_argument("--format", choices=("table", "json"), default="table")
 
     p_endo = sub.add_parser("endo", help="emit the quiver bundle of one object")
+    p_endo.set_defaults(run=cmd_endo, parser=p_endo)
     p_endo.add_argument("--rank", required=True, type=int)
     p_endo.add_argument("--top", required=True, type=int, help="orbit of the top summand")
     p_endo.add_argument(
@@ -86,6 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_endo.add_argument("--out", type=Path, help="directory for .dot files")
 
     p_verify = sub.add_parser("verify", help="run the verification suite")
+    p_verify.set_defaults(run=cmd_verify, parser=p_verify)
     p_verify.add_argument(
         "--rank", required=True, type=parse_rank_range, help="rank or range, e.g. 3 or 2..5"
     )
@@ -99,10 +102,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _check_rank(parser: argparse.ArgumentParser, rank: int):
     if rank < 2:
-        parser.error(f"rank must be >= 2, got {rank}")
+        parser.error(f"argument --rank: rank must be >= 2, got {rank}")
     if rank > max_rank():
         parser.error(
-            f"rank {rank} exceeds the cap {max_rank()}; set TUBECAT_MAX_RANK to raise it"
+            f"argument --rank: rank {rank} exceeds the cap {max_rank()}; "
+            "set TUBECAT_MAX_RANK to raise it"
         )
 
 
@@ -131,7 +135,7 @@ def cmd_endo(parser, args) -> int:
     try:
         t = from_tilting(args.rank, args.top, args.tilting)
     except ValueError as exc:
-        parser.error(str(exc))
+        parser.error(f"argument --tilting: {exc}")
     data = bundle_json(t)
     if args.out is not None:
         try:
@@ -162,7 +166,7 @@ def cmd_endo(parser, args) -> int:
 def cmd_verify(parser, args) -> int:
     lo, hi = args.rank
     if lo > hi:
-        parser.error(f"empty rank range {lo}..{hi}")
+        parser.error(f"argument --rank: empty rank range {lo}..{hi}")
     for n in (lo, hi):
         _check_rank(parser, n)
     report = run_suite(range(lo, hi + 1), args.only, args.ql_cap, args.seed)
@@ -177,18 +181,12 @@ def cmd_verify(parser, args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one subcommand; its usage errors are reported by its own parser."""
+    args = build_parser().parse_args(argv)
     try:
-        if args.command == "rigid":
-            return cmd_rigid(parser, args)
-        if args.command == "endo":
-            return cmd_endo(parser, args)
-        if args.command == "verify":
-            return cmd_verify(parser, args)
+        return args.run(args.parser, args)
     except ValueError as exc:
-        parser.error(str(exc))
-    parser.error(f"unknown command {args.command!r}")
+        args.parser.error(str(exc))
 
 
 if __name__ == "__main__":

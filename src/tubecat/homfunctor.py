@@ -1,11 +1,27 @@
 """Image of indecomposables under Hom from a maximal rigid object.
 
 Every indecomposable x determines two chains of summands (those with tube
-maps to x and those with shifted-part maps to x), a string for each chain,
-and, inside the fundamental domain, a single string obtained by joining the
-two through a connecting arrow. The predicted string modules are verified
-against cluster-Hom dimensions computed by the independent linear-algebra
-oracle, vertex by vertex.
+maps to x and those with shifted-part maps to x) and a string for each
+chain. Hom(T, -) sends x in the fundamental domain, outside add tau T, to
+the string module M(sigma(x)), where sigma(x) joins the two chain strings
+through a connecting arrow, and x outside the domain to the direct sum of
+the two chain string modules.
+
+The sweep checks this against cluster-Hom dimensions computed by the
+independent linear-algebra oracle, vertex by vertex. A string module has
+one basis vector per vertex its string traverses, so `predicted_dims` reads
+the prediction from the chains: nothing on add tau T, else the multiset
+chain T(x) + chain D(x). That the strings traverse exactly these vertices is
+checked where they are built: `_chain_string` for each chain string, and
+`sigma` for each joined string (a join through the loop passes the top
+vertex twice). The sweep builds sigma(x) at every domain point, which the
+bijection check needs anyway, and both chain strings at every other point.
+
+No module is built per x. The bijection check builds `string_module` once
+for each string that `enumerate_strings` returns, so the relation check of
+every module runs once per string. `verify.check_strings` would be the
+other place for those builds, but it also runs without the sweep, where
+they would be pure added cost.
 
 Coordinates are normalized so the top summand is (1, n-1); the vanishing
 locus outside the fundamental domain is stated in those coordinates.
@@ -14,13 +30,10 @@ Each object T gets one table, built on first use and replaced when another
 object is asked about, so the module holds state for one object at a time.
 The table keeps the summands as (orbit, ql) integers, the translates of the
 summands, the subwing triples and the shifted-arrow endpoints as vertex
-numbers, and memoises the chain of every swept x, each chain's string, the
-connecting arrow and joined string of each pair of chains, and each
-string's module. Memoising on the chains is exact: a chain string depends
-only on its chain, and the connecting arrow, the joined string and the
-predicted modules only on (chain T, chain D, in the domain, in add tau T).
-So every wing, triple, string and relation check still runs once for each
-distinct input, while the oracle comparison still runs for every x.
+numbers, and two memos: the chain of every swept x, and each chain's
+string. A chain string depends only on its chain, so every wing, triple and
+string check runs once per distinct chain, while the oracle comparison
+still runs for every x.
 
 Both reverse hammocks of every x are painted into the table once per
 summand instead of being filtered once per x. `kernel.hom_tube_dim(n, a, b,
@@ -46,54 +59,25 @@ record during the sweep.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from tubecat import strings as st
 from tubecat import tube
 from tubecat.endo import LOOP_ID, cached_endomorphism_algebra
 from tubecat.rigid import RigidObject, subwing_decomposition
-from tubecat.strings import StringModule, StringWord, ZERO_STRING
-from tubecat.tube import Indec, in_wing, tau
+from tubecat.strings import StringWord, ZERO_STRING
+from tubecat.tube import Indec, in_wing
 
 Chain = tuple[int, ...]  # summand vertices of a reverse hammock, by ascending ql
 
 
-@dataclass(frozen=True)
-class FundamentalDomain:
-    """The rigid region plus the triangle above it, of size 3n(n-1)/2."""
-
-    rank: int
-    members: frozenset[Indec]
-
-    def __contains__(self, x: Indec) -> bool:
-        if x.ql <= self.rank - 1:
-            return True
-        return x in self.members
-
-
-@lru_cache(maxsize=64)
-def fundamental_domain(n: int) -> FundamentalDomain:
-    """Membership: ql <= n-1, or orbit + ql <= 2n-1 with the orbit in 1..n."""
-    members = set()
-    for a in range(1, n + 1):
-        for b in range(1, 2 * n):
-            if b <= n - 1 or a + b <= 2 * n - 1:
-                members.add(Indec(n, a, b))
-    return FundamentalDomain(n, frozenset(members))
-
-
-def normalize_rotation(t: RigidObject) -> int:
-    """Translate power moving the top summand to orbit 1."""
-    return t.top.orbit - 1
-
-
 def _normalized_orbit(t: RigidObject, x: Indec) -> int:
-    """Orbit of x translated by `normalize_rotation(t)`."""
+    """Orbit of x after translating the top summand of t to orbit 1."""
     return (x.orbit - t.top.orbit) % t.rank + 1
 
 
 def _in_domain(n: int, orbit: int, ql: int) -> bool:
-    """`fundamental_domain` membership of a top-normalized point."""
+    """Fundamental-domain membership of a top-normalized point: the rigid
+    region plus the triangle above it, 3n(n-1)/2 points."""
     return ql <= n - 1 or orbit + ql <= 2 * n - 1
 
 
@@ -146,9 +130,6 @@ class _ObjectTable:
         self.hammocks: dict[str, dict[tuple[int, int], list[int]]] = {"T": {}, "D": {}}
         self.chains: dict[tuple[int, int, int, str], Chain] = {}
         self.words: dict[Chain, StringWord] = {}
-        self.betas: dict[tuple[Chain, Chain], str | None] = {}
-        self.joined: dict[tuple[Chain, Chain], StringWord] = {}
-        self.modules: dict[StringWord, StringModule] = {}
 
     def paint(self, cap: int) -> None:
         """Extend both reverse hammocks of every x from ql `painted` to `cap`.
@@ -188,23 +169,6 @@ class _ObjectTable:
             chain = tuple(self.vertex[s] for s in reverse_hammock(t, x, kind))
             self.chains[key] = chain
         return chain
-
-    def chain_pair(self, x: Indec) -> tuple[Chain, Chain]:
-        return self.chain(x, "T"), self.chain(x, "D")
-
-    def sigma(self, x: Indec) -> StringWord:
-        """`sigma` of x without its domain checks."""
-        pair = self.chain_pair(x)
-        joined = self.joined.get(pair)
-        if joined is None:
-            joined = self.joined[pair] = _joined_string(self, x)
-        return joined
-
-    def module(self, word: StringWord) -> StringModule:
-        module = self.modules.get(word)
-        if module is None:
-            module = self.modules[word] = st.string_module(self.lam, word)
-        return module
 
 
 _held: _ObjectTable | None = None
@@ -267,6 +231,8 @@ def _chain_string(table: _ObjectTable, chain: Chain) -> StringWord:
     word = st.word(letters)
     if not st.is_string(table.lam, word):
         raise AssertionError(f"constructed chain word is not a string: {word}")
+    if sorted(st.traversed_vertices(table.lam, word)) != sorted(chain):
+        raise AssertionError(f"chain string {word} does not traverse its chain {chain}")
     return word
 
 
@@ -274,20 +240,12 @@ def beta_arrow(t: RigidObject, x: Indec) -> str | None:
     """Connecting arrow from the end of the tube-side string to the end of
     the shifted-side string; None when either string is zero."""
     table = _table(t)
-    pair = table.chain_pair(x)
-    if pair not in table.betas:
-        table.betas[pair] = _connecting_arrow(table, x)
-    return table.betas[pair]
-
-
-def _connecting_arrow(table: _ObjectTable, x: Indec) -> str | None:
-    t, lam = table.obj, table.lam
     sig_t = sigma_string(t, x, "T")
     sig_d = sigma_string(t, x, "D")
     if sig_t.is_zero or sig_d.is_zero:
         return None
-    end_t = st.end_vertex(lam, sig_t)
-    end_d = st.end_vertex(lam, sig_d)
+    end_t = st.end_vertex(table.lam, sig_t)
+    end_d = st.end_vertex(table.lam, sig_d)
     if end_t == end_d:
         top_vertex = t.vertex_of(t.top)
         if end_t != top_vertex:
@@ -310,7 +268,7 @@ def sigma(t: RigidObject, x: Indec) -> StringWord:
         raise ValueError(f"{x} is a translate of a summand; no string assigned")
     if not in_fundamental_domain(t, x):
         raise ValueError(f"{x} is outside the fundamental domain")
-    return _table(t).sigma(x)
+    return _joined_string(_table(t), x)
 
 
 def _joined_string(table: _ObjectTable, x: Indec) -> StringWord:
@@ -325,30 +283,26 @@ def _joined_string(table: _ObjectTable, x: Indec) -> StringWord:
         return sig_d
     beta = beta_arrow(t, x)
     parts = [p for p in (sig_t, st.word([(beta, 1)]), sig_d.inverse()) if p.kind == "word"]
-    return st.concatenate(table.lam, *parts)
+    joined = st.concatenate(table.lam, *parts)
+    chains = table.chain(x, "T") + table.chain(x, "D")
+    if sorted(st.traversed_vertices(table.lam, joined)) != sorted(chains):
+        raise AssertionError(f"joined string {joined} of {x} does not traverse {chains}")
+    return joined
 
 
 # --- predictions ---------------------------------------------------------------
 
-def predicted_module(t: RigidObject, x: Indec) -> tuple[StringModule, ...]:
-    """Predicted image of x: nothing for translates of summands, the single
-    string module inside the fundamental domain, and the direct sum of the
-    two chain modules outside it (empty exactly on the vanishing locus)."""
-    if in_add_tau(t, x):
-        return ()
-    table = _table(t)
-    if in_fundamental_domain(t, x):
-        return (table.module(table.sigma(x)),)
-    parts = []
-    for kind in ("T", "D"):
-        sig = sigma_string(t, x, kind)
-        if not sig.is_zero:
-            parts.append(table.module(sig))
-    return tuple(parts)
-
-
 def predicted_dims(t: RigidObject, x: Indec) -> dict[int, int]:
-    return st.module_dims(predicted_module(t, x))
+    """Predicted dimension vector of the image of x: nothing for translates
+    of summands, else the multiset of both reverse-hammock chains, which the
+    strings of x traverse (zero exactly on the vanishing locus)."""
+    if in_add_tau(t, x):
+        return {}
+    table = _table(t)
+    dims: dict[int, int] = {}
+    for v in table.chain(x, "T") + table.chain(x, "D"):
+        dims[v] = dims.get(v, 0) + 1
+    return dims
 
 
 def oracle_dims(t: RigidObject, x: Indec) -> dict[int, int]:
@@ -447,9 +401,10 @@ class HomFunctorReport:
 
 
 def verify_hom_functor(t: RigidObject, ql_cap: int | None = None) -> HomFunctorReport:
-    """Check the predicted modules against the oracle for every x up to the
-    quasilength cap, the string bijection on the fundamental domain, its
-    cardinality, and the outside vanishing locus."""
+    """Check the predicted dimensions against the oracle for every x up to
+    the quasilength cap, the string bijection on the fundamental domain, its
+    cardinality, the string module of every string, and the outside
+    vanishing locus."""
     n = t.rank
     check_ql_cap(n, ql_cap)
     if ql_cap is None:
@@ -460,6 +415,7 @@ def verify_hom_functor(t: RigidObject, ql_cap: int | None = None) -> HomFunctorR
     failures = []
     locus_failures = []
     assigned: dict[StringWord, Indec] = {}
+    domain_count = 0
 
     for x in _sweep(n, ql_cap):
         in_f = in_fundamental_domain(t, x)
@@ -468,22 +424,27 @@ def verify_hom_functor(t: RigidObject, ql_cap: int | None = None) -> HomFunctorR
         orac = oracle_dims(t, x)
         if pred != orac:
             failures.append(_record(t, x, pred, orac))
-        if in_f and not is_tau:
-            assigned[sigma(t, x).canonical()] = x
-        if not in_f:
-            vanishes = not orac
-            if vanishes != on_vanishing_locus(t, x):
-                locus_failures.append(
-                    f"{x}: oracle {'vanishes' if vanishes else 'is nonzero'} "
-                    f"off pattern"
-                )
+        if in_f:
+            if not is_tau:
+                domain_count += 1
+                assigned[sigma(t, x).canonical()] = x
+            continue
+        sigma_string(t, x, "T")  # both chain strings, checked once per chain
+        sigma_string(t, x, "D")
+        vanishes = not orac
+        if vanishes != on_vanishing_locus(t, x):
+            locus_failures.append(
+                f"{x}: oracle {'vanishes' if vanishes else 'is nonzero'} "
+                f"off pattern"
+            )
 
-    domain = fundamental_domain(n)
-    domain_count = sum(1 for x in domain.members if not in_add_tau(t, tau(x, -normalize_rotation(t))))
+    # The cap covers the domain (`check_ql_cap`), so the sweep counted all of it.
     expected = (3 * n * n - 5 * n + 2) // 2
     size_ok = domain_count == expected and len(assigned) == expected
 
     enum = st.enumerate_strings(lam)
+    for w in enum.strings:
+        st.string_module(lam, w)  # its relation check, once per string
     bijection_ok = (
         not enum.bands
         and set(assigned) == set(enum.strings)

@@ -409,15 +409,6 @@ def zero_module() -> StringModule:
     return StringModule((), ())
 
 
-def module_dims(modules) -> dict[int, int]:
-    """Summed dimension vector of a family of modules."""
-    out: dict[int, int] = {}
-    for m in modules:
-        for v, d in m.dims:
-            out[v] = out.get(v, 0) + d
-    return out
-
-
 # --- projective and injective strings --------------------------------------------
 
 def _maximal_paths_from(p: Presentation, v: int) -> list[list[str]]:

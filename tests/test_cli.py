@@ -97,6 +97,22 @@ class TestUsageErrors:
                 ["endo", "--rank", "3", "--top", "1", "--tilting", "1-x"],
                 "argument --tilting: bad interval '1-x'; expected like 1-3,1-1",
             ),
+            (
+                ["endo", "--rank", "3", "--top", "1", "--tilting", "1-3,1-1"],
+                "tubecat endo: error: argument --tilting: interval 1-3 out of range 1..2",
+            ),
+            (
+                ["endo", "--rank", "3", "--top", "1", "--tilting", "1-1,2-2"],
+                "tubecat endo: error: argument --tilting: top summand",
+            ),
+            (
+                ["endo", "--rank", "1", "--top", "1", "--tilting", "1-1"],
+                "tubecat endo: error: argument --rank: rank must be >= 2, got 1",
+            ),
+            (["rigid", "--rank", "1"], "tubecat rigid: error: argument --rank: rank must be >= 2"),
+            (["verify", "--rank", "4..3"], "tubecat verify: error: argument --rank: empty rank"),
+            (["verify", "--rank", "1..3"], "tubecat verify: error: argument --rank: rank must be"),
+            (["verify", "--rank", "2..99"], "tubecat verify: error: argument --rank: rank 99 exceeds"),
         ],
     )
     def test_exit_two(self, argv, message, capsys):
@@ -104,6 +120,8 @@ class TestUsageErrors:
         assert code == 2
         assert message in err
         assert out == ""
+        # A subcommand's errors come with that subcommand's usage line.
+        assert err.startswith(f"usage: tubecat {argv[0]} " if argv else "usage: tubecat [-h]")
 
     @pytest.mark.parametrize("target", ["plain", "plain/sub"])
     def test_out_at_or_under_a_regular_file(self, target, tmp_path, capsys):
@@ -114,7 +132,8 @@ class TestUsageErrors:
             capsys,
         )
         assert code == 2
-        assert f"argument --out: cannot write to {out_dir}" in err
+        assert err.startswith("usage: tubecat endo ")
+        assert f"tubecat endo: error: argument --out: cannot write to {out_dir}" in err
         assert out == ""
 
     @pytest.mark.parametrize("cap", ["3", "0", "-3"])

@@ -5,18 +5,15 @@ import json
 
 import pytest
 
-from tubecat import homfunctor
+from tubecat import homfunctor, strings
 from tubecat.endo import cached_endomorphism_algebra
 from tubecat.homfunctor import (
     beta_arrow,
-    fundamental_domain,
     in_add_tau,
     in_fundamental_domain,
-    normalize_rotation,
     on_vanishing_locus,
     oracle_dims,
     predicted_dims,
-    predicted_module,
     reverse_hammock,
     sigma,
     sigma_string,
@@ -24,7 +21,7 @@ from tubecat.homfunctor import (
 )
 from tubecat.quiver import count_paths
 from tubecat.rigid import from_summands, maximal_rigid_objects, quasisimple_map
-from tubecat.strings import end_vertex, string_module, traversed_vertices
+from tubecat.strings import end_vertex, enumerate_strings, string_module, traversed_vertices
 from tubecat.tube import (
     Indec,
     hom_tube,
@@ -39,6 +36,40 @@ from tubecat.tube import (
 T3 = from_summands(3, [Indec(3, 1, 2), Indec(3, 1, 1)])
 T2 = from_summands(2, [Indec(2, 1, 1)])
 X13 = Indec(3, 1, 3)
+
+
+def fundamental_domain(n):
+    """The fundamental domain in top-normalized coordinates, from the paper's
+    definition: the rigid region (ql <= n - 1) plus the triangle above it
+    (orbit + ql <= 2n - 1, orbit in 1..n)."""
+    return frozenset(
+        Indec(n, a, b)
+        for a in range(1, n + 1)
+        for b in range(1, 2 * n)
+        if b <= n - 1 or a + b <= 2 * n - 1
+    )
+
+
+def module_dims(modules):
+    """Summed dimension vector of a family of modules."""
+    out = {}
+    for m in modules:
+        for v, d in m.dims:
+            out[v] = out.get(v, 0) + d
+    return out
+
+
+def reference_modules(t, x):
+    """The predicted image of x as string modules, as the theorem states it:
+    nothing on add tau T, M(sigma(x)) inside the fundamental domain, and
+    M(sigma_T(x)) + M(sigma_D(x)) outside it."""
+    if in_add_tau(t, x):
+        return ()
+    lam = cached_endomorphism_algebra(t)
+    if in_fundamental_domain(t, x):
+        return (string_module(lam, sigma(t, x)),)
+    words = (sigma_string(t, x, "T"), sigma_string(t, x, "D"))
+    return tuple(string_module(lam, w) for w in words if not w.is_zero)
 
 
 def _coherent_lift(n, region):
@@ -73,20 +104,20 @@ class TestFundamentalDomain:
         expected = {
             Indec(3, a, b) for a in (1, 2, 3) for b in (1, 2)
         } | {Indec(3, 1, 3), Indec(3, 2, 3), Indec(3, 1, 4)}
-        assert fd.members == frozenset(expected)
+        assert fd == frozenset(expected)
 
     def test_rank2_members(self):
-        assert fundamental_domain(2).members == frozenset(
+        assert fundamental_domain(2) == frozenset(
             {Indec(2, 1, 1), Indec(2, 2, 1), Indec(2, 1, 2)}
         )
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_size_formula(self, n):
-        assert len(fundamental_domain(n).members) == 3 * n * (n - 1) // 2
+        assert len(fundamental_domain(n)) == 3 * n * (n - 1) // 2
 
     def test_rotation_for_other_tops(self):
         t = from_summands(3, [Indec(3, 2, 2), Indec(3, 2, 1)])
-        assert normalize_rotation(t) == 1
+        assert tau(t.top, 1) == Indec(3, 1, 2)  # the top, normalized
         assert in_fundamental_domain(t, Indec(3, 2, 3))
         assert not in_fundamental_domain(t, Indec(3, 1, 4))
 
@@ -106,8 +137,8 @@ class TestReverseHammocks:
     def test_empty_iff_translate_inside_domain(self):
         for n in (2, 3, 4):
             for t in maximal_rigid_objects(n):
-                rotation = normalize_rotation(t)
-                for xn in fundamental_domain(n).members:
+                rotation = t.top.orbit - 1
+                for xn in fundamental_domain(n):
                     x = tau(xn, -rotation)
                     empty = (
                         not reverse_hammock(t, x, "T")
@@ -240,7 +271,7 @@ class TestSigma:
 
 class TestPredictions:
     def test_vanishing_point(self):
-        assert predicted_module(T3, Indec(3, 3, 5)) == ()
+        assert predicted_dims(T3, Indec(3, 3, 5)) == {}
         assert on_vanishing_locus(T3, Indec(3, 3, 5))
         assert oracle_dims(T3, Indec(3, 3, 5)) == {}
 
@@ -249,19 +280,15 @@ class TestPredictions:
         assert oracle_dims(T3, X13) == {1: 2, 2: 1}
 
     def test_translates_vanish(self):
-        assert predicted_module(T3, tau(T3.top, 1)) == ()
+        assert predicted_dims(T3, tau(T3.top, 1)) == {}
         assert oracle_dims(T3, tau(T3.top, 1)) == {}
 
     def test_outside_domain_splits_in_two(self):
         x = Indec(3, 1, 5)
         assert not in_fundamental_domain(T3, x)
-        parts = predicted_module(T3, x)
+        parts = reference_modules(T3, x)
         assert len(parts) == 2
-        total = {}
-        for part in parts:
-            for v, d in part.dims:
-                total[v] = total.get(v, 0) + d
-        assert total == oracle_dims(T3, x)
+        assert predicted_dims(T3, x) == module_dims(parts) == oracle_dims(T3, x)
 
     def test_locus_pattern_rotates_with_top(self):
         t = from_summands(3, [Indec(3, 2, 2), Indec(3, 2, 1)])
@@ -334,9 +361,9 @@ class TestHammockLemmas:
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_top_absent_iff_translate_wing(self, n):
         for t in maximal_rigid_objects(n):
-            rotation = normalize_rotation(t)
+            rotation = t.top.orbit - 1
             translated_top = tau(t.top, 1)
-            for xn in fundamental_domain(n).members:
+            for xn in fundamental_domain(n):
                 x = tau(xn, -rotation)
                 in_r = (
                     hom_tube(t.top, x) > 0 or hom_tube(x, tau(t.top, 2)) > 0
@@ -366,8 +393,8 @@ class TestHammockLemmas:
         the shifted-side string of y and is non-zero, then y also has a
         non-zero tube-side string."""
         for t in maximal_rigid_objects(n):
-            rotation = normalize_rotation(t)
-            sweep = [tau(xn, -rotation) for xn in fundamental_domain(n).members]
+            rotation = t.top.orbit - 1
+            sweep = [tau(xn, -rotation) for xn in fundamental_domain(n)]
             sig_t = {x: sigma_string(t, x, "T") for x in sweep}
             sig_d = {x: sigma_string(t, x, "D") for x in sweep}
             for x in sweep:
@@ -383,7 +410,7 @@ class TestHammockLemmas:
         the fundamental domain, form one connected region that lifts
         coherently to the translation plane as a full interval product in
         ray/coray coordinates."""
-        domain = fundamental_domain(n).members
+        domain = fundamental_domain(n)
         for x in wing_members(Indec(n, 1, n - 1)):
             for kind in ("T", "D"):
                 if kind == "T":
@@ -428,9 +455,9 @@ class TestObjectTable:
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_domain_test_matches_members(self, n):
-        members = fundamental_domain(n).members
+        members = fundamental_domain(n)
         for t in maximal_rigid_objects(n):
-            rotation = normalize_rotation(t)
+            rotation = t.top.orbit - 1
             for x in indecomposables_up_to(n, 3 * n):
                 xn = tau(x, rotation)
                 expected = xn.ql <= n - 1 or xn in members
@@ -525,6 +552,56 @@ class TestObjectTable:
         assert not report.ok
         assert [r["x"] for r in report.dimension_failures] == [target.to_json()]
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+    def test_predicted_dims_match_reference_modules(self, n):
+        """At every swept x of every representative, the chain multiset is
+        the dimension vector of the predicted string modules."""
+        for t in maximal_rigid_objects(n):
+            if t.top.orbit != 1:
+                continue
+            for x in indecomposables_up_to(n, 3 * n):
+                assert predicted_dims(t, x) == module_dims(reference_modules(t, x)), (t, x)
+
+    def test_dropped_hammock_summand_fails_that_x(self, monkeypatch):
+        """A painted cell that lost one summand is a dimension failure at
+        exactly its x."""
+        n = 4
+        t = maximal_rigid_objects(n)[3]
+        monkeypatch.setattr(homfunctor, "_held", None)
+        table = homfunctor._table(t)
+        table.paint(3 * n)
+        cell = next(
+            (a, b) for (a, b), chain in sorted(table.hammocks["T"].items())
+            if b > 2 * n - 2 and len(chain) >= 2
+        )
+        dropped = table.hammocks["T"][cell].pop()
+        report = verify_hom_functor(t)
+        assert not report.ok
+        [failure] = report.dimension_failures
+        assert failure["x"] == Indec(n, *cell).to_json()
+        pred, orac = failure["predicted_dims"], failure["oracle_dims"]
+        assert pred.get(str(dropped), 0) == orac[str(dropped)] - 1
+
+    def test_failing_string_module_is_an_error_outcome(self, monkeypatch):
+        """A string whose module fails its relation check fails the
+        hom-functor outcome of its object with the error."""
+        from tubecat.verify import check_hom_functor
+
+        t = maximal_rigid_objects(3)[1]
+        lam = cached_endomorphism_algebra(t)
+        target = enumerate_strings(lam).strings[-1]
+        honest = strings.string_module
+
+        def failing(p, w):
+            if p is lam and w == target:
+                raise AssertionError(f"relation check fails on {w}")
+            return honest(p, w)
+
+        monkeypatch.setattr(strings, "string_module", failing)
+        failed = [o for o in check_hom_functor(3) if not o.ok]
+        assert [o.subject for o in failed] == [str(t)]
+        assert failed[0].detail == f"error: relation check fails on {target}"
+
     def test_state_held_for_one_object(self):
         objects = maximal_rigid_objects(5)
         for t in objects:
@@ -539,4 +616,4 @@ class TestObjectTable:
             if hasattr(value, "cache_info")
             and getattr(value, "__module__", None) == homfunctor.__name__
         }
-        assert caches == {"fundamental_domain"}  # keyed by rank, bounded
+        assert caches == set()  # no module-level cache of any kind

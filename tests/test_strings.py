@@ -17,7 +17,6 @@ from tubecat.strings import (
     enumerate_strings,
     injective_string,
     is_string,
-    module_dims,
     projective_string,
     start_vertex,
     string_module,
@@ -214,9 +213,11 @@ class TestStringModules:
         assert data["actions"]["a"] == []
 
     def test_module_dims_sums(self):
-        m1 = string_module(RANK3, trivial(1))
-        m2 = string_module(RANK3, word([("a", 1)]))
-        assert module_dims([m1, m2]) == {1: 2, 2: 1}
+        """The dimension at a vertex sums the string's visits to it."""
+        for w in (trivial(1), word([("a", 1)]), word([("w", 1)])):
+            visits = traversed_vertices(RANK3, w)
+            expected = tuple(sorted((v, visits.count(v)) for v in set(visits)))
+            assert string_module(RANK3, w).dims == expected
 
 
 class TestStructuralFacts:
