@@ -132,6 +132,8 @@ def cmd_rigid(parser, args) -> int:
 
 def cmd_endo(parser, args) -> int:
     _check_rank(parser, args.rank)
+    if not 1 <= args.top <= args.rank:
+        parser.error(f"argument --top: orbit must be in 1..{args.rank}, got {args.top}")
     try:
         t = from_tilting(args.rank, args.top, args.tilting)
     except ValueError as exc:

@@ -15,17 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from tubecat.quiver import (
-    Arrow,
-    Presentation,
-    Quiver,
-    SizeLimitError,
-    connecting_vertices,
-    count_paths,
-    find_isomorphism,
-    to_dot,
-)
-from tubecat.rigid import RigidObject, maximal_rigid_objects, subwing_decomposition, tau_rigid
+from tubecat.quiver import Arrow, Presentation, Quiver, count_paths, to_dot
+from tubecat.rigid import RigidObject, subwing_decomposition
 from tubecat.tube import hom_cluster
 
 LOOP_ID = "w"
@@ -129,61 +120,6 @@ def cartan_check(t: RigidObject, p: Presentation | None = None) -> CartanReport:
             if n_paths != n_hom:
                 mismatches.append((i, j, n_paths, n_hom))
     return CartanReport(not mismatches, tuple(mismatches), total_paths, total_hom)
-
-
-# --- realization of a prescribed quiver --------------------------------------
-
-_REALIZE_LIMIT = 8
-
-
-def _realizations(q: Quiver, c: int, limit: int):
-    """The maximal rigid objects, in enumeration order, whose loopless
-    endomorphism quiver is isomorphic to q with the loop vertex landing on
-    c. Validates q and c before the first object is looked at."""
-    if c not in connecting_vertices(q):
-        raise ValueError(f"vertex {c} is not connecting")
-    if len(q.vertices) > limit:
-        raise SizeLimitError(f"realization search limited to {limit} vertices")
-    for t in maximal_rigid_objects(len(q.vertices) + 1):
-        bare, loop_vertex = loopless_quiver(cached_endomorphism_algebra(t))
-        if find_isomorphism(bare, q, pin=(loop_vertex, c)) is not None:
-            yield t
-
-
-def realize_quiver(q: Quiver, c: int, limit: int = _REALIZE_LIMIT) -> RigidObject | None:
-    """A maximal rigid object whose loopless endomorphism quiver is
-    isomorphic to q with the loop vertex landing on c, or None. Raises
-    ValueError unless q is type-A cluster-tilted and c is connecting."""
-    return next(_realizations(q, c, limit), None)
-
-
-def realizing_objects(q: Quiver, c: int, limit: int = _REALIZE_LIMIT) -> list[RigidObject]:
-    """Every object `realize_quiver` could return, in one scan."""
-    return list(_realizations(q, c, limit))
-
-
-def _is_translate_orbit(members: list[RigidObject]) -> bool:
-    """Whether the members are exactly the translates of the first one."""
-    current = members[0]
-    orbit = set()
-    for _ in range(current.rank):
-        orbit.add(current)
-        current = tau_rigid(current, 1)
-    return orbit == set(members)
-
-
-def tau_orbit_count(q: Quiver, c: int, limit: int = _REALIZE_LIMIT) -> int:
-    """Number of realizing objects; asserts they form one translate orbit of
-    full length n."""
-    witnesses = realizing_objects(q, c, limit)
-    n = len(q.vertices) + 1
-    if len(witnesses) != n:
-        raise AssertionError(
-            f"expected {n} realizing objects, found {len(witnesses)}"
-        )
-    if not _is_translate_orbit(witnesses):
-        raise AssertionError("realizing objects do not form a single orbit")
-    return len(witnesses)
 
 
 # --- emission -----------------------------------------------------------------

@@ -2,8 +2,10 @@
 
 Path counting, the special biserial and gentle conditions, the critical-path
 bound on the Gorenstein dimension, recognition of type-A cluster-tilted
-quivers by one shortest-path search per edge, connecting vertices, and
-small-scale isomorphism testing.
+quivers by one shortest-path search per edge, connecting vertices from one
+adjacency pass after recognition, and small-scale isomorphism testing: a
+pinned isomorphism invariant and an exhaustive search with an optional
+pinned vertex, used by the converse check.
 """
 
 from __future__ import annotations
@@ -442,14 +444,21 @@ def connecting_vertices(q: Quiver) -> frozenset[int]:
         raise NotClusterTiltedError(check.witness)
     if len(q.vertices) == 1:
         return frozenset(q.vertices)
-    triangle_vertices = {
-        v for a, b, c in oriented_triangles(q) for v in (a.src, b.src, c.src)
-    }
+    # Recognized: no loops or 2-cycles and every 3-cycle oriented, so the
+    # valency is the neighbour count, and a valency-2 vertex lies on a
+    # 3-cycle exactly when its two neighbours are adjacent.
+    adj: dict[int, set[int]] = {v: set() for v in q.vertices}
+    for a in q.arrows:
+        adj[a.src].add(a.tgt)
+        adj[a.tgt].add(a.src)
     out = set()
-    for v in q.vertices:
-        val = q.valency(v)
-        if val == 1 or (val == 2 and v in triangle_vertices):
+    for v, near in adj.items():
+        if len(near) == 1:
             out.add(v)
+        elif len(near) == 2:
+            u, w = near
+            if w in adj[u]:
+                out.add(v)
     return frozenset(out)
 
 
@@ -567,14 +576,6 @@ def find_isomorphism(
     if pin and (pin[0] not in qa.vertices or pin[1] not in qb.vertices):
         return None
     return dict(mapping) if backtrack(0) else None
-
-
-def quivers_isomorphic(
-    a: Quiver | Presentation,
-    b: Quiver | Presentation,
-    pin: tuple[int, int] | None = None,
-) -> bool:
-    return find_isomorphism(a, b, pin) is not None
 
 
 def _as_presentation(x: Quiver | Presentation) -> Presentation:

@@ -25,9 +25,10 @@ leaves unchanged:
 
 Each member still gets its own outcome, and takes its representative's only
 after an exact certificate: its summands are the representative's translated
-element by element. `check_rigid`, `check_oracle` and `check_converse` stay
-per object; converse is the check that proves each isomorphism class of
-(quiver, loop vertex) is one full translate orbit.
+element by element (`_translate_certificate`). `check_converse` works on the
+same quotient: it builds and compares the quivers of the representatives
+only, and puts every other object in its representative's class by that
+certificate. `check_rigid` and `check_oracle` stay per object.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ from math import comb
 
 from tubecat import strings as st
 from tubecat.endo import (
-    _is_translate_orbit,
     cached_endomorphism_algebra,
     cartan_check,
     loopless_quiver,
@@ -267,15 +267,29 @@ def _hom_functor_verdict(t, ql_cap: int | None) -> tuple[bool, str]:
     return True, f"bijection onto {rep.expected_count} strings, dimensions match"
 
 
+def _translate_certificate(t, representatives: dict):
+    """Which representative t is a translate of: (what `representatives`
+    holds for it, None), or (None, a failure detail naming t).
+
+    A representative is an object whose top is at orbit 1, and
+    `representatives` is keyed by their summands tuples. With
+    k = t.top.orbit - 1 the certificate is exact: `tau_rigid(t, k).summands`
+    is, element by element, a key of `representatives`.
+    """
+    k = t.top.orbit - 1
+    found = representatives.get(tau_rigid(t, k).summands)
+    if found is None:
+        return None, f"translate certificate fails: tau^{k} of {t} is no representative"
+    return found, None
+
+
 def _per_orbit(check: str, n: int, verdict) -> list[Outcome]:
     """One outcome per object, in enumeration order, with `verdict` run once
     per translate orbit when the orbit's representative passes.
 
-    A representative is the member whose top is at orbit 1; they come first
-    in enumeration order. Any other member t, with k = top.orbit - 1, takes
-    its representative's outcome only if the translate certificate holds:
-    `tau_rigid(t, k).summands` is, element by element, the summands tuple of
-    a verified representative. If it is not, t fails with a detail naming
+    Representatives come first in enumeration order. Any other member t
+    takes its representative's outcome only if `_translate_certificate`
+    finds a verified representative; if not, t fails with a detail naming
     it. If the representative failed, t runs `verdict` itself, so every
     failure keeps its own concrete witness.
     """
@@ -287,11 +301,9 @@ def _per_orbit(check: str, n: int, verdict) -> list[Outcome]:
         def one(t=t, k=k):
             if k == 0:
                 return verdict(t)
-            rep = representatives.get(tau_rigid(t, k).summands)
+            rep, failure = _translate_certificate(t, representatives)
             if rep is None:
-                return False, (
-                    f"translate certificate fails: tau^{k} of {t} is no representative"
-                )
+                return False, failure
             if not rep.ok:
                 return verdict(t)
             return True, rep.detail
@@ -320,36 +332,63 @@ def check_hom_functor(n: int, ql_cap: int | None = None) -> list[Outcome]:
     return _per_orbit("hom-functor", n, lambda t: _hom_functor_verdict(t, ql_cap))
 
 
+def _is_translate_orbit(members) -> bool:
+    """Whether the members are exactly the translates of the first one."""
+    current = members[0]
+    orbit = set()
+    for _ in range(current.rank):
+        orbit.add(current)
+        current = tau_rigid(current, 1)
+    return orbit == set(members)
+
+
 def check_converse(n: int) -> list[Outcome]:
     """Group objects by the isomorphism class of (loopless quiver, loop
     vertex); every class must contain exactly n objects forming one
     translate orbit, and every connecting vertex of every class quiver must
     be realized by some class.
 
+    Only representatives (top at orbit 1) have their quivers built and
+    compared. Every other object joins its representative's class by
+    `_translate_certificate`, or fails the check when it has none. This is
+    exact because canonical order is relative to the top: tau^k T has the
+    same labelled endomorphism algebra as T, hence the same (quiver, loop
+    vertex).
+
     Classes are kept in buckets keyed by `pinned_invariant` of their
-    (quiver, loop vertex). An object is compared with `find_isomorphism`
-    only against the classes of its own bucket, and a connecting vertex c
-    of a class quiver only against the bucket of (quiver, c). The key is an
-    isomorphism invariant, so isomorphic pairs always share a bucket and
-    the search skips only pairs that cannot be isomorphic; every membership
-    and every realization is still decided by `find_isomorphism`. The
-    classes, their order and their members are those of a scan over all
-    classes, so the verdict and the detail are too.
+    (quiver, loop vertex). A representative is compared with
+    `find_isomorphism` only against the classes of its own bucket, and a
+    connecting vertex c of a class quiver only against the bucket of
+    (quiver, c). The key is an isomorphism invariant, so isomorphic pairs
+    always share a bucket and the search skips only pairs that cannot be
+    isomorphic; every membership and every realization is still decided by
+    `find_isomorphism` or the certificate. The classes, their order and
+    their members are those of a scan of every object over all classes, so
+    the verdict and the detail are too.
     """
 
     def run():
         buckets: dict[int, list[tuple]] = {}
         classes: list[tuple] = []  # (quiver, loop vertex, members)
+        class_of: dict[tuple, list] = {}  # representative's summands -> members
         for t in maximal_rigid_objects(n):
+            if t.top.orbit != 1:
+                members, failure = _translate_certificate(t, class_of)
+                if members is None:
+                    return False, failure
+                members.append(t)
+                continue
             bare, lv = loopless_quiver(cached_endomorphism_algebra(t))
             bucket = buckets.setdefault(pinned_invariant(bare, lv), [])
             for quiver, vertex, members in bucket:
                 if find_isomorphism(bare, quiver, pin=(lv, vertex)) is not None:
-                    members.append(t)
                     break
             else:
-                bucket.append((bare, lv, [t]))
+                members = []
+                bucket.append((bare, lv, members))
                 classes.append(bucket[-1])
+            members.append(t)
+            class_of[t.summands] = members
 
         for quiver, vertex, members in classes:
             if len(members) != n:

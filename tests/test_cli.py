@@ -123,6 +123,16 @@ class TestUsageErrors:
         # A subcommand's errors come with that subcommand's usage line.
         assert err.startswith(f"usage: tubecat {argv[0]} " if argv else "usage: tubecat [-h]")
 
+    @pytest.mark.parametrize("top", ["9", "5", "0", "-3"])
+    def test_top_outside_the_orbits(self, top, capsys):
+        code, out, err = run_cli(
+            ["endo", "--rank", "4", "--top", top, "--tilting", "1-3,1-1,3-3"], capsys
+        )
+        assert code == 2
+        assert err.startswith("usage: tubecat endo ")
+        assert f"tubecat endo: error: argument --top: orbit must be in 1..4, got {top}" in err
+        assert out == ""
+
     @pytest.mark.parametrize("target", ["plain", "plain/sub"])
     def test_out_at_or_under_a_regular_file(self, target, tmp_path, capsys):
         (tmp_path / "plain").write_text("")

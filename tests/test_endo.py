@@ -1,4 +1,4 @@
-"""Tests for the endomorphism-algebra construction and its converse."""
+"""Tests for the endomorphism-algebra construction."""
 
 import pytest
 
@@ -10,23 +10,17 @@ from tubecat.endo import (
     cluster_tilted_completion,
     endomorphism_algebra,
     loopless_quiver,
-    realize_quiver,
-    realizing_objects,
-    tau_orbit_count,
     tilted_algebra,
 )
 from tubecat.quiver import (
-    Arrow,
-    Quiver,
     connecting_vertices,
     count_paths,
     gorenstein_bound,
     is_cluster_tilted_A,
     is_gentle,
     presentation,
-    quivers_isomorphic,
 )
-from tubecat.rigid import from_summands, from_tilting, maximal_rigid_objects, tau_rigid
+from tubecat.rigid import from_summands, from_tilting, maximal_rigid_objects
 from tubecat.strings import projectives_match_injectives
 from tubecat.tube import Indec
 
@@ -179,60 +173,6 @@ class TestSevenRankInstance:
         assert loop_vertex in connecting_vertices(bare)
         assert cartan_check(t, lam).ok
         assert is_gentle(lam)
-
-
-class TestRealization:
-    def test_linear_a2_end_vertex(self):
-        q = Quiver((1, 2), (Arrow("x", 1, 2),))
-        t = realize_quiver(q, 1)
-        assert t is not None
-        assert t.rank == 3
-        bare, loop_vertex = loopless_quiver(cached_endomorphism_algebra(t))
-        assert quivers_isomorphic(bare, q, pin=(loop_vertex, 1))
-
-    def test_three_cycle_gives_nondegenerate_triple(self):
-        q = Quiver((1, 2, 3), (Arrow("x", 1, 2), Arrow("y", 2, 3), Arrow("z", 3, 1)))
-        t = realize_quiver(q, 2)
-        assert t is not None
-        assert t.rank == 4
-        from tubecat.rigid import subwing_decomposition
-
-        assert any(
-            not triple.degenerate for triple in subwing_decomposition(t).values()
-        )
-
-    def test_all_arising_pairs_are_realized(self):
-        for n in (2, 3, 4, 5):
-            for t in maximal_rigid_objects(n):
-                bare, _ = loopless_quiver(cached_endomorphism_algebra(t))
-                for c in connecting_vertices(bare):
-                    assert realize_quiver(bare, c) is not None, (t, c)
-
-    def test_rejects_bad_input(self):
-        q = Quiver((1, 2), (Arrow("x", 1, 2),))
-        with pytest.raises(ValueError):
-            realize_quiver(Quiver((1,), (Arrow("w", 1, 1),)), 1)
-        with pytest.raises(ValueError):
-            realize_quiver(
-                Quiver((1, 2, 3), (Arrow("x", 1, 2), Arrow("y", 2, 3))), 2
-            )  # middle vertex is not connecting
-
-
-class TestTauOrbits:
-    def test_counts(self):
-        a2 = Quiver((1, 2), (Arrow("x", 1, 2),))
-        assert tau_orbit_count(a2, 1) == 3
-        single = Quiver((1,), ())
-        assert tau_orbit_count(single, 1) == 2
-        cyc = Quiver((1, 2, 3), (Arrow("x", 1, 2), Arrow("y", 2, 3), Arrow("z", 3, 1)))
-        assert tau_orbit_count(cyc, 1) == 4
-
-    def test_witnesses_are_translates(self):
-        a2 = Quiver((1, 2), (Arrow("x", 1, 2),))
-        witnesses = realizing_objects(a2, 2)
-        assert len(witnesses) == 3
-        orbit = {witnesses[0], tau_rigid(witnesses[0], 1), tau_rigid(witnesses[0], 2)}
-        assert set(witnesses) == orbit
 
 
 class TestEmission:

@@ -5,7 +5,9 @@ vertex subset for an induced cycle, so its cost doubles with each vertex.
 It is kept here, unchanged, as the reference that the shortest-path
 recogniser must agree with, verdict for verdict, on the quivers that arise,
 on the type-A mutation classes, on random and perturbed quivers, and on
-long cycles with oriented 3-cycle ears.
+long cycles with oriented 3-cycle ears. `triangle_connecting_vertices` is
+the former `quiver.connecting_vertices`, the reference for the one that
+reads valencies and 3-cycles from one adjacency pass.
 """
 
 import itertools
@@ -19,6 +21,7 @@ from tubecat.quiver import (
     Arrow,
     CheckResult,
     Quiver,
+    connecting_vertices,
     is_cluster_tilted_A,
     oriented_triangles,
 )
@@ -125,6 +128,21 @@ def _is_connected_subset(simple_edges: set[frozenset[int]], sub: set[int]) -> bo
                     seen.add(w)
                     frontier.append(w)
     return seen == sub
+
+
+def triangle_connecting_vertices(q: Quiver) -> frozenset[int]:
+    """Vertices of valency one, or of valency two on an oriented 3-cycle,
+    from a scan of the triangles and one of the arrows per vertex."""
+    assert is_cluster_tilted_A(q)
+    if len(q.vertices) == 1:
+        return frozenset(q.vertices)
+    triangle_vertices = {
+        v for a, b, c in oriented_triangles(q) for v in (a.src, b.src, c.src)
+    }
+    return frozenset(
+        v for v in q.vertices
+        if q.valency(v) == 1 or (q.valency(v) == 2 and v in triangle_vertices)
+    )
 
 
 # --- quiver families ----------------------------------------------------------
@@ -305,6 +323,22 @@ def test_accepts_the_mutation_class_of_A(m, classes):
         assert assert_agrees(matrix_quiver(b))
         for k in range(m):
             assert assert_agrees(matrix_quiver(mutate(b, k)))
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_connecting_vertices_on_every_arising_quiver(n):
+    for t in maximal_rigid_objects(n):
+        if t.top.orbit == 1:
+            bare, _ = loopless_quiver(cached_endomorphism_algebra(t))
+            assert connecting_vertices(bare) == triangle_connecting_vertices(bare)
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_connecting_vertices_on_the_mutation_class_of_A(m):
+    for b in mutation_class(m):
+        for c in (b, *(mutate(b, k) for k in range(m))):
+            q = matrix_quiver(c)
+            assert connecting_vertices(q) == triangle_connecting_vertices(q), q
 
 
 def test_agrees_on_random_quivers():

@@ -1,15 +1,17 @@
 """The verification suite itself: outcome records, error capture, check
 selection, faults injected into the oracle and the converse check, the
 bucketed converse search shown equal to a scan over all classes, and the
-per-orbit checks shown equal to a loop over every object."""
+per-orbit checks and the converse on representatives shown equal to a loop
+over every object."""
 
 import hashlib
 import json
+from math import comb
 
 import pytest
 
-from tubecat import quiver, verify
-from tubecat.endo import cached_endomorphism_algebra
+from tubecat import endo, quiver, verify
+from tubecat.endo import cached_endomorphism_algebra, endomorphism_algebra
 from tubecat.quiver import Arrow, Quiver
 from tubecat.rigid import maximal_rigid_objects, tau_rigid
 from tubecat.tube import Indec
@@ -161,7 +163,92 @@ CONVERSE_DIGEST = "e2ee0e6c80a90d5838321016c9c8e7795164249190a18a86cdf245c402f46
 ENDO_DIGEST = "b17839b49d1e484dd29fe828dc87742ca174aa28f0ae1a0b11441c90dcf5daa5"
 
 
+def _all_object_converse(n):
+    """The converse check before the quotient: every object's quiver built
+    and compared, each joining a class by `find_isomorphism`."""
+
+    def run():
+        buckets = {}
+        classes = []  # (quiver, loop vertex, members)
+        for t in maximal_rigid_objects(n):
+            bare, lv = verify.loopless_quiver(cached_endomorphism_algebra(t))
+            bucket = buckets.setdefault(verify.pinned_invariant(bare, lv), [])
+            for q, vertex, members in bucket:
+                if verify.find_isomorphism(bare, q, pin=(lv, vertex)) is not None:
+                    members.append(t)
+                    break
+            else:
+                bucket.append((bare, lv, [t]))
+                classes.append(bucket[-1])
+
+        for q, vertex, members in classes:
+            if len(members) != n:
+                return False, f"class at vertex {vertex} has {len(members)} objects"
+            if not verify._is_translate_orbit(members):
+                return False, f"class at vertex {vertex} is not one translate orbit"
+
+        for q, _, _ in classes:
+            for c in verify.connecting_vertices(q):
+                bucket = buckets.get(verify.pinned_invariant(q, c), ())
+                if not any(
+                    verify.find_isomorphism(q, q2, pin=(c, v2)) is not None
+                    for q2, v2, _ in bucket
+                ):
+                    return False, f"connecting vertex {c} of a class quiver unrealized"
+        return True, f"{len(classes)} classes, each a full translate orbit"
+
+    return [verify._timed("converse", n, "", run)]
+
+
 class TestConverse:
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_equals_the_all_object_check(self, n):
+        assert _rows(verify.check_converse(n)) == _rows(_all_object_converse(n))
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_translates_share_the_labelled_algebra(self, n):
+        # The quotient rests on this: canonical order is relative to the top,
+        # so tau^k T has the same labelled algebra, arrow kinds included.
+        for t in maximal_rigid_objects(n):
+            rep = tau_rigid(t, t.top.orbit - 1)
+            assert endomorphism_algebra(t).to_json() == endomorphism_algebra(rep).to_json()
+
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_builds_only_the_representatives(self, n, monkeypatch):
+        built = []
+        real = endo.endomorphism_algebra
+
+        def counting(t):
+            built.append(t)
+            return real(t)
+
+        cached_endomorphism_algebra.cache_clear()
+        monkeypatch.setattr(endo, "endomorphism_algebra", counting)
+        try:
+            (out,) = verify.check_converse(n)
+        finally:
+            cached_endomorphism_algebra.cache_clear()
+        assert out.ok
+        assert len(built) == comb(2 * (n - 1), n - 1) // n  # Catalan(n - 1)
+        assert all(t.top.orbit == 1 for t in built)
+
+    def test_orphaned_members_fail_by_the_certificate(self, monkeypatch):
+        objects = maximal_rigid_objects(4)
+        dropped = objects[2]
+        assert dropped.top.orbit == 1
+        kept = [t for t in objects if t != dropped]
+        first = next(
+            t for t in kept if t.top.orbit != 1
+            and tau_rigid(t, t.top.orbit - 1) == dropped
+        )
+        monkeypatch.setattr(verify, "maximal_rigid_objects", lambda n: kept)
+        (out,) = verify.check_converse(4)
+        assert not out.ok
+        assert out.detail == (
+            f"translate certificate fails: tau^{first.top.orbit - 1} of {first} "
+            "is no representative"
+        )
+
     def test_outcomes_pinned(self):
         converse = [o for n in range(2, 7) for o in verify.check_converse(n)]
         endo = [o for n in range(2, 7) for o in verify.check_endo(n)]
@@ -192,10 +279,11 @@ class TestConverse:
         monkeypatch.setattr(verify, "find_isomorphism", counting)
         (out,) = verify.check_converse(6)
         assert out.ok
-        # 252 objects in 42 classes: 210 joins and 112 (class quiver,
-        # connecting vertex) pairs, each decided by at least one search. A
-        # scan over all classes takes 7,744.
-        assert 210 + 112 <= len(calls) < 2 * 252
+        # Only the 42 representatives are searched, each its own class, and
+        # the 210 other objects join by the translate certificate; the 112
+        # (class quiver, connecting vertex) pairs each take at least one
+        # search. A scan over all classes takes 7,744.
+        assert 112 <= len(calls) < 112 + 42
 
     def test_relabelled_copy_joins_its_class(self, monkeypatch):
         # One translate orbit is given a vertex-relabelled copy of the first
