@@ -15,6 +15,7 @@ from pathlib import Path
 
 from tubecat import __version__
 from tubecat.endo import bundle_dot, bundle_json
+from tubecat.homfunctor import check_ql_cap
 from tubecat.rigid import (
     enumerate_maximal_rigid,
     from_tilting,
@@ -171,6 +172,10 @@ def cmd_verify(parser, args) -> int:
         parser.error(f"argument --rank: empty rank range {lo}..{hi}")
     for n in (lo, hi):
         _check_rank(parser, n)
+    try:
+        check_ql_cap(hi, args.ql_cap)
+    except ValueError as exc:
+        parser.error(f"argument --ql-cap: {exc}")
     report = run_suite(range(lo, hi + 1), args.only, args.ql_cap, args.seed)
     if args.json:
         print(json.dumps(report.to_json(), indent=2, sort_keys=True))

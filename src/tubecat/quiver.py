@@ -51,29 +51,24 @@ class Quiver:
     arrows: tuple[Arrow, ...]
 
     def __post_init__(self):
-        ids = [a.id for a in self.arrows]
-        if len(set(ids)) != len(ids):
+        by_id = {a.id: a for a in self.arrows}
+        if len(by_id) != len(self.arrows):
             raise ValueError("arrow ids must be unique")
         vs = set(self.vertices)
         for a in self.arrows:
             if a.src not in vs or a.tgt not in vs:
                 raise ValueError(f"arrow {a} has endpoint outside the vertex set")
+        # Not a field: equality, hash, repr and JSON see only the arrows.
+        object.__setattr__(self, "_by_id", by_id)
 
     def arrow(self, arrow_id: str) -> Arrow:
-        for a in self.arrows:
-            if a.id == arrow_id:
-                return a
-        raise KeyError(arrow_id)
+        return self._by_id[arrow_id]
 
     def arrows_from(self, v: int) -> list[Arrow]:
         return [a for a in self.arrows if a.src == v]
 
     def arrows_into(self, v: int) -> list[Arrow]:
         return [a for a in self.arrows if a.tgt == v]
-
-    def valency(self, v: int) -> int:
-        """Number of arrow endpoints at v; a loop counts twice."""
-        return sum((a.src == v) + (a.tgt == v) for a in self.arrows)
 
     def to_json(self) -> dict:
         return {
@@ -342,19 +337,6 @@ def _is_connected(adj: Mapping[int, set[int]]) -> bool:
             seen.add(w)
             frontier.append(w)
     return len(seen) == len(adj)
-
-
-def oriented_triangles(q: Quiver) -> list[tuple[Arrow, Arrow, Arrow]]:
-    """All oriented 3-cycles, as arrow triples starting at the least vertex."""
-    out = []
-    for a in q.arrows:
-        for b in q.arrows_from(a.tgt):
-            if b.tgt == a.src:
-                continue
-            for c in q.arrows_from(b.tgt):
-                if c.tgt == a.src and a.src < min(a.tgt, b.tgt):
-                    out.append((a, b, c))
-    return out
 
 
 def is_cluster_tilted_A(q: Quiver) -> CheckResult:

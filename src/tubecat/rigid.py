@@ -57,7 +57,8 @@ def from_summands(n: int, summands: Iterable[Indec]) -> RigidObject:
     """Build a maximal rigid object from its summand set, validating it."""
     xs = canonical_order(n, summands)
     if len(set(xs)) != n - 1:
-        raise ValueError(f"expected {n - 1} distinct summands, got {xs}")
+        got = ", ".join(map(str, xs))
+        raise ValueError(f"expected {n - 1} distinct summands, got {got}")
     for s in xs:
         if s.rank != n:
             raise ValueError(f"summand {s} has rank {s.rank}, expected {n}")

@@ -4,6 +4,11 @@ A string is a reduced walk of arrows and inverse arrows that avoids the
 relations in both readings. Words are stored in walk order (first letter
 applied first) and displayed right to left, matching path composition.
 Canonical forms identify a word with its inverse.
+
+Which letter may follow which depends on the two letters only, so the
+letters and their successors form one graph (`_letter_graph`). Strings are
+the walks in it; the strings of the projectives and injectives are pairs
+of maximal walks that keep one letter direction.
 """
 
 from __future__ import annotations
@@ -102,11 +107,24 @@ def _letter_keys(letters: tuple[Letter, ...]):
     return tuple((aid, 0 if d > 0 else 1) for aid, d in letters)
 
 
+def _is_canonical(letters: tuple[Letter, ...]) -> bool:
+    """Whether `_letter_keys(letters) <= _letter_keys(inverse)`, without
+    building the inverse: letter i is compared with the inverse of letter
+    -1 - i, from both ends inward, up to the first difference."""
+    for (aid, d), (bid, e) in zip(letters, reversed(letters)):
+        if aid != bid:
+            return aid < bid
+        if d == e:  # the inverse of (bid, e) is (aid, -d): direct comes first
+            return d > 0
+    return True
+
+
 def _canonical_letters(letters: tuple[Letter, ...]) -> tuple[Letter, ...]:
     """`letters` or its inverse, whichever has the smaller key; `letters`
     itself on a tie."""
-    inverse = tuple((aid, -d) for aid, d in reversed(letters))
-    return letters if _letter_keys(letters) <= _letter_keys(inverse) else inverse
+    if _is_canonical(letters):
+        return letters
+    return tuple((aid, -d) for aid, d in reversed(letters))
 
 
 def letter_source(p: Presentation, letter: Letter) -> int:
@@ -211,21 +229,41 @@ def default_cap(p: Presentation) -> int:
     return 4 * max(1, len(p.quiver.arrows)) * max(1, len(p.quiver.vertices))
 
 
+def _letter_graph(p: Presentation) -> dict[Letter, list[Letter]]:
+    """Every letter, direct before inverse by arrow id, mapped to the
+    letters that may follow it in a string."""
+    letters = [
+        (a.id, d) for a in sorted(p.quiver.arrows, key=lambda a: a.id) for d in (1, -1)
+    ]
+    by_source: dict[int, list[Letter]] = {}
+    for letter in letters:
+        by_source.setdefault(letter_source(p, letter), []).append(letter)
+    return {
+        x: [y for y in by_source.get(letter_target(p, x), ()) if letters_composable(p, x, y)]
+        for x in letters
+    }
+
+
 def enumerate_strings(p: Presentation, cap: int | None = None) -> StringEnumeration:
-    """Depth-first letter-by-letter extension from every trivial string.
+    """Every walk of at most `cap` letters in the letter graph, depth first.
 
-    A letter repeating along one growing branch closes a cycle of valid
-    transitions, which is exactly a band; bands are recorded and the walk
-    is cut at the cap. Without bands the walk terminates by itself.
+    A stack of letter tuples: pop a walk and record it; unless it has `cap`
+    letters, push it once per successor of its last letter, extended by
+    that successor. A successor already in the walk closes a cycle of valid
+    transitions, which is exactly a band, recorded from the successor's
+    first occurrence; the walk is then cut at the cap. Without bands the
+    walk terminates by itself.
 
-    A string and its inverse are one string (Butler-Ringel). Each visited
-    walk is canonicalised on its letter tuple: the walk or its inverse,
-    whichever is smaller under the key `StringWord.canonical` uses, goes
-    into a set of tuples, and each `StringWord` is built once, at the end.
+    A string and its inverse are one string (Butler-Ringel). A walk is
+    recorded only if `_is_canonical`, so no inverse is built per visit.
+    This is exact: strings are closed under inversion, a walk and its
+    inverse have the same length, so the inverse is visited too, and no
+    string is its own inverse (its middle would be a letter followed by its
+    inverse, or a letter equal to its inverse). Each `StringWord` is built
+    once, at the end.
 
-    The walk keeps its own stack, so the cap is not limited by Python's
-    recursion depth; a walk of more than a million nodes raises
-    RuntimeError.
+    The stack is explicit, so the cap is not limited by Python's recursion
+    depth; a walk of more than a million visits raises RuntimeError.
     """
     sb = is_special_biserial(p)
     if not sb:
@@ -233,65 +271,29 @@ def enumerate_strings(p: Presentation, cap: int | None = None) -> StringEnumerat
     if cap is None:
         cap = default_cap(p)
 
-    all_letters: list[Letter] = []
-    for a in sorted(p.quiver.arrows, key=lambda a: a.id):
-        all_letters.append((a.id, 1))
-        all_letters.append((a.id, -1))
-    by_source: dict[int, list[Letter]] = {}
-    for letter in all_letters:
-        by_source.setdefault(letter_source(p, letter), []).append(letter)
-    # Whether y may follow x depends on (x, y) only: the walk's edges.
-    successors = {
-        x: [y for y in by_source.get(letter_target(p, x), ())
-            if letters_composable(p, x, y)]
-        for x in all_letters
-    }
-
-    found: set[tuple[Letter, ...]] = set()
+    graph = _letter_graph(p)
+    found: list[tuple[Letter, ...]] = []
     bands: set[StringWord] = set()
     capped = False
     budget = 1_000_000
-
-    def visit(letters: list[Letter]):
-        """Record the string `letters`; return its next letters."""
-        nonlocal capped, budget
+    stack = [(letter,) for letter in graph]
+    while stack:
+        walk = stack.pop()
         budget -= 1
         if budget < 0:
-            raise RuntimeError(
-                f"string walk exceeded the node budget at cap {cap}"
-            )
-        found.add(_canonical_letters(tuple(letters)))
-        if len(letters) >= cap:
+            raise RuntimeError(f"string walk exceeded the node budget at cap {cap}")
+        if _is_canonical(walk):
+            found.append(walk)
+        if len(walk) >= cap:
             capped = True
-            return iter(())
-        return iter(successors[letters[-1]])
-
-    for first in all_letters:
-        # One iterator over the remaining next letters per letter of the
-        # growing branch; `first_seen` maps each letter on the branch to
-        # the position of its first occurrence.
-        letters = [first]
-        first_seen = {first: 0}
-        branches = [visit(letters)]
-        while branches:
-            nxt = next(branches[-1], None)
-            if nxt is None:
-                branches.pop()
-                last = letters.pop()
-                if first_seen[last] == len(letters):
-                    del first_seen[last]
-                continue
-            if nxt in first_seen:
-                bands.add(_canonical_band(letters[first_seen[nxt]:]))
-            else:
-                first_seen[nxt] = len(letters)
-            letters.append(nxt)
-            branches.append(visit(letters))
+            continue
+        for nxt in graph[walk[-1]]:
+            if nxt in walk:
+                bands.add(_canonical_band(walk[walk.index(nxt):]))
+            stack.append(walk + (nxt,))
 
     if capped and not bands:
-        raise RuntimeError(
-            f"string walk exceeded cap {cap} without finding a band"
-        )
+        raise RuntimeError(f"string walk exceeded cap {cap} without finding a band")
     # Trivial strings sort before words, and words by their letters.
     strings = tuple(trivial(v) for v in sorted(p.quiver.vertices)) + tuple(
         StringWord("word", letters) for letters in sorted(found)
@@ -299,26 +301,15 @@ def enumerate_strings(p: Presentation, cap: int | None = None) -> StringEnumerat
     return StringEnumeration(strings, tuple(sorted(bands)), not bands, cap)
 
 
-def _canonical_band(cycle: list[Letter]) -> StringWord:
+def _canonical_band(forward: tuple[Letter, ...]) -> StringWord:
     """Primitive root of the cyclic word, in its least rotation over both
     orientations."""
-    forward = tuple(cycle)
-    for period in range(1, len(forward) + 1):
-        if len(forward) % period == 0 and forward == forward[:period] * (
-            len(forward) // period
-        ):
-            forward = forward[:period]
-            break
-
-    def rotations(ls: tuple[Letter, ...]):
-        return [ls[i:] + ls[:i] for i in range(len(ls))]
-
+    n = len(forward)
+    period = next(k for k in range(1, n + 1) if n % k == 0 and forward == forward[:k] * (n // k))
+    forward = forward[:period]
     backward = tuple((aid, -d) for aid, d in reversed(forward))
-    best = min(
-        rotations(forward) + rotations(backward),
-        key=_letter_keys,
-    )
-    return word(best)
+    rotations = [ls[i:] + ls[:i] for ls in (forward, backward) for i in range(period)]
+    return word(min(rotations, key=_letter_keys))
 
 
 def count_indecomposables(p: Presentation) -> int:
@@ -411,77 +402,47 @@ def zero_module() -> StringModule:
 
 # --- projective and injective strings --------------------------------------------
 
-def _maximal_paths_from(p: Presentation, v: int) -> list[list[str]]:
-    """Maximal relation-free paths out of v, as arrow id lists; at most two
-    for special biserial presentations."""
-    out = []
-    for first in p.quiver.arrows_from(v):
-        path = [first.id]
-        while True:
-            cur = path[-1]
-            nxt = [
-                g.id
-                for g in p.quiver.arrows_from(p.quiver.arrow(cur).tgt)
-                if not p.is_relation(g.id, cur)
-            ]
-            if not nxt:
-                break
+def _end_string(
+    p: Presentation, graph: dict[Letter, list[Letter]], v: int, d: int
+) -> StringWord:
+    """String of the projective (d = 1) or injective (d = -1) at v.
+
+    Every letter of direction d at v starts one maximal walk of letters of
+    that direction: a maximal relation-free path out of v (d = 1), or the
+    inverse of one into v (d = -1). There are at most two such walks for a
+    special biserial presentation; the string is the first walk inverted,
+    followed by the second.
+    """
+    arrows = p.quiver.arrows_from(v) if d > 0 else p.quiver.arrows_into(v)
+    walks = []
+    for a in arrows:
+        walk = [(a.id, d)]
+        while nxt := [y for y in graph[walk[-1]] if y[1] == d]:
             if len(nxt) > 1:
                 raise ValueError("not special biserial")
-            if nxt[0] in path:
-                raise ValueError("relation-free cycle; projectives are infinite")
-            path.append(nxt[0])
-        out.append(path)
-    return out
-
-
-def _maximal_paths_into(p: Presentation, v: int) -> list[list[str]]:
-    out = []
-    for last in p.quiver.arrows_into(v):
-        path = [last.id]
-        while True:
-            cur = path[0]
-            prev = [
-                a.id
-                for a in p.quiver.arrows_into(p.quiver.arrow(cur).src)
-                if not p.is_relation(cur, a.id)
-            ]
-            if not prev:
-                break
-            if len(prev) > 1:
-                raise ValueError("not special biserial")
-            if prev[0] in path:
-                raise ValueError("relation-free cycle; injectives are infinite")
-            path.insert(0, prev[0])
-        out.append(path)
-    return out
+            if nxt[0] in walk:
+                kind = "projectives" if d > 0 else "injectives"
+                raise ValueError(f"relation-free cycle; {kind} are infinite")
+            walk.append(nxt[0])
+        walks.append(walk)
+    if not walks:
+        return trivial(v)
+    first, second = walks if len(walks) > 1 else (walks[0], [])
+    return word([(aid, -e) for aid, e in reversed(first)] + second)
 
 
 def projective_string(p: Presentation, v: int) -> StringWord:
-    """String of the indecomposable projective at v: walk backwards along one
-    maximal relation-free path out of v, then forwards along the other."""
-    branches = _maximal_paths_from(p, v)
-    if not branches:
-        return trivial(v)
-    if len(branches) == 1:
-        u, w_branch = branches[0], []
-    else:
-        u, w_branch = branches
-    letters = [(aid, -1) for aid in reversed(u)] + [(aid, 1) for aid in w_branch]
-    return word(letters) if letters else trivial(v)
+    """String of the indecomposable projective at v: backwards along one
+    maximal relation-free path out of v, then forwards along the other; the
+    two paths are the walks of direct letters from v in the letter graph."""
+    return _end_string(p, _letter_graph(p), v, 1)
 
 
 def injective_string(p: Presentation, v: int) -> StringWord:
-    """String of the indecomposable injective at v, dually."""
-    branches = _maximal_paths_into(p, v)
-    if not branches:
-        return trivial(v)
-    if len(branches) == 1:
-        u, w_branch = branches[0], []
-    else:
-        u, w_branch = branches
-    letters = [(aid, 1) for aid in u] + [(aid, -1) for aid in reversed(w_branch)]
-    return word(letters) if letters else trivial(v)
+    """String of the indecomposable injective at v: forwards along one
+    maximal relation-free path into v, then backwards along the other; the
+    inverses of the two paths are the walks of inverse letters from v."""
+    return _end_string(p, _letter_graph(p), v, -1)
 
 
 def projectives_match_injectives(p: Presentation) -> bool:
@@ -490,6 +451,7 @@ def projectives_match_injectives(p: Presentation) -> bool:
     A mismatch certifies that some projective is not injective, hence the
     algebra is not self-injective; a match certifies nothing.
     """
-    projs = sorted(projective_string(p, v).canonical() for v in p.quiver.vertices)
-    injs = sorted(injective_string(p, v).canonical() for v in p.quiver.vertices)
+    graph = _letter_graph(p)
+    projs = sorted(_end_string(p, graph, v, 1).canonical() for v in p.quiver.vertices)
+    injs = sorted(_end_string(p, graph, v, -1).canonical() for v in p.quiver.vertices)
     return projs == injs

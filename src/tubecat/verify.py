@@ -197,7 +197,8 @@ def check_oracle(n: int, ql_cap: int | None = None, seed: int = 0) -> list[Outco
 
 def check_rigid(n: int) -> list[Outcome]:
     def count():
-        structured = enumerate_maximal_rigid(n, "structured")
+        # The cached objects every other check walks, against the brute route.
+        structured = list(maximal_rigid_objects(n))
         brute = enumerate_maximal_rigid(n, "brute")
         expected = comb(2 * (n - 1), n - 1)
         if structured != brute:

@@ -113,6 +113,10 @@ class TestUsageErrors:
             (["verify", "--rank", "4..3"], "tubecat verify: error: argument --rank: empty rank"),
             (["verify", "--rank", "1..3"], "tubecat verify: error: argument --rank: rank must be"),
             (["verify", "--rank", "2..99"], "tubecat verify: error: argument --rank: rank 99 exceeds"),
+            (
+                ["endo", "--rank", "3", "--top", "1", "--tilting", "1-1"],
+                "tubecat endo: error: argument --tilting: expected 2 distinct summands, got (1,1)",
+            ),
         ],
     )
     def test_exit_two(self, argv, message, capsys):
@@ -152,7 +156,10 @@ class TestUsageErrors:
             ["verify", "--rank", "3", "--only", "hom-functor", "--ql-cap", cap], capsys
         )
         assert code == 2
-        assert f"ql_cap {cap} is below 4" in err and "at rank 3" in err
+        assert err.endswith(
+            f"tubecat verify: error: argument --ql-cap: ql_cap {cap} is below 4, "
+            "the largest quasilength of the fundamental domain at rank 3\n"
+        )
         assert out == ""
 
     def test_rank_cap_from_environment(self, capsys, monkeypatch):

@@ -19,7 +19,6 @@ from tubecat.quiver import (
     is_cluster_tilted_A,
     is_gentle,
     is_special_biserial,
-    oriented_triangles,
     pinned_invariant,
     presentation,
     to_dot,
@@ -36,8 +35,22 @@ CYCLE3 = Quiver((1, 2, 3), (Arrow("a", 1, 2), Arrow("b", 2, 3), Arrow("c", 3, 1)
 
 class TestConstruction:
     def test_duplicate_ids_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="arrow ids must be unique"):
             Quiver((1, 2), (Arrow("a", 1, 2), Arrow("a", 2, 1)))
+
+    def test_arrow_lookup(self):
+        assert CYCLE3.arrow("b") == Arrow("b", 2, 3)
+        with pytest.raises(KeyError):
+            CYCLE3.arrow("d")
+
+    def test_lookup_is_not_a_field(self):
+        # The id lookup is built per instance; equality, hash, repr and JSON
+        # see only the vertices and arrows.
+        copy = Quiver.from_json(CYCLE3.to_json())
+        assert copy is not CYCLE3 and copy == CYCLE3
+        assert hash(copy) == hash(CYCLE3)
+        assert repr(CYCLE3) == f"Quiver(vertices=(1, 2, 3), arrows={CYCLE3.arrows!r})"
+        assert set(CYCLE3.to_json()) == {"vertices", "arrows"}
 
     def test_dangling_arrow_rejected(self):
         with pytest.raises(ValueError):
@@ -216,9 +229,6 @@ class TestClusterTiltedRecognition:
     def test_disconnected_rejected(self):
         q = Quiver((1, 2, 3, 4), (Arrow("a", 1, 2), Arrow("b", 3, 4)))
         assert not is_cluster_tilted_A(q)
-
-    def test_triangle_listing(self):
-        assert len(oriented_triangles(CYCLE3)) == 1
 
     def test_two_triangles_sharing_a_vertex(self):
         q = Quiver(

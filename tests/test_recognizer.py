@@ -7,7 +7,8 @@ recogniser must agree with, verdict for verdict, on the quivers that arise,
 on the type-A mutation classes, on random and perturbed quivers, and on
 long cycles with oriented 3-cycle ears. `triangle_connecting_vertices` is
 the former `quiver.connecting_vertices`, the reference for the one that
-reads valencies and 3-cycles from one adjacency pass.
+reads valencies and 3-cycles from one adjacency pass. `oriented_triangles`
+and `valency`, formerly in `quiver`, serve only these two references.
 """
 
 import itertools
@@ -23,12 +24,29 @@ from tubecat.quiver import (
     Quiver,
     connecting_vertices,
     is_cluster_tilted_A,
-    oriented_triangles,
 )
 from tubecat.rigid import maximal_rigid_objects
 
 
 # --- the reference: the former subset search ----------------------------------
+
+def oriented_triangles(q: Quiver) -> list[tuple[Arrow, Arrow, Arrow]]:
+    """All oriented 3-cycles, as arrow triples starting at the least vertex."""
+    out = []
+    for a in q.arrows:
+        for b in q.arrows_from(a.tgt):
+            if b.tgt == a.src:
+                continue
+            for c in q.arrows_from(b.tgt):
+                if c.tgt == a.src and a.src < min(a.tgt, b.tgt):
+                    out.append((a, b, c))
+    return out
+
+
+def valency(q: Quiver, v: int) -> int:
+    """Number of arrow endpoints at v; a loop counts twice."""
+    return sum((a.src == v) + (a.tgt == v) for a in q.arrows)
+
 
 def _underlying_edges(q: Quiver) -> dict[frozenset[int], list[Arrow]]:
     edges: dict[frozenset[int], list[Arrow]] = {}
@@ -97,7 +115,7 @@ def subset_search(q: Quiver) -> CheckResult:
         a.id for tri in triangles for a in tri
     }
     for v in q.vertices:
-        val = q.valency(v)
+        val = valency(q, v)
         if val > 4:
             return CheckResult(False, f"vertex {v} has valency {val}")
         incident = [a for a in q.arrows if v in (a.src, a.tgt)]
@@ -141,7 +159,7 @@ def triangle_connecting_vertices(q: Quiver) -> frozenset[int]:
     }
     return frozenset(
         v for v in q.vertices
-        if q.valency(v) == 1 or (q.valency(v) == 2 and v in triangle_vertices)
+        if valency(q, v) == 1 or (valency(q, v) == 2 and v in triangle_vertices)
     )
 
 
@@ -385,6 +403,11 @@ def test_eared_cycles_name_an_induced_cycle(k):
                 assert induced == ring, (q, result.witness)
                 if k == 4 or rng.random() < 0.02:
                     assert not subset_search(q)
+
+
+def test_triangle_listing():
+    cycle3 = Quiver((1, 2, 3), (Arrow("a", 1, 2), Arrow("b", 2, 3), Arrow("c", 3, 1)))
+    assert len(oriented_triangles(cycle3)) == 1
 
 
 # --- witnesses ---------------------------------------------------------------

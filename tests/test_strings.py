@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import random
 
 import pytest
 
@@ -18,6 +19,7 @@ from tubecat.strings import (
     injective_string,
     is_string,
     projective_string,
+    projectives_match_injectives,
     start_vertex,
     string_module,
     traversed_vertices,
@@ -291,3 +293,246 @@ class TestProjectivesAndInjectives:
 
         lam2 = presentation([1], [("w", 1, 1, "loop")], [("w", "w")])
         assert projectives_match_injectives(lam2)
+
+
+# --- references: the former walk and the former projective/injective builders --
+
+def reference_is_canonical(letters):
+    """Compare the keys of both readings, building the inverse."""
+    inverse = tuple((aid, -d) for aid, d in reversed(letters))
+    return strings._letter_keys(letters) <= strings._letter_keys(inverse)
+
+
+def reference_canonical_letters(letters):
+    """The former `_canonical_letters`."""
+    if reference_is_canonical(letters):
+        return letters
+    return tuple((aid, -d) for aid, d in reversed(letters))
+
+
+def reference_enumeration(p, cap=None):
+    """The former `enumerate_strings`: one iterator over the remaining next
+    letters per letter of the growing branch, `first_seen` mapping each
+    letter on the branch to its first position, every visit canonicalised."""
+    sb = strings.is_special_biserial(p)
+    if not sb:
+        raise ValueError(f"presentation is not special biserial: {sb.witness}")
+    if cap is None:
+        cap = strings.default_cap(p)
+    all_letters = []
+    for a in sorted(p.quiver.arrows, key=lambda a: a.id):
+        all_letters.append((a.id, 1))
+        all_letters.append((a.id, -1))
+    by_source = {}
+    for letter in all_letters:
+        by_source.setdefault(strings.letter_source(p, letter), []).append(letter)
+    successors = {
+        x: [y for y in by_source.get(strings.letter_target(p, x), ())
+            if strings.letters_composable(p, x, y)]
+        for x in all_letters
+    }
+    found, bands = set(), set()
+    capped = False
+    budget = 1_000_000
+
+    def visit(letters):
+        nonlocal capped, budget
+        budget -= 1
+        if budget < 0:
+            raise RuntimeError(f"string walk exceeded the node budget at cap {cap}")
+        found.add(reference_canonical_letters(tuple(letters)))
+        if len(letters) >= cap:
+            capped = True
+            return iter(())
+        return iter(successors[letters[-1]])
+
+    for first in all_letters:
+        letters = [first]
+        first_seen = {first: 0}
+        branches = [visit(letters)]
+        while branches:
+            nxt = next(branches[-1], None)
+            if nxt is None:
+                branches.pop()
+                last = letters.pop()
+                if first_seen[last] == len(letters):
+                    del first_seen[last]
+                continue
+            if nxt in first_seen:
+                bands.add(strings._canonical_band(tuple(letters[first_seen[nxt]:])))
+            else:
+                first_seen[nxt] = len(letters)
+            letters.append(nxt)
+            branches.append(visit(letters))
+
+    if capped and not bands:
+        raise RuntimeError(f"string walk exceeded cap {cap} without finding a band")
+    found_words = tuple(strings.StringWord("word", letters) for letters in sorted(found))
+    trivials = tuple(trivial(v) for v in sorted(p.quiver.vertices))
+    return strings.StringEnumeration(trivials + found_words, tuple(sorted(bands)), not bands, cap)
+
+
+def reference_paths_from(p, v):
+    """The former `_maximal_paths_from`."""
+    out = []
+    for first in p.quiver.arrows_from(v):
+        path = [first.id]
+        while True:
+            cur = path[-1]
+            nxt = [
+                g.id
+                for g in p.quiver.arrows_from(p.quiver.arrow(cur).tgt)
+                if not p.is_relation(g.id, cur)
+            ]
+            if not nxt:
+                break
+            if len(nxt) > 1:
+                raise ValueError("not special biserial")
+            if nxt[0] in path:
+                raise ValueError("relation-free cycle; projectives are infinite")
+            path.append(nxt[0])
+        out.append(path)
+    return out
+
+
+def reference_paths_into(p, v):
+    """The former `_maximal_paths_into`."""
+    out = []
+    for last in p.quiver.arrows_into(v):
+        path = [last.id]
+        while True:
+            cur = path[0]
+            prev = [
+                a.id
+                for a in p.quiver.arrows_into(p.quiver.arrow(cur).src)
+                if not p.is_relation(cur, a.id)
+            ]
+            if not prev:
+                break
+            if len(prev) > 1:
+                raise ValueError("not special biserial")
+            if prev[0] in path:
+                raise ValueError("relation-free cycle; injectives are infinite")
+            path.insert(0, prev[0])
+        out.append(path)
+    return out
+
+
+def reference_projective(p, v):
+    branches = reference_paths_from(p, v)
+    if not branches:
+        return trivial(v)
+    u, w_branch = branches if len(branches) > 1 else (branches[0], [])
+    return word([(aid, -1) for aid in reversed(u)] + [(aid, 1) for aid in w_branch])
+
+
+def reference_injective(p, v):
+    branches = reference_paths_into(p, v)
+    if not branches:
+        return trivial(v)
+    u, w_branch = branches if len(branches) > 1 else (branches[0], [])
+    return word([(aid, 1) for aid in u] + [(aid, -1) for aid in reversed(w_branch)])
+
+
+def reference_match(p):
+    vs = p.quiver.vertices
+    projs = sorted(word(reference_canonical_letters(s.letters)) if s.letters else s
+                   for s in (reference_projective(p, v) for v in vs))
+    injs = sorted(word(reference_canonical_letters(s.letters)) if s.letters else s
+                  for s in (reference_injective(p, v) for v in vs))
+    return projs == injs
+
+
+def outcome(fn, *args):
+    """The value of fn(*args), or the type and message of what it raised."""
+    try:
+        return fn(*args)
+    except (ValueError, RuntimeError) as exc:
+        return type(exc), str(exc)
+
+
+def assert_matches_reference(p, cap=None):
+    assert outcome(enumerate_strings, p, cap) == outcome(reference_enumeration, p, cap)
+    for v in p.quiver.vertices:
+        assert outcome(projective_string, p, v) == outcome(reference_projective, p, v)
+        assert outcome(injective_string, p, v) == outcome(reference_injective, p, v)
+    assert outcome(projectives_match_injectives, p) == outcome(reference_match, p)
+
+
+def oriented_cycle(m):
+    return presentation(range(1, m + 1), [(f"a{i}", i, i % m + 1) for i in range(1, m + 1)])
+
+
+def random_special_biserial(rng):
+    """A random special biserial presentation: up to 5 vertices, up to 7
+    arrows with ids in shuffled order, each composable pair a relation with
+    probability one half."""
+    while True:
+        vertices = list(range(1, rng.randint(1, 5) + 1))
+        ids = [f"x{i}" for i in range(rng.randint(1, 7))]
+        rng.shuffle(ids)
+        arrows = [(aid, rng.choice(vertices), rng.choice(vertices)) for aid in ids]
+        relations = [
+            (b, a) for a, _, a_tgt in arrows for b, b_src, _ in arrows
+            if b_src == a_tgt and rng.random() < 0.5
+        ]
+        p = presentation(vertices, arrows, relations)
+        if strings.is_special_biserial(p):
+            return p
+
+
+class TestAgainstTheReferences:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+    def test_every_representative(self, n):
+        for t in maximal_rigid_objects(n):
+            if t.top.orbit == 1:
+                assert_matches_reference(cached_endomorphism_algebra(t))
+
+    def test_kronecker(self):
+        assert_matches_reference(KRONECKER)
+
+    @pytest.mark.parametrize("relations", [[], [("w", "w")]])
+    def test_one_vertex_loop(self, relations):
+        loop = presentation([1], [("w", 1, 1)], relations)
+        for cap in range(1, 41):
+            assert_matches_reference(loop, cap)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
+    def test_oriented_cycles(self, m):
+        assert_matches_reference(oriented_cycle(m), 3 * m)
+
+    def test_random_special_biserial(self):
+        rng = random.Random(20090511)
+        with_bands = 0
+        for _ in range(500):
+            p = random_special_biserial(rng)
+            cap = rng.randint(1, 10)
+            assert_matches_reference(p, cap)
+            enum = outcome(enumerate_strings, p, cap)
+            with_bands += isinstance(enum, strings.StringEnumeration) and bool(enum.bands)
+        assert with_bands > 50
+
+    def test_canonical_predicate_on_every_visited_walk(self, monkeypatch):
+        seen = []
+        is_canonical = strings._is_canonical
+        monkeypatch.setattr(strings, "_is_canonical", lambda ls: seen.append(ls) or is_canonical(ls))
+        for n in range(2, 7):
+            for t in maximal_rigid_objects(n):
+                enumerate_strings(cached_endomorphism_algebra(t))
+        assert len(seen) > 10_000
+        for letters in seen:
+            assert is_canonical(letters) == reference_is_canonical(letters)
+
+    def test_canonical_predicate_on_ties(self):
+        # A tuple that ends with the inverse of its first letter ties at
+        # the first comparison, so the predicate reads further inward.
+        rng = random.Random(7)
+        alphabet = [(aid, d) for aid in "ab" for d in (1, -1)]
+        for _ in range(2000):
+            first = rng.choice(alphabet)
+            middle = [rng.choice(alphabet) for _ in range(rng.randint(0, 6))]
+            letters = (first, *middle, (first[0], -first[1]))
+            assert strings._is_canonical(letters) == reference_is_canonical(letters)
+            assert strings._canonical_letters(letters) == reference_canonical_letters(letters)
+        palindrome = (("a", 1), ("b", -1), ("b", 1), ("a", -1))  # its own inverse
+        assert strings._is_canonical(palindrome)

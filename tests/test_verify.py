@@ -106,6 +106,22 @@ class TestRunSuite:
         }
 
 
+class TestRigid:
+    def test_checks_the_cached_objects(self, monkeypatch):
+        # The cached enumeration is what every other check walks; a fault in
+        # it must fail the comparison with the brute route.
+        objects = maximal_rigid_objects(4)
+        monkeypatch.setattr(verify, "maximal_rigid_objects", lambda n: objects[1:])
+        (outcome,) = verify.check_rigid(4)
+        assert not outcome.ok
+        assert outcome.detail == "enumeration routes disagree"
+
+    def test_detail_when_both_routes_agree(self):
+        (outcome,) = verify.check_rigid(4)
+        assert outcome.ok
+        assert outcome.detail == "20 objects, both routes identical"
+
+
 class TestHomFunctorCap:
     def test_cap_below_the_domain_rejected(self, monkeypatch):
         ran = []
