@@ -101,10 +101,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_rank(parser: argparse.ArgumentParser, rank: int):
+def _check_rank(parser: argparse.ArgumentParser, rank: int, capped: bool = True):
+    """Rank at least 2, and at most the cap when `capped`: `rigid` and
+    `verify` enumerate every object of a rank, `endo` builds only one."""
     if rank < 2:
         parser.error(f"argument --rank: rank must be >= 2, got {rank}")
-    if rank > max_rank():
+    if capped and rank > max_rank():
         parser.error(
             f"argument --rank: rank {rank} exceeds the cap {max_rank()}; "
             "set TUBECAT_MAX_RANK to raise it"
@@ -132,7 +134,7 @@ def cmd_rigid(parser, args) -> int:
 
 
 def cmd_endo(parser, args) -> int:
-    _check_rank(parser, args.rank)
+    _check_rank(parser, args.rank, capped=False)
     if not 1 <= args.top <= args.rank:
         parser.error(f"argument --top: orbit must be in 1..{args.rank}, got {args.top}")
     try:

@@ -48,7 +48,7 @@ def tilted_algebra(t: RigidObject) -> Presentation:
         if right is not None:
             arrows.append(_t_arrow(right, i))
         if left is not None and right is not None:
-            relations.add((f"a{i}_{left}", f"a{right}_{i}"))
+            relations.add((arrows[-2].id, arrows[-1].id))
     return Presentation(Quiver(vertices, tuple(arrows)), frozenset(relations))
 
 

@@ -29,11 +29,14 @@ locus outside the fundamental domain is stated in those coordinates.
 Each object T gets one table, built on first use and replaced when another
 object is asked about, so the module holds state for one object at a time.
 The table keeps the summands as (orbit, ql) integers, the translates of the
-summands, the subwing triples and the shifted-arrow endpoints as vertex
-numbers, and two memos: the chain of every swept x, and each chain's
-string. A chain string depends only on its chain, so every wing, triple and
-string check runs once per distinct chain, while the oracle comparison
-still runs for every x.
+summands, the painted reverse hammocks, the arrows of the endomorphism
+algebra by their (source, target) vertices, and one memo: each chain's
+string. The chain of x is its painted cell, read directly. A chain string
+depends only on its chain, so every wing, arrow and string check runs once
+per distinct chain, while the oracle comparison still runs for every x.
+Consecutive members of a chain are joined by the algebra's tube-map arrow
+between them (kind "T"), and the two strings of x by its shifted-part
+arrow (kind "D") or the loop, so no arrow id is formed here.
 
 Both reverse hammocks of every x are painted into the table once per
 summand instead of being filtered once per x. `kernel.hom_tube_dim(n, a, b,
@@ -59,11 +62,12 @@ record during the sweep.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import pairwise
 
 from tubecat import strings as st
 from tubecat import tube
 from tubecat.endo import LOOP_ID, cached_endomorphism_algebra
-from tubecat.rigid import RigidObject, subwing_decomposition
+from tubecat.rigid import RigidObject
 from tubecat.strings import StringWord, ZERO_STRING
 from tubecat.tube import Indec, in_wing
 
@@ -102,7 +106,7 @@ def on_vanishing_locus(t: RigidObject, x: Indec) -> bool:
 # --- the table of one object ----------------------------------------------------
 
 class _ObjectTable:
-    """Integer data of one maximal rigid object and its memos.
+    """Integer data of one maximal rigid object and its string memo.
 
     Vertices are 1-based positions in the canonical summand order.
     """
@@ -112,23 +116,14 @@ class _ObjectTable:
         self.obj = t
         self.lam = cached_endomorphism_algebra(t)
         self.coords = tuple((s.orbit, s.ql) for s in t.summands)
-        self.vertex = {s: v for v, s in enumerate(t.summands, start=1)}
         self.add_tau = frozenset((n, (a - 2) % n + 1, b) for a, b in self.coords)
-        self.triples: dict[int, tuple[int | None, int | None]] = {}
-        for summand, triple in subwing_decomposition(t).items():
-            left = t.vertex_of(triple.left) if triple.left is not None else None
-            right = t.vertex_of(triple.right) if triple.right is not None else None
-            self.triples[t.vertex_of(summand)] = (left, right)
-        self.d_arrows = {
-            (a.src, a.tgt): a.id for a in self.lam.quiver.arrows if a.kind == "D"
-        }
+        self.arrows = {(a.src, a.tgt): a for a in self.lam.quiver.arrows}
         # Summand vertices by ascending (ql, vertex): the painting order.
         self.by_ql = sorted(
             range(1, len(self.coords) + 1), key=lambda v: self.coords[v - 1][1]
         )
         self.painted = 0
         self.hammocks: dict[str, dict[tuple[int, int], list[int]]] = {"T": {}, "D": {}}
-        self.chains: dict[tuple[int, int, int, str], Chain] = {}
         self.words: dict[Chain, StringWord] = {}
 
     def paint(self, cap: int) -> None:
@@ -155,20 +150,15 @@ class _ObjectTable:
                     k += n
         self.painted = cap
 
-    def hammock(self, a: int, b: int, kind: str) -> list[int]:
-        """Painted chain of (a, b), repainting to a larger cap if b is above."""
-        if b > self.painted:
-            self.paint(max(b, 2 * self.painted))
-        return self.hammocks[kind].get((a, b), [])
-
     def chain(self, x: Indec, kind: str) -> Chain:
-        key = (x.rank, x.orbit, x.ql, kind)
-        chain = self.chains.get(key)
-        if chain is None:
-            t = self.obj
-            chain = tuple(self.vertex[s] for s in reverse_hammock(t, x, kind))
-            self.chains[key] = chain
-        return chain
+        """Painted chain of x, repainting to a larger cap if x is above."""
+        if x.rank != self.obj.rank:
+            raise ValueError(f"rank mismatch: {x.rank} != {self.obj.rank}")
+        if kind not in ("T", "D"):
+            raise ValueError(f"kind must be 'T' or 'D', got {kind!r}")
+        if x.ql > self.painted:
+            self.paint(max(x.ql, 2 * self.painted))
+        return tuple(self.hammocks[kind].get((x.orbit, x.ql), ()))
 
 
 _held: _ObjectTable | None = None
@@ -189,11 +179,7 @@ def reverse_hammock(t: RigidObject, x: Indec, kind: str) -> list[Indec]:
     """Summands with tube maps to x (kind "T") or shifted-part maps to x
     (kind "D"), by ascending quasilength; a wing-nested chain. Read from
     the painted table of t."""
-    if x.rank != t.rank:
-        raise ValueError(f"rank mismatch: {x.rank} != {t.rank}")
-    if kind not in ("T", "D"):
-        raise ValueError(f"kind must be 'T' or 'D', got {kind!r}")
-    return [t.summands[v - 1] for v in _table(t).hammock(x.orbit, x.ql, kind)]
+    return [t.summands[v - 1] for v in _table(t).chain(x, kind)]
 
 
 def sigma_string(t: RigidObject, x: Indec, kind: str) -> StringWord:
@@ -204,26 +190,27 @@ def sigma_string(t: RigidObject, x: Indec, kind: str) -> StringWord:
     chain = table.chain(x, kind)
     word = table.words.get(chain)
     if word is None:
-        word = table.words[chain] = _chain_string(table, chain)
+        summands = reverse_hammock(t, x, kind)
+        word = table.words[chain] = _chain_string(table, chain, summands)
     return word
 
 
-def _chain_string(table: _ObjectTable, chain: Chain) -> StringWord:
+def _chain_string(table: _ObjectTable, chain: Chain, summands: list[Indec]) -> StringWord:
+    """One letter per consecutive pair of the chain: its tube-map arrow,
+    direct if it points up the chain and inverse if it points down."""
     if not chain:
         return ZERO_STRING
     if len(chain) == 1:
         return st.trivial(chain[0])
-    t = table.obj
     letters: list[st.Letter] = []
-    for v_low, v_high in zip(chain, chain[1:]):
-        low, high = t.summand(v_low), t.summand(v_high)
+    for (v_low, low), (v_high, high) in pairwise(zip(chain, summands)):
         if not in_wing(low, high):
             raise AssertionError(f"hammock chain not wing-nested at {low}, {high}")
-        left, right = table.triples.get(v_high, (None, None))
-        if left == v_low:
-            letters.append((f"a{v_high}_{v_low}", -1))
-        elif right == v_low:
-            letters.append((f"a{v_low}_{v_high}", 1))
+        up, down = table.arrows.get((v_low, v_high)), table.arrows.get((v_high, v_low))
+        if up is not None and up.kind == "T":
+            letters.append((up.id, 1))
+        elif down is not None and down.kind == "T":
+            letters.append((down.id, -1))
         else:
             raise AssertionError(
                 f"chain members {low}, {high} are not triple-related"
@@ -253,12 +240,12 @@ def beta_arrow(t: RigidObject, x: Indec) -> str | None:
                 f"both chains end at non-top vertex {end_t} for {x}"
             )
         return LOOP_ID
-    arrow = table.d_arrows.get((end_t, end_d))
-    if arrow is None:
+    arrow = table.arrows.get((end_t, end_d))
+    if arrow is None or arrow.kind != "D":
         raise AssertionError(
             f"no connecting arrow {end_t} -> {end_d} exists for {x}"
         )
-    return arrow
+    return arrow.id
 
 
 def sigma(t: RigidObject, x: Indec) -> StringWord:
@@ -284,9 +271,9 @@ def _joined_string(table: _ObjectTable, x: Indec) -> StringWord:
     beta = beta_arrow(t, x)
     parts = [p for p in (sig_t, st.word([(beta, 1)]), sig_d.inverse()) if p.kind == "word"]
     joined = st.concatenate(table.lam, *parts)
-    chains = table.chain(x, "T") + table.chain(x, "D")
-    if sorted(st.traversed_vertices(table.lam, joined)) != sorted(chains):
-        raise AssertionError(f"joined string {joined} of {x} does not traverse {chains}")
+    both = table.chain(x, "T") + table.chain(x, "D")
+    if sorted(st.traversed_vertices(table.lam, joined)) != sorted(both):
+        raise AssertionError(f"joined string {joined} of {x} does not traverse {both}")
     return joined
 
 

@@ -493,20 +493,16 @@ def pinned_invariant(q: Quiver, v: int) -> int:
 
 
 def find_isomorphism(
-    a: Quiver | Presentation,
-    b: Quiver | Presentation,
+    a: Quiver,
+    b: Quiver,
     pin: tuple[int, int] | None = None,
 ) -> dict[int, int] | None:
-    """Vertex bijection mapping arrows bijectively with multiplicity, and
-    relations onto relations when presentations are given. `pin` fixes the
-    image of one vertex. Exhaustive with degree pruning; limited size."""
-    pa, pb = _as_presentation(a), _as_presentation(b)
-    qa, qb = pa.quiver, pb.quiver
-    if len(qa.vertices) != len(qb.vertices) or len(qa.arrows) != len(qb.arrows):
+    """Vertex bijection mapping arrows bijectively with multiplicity. `pin`
+    fixes the image of one vertex. Exhaustive with degree pruning; limited
+    size."""
+    if len(a.vertices) != len(b.vertices) or len(a.arrows) != len(b.arrows):
         return None
-    if len(pa.relations) != len(pb.relations):
-        return None
-    if len(qa.vertices) > _ISO_LIMIT:
+    if len(a.vertices) > _ISO_LIMIT:
         raise SizeLimitError(
             f"isomorphism search limited to {_ISO_LIMIT} vertices"
         )
@@ -517,12 +513,12 @@ def find_isomorphism(
         loops = sum(1 for x in q.arrows if x.src == x.tgt == v)
         return (outs, ins, loops)
 
-    keys_a = {v: degree_key(qa, v) for v in qa.vertices}
-    keys_b = {v: degree_key(qb, v) for v in qb.vertices}
+    keys_a = {v: degree_key(a, v) for v in a.vertices}
+    keys_b = {v: degree_key(b, v) for v in b.vertices}
     if sorted(keys_a.values()) != sorted(keys_b.values()):
         return None
 
-    verts_a = sorted(qa.vertices)
+    verts_a = sorted(a.vertices)
     used: set[int] = set()
     mapping: dict[int, int] = {}
 
@@ -533,17 +529,17 @@ def find_isomorphism(
         if keys_a[v] != keys_b[w]:
             return False
         for u, img in mapping.items():
-            if arrow_mult(qa, v, u) != arrow_mult(qb, w, img):
+            if arrow_mult(a, v, u) != arrow_mult(b, w, img):
                 return False
-            if arrow_mult(qa, u, v) != arrow_mult(qb, img, w):
+            if arrow_mult(a, u, v) != arrow_mult(b, img, w):
                 return False
         return True
 
     def backtrack(i: int) -> bool:
         if i == len(verts_a):
-            return _relations_match(pa, pb, mapping)
+            return True
         v = verts_a[i]
-        candidates = [pin[1]] if pin and pin[0] == v else qb.vertices
+        candidates = [pin[1]] if pin and pin[0] == v else b.vertices
         for w in candidates:
             if w in used or not consistent(v, w):
                 continue
@@ -555,7 +551,7 @@ def find_isomorphism(
             used.discard(w)
         return False
 
-    if pin and (pin[0] not in qa.vertices or pin[1] not in qb.vertices):
+    if pin and (pin[0] not in a.vertices or pin[1] not in b.vertices):
         return None
     return dict(mapping) if backtrack(0) else None
 
@@ -564,32 +560,6 @@ def _as_presentation(x: Quiver | Presentation) -> Presentation:
     if isinstance(x, Presentation):
         return x
     return Presentation(x, frozenset())
-
-
-def _relations_match(pa: Presentation, pb: Presentation, mapping: dict[int, int]) -> bool:
-    """The vertex map must carry relation paths onto relation paths."""
-    if not pa.relations and not pb.relations:
-        return True
-
-    qa, qb = pa.quiver, pb.quiver
-
-    def arrow_images(arrow: Arrow) -> list[Arrow]:
-        return [
-            x
-            for x in qb.arrows
-            if x.src == mapping[arrow.src] and x.tgt == mapping[arrow.tgt]
-        ]
-
-    for second, first in pa.relations:
-        sa, fa = qa.arrow(second), qa.arrow(first)
-        found = any(
-            pb.is_relation(sx.id, fx.id)
-            for sx in arrow_images(sa)
-            for fx in arrow_images(fa)
-        )
-        if not found:
-            return False
-    return True
 
 
 # --- emission ----------------------------------------------------------------

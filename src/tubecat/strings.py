@@ -252,7 +252,8 @@ def enumerate_strings(p: Presentation, cap: int | None = None) -> StringEnumerat
     that successor. A successor already in the walk closes a cycle of valid
     transitions, which is exactly a band, recorded from the successor's
     first occurrence; the walk is then cut at the cap. Without bands the
-    walk terminates by itself.
+    walk terminates by itself, so a walk at the cap that could still go on
+    without a band found is an error.
 
     A string and its inverse are one string (Butler-Ringel). A walk is
     recorded only if `_is_canonical`, so no inverse is built per visit.
@@ -270,6 +271,8 @@ def enumerate_strings(p: Presentation, cap: int | None = None) -> StringEnumerat
         raise ValueError(f"presentation is not special biserial: {sb.witness}")
     if cap is None:
         cap = default_cap(p)
+    if cap < 1:
+        raise ValueError(f"cap must be >= 1, got {cap}")
 
     graph = _letter_graph(p)
     found: list[tuple[Letter, ...]] = []
@@ -285,7 +288,7 @@ def enumerate_strings(p: Presentation, cap: int | None = None) -> StringEnumerat
         if _is_canonical(walk):
             found.append(walk)
         if len(walk) >= cap:
-            capped = True
+            capped = capped or bool(graph[walk[-1]])
             continue
         for nxt in graph[walk[-1]]:
             if nxt in walk:

@@ -19,8 +19,14 @@ from tubecat.homfunctor import (
     sigma_string,
     verify_hom_functor,
 )
-from tubecat.quiver import count_paths
-from tubecat.rigid import from_summands, maximal_rigid_objects, quasisimple_map
+from tubecat.quiver import Arrow, Presentation, Quiver, count_paths
+from tubecat.rigid import (
+    from_summands,
+    maximal_rigid_objects,
+    quasisimple_map,
+    subwing_decomposition,
+    tau_rigid,
+)
 from tubecat.strings import end_vertex, enumerate_strings, string_module, traversed_vertices
 from tubecat.tube import (
     Indec,
@@ -70,6 +76,29 @@ def reference_modules(t, x):
         return (string_module(lam, sigma(t, x)),)
     words = (sigma_string(t, x, "T"), sigma_string(t, x, "D"))
     return tuple(string_module(lam, w) for w in words if not w.is_zero)
+
+
+def reference_chain_string(t, triples, x, kind):
+    """The former chain-string builder: each lower member of a chain is the
+    left or right child of the next member's subwing triple, and the pair is
+    joined by the arrow `endo.tilted_algebra` names `a{i}_{j}` for i -> j:
+    higher -> left child (inverse letter), right child -> higher (direct)."""
+    chain = reverse_hammock(t, x, kind)
+    if not chain:
+        return strings.ZERO_STRING
+    if len(chain) == 1:
+        return strings.trivial(t.vertex_of(chain[0]))
+    letters = []
+    for low, high in zip(chain, chain[1:]):
+        triple = triples.get(high)
+        v_low, v_high = t.vertex_of(low), t.vertex_of(high)
+        if triple is not None and triple.left == low:
+            letters.append((f"a{v_high}_{v_low}", -1))
+        elif triple is not None and triple.right == low:
+            letters.append((f"a{v_low}_{v_high}", 1))
+        else:
+            raise AssertionError(f"chain members {low}, {high} are not triple-related")
+    return strings.word(letters)
 
 
 def _coherent_lift(n, region):
@@ -373,8 +402,6 @@ class TestHammockLemmas:
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_at_most_one_triple_member_per_hammock(self, n):
-        from tubecat.rigid import subwing_decomposition
-
         for t in maximal_rigid_objects(n):
             triples = [
                 tr for tr in subwing_decomposition(t).values() if not tr.degenerate
@@ -527,7 +554,7 @@ class TestObjectTable:
 
     def test_wrong_oracle_for_one_x_is_reported(self, monkeypatch):
         """An oracle off by one at a single x fails exactly that x, also
-        when its chains were already memoised for an earlier x."""
+        when its chain strings were already memoised for an earlier x."""
         t = maximal_rigid_objects(4)[3]
         seen = set()
         target = None
@@ -561,6 +588,53 @@ class TestObjectTable:
                 continue
             for x in indecomposables_up_to(n, 3 * n):
                 assert predicted_dims(t, x) == module_dims(reference_modules(t, x)), (t, x)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+    def test_chain_strings_match_the_triple_route(self, n):
+        """Chain strings read from the algebra's arrows equal the strings
+        built from the subwing triples, at every swept x of every
+        representative, for both kinds."""
+        for t in maximal_rigid_objects(n):
+            if t.top.orbit != 1:
+                continue
+            triples = subwing_decomposition(t)
+            for x in indecomposables_up_to(n, 3 * n):
+                for kind in ("T", "D"):
+                    expected = reference_chain_string(t, triples, x, kind)
+                    assert sigma_string(t, x, kind) == expected, (t, x, kind)
+
+    def test_tube_arrow_of_kind_d_fails_exactly_its_orbit(self, monkeypatch):
+        """One tube-map arrow relabelled as a shifted-part arrow in the
+        algebra of one rank-5 translate orbit: the chain strings that need
+        it have no tube-map arrow between their members, so exactly that
+        orbit's hom-functor outcomes fail."""
+        from tubecat.verify import check_hom_functor
+
+        n = 5
+        victim = maximal_rigid_objects(n)[3]
+        assert victim.top.orbit == 1
+        orbit = {tau_rigid(victim, k) for k in range(n)}
+        honest = homfunctor.cached_endomorphism_algebra
+        lam = honest(victim)
+        assert all(honest(t).to_json() == lam.to_json() for t in orbit)
+        flip = next(a for a in lam.quiver.arrows if a.kind == "T")
+        arrows = tuple(
+            Arrow(a.id, a.src, a.tgt, "D") if a.id == flip.id else a
+            for a in lam.quiver.arrows
+        )
+        flipped = Presentation(Quiver(lam.quiver.vertices, arrows), lam.relations)
+        monkeypatch.setattr(
+            homfunctor, "cached_endomorphism_algebra",
+            lambda t: flipped if t in orbit else honest(t),
+        )
+        monkeypatch.setattr(homfunctor, "_held", None)
+        outcomes = check_hom_functor(n)
+        failed = [o for o in outcomes if not o.ok]
+        assert len(outcomes) == 70 and len(failed) == len(orbit) == n
+        assert {o.subject for o in failed} == {str(t) for t in orbit}
+        for o in failed:
+            assert o.detail.startswith("error: chain members "), o.detail
+            assert o.detail.endswith(" are not triple-related")
 
     def test_dropped_hammock_summand_fails_that_x(self, monkeypatch):
         """A painted cell that lost one summand is a dimension failure at

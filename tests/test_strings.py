@@ -146,6 +146,23 @@ class TestEnumeration:
         assert len(enum.strings) == 1501
         assert max(s.length for s in enum.strings) == 1500
 
+    @pytest.mark.parametrize("p", [
+        presentation([1, 2], [("a", 1, 2)]),
+        presentation([1], [("w", 1, 1)], [("w", "w")]),
+    ], ids=["A2", "loop-w2"])
+    def test_cap_at_the_longest_string(self, p):
+        # The longest string has one letter, so no walk at cap 1 could go
+        # on and the enumeration is complete.
+        enum = enumerate_strings(p, cap=1)
+        assert enum.complete and enum.cap == 1
+        assert enum.strings == enumerate_strings(p).strings
+        assert max(s.length for s in enum.strings) == 1
+
+    @pytest.mark.parametrize("cap", [0, -1])
+    def test_cap_below_one_raises(self, cap):
+        with pytest.raises(ValueError, match=f"cap must be >= 1, got {cap}"):
+            enumerate_strings(LINEAR_A3, cap)
+
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_count_formula_for_all_objects(self, n):
         expected = (3 * n * n - 5 * n + 2) // 2
@@ -342,7 +359,7 @@ def reference_enumeration(p, cap=None):
             raise RuntimeError(f"string walk exceeded the node budget at cap {cap}")
         found.add(reference_canonical_letters(tuple(letters)))
         if len(letters) >= cap:
-            capped = True
+            capped = capped or bool(successors[letters[-1]])
             return iter(())
         return iter(successors[letters[-1]])
 
