@@ -7,9 +7,11 @@ model and is the ground truth the closed form is validated against. The
 oracle is the nullity of the model's commutation system. Each row of that
 system equates two unknowns or sets one unknown to zero, so over any field
 the nullity is the number of connected components of the graph of equated
-unknowns that hold no zero-row; union-find counts them (see `_oracle_dim`).
-The oracle uses nothing from `kernel` and no closed-form reasoning about
-the tube.
+unknowns that hold no zero-row. The systems for X = (0, b) and Y of growing
+quasilength with a fixed top vertex nest, so each such family is solved in
+one pass over the columns of Y by one union-find, `_nullities`, which yields
+the nullity after each column (see `_oracle_dim`). The oracle uses nothing
+from `kernel` and no closed-form reasoning about the tube.
 """
 
 from __future__ import annotations
@@ -158,10 +160,17 @@ def hom_tube_oracle(x: Indec, y: Indec) -> int:
     graded by vertices a+b-1, ..., a, with the arrow action shifting the
     grading down. The Hom dimension is the nullity of the linear system of
     commutation equations. Depends on the input only through (b, d, c - a
-    mod n), which the cache key exploits.
+    mod n), which the cache key exploits; systems with the same b and the
+    same top vertex c + d mod n nest and are solved together as one family,
+    by one union-find and without any closed form.
     """
     n = _same_rank(x, y)
     return _oracle_dim(n, x.ql, y.ql, (y.orbit - x.orbit) % n)
+
+
+# Nullities of each solved family (n, b, top) for d = 1, 2, ...; see
+# `_oracle_dim`.
+_families: dict[tuple[int, int, int], tuple[int, ...]] = {}
 
 
 @lru_cache(maxsize=None)
@@ -169,32 +178,52 @@ def _oracle_dim(n: int, b: int, d: int, shift: int) -> int:
     """Nullity of the commutation system for X = (0, b) and Y = (shift, d).
 
     The unknowns are the entries (i, j) of a graded map with e^X_i and e^Y_j
-    at the same vertex, found by joining each vertex to the Y slots there.
-    Each row says that the map commutes with one arrow at one basis vector:
-    the arrow sends e^X_i to e^X_{i+1} and e^Y_m to e^Y_{m-1}, so the row
-    equates the unknowns (i + 1, m) and (i, m - 1), or sets the one that
-    exists to zero when the other index falls off its basis. A system of
-    such rows is solved by exactly the assignments that are constant on
-    each connected component of the graph joining equated unknowns and
-    zero on every component holding a zero-row, over any field; `_nullity`
-    counts the free components.
+    at the same vertex. Each row says that the map commutes with one arrow
+    at one basis vector: the arrow sends e^X_i to e^X_{i+1} and e^Y_m to
+    e^Y_{m-1}, so the row equates the unknowns (i + 1, m) and (i, m - 1), or
+    sets the one that exists to zero when the other index falls off its
+    basis. A system of such rows is solved by exactly the assignments that
+    are constant on each connected component of the graph joining equated
+    unknowns and zero on every component holding a zero-row, over any
+    field; `_nullities` counts the free components.
+
+    The systems nest. The vertex of e^Y_j is (shift + d - 1 - j) mod n,
+    which depends only on the top t = (shift + d) mod n and on j. Fix n, b
+    and t and let d grow: the system for d + 1 is the system for d plus the
+    unknowns (i, d) and the rows at m = d, and no earlier unknown or row
+    changes. So one pass over the columns m = 0, 1, ... (`_columns`) gives
+    the nullity for every d, and a miss here reads entry d - 1 of the
+    family (n, b, t), solving the family again, to max(d, twice its solved
+    length), when it is too short.
     """
-    vx = [(b - 1 - i) % n for i in range(b)]        # vertex of e^X_i, orbit a = 0
-    vy = [(shift + d - 1 - j) % n for j in range(d)]  # vertex of e^Y_j
-    slots: dict[int, list[int]] = {}
-    for j, v in enumerate(vy):
-        slots.setdefault(v, []).append(j)
+    family = (n, b, (shift + d) % n)
+    dims = _families.get(family, ())
+    if d > len(dims):
+        length = max(d, 2 * len(dims))
+        dims = _families[family] = tuple(_nullities(_columns(*family, length)))
+    return dims[d - 1]
 
-    unknowns = {}
+
+def _columns(
+    n: int, b: int, top: int, length: int
+) -> Iterator[tuple[int, list[tuple[int, ...]]]]:
+    """The commutation system of X = (0, b) against Y with top vertex `top`
+    (vertex of e^Y_j is (top - 1 - j) mod n), one step per column m of Y
+    for m < length: the number of new unknowns (i, m) and the rows at m,
+    numbered over all unknowns so far."""
+    vx = [(b - 1 - i) % n for i in range(b)]  # vertex of e^X_i, orbit a = 0
+    at: dict[int, list[int]] = {}
     for i, v in enumerate(vx):
-        for j in slots.get(v, ()):
-            unknowns[(i, j)] = len(unknowns)
-    if not unknowns:
-        return 0
+        at.setdefault(v, []).append(i)
 
-    rows = []
-    for i in range(b):
-        for m in slots.get((vx[i] - 1) % n, ()):
+    unknowns: dict[tuple[int, int], int] = {}
+    for m in range(length):
+        vy = (top - 1 - m) % n  # vertex of e^Y_m
+        new = at.get(vy, ())
+        for i in new:
+            unknowns[(i, m)] = len(unknowns)
+        rows = []
+        for i in at.get((vy + 1) % n, ()):  # vx[i] - 1 == vy
             row = ()
             if i + 1 < b:
                 row = (unknowns[(i + 1, m)],)
@@ -202,37 +231,51 @@ def _oracle_dim(n: int, b: int, d: int, shift: int) -> int:
                 row += (unknowns[(i, m - 1)],)
             if row:
                 rows.append(row)
-    return _nullity(len(unknowns), rows)
+        yield len(new), rows
 
 
-def _nullity(size: int, rows: Iterable[tuple[int, ...]]) -> int:
-    """Dimension of the solutions in k^size of rows x_u = x_v, given as
-    (u, v), and x_u = 0, given as (u,), over any field k.
+def _nullities(steps: Iterable[tuple[int, Iterable[tuple[int, ...]]]]) -> Iterator[int]:
+    """Dimension of the solutions of a growing system over any field k,
+    after each step.
 
+    A step (new, rows) adds `new` unknowns and then the rows x_u = x_v,
+    given as (u, v), and x_u = 0, given as (u,), over all unknowns so far.
     A solution is constant on each connected component of the graph whose
     edges are the equating rows, and zero on each component that holds a
     zero-row; any such assignment is a solution. So the nullity is the
-    number of components without a zero-row, found by union-find with
-    path halving.
+    number of components without a zero-row. Union-find with path halving
+    keeps the components and a count of the free ones: a new unknown adds
+    one, a zero-row on a free root removes one, and joining two distinct
+    roots removes one unless both are grounded.
     """
-    parent = list(range(size))
-    grounded = [False] * size
-    for row in rows:
-        u = row[0]
-        while parent[u] != u:
-            parent[u] = parent[parent[u]]
-            u = parent[u]
-        if len(row) == 1:
-            grounded[u] = True
-            continue
-        v = row[1]
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        if u != v:
-            parent[v] = u
-            grounded[u] = grounded[u] or grounded[v]
-    return sum(1 for u in range(size) if parent[u] == u and not grounded[u])
+    parent: list[int] = []
+    grounded: list[bool] = []
+    free = 0
+    for new, rows in steps:
+        size = len(parent)
+        parent.extend(range(size, size + new))
+        grounded.extend([False] * new)
+        free += new
+        for row in rows:
+            u = row[0]
+            while parent[u] != u:
+                parent[u] = parent[parent[u]]
+                u = parent[u]
+            if len(row) == 1:
+                if not grounded[u]:
+                    grounded[u] = True
+                    free -= 1
+                continue
+            v = row[1]
+            while parent[v] != v:
+                parent[v] = parent[parent[v]]
+                v = parent[v]
+            if u != v:
+                parent[v] = u
+                if not (grounded[u] and grounded[v]):
+                    free -= 1
+                    grounded[u] = grounded[u] or grounded[v]
+        yield free
 
 
 def hom_cluster_oracle(x: Indec, y: Indec) -> HomDims:

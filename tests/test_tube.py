@@ -8,6 +8,7 @@ import ast
 import hashlib
 import inspect
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from tubecat import tube
+from tubecat.verify import check_oracle
 from tubecat.tube import (
     HomDims,
     Indec,
@@ -32,7 +34,7 @@ from tubecat.tube import (
     quasisimples,
     rigid_indecomposables,
     tau,
-    _nullity,
+    _nullities,
     _oracle_dim,
     wing_members,
 )
@@ -147,6 +149,45 @@ def _oracle_keys():
     return sorted(keys)
 
 
+def _clear_oracle_memos():
+    _oracle_dim.cache_clear()
+    tube._families.clear()
+
+
+def reference_oracle_dim(n, b, d, shift):
+    """The oracle's system for one key, built on its own: the per-key
+    construction that the nested families replaced."""
+    vx = [(b - 1 - i) % n for i in range(b)]        # vertex of e^X_i, orbit a = 0
+    vy = [(shift + d - 1 - j) % n for j in range(d)]  # vertex of e^Y_j
+    slots = {}
+    for j, v in enumerate(vy):
+        slots.setdefault(v, []).append(j)
+
+    unknowns = {}
+    for i, v in enumerate(vx):
+        for j in slots.get(v, ()):
+            unknowns[(i, j)] = len(unknowns)
+    if not unknowns:
+        return 0
+
+    rows = []
+    for i in range(b):
+        for m in slots.get((vx[i] - 1) % n, ()):
+            row = ()
+            if i + 1 < b:
+                row = (unknowns[(i + 1, m)],)
+            if m >= 1:
+                row += (unknowns[(i, m - 1)],)
+            if row:
+                rows.append(row)
+    return _one_step(len(unknowns), rows)
+
+
+def _one_step(size, rows):
+    """Nullity of one system, solved as a single step."""
+    return next(_nullities([(size, rows)]))
+
+
 def _rational_rank(matrix):
     m = [[Fraction(v) for v in row] for row in matrix]
     rank = 0
@@ -179,6 +220,21 @@ def equality_system(draw):
     if rows:
         rows += draw(hst.lists(hst.sampled_from(rows), max_size=3))
     return size, draw(hst.permutations(rows))
+
+
+@hst.composite
+def growing_system(draw):
+    """An `equality_system` cut into steps (new unknowns, rows): each row
+    comes at or after the step that adds the unknowns it names, and steps
+    may add no unknown or no row."""
+    size, rows = draw(equality_system())
+    cuts = sorted(draw(hst.lists(hst.integers(0, size), max_size=4)) + [size])
+    sizes = [b - a for a, b in zip([0] + cuts, cuts)]
+    step_rows = [[] for _ in cuts]
+    for row in rows:
+        first = next(k for k, c in enumerate(cuts) if max(row) < c)
+        step_rows[draw(hst.integers(first, len(cuts) - 1))].append(row)
+    return list(zip(sizes, step_rows))
 
 
 def _coefficient_row(size, row):
@@ -215,32 +271,76 @@ def _references(tree, roots):
 class TestOracle:
     def test_table_pinned_to_dense_reference(self):
         # Digest of the oracle table as computed by the earlier dense
-        # row reduction; recomputed here past the cache.
-        data = [[*key, _oracle_dim.__wrapped__(*key)] for key in _oracle_keys()]
+        # row reduction; recomputed here from cleared memos.
+        _clear_oracle_memos()
+        data = [[*key, _oracle_dim(*key)] for key in _oracle_keys()]
         assert len(data) == 7335
         digest = hashlib.sha256(json.dumps(data).encode()).hexdigest()
         assert digest == "061273862ceb7942a235aba3f1fa5c0ca0f0371153133a381a461caaa97c8587"
 
-    @given(equality_system())
+    def test_families_equal_per_key_systems(self):
+        _clear_oracle_memos()
+        for n in range(2, 9):
+            for b in range(1, 25):
+                for d in range(1, 25):
+                    for s in range(n):
+                        assert _oracle_dim(n, b, d, s) == reference_oracle_dim(
+                            n, b, d, s
+                        ), (n, b, d, s)
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 7])
+    def test_order_of_requests_is_irrelevant(self, n):
+        # Descending requests solve each family once at its longest;
+        # ascending ones grow it by re-solving.
+        keys = [(n, b, d, s) for b in (1, 2, n, 2 * n + 1) for s in range(n)
+                for d in range(1, 41)]
+        _clear_oracle_memos()
+        ascending = [_oracle_dim(*key) for key in keys]
+        _clear_oracle_memos()
+        descending = [_oracle_dim(*key) for key in reversed(keys)][::-1]
+        assert ascending == descending
+        assert ascending == [reference_oracle_dim(*key) for key in keys]
+
+    def test_each_family_solved_a_few_times(self, monkeypatch):
+        solves = {}
+        columns = tube._columns
+
+        def counted(n, b, top, length):
+            solves[n, b, top] = solves.get((n, b, top), 0) + 1
+            return columns(n, b, top, length)
+
+        monkeypatch.setattr(tube, "_columns", counted)
+        _clear_oracle_memos()
+        assert all(outcome.ok for outcome in check_oracle(5, 30))
+        assert len(solves) == 150  # b <= 30, five top vertices
+        assert max(solves.values()) <= math.ceil(math.log2(30)) + 1
+        assert _oracle_dim.cache_info().currsize == 4500
+
+    @given(growing_system())
     @settings(max_examples=300)
-    def test_nullity_matches_rational_rank(self, system):
-        size, rows = system
-        matrix = [_coefficient_row(size, row) for row in rows]
-        assert _nullity(size, rows) == size - _rational_rank(matrix)
+    def test_nullity_matches_rational_rank(self, steps):
+        size, rows = 0, []
+        for nullity, (new, step_rows) in zip(_nullities(steps), steps):
+            size += new
+            rows += step_rows
+            matrix = [_coefficient_row(size, row) for row in rows]
+            assert nullity == size - _rational_rank(matrix)
 
     def test_nullity_examples(self):
-        assert _nullity(0, []) == 0
-        assert _nullity(3, []) == 3  # isolated unknowns are free
-        assert _nullity(3, [(0, 1), (1, 2), (2, 0)]) == 1  # a cycle
-        assert _nullity(3, [(0, 1), (1, 2), (2,)]) == 0  # a grounded chain
+        assert _one_step(0, []) == 0
+        assert _one_step(3, []) == 3  # isolated unknowns are free
+        assert _one_step(3, [(0, 1), (1, 2), (2, 0)]) == 1  # a cycle
+        assert _one_step(3, [(0, 1), (1, 2), (2,)]) == 0  # a grounded chain
         # Two components, one of them grounded.
-        assert _nullity(4, [(0, 1), (2, 3), (3,), (3,)]) == 1
+        assert _one_step(4, [(0, 1), (2, 3), (3,), (3,)]) == 1
+        # Two grounded components joined stay one grounded component.
+        assert _one_step(4, [(0,), (1,), (2, 3), (0, 1), (1, 3)]) == 0
 
     def test_oracle_independent_of_closed_forms(self):
         tree = ast.parse(inspect.getsource(tube))
         forbidden = {"kernel", "hom_tube", "hom_cluster", "ext1_cluster"}
-        used = _references(tree, ["hom_tube_oracle", "_oracle_dim", "_nullity"])
-        assert {"_oracle_dim", "_nullity", "_same_rank"} <= used
+        used = _references(tree, ["hom_tube_oracle", "_oracle_dim", "_nullities"])
+        assert {"_oracle_dim", "_columns", "_nullities", "_same_rank"} <= used
         assert not used & forbidden, used & forbidden
         # The scan sees a closed form's use of the kernel.
         assert "kernel" in _references(tree, ["hom_tube"])
