@@ -8,7 +8,8 @@ through a connecting arrow, and x outside the domain to the direct sum of
 the two chain string modules.
 
 The sweep checks this against cluster-Hom dimensions computed by the
-independent linear-algebra oracle, vertex by vertex. A string module has
+independent linear-algebra oracle, vertex by vertex (see "Dimensions per
+summand" below for how that comparison is made). A string module has
 one basis vector per vertex its string traverses, so `predicted_dims` reads
 the prediction from the chains: nothing on add tau T, else the multiset
 chain T(x) + chain D(x). That the strings traverse exactly these vertices is
@@ -27,16 +28,16 @@ Coordinates are normalized so the top summand is (1, n-1); the vanishing
 locus outside the fundamental domain is stated in those coordinates.
 
 Each object T gets one table, built on first use and replaced when another
-object is asked about, so the module holds state for one object at a time.
-The table keeps the summands as (orbit, ql) integers, the translates of the
+object is asked about, so the module holds state for one object at a time,
+besides the per-summand cells of one (rank, cap) (see below). The table keeps the summands as (orbit, ql) integers, the translates of the
 summands, the painted reverse hammocks, the arrows of the endomorphism
 algebra by their (source, target) vertices, and one memo: each chain's
 string. The chain of x is its painted cell, read directly. A chain string
 depends only on its chain, so every wing, arrow and string check runs once
-per distinct chain, while the oracle comparison still runs for every x.
-Consecutive members of a chain are joined by the algebra's tube-map arrow
-between them (kind "T"), and the two strings of x by its shifted-part
-arrow (kind "D") or the loop, so no arrow id is formed here.
+per distinct chain. Consecutive members of a chain are joined by the
+algebra's tube-map arrow between them (kind "T"), and the two strings of x
+by its shifted-part arrow (kind "D") or the loop, so no arrow id is formed
+here.
 
 Both reverse hammocks of every x are painted into the table once per
 summand instead of being filtered once per x. `kernel.hom_tube_dim(n, a, b,
@@ -53,6 +54,25 @@ Summands are painted in ascending (ql, vertex) order, so each chain comes
 out in the order a stable sort by ql of the filtered summands gives. The
 sweep paints up to its cap first; a later x above the painted cap extends
 the painting to at least twice the old cap.
+
+Dimensions per summand. At x off add tau T the predicted dimension at
+vertex v is [v in chain T(x)] + [v in chain D(x)], and the oracle's is
+Hom(s_v, x) + Hom(x, tau^2 s_v) (`oracle_parts`). Both read only the summand
+s_v and x, so the per-x comparison is a conjunction of identities in (s, x),
+which every representative containing s would prove again. Instead, once per
+(rank, cap), `_summand_cells` reads from the oracle alone, for every rigid s,
+the swept x with Hom(s, x) = 1 and those with Hom(x, tau^2 s) = 1, and marks
+s unusable if a part is neither 0 nor 1 at some swept x. A representative
+then checks (`_dims_proved`) that, for each kind and each vertex v, the swept
+cells of its painted table holding v are exactly s_v's set, each holding v
+once, that no cell holds any other vertex, and that `predicted_dims` equals
+`oracle_dims` at the n - 1 points of add tau T. A pass implies every per-x
+equality: both parts lie in {0, 1} and are 1 exactly on the cells holding v,
+so they sum to the chain multiset at every swept x off add tau T. Off the
+fundamental domain the oracle then vanishes exactly where both chains are
+empty, which is what the vanishing-locus test reads. If anything fails, or a summand is unusable, the representative runs
+the per-x comparison at every x instead, and its failures are that loop's.
+So the verdict and the records are the per-x loop's for every input.
 
 A report keeps only what failed; `HomFunctorReport.records` rebuilds the
 record of every swept x on access, with the helper that builds each failure
@@ -292,6 +312,12 @@ def predicted_dims(t: RigidObject, x: Indec) -> dict[int, int]:
     return dims
 
 
+def oracle_parts(n: int, c: int, d: int, a: int, b: int) -> tuple[int, int]:
+    """Hom(s, x) in the tube and Hom(x, tau^2 s), from the linear-algebra
+    oracle, for s = (c, d) and x = (a, b) at rank n."""
+    return tube._oracle_dim(n, d, b, (a - c) % n), tube._oracle_dim(n, b, d, (c - 2 - a) % n)
+
+
 def oracle_dims(t: RigidObject, x: Indec) -> dict[int, int]:
     """Per-vertex cluster-Hom dimensions from the linear-algebra oracle:
     Hom(s, x) in the tube plus Hom(x, tau^2 s), for each summand s."""
@@ -300,12 +326,76 @@ def oracle_dims(t: RigidObject, x: Indec) -> dict[int, int]:
         raise ValueError(f"rank mismatch: {x.rank} != {n}")
     out = {}
     for i, (c, d) in enumerate(_table(t).coords, start=1):
-        total = tube._oracle_dim(n, d, b, (a - c) % n) + tube._oracle_dim(
-            n, b, d, (c - 2 - a) % n
-        )
+        total = sum(oracle_parts(n, c, d, a, b))
         if total:
             out[i] = total
     return out
+
+
+# --- dimensions per summand ------------------------------------------------------
+
+# Per part (T, D): bit (b - 1) n + a - 1 is set where that part is 1 at x = (a, b).
+Cells = tuple[int, int]
+
+# `_summand_cells` of the last (rank, cap) asked for.
+_cells: tuple[tuple[int, int], dict[tuple[int, int], Cells | None]] | None = None
+
+
+def _summand_cells(n: int, ql_cap: int) -> dict[tuple[int, int], Cells | None]:
+    """For every rigid s = (c, d): the swept x = (a, b), b <= ql_cap, with
+    oracle Hom(s, x) = 1 and those with Hom(x, tau^2 s) = 1, as bits of
+    their cell indices (b - 1) n + a - 1; None for an s with a part outside
+    {0, 1} at some x. One entry is held, for the last (n, ql_cap)."""
+    global _cells
+    if _cells is None or _cells[0] != (n, ql_cap):
+        out = {}
+        for c in range(1, n + 1):
+            for d in range(1, n):
+                tube_side = shifted = 0
+                usable = True
+                for cell in range(n * ql_cap):
+                    b, a = divmod(cell, n)
+                    hom, hom_shifted = oracle_parts(n, c, d, a + 1, b + 1)
+                    if hom == 1:
+                        tube_side |= 1 << cell
+                    if hom_shifted == 1:
+                        shifted |= 1 << cell
+                    usable = usable and hom in (0, 1) and hom_shifted in (0, 1)
+                out[c, d] = (tube_side, shifted) if usable else None
+        _cells = ((n, ql_cap), out)
+    return _cells[1]
+
+
+def _dims_proved(t: RigidObject, table: _ObjectTable, ql_cap: int) -> bool:
+    """Whether `predicted_dims == oracle_dims` holds at every swept x by the
+    per-summand identities (see the module docstring): every summand is
+    usable, the swept cells of each kind holding v are exactly s_v's cells,
+    each holding v once and no other vertex, and both sides agree at the
+    points of add tau T."""
+    n = t.rank
+    cells = _summand_cells(n, ql_cap)
+    wanted = [cells.get(s) for s in table.coords]
+    if None in wanted:
+        return False
+    for part, kind in enumerate(("T", "D")):
+        held = dict.fromkeys(range(1, len(wanted) + 1), 0)
+        count = dict(held)
+        try:
+            for (a, b), chain in table.hammocks[kind].items():
+                if 1 <= a <= n and 1 <= b <= ql_cap:
+                    bit = 1 << ((b - 1) * n + a - 1)
+                    for v in chain:
+                        held[v] |= bit
+                        count[v] += 1
+        except KeyError:  # a vertex that is no summand
+            return False
+        for v, masks in enumerate(wanted, start=1):
+            if held[v] != masks[part] or count[v] != masks[part].bit_count():
+                return False
+    return all(
+        predicted_dims(t, x) == oracle_dims(t, x)
+        for x in (Indec(n, a, b) for _, a, b in table.add_tau)
+    )
 
 
 # --- verification ---------------------------------------------------------------
@@ -391,13 +481,20 @@ def verify_hom_functor(t: RigidObject, ql_cap: int | None = None) -> HomFunctorR
     """Check the predicted dimensions against the oracle for every x up to
     the quasilength cap, the string bijection on the fundamental domain, its
     cardinality, the string module of every string, and the outside
-    vanishing locus."""
+    vanishing locus.
+
+    The dimensions are proved once per summand by `_dims_proved`; only if
+    that fails does the sweep compare `predicted_dims` with `oracle_dims` at
+    every x, and read the vanishing locus from the oracle. Either way the
+    report is the per-x comparison's (see the module docstring)."""
     n = t.rank
     check_ql_cap(n, ql_cap)
     if ql_cap is None:
         ql_cap = 3 * n
     lam = cached_endomorphism_algebra(t)
-    _table(t).paint(ql_cap)
+    table = _table(t)
+    table.paint(ql_cap)
+    proved = _dims_proved(t, table, ql_cap)
 
     failures = []
     locus_failures = []
@@ -407,18 +504,19 @@ def verify_hom_functor(t: RigidObject, ql_cap: int | None = None) -> HomFunctorR
     for x in _sweep(n, ql_cap):
         in_f = in_fundamental_domain(t, x)
         is_tau = in_add_tau(t, x)
-        pred = predicted_dims(t, x)
-        orac = oracle_dims(t, x)
-        if pred != orac:
-            failures.append(_record(t, x, pred, orac))
+        if not proved:
+            pred = predicted_dims(t, x)
+            orac = oracle_dims(t, x)
+            if pred != orac:
+                failures.append(_record(t, x, pred, orac))
         if in_f:
             if not is_tau:
                 domain_count += 1
                 assigned[sigma(t, x).canonical()] = x
             continue
-        sigma_string(t, x, "T")  # both chain strings, checked once per chain
-        sigma_string(t, x, "D")
-        vanishes = not orac
+        sig_t = sigma_string(t, x, "T")  # both chain strings, checked once per chain
+        sig_d = sigma_string(t, x, "D")
+        vanishes = sig_t.is_zero and sig_d.is_zero if proved else not orac
         if vanishes != on_vanishing_locus(t, x):
             locus_failures.append(
                 f"{x}: oracle {'vanishes' if vanishes else 'is nonzero'} "

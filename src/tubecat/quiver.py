@@ -186,10 +186,6 @@ def count_paths(p: Presentation) -> dict[tuple[int, int], int]:
     return totals
 
 
-def total_dimension(p: Presentation) -> int:
-    return sum(count_paths(p).values())
-
-
 # --- special biserial and gentle conditions ---------------------------------
 
 def is_special_biserial(p: Presentation) -> CheckResult:

@@ -88,27 +88,6 @@ def tau_rigid(t: RigidObject, k: int = 1) -> RigidObject:
     return RigidObject(t.rank, tuple(tau(s, k) for s in t.summands))
 
 
-def is_maximal_rigid(n: int, summands: Iterable[Indec]) -> bool:
-    """True iff the set is pairwise compatible (self-extensions included)
-    and no rigid indecomposable outside it is compatible with every member."""
-    xs = list(dict.fromkeys(summands))
-    for i, s in enumerate(xs):
-        if s.rank != n or not is_rigid(s):
-            return False
-        for t in xs[i:]:
-            if not is_compatible(s, t):
-                return False
-    chosen = set(xs)
-    for a in range(1, n + 1):
-        for b in range(1, n):
-            cand = Indec(n, a, b)
-            if cand in chosen:
-                continue
-            if all(is_compatible(cand, s) for s in xs):
-                return False
-    return True
-
-
 # --- enumeration ----------------------------------------------------------
 
 def enumerate_maximal_rigid(n: int, method: str = "structured") -> list[RigidObject]:
@@ -240,21 +219,6 @@ def subwing_decomposition(t: RigidObject) -> dict[Indec, SubwingTriple]:
         if right not in chosen:
             raise ValueError(f"no subwing triple for {x}: {right} missing")
         out[x] = SubwingTriple(x, left, right)
-    return out
-
-
-def quasisimple_map(t: RigidObject) -> dict[Indec, Indec]:
-    """Send each quasisimple in the top wing to the summand of smallest
-    quasilength whose wing contains it; a bijection onto the summands."""
-    top = t.top
-    out = {}
-    for i in range(top.ql):
-        q = Indec(t.rank, top.orbit + i, 1)
-        best = min(
-            (s for s in t.summands if in_wing(q, s)),
-            key=lambda s: s.ql,
-        )
-        out[q] = best
     return out
 
 

@@ -20,14 +20,6 @@ from tubecat.quiver import Presentation, is_special_biserial
 Letter = tuple[str, int]  # (arrow id, +1 direct / -1 inverse)
 
 
-class InfiniteTypeError(ValueError):
-    """Band modules exist; the indecomposables cannot be counted."""
-
-    def __init__(self, bands):
-        super().__init__(f"presentation has band modules: {bands}")
-        self.bands = bands
-
-
 @dataclass(frozen=True, order=True)
 class StringWord:
     """A string: a walk ("word"), a single vertex ("trivial"), or the unique
@@ -135,14 +127,6 @@ def letter_source(p: Presentation, letter: Letter) -> int:
 def letter_target(p: Presentation, letter: Letter) -> int:
     a = p.quiver.arrow(letter[0])
     return a.tgt if letter[1] > 0 else a.src
-
-
-def start_vertex(p: Presentation, w: StringWord) -> int:
-    if w.kind == "trivial":
-        return w.vertex
-    if w.kind == "word":
-        return letter_source(p, w.letters[0])
-    raise ValueError("the zero string has no endpoints")
 
 
 def end_vertex(p: Presentation, w: StringWord) -> int:
@@ -315,14 +299,6 @@ def _canonical_band(forward: tuple[Letter, ...]) -> StringWord:
     return word(min(rotations, key=_letter_keys))
 
 
-def count_indecomposables(p: Presentation) -> int:
-    """Number of canonical strings, trivial ones included, zero excluded."""
-    enum = enumerate_strings(p)
-    if enum.bands:
-        raise InfiniteTypeError(enum.bands)
-    return len(enum.strings)
-
-
 # --- string modules ------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -432,20 +408,6 @@ def _end_string(
         return trivial(v)
     first, second = walks if len(walks) > 1 else (walks[0], [])
     return word([(aid, -e) for aid, e in reversed(first)] + second)
-
-
-def projective_string(p: Presentation, v: int) -> StringWord:
-    """String of the indecomposable projective at v: backwards along one
-    maximal relation-free path out of v, then forwards along the other; the
-    two paths are the walks of direct letters from v in the letter graph."""
-    return _end_string(p, _letter_graph(p), v, 1)
-
-
-def injective_string(p: Presentation, v: int) -> StringWord:
-    """String of the indecomposable injective at v: forwards along one
-    maximal relation-free path into v, then backwards along the other; the
-    inverses of the two paths are the walks of inverse letters from v."""
-    return _end_string(p, _letter_graph(p), v, -1)
 
 
 def projectives_match_injectives(p: Presentation) -> bool:

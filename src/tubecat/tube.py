@@ -8,16 +8,20 @@ oracle is the nullity of the model's commutation system. Each row of that
 system equates two unknowns or sets one unknown to zero, so over any field
 the nullity is the number of connected components of the graph of equated
 unknowns that hold no zero-row. The systems for X = (0, b) and Y of growing
-quasilength with a fixed top vertex nest, so each such family is solved in
-one pass over the columns of Y by one union-find, `_nullities`, which yields
-the nullity after each column (see `_oracle_dim`). The oracle uses nothing
-from `kernel` and no closed-form reasoning about the tube.
+quasilength with a fixed top vertex nest, so each such family is one
+union-find, `_nullities`, over the columns of Y, which yields the nullity
+after each column. The union-find is kept suspended between requests and
+resumed where it stopped, so every column of a family is solved once (see
+`_oracle_dim`). The oracle uses nothing from `kernel` and no closed-form
+reasoning about the tube.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import count
 from typing import Iterable, Iterator, NamedTuple
 
 from tubecat import kernel
@@ -111,15 +115,6 @@ def is_rigid(x: Indec) -> bool:
     return x.ql <= x.rank - 1
 
 
-def rigid_indecomposables(n: int) -> list[Indec]:
-    """The n*(n-1) rigid indecomposables, in the kernel's fixed index order."""
-    return [Indec(n, a, b) for a in range(1, n + 1) for b in range(1, n)]
-
-
-def quasisimples(n: int) -> list[Indec]:
-    return [Indec(n, a, 1) for a in range(1, n + 1)]
-
-
 # --- wings ---------------------------------------------------------------
 
 def lift_orbit(n: int, orbit: int, base: int) -> int:
@@ -140,16 +135,6 @@ def in_wing(x: Indec, summit: Indec) -> bool:
     return a + x.ql <= summit.orbit + summit.ql
 
 
-def wing_members(summit: Indec) -> list[Indec]:
-    """All indecomposables in the wing of `summit`, top-down, left-right."""
-    n = summit.rank
-    out = []
-    for b in range(summit.ql, 0, -1):
-        for a in range(summit.orbit, summit.orbit + summit.ql - b + 1):
-            out.append(Indec(n, a, b))
-    return out
-
-
 # --- independent linear-algebra oracle -----------------------------------
 
 def hom_tube_oracle(x: Indec, y: Indec) -> int:
@@ -168,9 +153,9 @@ def hom_tube_oracle(x: Indec, y: Indec) -> int:
     return _oracle_dim(n, x.ql, y.ql, (y.orbit - x.orbit) % n)
 
 
-# Nullities of each solved family (n, b, top) for d = 1, 2, ...; see
-# `_oracle_dim`.
-_families: dict[tuple[int, int, int], tuple[int, ...]] = {}
+# Each started family (n, b, top): the nullities found so far, for d = 1,
+# 2, ..., and its suspended solver; see `_oracle_dim`.
+_families: dict[tuple[int, int, int], tuple[list[int], Iterator[int]]] = {}
 
 
 @lru_cache(maxsize=None)
@@ -192,46 +177,51 @@ def _oracle_dim(n: int, b: int, d: int, shift: int) -> int:
     and t and let d grow: the system for d + 1 is the system for d plus the
     unknowns (i, d) and the rows at m = d, and no earlier unknown or row
     changes. So one pass over the columns m = 0, 1, ... (`_columns`) gives
-    the nullity for every d, and a miss here reads entry d - 1 of the
-    family (n, b, t), solving the family again, to max(d, twice its solved
-    length), when it is too short.
+    the nullity for every d. The family (n, b, t) keeps the nullities it has
+    found and its solver, suspended after the last column it solved; a miss
+    here resumes the solver until entry d - 1 exists. Every column of every
+    family is thus solved exactly once, whatever the order of requests.
     """
+    if b < 1 or d < 1:
+        raise ValueError(f"quasilengths must be >= 1, got b={b}, d={d}")
     family = (n, b, (shift + d) % n)
-    dims = _families.get(family, ())
-    if d > len(dims):
-        length = max(d, 2 * len(dims))
-        dims = _families[family] = tuple(_nullities(_columns(*family, length)))
+    state = _families.get(family)
+    if state is None:
+        state = _families[family] = ([], _nullities(_columns(*family)))
+    dims, solver = state
+    while len(dims) < d:
+        dims.append(next(solver))
     return dims[d - 1]
 
 
-def _columns(
-    n: int, b: int, top: int, length: int
-) -> Iterator[tuple[int, list[tuple[int, ...]]]]:
+def _columns(n: int, b: int, top: int) -> Iterator[tuple[int, list[tuple[int, ...]]]]:
     """The commutation system of X = (0, b) against Y with top vertex `top`
-    (vertex of e^Y_j is (top - 1 - j) mod n), one step per column m of Y
-    for m < length: the number of new unknowns (i, m) and the rows at m,
-    numbered over all unknowns so far."""
-    vx = [(b - 1 - i) % n for i in range(b)]  # vertex of e^X_i, orbit a = 0
-    at: dict[int, list[int]] = {}
-    for i, v in enumerate(vx):
-        at.setdefault(v, []).append(i)
+    (vertex of e^Y_j is (top - 1 - j) mod n), one step per column m of Y,
+    without end: the number of new unknowns (i, m) and the rows at m,
+    numbered over all unknowns so far.
 
-    unknowns: dict[tuple[int, int], int] = {}
-    for m in range(length):
-        vy = (top - 1 - m) % n  # vertex of e^Y_m
-        new = at.get(vy, ())
-        for i in new:
-            unknowns[(i, m)] = len(unknowns)
+    A row at m names unknowns of columns m and m - 1 only, so only the ids
+    of those two columns are kept; a row naming an unknown that does not
+    exist raises `KeyError`.
+    """
+    size = 0
+    previous: dict[int, int] = {}  # i -> id of the unknown (i, m - 1)
+    for m in count():
+        vy = (top - 1 - m) % n  # vertex of e^Y_m; e^X_i sits at (b - 1 - i) mod n
+        new = range((b - 1 - vy) % n, b, n)
+        current = dict(zip(new, range(size, size + len(new))))
+        size += len(new)
         rows = []
-        for i in at.get((vy + 1) % n, ()):  # vx[i] - 1 == vy
+        for i in range((b - 2 - vy) % n, b, n):  # e^X_i at vy + 1
             row = ()
             if i + 1 < b:
-                row = (unknowns[(i + 1, m)],)
+                row = (current[i + 1],)
             if m >= 1:
-                row += (unknowns[(i, m - 1)],)
+                row += (previous[i],)
             if row:
                 rows.append(row)
         yield len(new), rows
+        previous = current
 
 
 def _nullities(steps: Iterable[tuple[int, Iterable[tuple[int, ...]]]]) -> Iterator[int]:
@@ -246,15 +236,17 @@ def _nullities(steps: Iterable[tuple[int, Iterable[tuple[int, ...]]]]) -> Iterat
     number of components without a zero-row. Union-find with path halving
     keeps the components and a count of the free ones: a new unknown adds
     one, a zero-row on a free root removes one, and joining two distinct
-    roots removes one unless both are grounded.
+    roots removes one unless both are grounded. The forest is held in an
+    `array` and the grounded flags in a `bytearray`, since a family's
+    solver stays alive between requests.
     """
-    parent: list[int] = []
-    grounded: list[bool] = []
+    parent = array("i")
+    grounded = bytearray()
     free = 0
     for new, rows in steps:
         size = len(parent)
         parent.extend(range(size, size + new))
-        grounded.extend([False] * new)
+        grounded.extend(bytes(new))
         free += new
         for row in rows:
             u = row[0]
@@ -263,7 +255,7 @@ def _nullities(steps: Iterable[tuple[int, Iterable[tuple[int, ...]]]]) -> Iterat
                 u = parent[u]
             if len(row) == 1:
                 if not grounded[u]:
-                    grounded[u] = True
+                    grounded[u] = 1
                     free -= 1
                 continue
             v = row[1]
@@ -276,11 +268,6 @@ def _nullities(steps: Iterable[tuple[int, Iterable[tuple[int, ...]]]]) -> Iterat
                     free -= 1
                     grounded[u] = grounded[u] or grounded[v]
         yield free
-
-
-def hom_cluster_oracle(x: Indec, y: Indec) -> HomDims:
-    """Cluster Hom dimensions with both parts taken from the oracle."""
-    return HomDims(hom_tube_oracle(x, y), hom_tube_oracle(y, tau(x, 2)))
 
 
 def indecomposables_up_to(n: int, ql_cap: int) -> Iterator[Indec]:

@@ -17,9 +17,10 @@ leaves unchanged:
 - `kernel.hom_tube_dim` sees orbits only through (c - a) mod n, so every
   closed-form Hom count between summands, and from a summand to x, is
   invariant when both are translated.
-- `tube._oracle_dim` is keyed on that shift alone, and solves its systems
-  in families keyed on (shift + d) mod n, so the oracle's dimensions are
-  invariant too.
+- `tube._oracle_dim` is keyed on that shift alone, and each of its nested
+  families, keyed on (shift + d) mod n, is one solver resumed column by
+  column, so the oracle's dimensions are invariant too, and so are the
+  sweep's per-summand sets, which read the oracle through the same shifts.
 - The Hom-functor sweep covers every orbit 1..n for each ql <= cap, so the
   swept set of x is closed under the translate, and the fundamental domain
   and the vanishing locus are stated in top-normalized coordinates.

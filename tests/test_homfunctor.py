@@ -23,7 +23,6 @@ from tubecat.quiver import Arrow, Presentation, Quiver, count_paths
 from tubecat.rigid import (
     from_summands,
     maximal_rigid_objects,
-    quasisimple_map,
     subwing_decomposition,
     tau_rigid,
 )
@@ -34,10 +33,10 @@ from tubecat.tube import (
     in_wing,
     indecomposables_up_to,
     lift_orbit,
-    quasisimples,
     tau,
-    wing_members,
 )
+
+from support import projective_string, quasisimple_map, quasisimples, wing_members
 
 T3 = from_summands(3, [Indec(3, 1, 2), Indec(3, 1, 1)])
 T2 = from_summands(2, [Indec(2, 1, 1)])
@@ -76,6 +75,63 @@ def reference_modules(t, x):
         return (string_module(lam, sigma(t, x)),)
     words = (sigma_string(t, x, "T"), sigma_string(t, x, "D"))
     return tuple(string_module(lam, w) for w in words if not w.is_zero)
+
+
+def reference_verify_hom_functor(t, ql_cap=None):
+    """The sweep as it was before the per-summand proof: `predicted_dims`
+    against `oracle_dims` at every x, and the vanishing locus read from the
+    oracle."""
+    n = t.rank
+    homfunctor.check_ql_cap(n, ql_cap)
+    if ql_cap is None:
+        ql_cap = 3 * n
+    lam = cached_endomorphism_algebra(t)
+    homfunctor._table(t).paint(ql_cap)
+
+    failures = []
+    locus_failures = []
+    assigned = {}
+    domain_count = 0
+    for x in homfunctor._sweep(n, ql_cap):
+        in_f = in_fundamental_domain(t, x)
+        is_tau = in_add_tau(t, x)
+        pred = homfunctor.predicted_dims(t, x)
+        orac = homfunctor.oracle_dims(t, x)
+        if pred != orac:
+            failures.append(homfunctor._record(t, x, pred, orac))
+        if in_f:
+            if not is_tau:
+                domain_count += 1
+                assigned[sigma(t, x).canonical()] = x
+            continue
+        sigma_string(t, x, "T")
+        sigma_string(t, x, "D")
+        vanishes = not orac
+        if vanishes != on_vanishing_locus(t, x):
+            locus_failures.append(
+                f"{x}: oracle {'vanishes' if vanishes else 'is nonzero'} off pattern"
+            )
+
+    expected = (3 * n * n - 5 * n + 2) // 2
+    size_ok = domain_count == expected and len(assigned) == expected
+    enum = enumerate_strings(lam)
+    for w in enum.strings:
+        string_module(lam, w)
+    bijection_ok = (
+        not enum.bands
+        and set(assigned) == set(enum.strings)
+        and len(assigned) == len(enum.strings)
+    )
+    return homfunctor.HomFunctorReport(
+        rank=n,
+        rigid_object=t,
+        ql_cap=ql_cap,
+        dimension_failures=tuple(failures),
+        bijection_ok=bijection_ok,
+        domain_size_ok=size_ok,
+        locus_failures=tuple(locus_failures),
+        expected_count=expected,
+    )
 
 
 def reference_chain_string(t, triples, x, kind):
@@ -255,8 +311,6 @@ class TestSigma:
         assert str(sig) == "w*a1_2^-1"
 
     def test_summands_give_projective_strings(self):
-        from tubecat.strings import projective_string
-
         for n in (2, 3, 4):
             for t in maximal_rigid_objects(n):
                 lam = cached_endomorphism_algebra(t)
@@ -553,8 +607,9 @@ class TestObjectTable:
             oracle_dims(T3, Indec(2, 1, 1))
 
     def test_wrong_oracle_for_one_x_is_reported(self, monkeypatch):
-        """An oracle off by one at a single x fails exactly that x, also
-        when its chain strings were already memoised for an earlier x."""
+        """An oracle part off by one at a single (summand, x) fails exactly
+        that x, also when its chain strings were already memoised for an
+        earlier x, and exactly as the per-x reference reports it."""
         t = maximal_rigid_objects(4)[3]
         seen = set()
         target = None
@@ -566,18 +621,23 @@ class TestObjectTable:
             seen.add(pair)
         assert target is not None
 
-        honest = homfunctor.oracle_dims
+        honest = homfunctor.oracle_parts
+        first = (t.summands[0].orbit, t.summands[0].ql)
 
-        def off_by_one(obj, x):
-            dims = honest(obj, x)
-            if x == target:
-                dims[1] = dims.get(1, 0) + 1
-            return dims
+        def off_by_one(n, c, d, a, b):
+            hom, hom_shifted = honest(n, c, d, a, b)
+            if (c, d) == first and (a, b) == (target.orbit, target.ql):
+                hom += 1
+            return hom, hom_shifted
 
-        monkeypatch.setattr(homfunctor, "oracle_dims", off_by_one)
+        monkeypatch.setattr(homfunctor, "oracle_parts", off_by_one)
+        monkeypatch.setattr(homfunctor, "_cells", None)
         report = verify_hom_functor(t)
         assert not report.ok
         assert [r["x"] for r in report.dimension_failures] == [target.to_json()]
+        reference = reference_verify_hom_functor(t)
+        assert report.dimension_failures == reference.dimension_failures
+        assert report.to_json() == reference.to_json()
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
     def test_predicted_dims_match_reference_modules(self, n):
@@ -691,3 +751,191 @@ class TestObjectTable:
             and getattr(value, "__module__", None) == homfunctor.__name__
         }
         assert caches == set()  # no module-level cache of any kind
+
+
+def _representatives(n):
+    return [t for t in maximal_rigid_objects(n) if t.top.orbit == 1]
+
+
+class TestDimensionsPerSummand:
+    """The per-summand proof of the sweep's dimensions against the per-x
+    reference route it replaces."""
+
+    @pytest.mark.parametrize("n, cap", [(2, 6), (3, 9), (4, 12), (5, 15), (6, 18), (7, 21), (5, 30)])
+    def test_reports_equal_the_per_x_route(self, n, cap):
+        for t in _representatives(n):
+            report = verify_hom_functor(t, cap)
+            reference = reference_verify_hom_functor(t, cap)
+            assert report.dimension_failures == reference.dimension_failures == ()
+            assert report.to_json() == reference.to_json(), t
+
+    def test_every_summand_usable_and_sets_exact(self):
+        # The cells are those where the oracle's part is 1, and every part
+        # is 0 or 1, for every rigid summand at ranks 2..7.
+        for n in range(2, 8):
+            cap = 3 * n
+            cells = homfunctor._summand_cells(n, cap)
+            assert len(cells) == n * (n - 1)
+            for (c, d), sets in cells.items():
+                assert sets is not None
+                for part in (0, 1):
+                    assert sets[part] == sum(
+                        1 << ((b - 1) * n + a - 1)
+                        for a in range(1, n + 1)
+                        for b in range(1, cap + 1)
+                        if homfunctor.oracle_parts(n, c, d, a, b)[part] == 1
+                    )
+
+    @pytest.mark.parametrize("honest_part", [0, 1])
+    def test_part_of_two_sends_its_summand_to_the_fallback(self, honest_part, monkeypatch):
+        """An oracle part of 2, where the honest part is 0 or 1, makes its
+        summand unusable: an object with that summand runs the per-x loop
+        and fails exactly that x, with the reference's records; an object
+        without it is still proved."""
+        n = 4
+        objects = _representatives(n)
+        t = objects[2]
+        c, d = t.summands[-1].orbit, t.summands[-1].ql
+        honest = homfunctor.oracle_parts
+        target = next(
+            x for x in indecomposables_up_to(n, 3 * n)
+            if honest(n, c, d, x.orbit, x.ql)[0] == honest_part
+            and not in_fundamental_domain(t, x)
+        )
+
+        def doubled(n_, c_, d_, a, b):
+            hom, hom_shifted = honest(n_, c_, d_, a, b)
+            if (c_, d_, a, b) == (c, d, target.orbit, target.ql):
+                hom = 2
+            return hom, hom_shifted
+
+        monkeypatch.setattr(homfunctor, "oracle_parts", doubled)
+        monkeypatch.setattr(homfunctor, "_cells", None)
+        assert homfunctor._summand_cells(n, 3 * n)[c, d] is None
+        calls = []
+        counted = homfunctor.oracle_dims
+        monkeypatch.setattr(
+            homfunctor, "oracle_dims", lambda obj, x: calls.append(x) or counted(obj, x)
+        )
+        report = verify_hom_functor(t)
+        assert len(calls) == n * 3 * n  # every x, by the per-x loop
+        [failure] = report.dimension_failures
+        assert failure["x"] == target.to_json()
+        assert failure["oracle_dims"][str(t.vertex_of(t.summands[-1]))] >= 2
+        reference = reference_verify_hom_functor(t)
+        assert report.dimension_failures == reference.dimension_failures
+        assert report.to_json() == reference.to_json()
+
+        other = next(u for u in objects if (c, d) not in {(s.orbit, s.ql) for s in u.summands})
+        calls.clear()
+        assert verify_hom_functor(other).ok
+        assert len(calls) == len(other.summands) == n - 1
+
+    def test_add_tau_is_compared_directly(self, monkeypatch):
+        """At a point of add tau T the prediction is empty whatever its
+        cells hold, so the cells agreeing with the oracle there prove
+        nothing: a summand painted into such a cell, with the oracle part
+        to match, still fails exactly that x."""
+        n = 5
+        t = _representatives(n)[4]
+        target = tau(t.summands[1], 1)
+        c, d = t.summands[0].orbit, t.summands[0].ql
+        honest = homfunctor.oracle_parts
+
+        def planted(n_, c_, d_, a, b):
+            hom, hom_shifted = honest(n_, c_, d_, a, b)
+            if (c_, d_, a, b) == (c, d, target.orbit, target.ql):
+                hom_shifted += 1
+            return hom, hom_shifted
+
+        monkeypatch.setattr(homfunctor, "oracle_parts", planted)
+        monkeypatch.setattr(homfunctor, "_cells", None)
+        monkeypatch.setattr(homfunctor, "_held", None)
+        table = homfunctor._table(t)
+        table.paint(3 * n)
+        assert (target.orbit, target.ql) not in table.hammocks["D"]
+        table.hammocks["D"][target.orbit, target.ql] = [1]
+        report = verify_hom_functor(t)
+        assert [f["x"] for f in report.dimension_failures] == [target.to_json()]
+        reference = reference_verify_hom_functor(t)
+        assert report.dimension_failures == reference.dimension_failures
+        assert report.to_json() == reference.to_json()
+
+    def test_summand_moved_to_another_cell_is_not_proved(self, monkeypatch):
+        """A summand dropped from one cell and repeated in another keeps its
+        count of cells but not its set of cells."""
+        n = 4
+        t = _representatives(n)[3]
+        monkeypatch.setattr(homfunctor, "_held", None)
+        table = homfunctor._table(t)
+        table.paint(3 * n)
+        cells = sorted(
+            cell for cell, chain in table.hammocks["T"].items()
+            if cell[1] <= 3 * n and 1 in chain
+        )
+        table.hammocks["T"][cells[0]].remove(1)
+        table.hammocks["T"][cells[1]].append(1)
+        assert not homfunctor._dims_proved(t, table, 3 * n)
+
+    @pytest.mark.parametrize("change", ["drop", "repeat", "foreign"])
+    def test_changed_cell_runs_the_per_x_loop(self, change, monkeypatch):
+        """A painted cell that loses a summand, holds one twice or holds a
+        vertex the object lacks defeats the proof, and the sweep then ends
+        as the reference does: a lost summand fails exactly its x, and the
+        other two raise where the chain string of the cell is built."""
+        n = 4
+        t = _representatives(n)[3]
+        monkeypatch.setattr(homfunctor, "_held", None)
+        table = homfunctor._table(t)
+        table.paint(3 * n)
+        assert homfunctor._dims_proved(t, table, 3 * n)
+        cell = next(
+            (a, b) for (a, b), chain in sorted(table.hammocks["D"].items())
+            if b > 2 * n - 2 and chain
+        )
+        chain = table.hammocks["D"][cell]
+        if change == "drop":
+            chain.pop()
+        elif change == "repeat":
+            chain.append(chain[-1])
+        else:
+            chain.append(len(t.summands) + 1)
+        assert not homfunctor._dims_proved(t, table, 3 * n)
+
+        def ending(route):
+            try:
+                return route(t).dimension_failures
+            except (AssertionError, IndexError) as exc:
+                return repr(exc)
+
+        ended = ending(verify_hom_functor)
+        assert ended == ending(reference_verify_hom_functor)
+        if change == "drop":
+            assert [f["x"] for f in ended] == [Indec(n, *cell).to_json()]
+        else:
+            assert isinstance(ended, str)
+
+    def test_passing_sweep_calls_both_dimension_hooks(self, monkeypatch):
+        """A proved sweep still compares `predicted_dims` with `oracle_dims`
+        at the n - 1 points of add tau T of each representative, and nowhere
+        else."""
+        from tubecat.verify import check_hom_functor
+
+        n = 5
+        calls = {"predicted": [], "oracle": []}
+        predicted, oracle = homfunctor.predicted_dims, homfunctor.oracle_dims
+        monkeypatch.setattr(
+            homfunctor, "predicted_dims",
+            lambda t, x: calls["predicted"].append((t, x)) or predicted(t, x),
+        )
+        monkeypatch.setattr(
+            homfunctor, "oracle_dims",
+            lambda t, x: calls["oracle"].append((t, x)) or oracle(t, x),
+        )
+        assert all(o.ok for o in check_hom_functor(n))
+        representatives = _representatives(n)
+        for seen in calls.values():
+            assert sorted({t for t, _ in seen}, key=representatives.index) == representatives
+            for t in representatives:
+                points = [x for u, x in seen if u is t]
+                assert sorted(points) == sorted(tau(s, 1) for s in t.summands)

@@ -11,26 +11,39 @@ from tubecat.rigid import (
     enumerate_maximal_rigid,
     from_summands,
     from_tilting,
-    is_maximal_rigid,
     maximal_rigid_objects,
-    quasisimple_map,
     subwing_decomposition,
     tau_rigid,
     tilting_intervals,
 )
-from tubecat.tube import (
-    Indec,
-    hom_cluster_oracle,
-    in_wing,
-    is_compatible,
-    rigid_indecomposables,
-    tau,
-    wing_members,
-)
+from tubecat.tube import Indec, in_wing, is_compatible, is_rigid, tau
+
+from support import hom_cluster_oracle, quasisimple_map, rigid_indecomposables, wing_members
 
 
 def catalan(k: int) -> int:
     return comb(2 * k, k) // (k + 1)
+
+
+def is_maximal_rigid(n: int, summands) -> bool:
+    """True iff the set is pairwise compatible (self-extensions included)
+    and no rigid indecomposable outside it is compatible with every member."""
+    xs = list(dict.fromkeys(summands))
+    for i, s in enumerate(xs):
+        if s.rank != n or not is_rigid(s):
+            return False
+        for t in xs[i:]:
+            if not is_compatible(s, t):
+                return False
+    chosen = set(xs)
+    for a in range(1, n + 1):
+        for b in range(1, n):
+            cand = Indec(n, a, b)
+            if cand in chosen:
+                continue
+            if all(is_compatible(cand, s) for s in xs):
+                return False
+    return True
 
 
 class TestEnumeration:

@@ -11,16 +11,12 @@ from tubecat.endo import cached_endomorphism_algebra
 from tubecat.quiver import count_paths, presentation
 from tubecat.rigid import maximal_rigid_objects
 from tubecat.strings import (
-    InfiniteTypeError,
     ZERO_STRING,
-    count_indecomposables,
     end_vertex,
     enumerate_strings,
-    injective_string,
     is_string,
-    projective_string,
+    letter_source,
     projectives_match_injectives,
-    start_vertex,
     string_module,
     traversed_vertices,
     trivial,
@@ -29,9 +25,35 @@ from tubecat.strings import (
 )
 from tubecat.tube import Indec, in_wing
 
+from support import injective_string, projective_string
+
 RANK3 = presentation([1, 2], [("w", 1, 1, "loop"), ("a", 1, 2, "T")], [("w", "w")])
 KRONECKER = presentation([1, 2], [("a", 1, 2), ("b", 1, 2)])
 LINEAR_A3 = presentation([1, 2, 3], [("a", 1, 2), ("b", 2, 3)])
+
+
+class InfiniteTypeError(ValueError):
+    """Band modules exist; the indecomposables cannot be counted."""
+
+    def __init__(self, bands):
+        super().__init__(f"presentation has band modules: {bands}")
+        self.bands = bands
+
+
+def count_indecomposables(p):
+    """Number of canonical strings, trivial ones included, zero excluded."""
+    enum = enumerate_strings(p)
+    if enum.bands:
+        raise InfiniteTypeError(enum.bands)
+    return len(enum.strings)
+
+
+def start_vertex(p, w):
+    if w.kind == "trivial":
+        return w.vertex
+    if w.kind == "word":
+        return letter_source(p, w.letters[0])
+    raise ValueError("the zero string has no endpoints")
 
 
 def stored_matrix(m, arrow_id):

@@ -8,7 +8,6 @@ import ast
 import hashlib
 import inspect
 import json
-import math
 from fractions import Fraction
 
 import pytest
@@ -23,7 +22,6 @@ from tubecat.tube import (
     ext1_cluster,
     has_D_endomorphism,
     hom_cluster,
-    hom_cluster_oracle,
     hom_tube,
     hom_tube_oracle,
     in_wing,
@@ -31,13 +29,12 @@ from tubecat.tube import (
     is_compatible,
     is_rigid,
     lift_orbit,
-    quasisimples,
-    rigid_indecomposables,
     tau,
     _nullities,
     _oracle_dim,
-    wing_members,
 )
+
+from support import hom_cluster_oracle, quasisimples, rigid_indecomposables, wing_members
 
 small_rank = hst.integers(min_value=2, max_value=6)
 
@@ -290,8 +287,8 @@ class TestOracle:
 
     @pytest.mark.parametrize("n", [2, 3, 5, 7])
     def test_order_of_requests_is_irrelevant(self, n):
-        # Descending requests solve each family once at its longest;
-        # ascending ones grow it by re-solving.
+        # Descending requests solve each family to its longest at once;
+        # ascending ones resume it one column at a time.
         keys = [(n, b, d, s) for b in (1, 2, n, 2 * n + 1) for s in range(n)
                 for d in range(1, 41)]
         _clear_oracle_memos()
@@ -301,20 +298,33 @@ class TestOracle:
         assert ascending == descending
         assert ascending == [reference_oracle_dim(*key) for key in keys]
 
-    def test_each_family_solved_a_few_times(self, monkeypatch):
-        solves = {}
+    def test_each_family_solved_once(self, monkeypatch):
+        starts, pulled = {}, []
         columns = tube._columns
 
-        def counted(n, b, top, length):
-            solves[n, b, top] = solves.get((n, b, top), 0) + 1
-            return columns(n, b, top, length)
+        def counted(n, b, top):
+            starts[n, b, top] = starts.get((n, b, top), 0) + 1
+            for step in columns(n, b, top):
+                pulled.append((n, b, top))
+                yield step
 
         monkeypatch.setattr(tube, "_columns", counted)
         _clear_oracle_memos()
         assert all(outcome.ok for outcome in check_oracle(5, 30))
-        assert len(solves) == 150  # b <= 30, five top vertices
-        assert max(solves.values()) <= math.ceil(math.log2(30)) + 1
+        assert len(starts) == 150  # b <= 30, five top vertices
+        assert set(starts.values()) == {1}
+        assert len(pulled) == 4500  # 30 columns per family, each once
         assert _oracle_dim.cache_info().currsize == 4500
+        assert all(len(dims) == 30 for dims, _ in tube._families.values())
+
+    def test_rejects_quasilength_below_one(self):
+        # A d below 1 once read the last solved entry through dims[-1].
+        _clear_oracle_memos()
+        assert _oracle_dim(3, 2, 3, 0) == reference_oracle_dim(3, 2, 3, 0)
+        for key in [(3, 2, 0, 0), (3, 0, 3, 0), (3, -1, 2, 1), (3, 2, -3, 0)]:
+            with pytest.raises(ValueError, match="quasilengths must be >= 1"):
+                _oracle_dim(*key)
+        assert _oracle_dim.cache_info().currsize == 1
 
     @given(growing_system())
     @settings(max_examples=300)
