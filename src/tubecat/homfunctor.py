@@ -29,15 +29,15 @@ locus outside the fundamental domain is stated in those coordinates.
 
 Each object T gets one table, built on first use and replaced when another
 object is asked about, so the module holds state for one object at a time,
-besides the per-summand cells of one (rank, cap) (see below). The table keeps the summands as (orbit, ql) integers, the translates of the
-summands, the painted reverse hammocks, the arrows of the endomorphism
-algebra by their (source, target) vertices, and one memo: each chain's
-string. The chain of x is its painted cell, read directly. A chain string
-depends only on its chain, so every wing, arrow and string check runs once
-per distinct chain. Consecutive members of a chain are joined by the
-algebra's tube-map arrow between them (kind "T"), and the two strings of x
-by its shifted-part arrow (kind "D") or the loop, so no arrow id is formed
-here.
+besides the oracle vectors of one (rank, cap) (see below). The table keeps
+the summands as (orbit, ql) integers, the translates of the summands, the
+painted reverse hammocks, the arrows of the endomorphism algebra by their
+(source, target) vertices, and one memo: each chain's string. The chain of
+x is its painted cell, read directly. A chain string depends only on its
+chain, so every wing, arrow and string check runs once per distinct chain.
+Consecutive members of a chain are joined by the algebra's tube-map arrow
+between them (kind "T"), and the two strings of x by its shifted-part arrow
+(kind "D") or the loop, so no arrow id is formed here.
 
 Both reverse hammocks of every x are painted into the table once per
 summand instead of being filtered once per x. `kernel.hom_tube_dim(n, a, b,
@@ -56,23 +56,17 @@ sweep paints up to its cap first; a later x above the painted cap extends
 the painting to at least twice the old cap.
 
 Dimensions per summand. At x off add tau T the predicted dimension at
-vertex v is [v in chain T(x)] + [v in chain D(x)], and the oracle's is
-Hom(s_v, x) + Hom(x, tau^2 s_v) (`oracle_parts`). Both read only the summand
-s_v and x, so the per-x comparison is a conjunction of identities in (s, x),
-which every representative containing s would prove again. Instead, once per
-(rank, cap), `_summand_cells` reads from the oracle alone, for every rigid s,
-the swept x with Hom(s, x) = 1 and those with Hom(x, tau^2 s) = 1, and marks
-s unusable if a part is neither 0 nor 1 at some swept x. A representative
-then checks (`_dims_proved`) that, for each kind and each vertex v, the swept
-cells of its painted table holding v are exactly s_v's set, each holding v
-once, that no cell holds any other vertex, and that `predicted_dims` equals
-`oracle_dims` at the n - 1 points of add tau T. A pass implies every per-x
-equality: both parts lie in {0, 1} and are 1 exactly on the cells holding v,
-so they sum to the chain multiset at every swept x off add tau T. Off the
-fundamental domain the oracle then vanishes exactly where both chains are
-empty, which is what the vanishing-locus test reads. If anything fails, or a summand is unusable, the representative runs
-the per-x comparison at every x instead, and its failures are that loop's.
-So the verdict and the records are the per-x loop's for every input.
+vertex v is the number of times v lies in chain T(x) and chain D(x), and the
+oracle's is Hom(s_v, x) + Hom(x, tau^2 s_v) (`oracle_parts`), which reads
+only s_v and x. So `_oracle_vectors` holds, once per (rank, cap), the
+oracle's sum for every rigid s at every swept x, and `_failing_cells`
+counts each vertex over the painted cells of both hammocks. A cell fails
+where a vertex's counts differ from its summand's vector, or where it holds
+a vertex that is no summand; off add tau T that is exactly where the per-x
+comparison fails. On add tau T the prediction is empty, so there
+`predicted_dims` and `oracle_dims` are compared directly. The sweep builds
+the record of x only at a failing cell, so its failures are the per-x
+comparison's, and it reads "the oracle vanishes at x" from the same vectors.
 
 A report keeps only what failed; `HomFunctorReport.records` rebuilds the
 record of every swept x on access, with the helper that builds each failure
@@ -94,9 +88,15 @@ from tubecat.tube import Indec, in_wing
 Chain = tuple[int, ...]  # summand vertices of a reverse hammock, by ascending ql
 
 
+def _same_rank(t: RigidObject, x: Indec) -> int:
+    if x.rank != t.rank:
+        raise ValueError(f"rank mismatch: {x.rank} != {t.rank}")
+    return t.rank
+
+
 def _normalized_orbit(t: RigidObject, x: Indec) -> int:
     """Orbit of x after translating the top summand of t to orbit 1."""
-    return (x.orbit - t.top.orbit) % t.rank + 1
+    return (x.orbit - t.top.orbit) % _same_rank(t, x) + 1
 
 
 def _in_domain(n: int, orbit: int, ql: int) -> bool:
@@ -110,7 +110,8 @@ def in_fundamental_domain(t: RigidObject, x: Indec) -> bool:
 
 
 def in_add_tau(t: RigidObject, x: Indec) -> bool:
-    return (x.rank, x.orbit, x.ql) in _table(t).add_tau
+    _same_rank(t, x)
+    return (x.orbit, x.ql) in _table(t).add_tau
 
 
 def on_vanishing_locus(t: RigidObject, x: Indec) -> bool:
@@ -136,7 +137,7 @@ class _ObjectTable:
         self.obj = t
         self.lam = cached_endomorphism_algebra(t)
         self.coords = tuple((s.orbit, s.ql) for s in t.summands)
-        self.add_tau = frozenset((n, (a - 2) % n + 1, b) for a, b in self.coords)
+        self.add_tau = frozenset(((a - 2) % n + 1, b) for a, b in self.coords)
         self.arrows = {(a.src, a.tgt): a for a in self.lam.quiver.arrows}
         # Summand vertices by ascending (ql, vertex): the painting order.
         self.by_ql = sorted(
@@ -172,8 +173,7 @@ class _ObjectTable:
 
     def chain(self, x: Indec, kind: str) -> Chain:
         """Painted chain of x, repainting to a larger cap if x is above."""
-        if x.rank != self.obj.rank:
-            raise ValueError(f"rank mismatch: {x.rank} != {self.obj.rank}")
+        _same_rank(self.obj, x)
         if kind not in ("T", "D"):
             raise ValueError(f"kind must be 'T' or 'D', got {kind!r}")
         if x.ql > self.painted:
@@ -275,11 +275,7 @@ def sigma(t: RigidObject, x: Indec) -> StringWord:
         raise ValueError(f"{x} is a translate of a summand; no string assigned")
     if not in_fundamental_domain(t, x):
         raise ValueError(f"{x} is outside the fundamental domain")
-    return _joined_string(_table(t), x)
-
-
-def _joined_string(table: _ObjectTable, x: Indec) -> StringWord:
-    t = table.obj
+    table = _table(t)
     sig_t = sigma_string(t, x, "T")
     sig_d = sigma_string(t, x, "D")
     if sig_t.is_zero and sig_d.is_zero:
@@ -321,9 +317,7 @@ def oracle_parts(n: int, c: int, d: int, a: int, b: int) -> tuple[int, int]:
 def oracle_dims(t: RigidObject, x: Indec) -> dict[int, int]:
     """Per-vertex cluster-Hom dimensions from the linear-algebra oracle:
     Hom(s, x) in the tube plus Hom(x, tau^2 s), for each summand s."""
-    n, a, b = t.rank, x.orbit, x.ql
-    if x.rank != n:
-        raise ValueError(f"rank mismatch: {x.rank} != {n}")
+    n, a, b = _same_rank(t, x), x.orbit, x.ql
     out = {}
     for i, (c, d) in enumerate(_table(t).coords, start=1):
         total = sum(oracle_parts(n, c, d, a, b))
@@ -334,68 +328,53 @@ def oracle_dims(t: RigidObject, x: Indec) -> dict[int, int]:
 
 # --- dimensions per summand ------------------------------------------------------
 
-# Per part (T, D): bit (b - 1) n + a - 1 is set where that part is 1 at x = (a, b).
-Cells = tuple[int, int]
-
-# `_summand_cells` of the last (rank, cap) asked for.
-_cells: tuple[tuple[int, int], dict[tuple[int, int], Cells | None]] | None = None
+# `_oracle_vectors` of the last (rank, cap) asked for.
+_vectors: tuple[tuple[int, int], dict[tuple[int, int], tuple[int, ...]]] | None = None
 
 
-def _summand_cells(n: int, ql_cap: int) -> dict[tuple[int, int], Cells | None]:
-    """For every rigid s = (c, d): the swept x = (a, b), b <= ql_cap, with
-    oracle Hom(s, x) = 1 and those with Hom(x, tau^2 s) = 1, as bits of
-    their cell indices (b - 1) n + a - 1; None for an s with a part outside
-    {0, 1} at some x. One entry is held, for the last (n, ql_cap)."""
-    global _cells
-    if _cells is None or _cells[0] != (n, ql_cap):
-        out = {}
-        for c in range(1, n + 1):
-            for d in range(1, n):
-                tube_side = shifted = 0
-                usable = True
-                for cell in range(n * ql_cap):
-                    b, a = divmod(cell, n)
-                    hom, hom_shifted = oracle_parts(n, c, d, a + 1, b + 1)
-                    if hom == 1:
-                        tube_side |= 1 << cell
-                    if hom_shifted == 1:
-                        shifted |= 1 << cell
-                    usable = usable and hom in (0, 1) and hom_shifted in (0, 1)
-                out[c, d] = (tube_side, shifted) if usable else None
-        _cells = ((n, ql_cap), out)
-    return _cells[1]
+def _oracle_vectors(n: int, ql_cap: int) -> dict[tuple[int, int], tuple[int, ...]]:
+    """For every rigid s = (c, d): the oracle's Hom(s, x) + Hom(x, tau^2 s)
+    at each swept x = (a, b), b <= ql_cap, at index (b - 1) n + a - 1. One
+    entry is held, for the last (n, ql_cap)."""
+    global _vectors
+    if _vectors is None or _vectors[0] != (n, ql_cap):
+        cells = [(a, b) for b in range(1, ql_cap + 1) for a in range(1, n + 1)]
+        _vectors = ((n, ql_cap), {
+            (c, d): tuple(sum(oracle_parts(n, c, d, a, b)) for a, b in cells)
+            for c in range(1, n + 1)
+            for d in range(1, n)
+        })
+    return _vectors[1]
 
 
-def _dims_proved(t: RigidObject, table: _ObjectTable, ql_cap: int) -> bool:
-    """Whether `predicted_dims == oracle_dims` holds at every swept x by the
-    per-summand identities (see the module docstring): every summand is
-    usable, the swept cells of each kind holding v are exactly s_v's cells,
-    each holding v once and no other vertex, and both sides agree at the
-    points of add tau T."""
+def _failing_cells(t: RigidObject, table: _ObjectTable, ql_cap: int) -> set[int]:
+    """Indices of the swept x where `predicted_dims != oracle_dims` (see the
+    module docstring)."""
     n = t.rank
-    cells = _summand_cells(n, ql_cap)
-    wanted = [cells.get(s) for s in table.coords]
-    if None in wanted:
-        return False
-    for part, kind in enumerate(("T", "D")):
-        held = dict.fromkeys(range(1, len(wanted) + 1), 0)
-        count = dict(held)
-        try:
-            for (a, b), chain in table.hammocks[kind].items():
-                if 1 <= a <= n and 1 <= b <= ql_cap:
-                    bit = 1 << ((b - 1) * n + a - 1)
-                    for v in chain:
-                        held[v] |= bit
-                        count[v] += 1
-        except KeyError:  # a vertex that is no summand
-            return False
-        for v, masks in enumerate(wanted, start=1):
-            if held[v] != masks[part] or count[v] != masks[part].bit_count():
-                return False
-    return all(
-        predicted_dims(t, x) == oracle_dims(t, x)
-        for x in (Indec(n, a, b) for _, a, b in table.add_tau)
-    )
+    vectors = _oracle_vectors(n, ql_cap)
+    counts = {v: [0] * (n * ql_cap) for v in range(1, len(table.coords) + 1)}
+    failing = set()
+    for hammock in table.hammocks.values():
+        for (a, b), chain in hammock.items():
+            if b <= ql_cap:
+                cell = (b - 1) * n + a - 1
+                for v in chain:
+                    row = counts.get(v)
+                    if row is None:  # a vertex that is no summand
+                        failing.add(cell)
+                    else:
+                        row[cell] += 1
+    for v, s in enumerate(table.coords, start=1):
+        row, vector = counts[v], vectors[s]
+        if tuple(row) != vector:
+            failing.update(i for i, (got, want) in enumerate(zip(row, vector)) if got != want)
+    # On add tau T the prediction is empty whatever the cells hold.
+    for a, b in table.add_tau:
+        x, cell = Indec(n, a, b), (b - 1) * n + a - 1
+        failing.discard(cell)
+        if predicted_dims(t, x) != oracle_dims(t, x):
+            failing.add(cell)
+    return failing
 
 
 # --- verification ---------------------------------------------------------------
@@ -421,7 +400,7 @@ def _record(t: RigidObject, x: Indec, pred: dict[int, int], orac: dict[int, int]
     is_tau = in_add_tau(t, x)
     sig_t = sigma_string(t, x, "T")
     sig_d = sigma_string(t, x, "D")
-    beta = beta_arrow(t, x) if in_f and not is_tau and not sig_t.is_zero and not sig_d.is_zero else None
+    beta = beta_arrow(t, x) if in_f and not is_tau else None
     return {
         "x": x.to_json(),
         "in_F": in_f,
@@ -483,10 +462,10 @@ def verify_hom_functor(t: RigidObject, ql_cap: int | None = None) -> HomFunctorR
     cardinality, the string module of every string, and the outside
     vanishing locus.
 
-    The dimensions are proved once per summand by `_dims_proved`; only if
-    that fails does the sweep compare `predicted_dims` with `oracle_dims` at
-    every x, and read the vanishing locus from the oracle. Either way the
-    report is the per-x comparison's (see the module docstring)."""
+    `_failing_cells` compares the dimensions of every swept x at once, and
+    the sweep builds the record of x only where they differ, in sweep order;
+    the vanishing locus is read from the same oracle vectors (see the module
+    docstring)."""
     n = t.rank
     check_ql_cap(n, ql_cap)
     if ql_cap is None:
@@ -494,29 +473,26 @@ def verify_hom_functor(t: RigidObject, ql_cap: int | None = None) -> HomFunctorR
     lam = cached_endomorphism_algebra(t)
     table = _table(t)
     table.paint(ql_cap)
-    proved = _dims_proved(t, table, ql_cap)
+    failing = _failing_cells(t, table, ql_cap)
+    vectors = _oracle_vectors(n, ql_cap)
+    own = [vectors[s] for s in table.coords]
 
     failures = []
     locus_failures = []
     assigned: dict[StringWord, Indec] = {}
     domain_count = 0
 
-    for x in _sweep(n, ql_cap):
-        in_f = in_fundamental_domain(t, x)
-        is_tau = in_add_tau(t, x)
-        if not proved:
-            pred = predicted_dims(t, x)
-            orac = oracle_dims(t, x)
-            if pred != orac:
-                failures.append(_record(t, x, pred, orac))
-        if in_f:
-            if not is_tau:
+    for cell, x in enumerate(_sweep(n, ql_cap)):
+        if cell in failing:
+            failures.append(_record(t, x, predicted_dims(t, x), oracle_dims(t, x)))
+        if in_fundamental_domain(t, x):
+            if not in_add_tau(t, x):
                 domain_count += 1
                 assigned[sigma(t, x).canonical()] = x
             continue
-        sig_t = sigma_string(t, x, "T")  # both chain strings, checked once per chain
-        sig_d = sigma_string(t, x, "D")
-        vanishes = sig_t.is_zero and sig_d.is_zero if proved else not orac
+        sigma_string(t, x, "T")  # both chain strings, checked once per chain
+        sigma_string(t, x, "D")
+        vanishes = not any(vector[cell] for vector in own)
         if vanishes != on_vanishing_locus(t, x):
             locus_failures.append(
                 f"{x}: oracle {'vanishes' if vanishes else 'is nonzero'} "

@@ -20,7 +20,8 @@ leaves unchanged:
 - `tube._oracle_dim` is keyed on that shift alone, and each of its nested
   families, keyed on (shift + d) mod n, is one solver resumed column by
   column, so the oracle's dimensions are invariant too, and so are the
-  sweep's per-summand sets, which read the oracle through the same shifts.
+  sweep's per-summand oracle vectors, which read the oracle through the
+  same shifts.
 - The Hom-functor sweep covers every orbit 1..n for each ql <= cap, so the
   swept set of x is closed under the translate, and the fundamental domain
   and the vanishing locus are stated in top-normalized coordinates.

@@ -78,9 +78,8 @@ def reference_modules(t, x):
 
 
 def reference_verify_hom_functor(t, ql_cap=None):
-    """The sweep as it was before the per-summand proof: `predicted_dims`
-    against `oracle_dims` at every x, and the vanishing locus read from the
-    oracle."""
+    """The per-x sweep: `predicted_dims` against `oracle_dims` at every x,
+    and the vanishing locus read from the oracle."""
     n = t.rank
     homfunctor.check_ql_cap(n, ql_cap)
     if ql_cap is None:
@@ -601,10 +600,22 @@ class TestObjectTable:
 
     def test_rejects_other_rank_after_memoising(self):
         assert sigma_string(T3, Indec(3, 1, 1), "T").kind == "trivial"
-        with pytest.raises(ValueError, match="rank mismatch"):
-            sigma_string(T3, Indec(2, 1, 1), "T")
-        with pytest.raises(ValueError, match="rank mismatch"):
-            oracle_dims(T3, Indec(2, 1, 1))
+        queries = {
+            "sigma_string": lambda x: sigma_string(T3, x, "T"),
+            "sigma": lambda x: sigma(T3, x),
+            "predicted_dims": lambda x: predicted_dims(T3, x),
+            "oracle_dims": lambda x: oracle_dims(T3, x),
+            "in_fundamental_domain": lambda x: in_fundamental_domain(T3, x),
+            "in_add_tau": lambda x: in_add_tau(T3, x),
+            "on_vanishing_locus": lambda x: on_vanishing_locus(T3, x),
+        }
+        # Read at rank 3, the x lie in the domain, in add tau T, outside the
+        # domain and on the vanishing locus.
+        for x in (Indec(5, 4, 1), Indec(5, 3, 1), Indec(5, 1, 9), Indec(4, 3, 5), Indec(2, 1, 1)):
+            for name, query in queries.items():
+                with pytest.raises(ValueError, match="rank mismatch"):
+                    query(x)
+                    pytest.fail(f"{name} answered for {x}")
 
     def test_wrong_oracle_for_one_x_is_reported(self, monkeypatch):
         """An oracle part off by one at a single (summand, x) fails exactly
@@ -631,7 +642,7 @@ class TestObjectTable:
             return hom, hom_shifted
 
         monkeypatch.setattr(homfunctor, "oracle_parts", off_by_one)
-        monkeypatch.setattr(homfunctor, "_cells", None)
+        monkeypatch.setattr(homfunctor, "_vectors", None)
         report = verify_hom_functor(t)
         assert not report.ok
         assert [r["x"] for r in report.dimension_failures] == [target.to_json()]
@@ -740,11 +751,16 @@ class TestObjectTable:
         objects = maximal_rigid_objects(5)
         for t in objects:
             assert verify_hom_functor(t).ok
-        tables = [
-            value for value in vars(homfunctor).values()
-            if isinstance(value, homfunctor._ObjectTable)
-        ]
-        assert len(tables) == 1 and tables[0].obj is objects[-1]
+        assert verify_hom_functor(objects[0], 30).ok
+        held = {
+            name: value for name, value in vars(homfunctor).items()
+            if not name.startswith("__")
+            and isinstance(value, (dict, list, set, tuple, homfunctor._ObjectTable))
+        }
+        assert set(held) == {"_held", "_vectors"}
+        assert held["_held"].obj is objects[0]
+        key, vectors = held["_vectors"]
+        assert key == (5, 30) and len(vectors) == 5 * 4
         caches = {
             name for name, value in vars(homfunctor).items()
             if hasattr(value, "cache_info")
@@ -757,9 +773,18 @@ def _representatives(n):
     return [t for t in maximal_rigid_objects(n) if t.top.orbit == 1]
 
 
+def _ending(route, t):
+    """The dimension failures of a sweep, or the repr of what it raised."""
+    try:
+        return route(t).dimension_failures
+    except (AssertionError, IndexError) as exc:
+        return repr(exc)
+
+
 class TestDimensionsPerSummand:
-    """The per-summand proof of the sweep's dimensions against the per-x
-    reference route it replaces."""
+    """The sweep's one dimension comparison, each vertex's painted cells
+    counted against its summand's oracle vector, against the per-x
+    reference route."""
 
     @pytest.mark.parametrize("n, cap", [(2, 6), (3, 9), (4, 12), (5, 15), (6, 18), (7, 21), (5, 30)])
     def test_reports_equal_the_per_x_route(self, n, cap):
@@ -769,67 +794,50 @@ class TestDimensionsPerSummand:
             assert report.dimension_failures == reference.dimension_failures == ()
             assert report.to_json() == reference.to_json(), t
 
-    def test_every_summand_usable_and_sets_exact(self):
-        # The cells are those where the oracle's part is 1, and every part
-        # is 0 or 1, for every rigid summand at ranks 2..7.
-        for n in range(2, 8):
-            cap = 3 * n
-            cells = homfunctor._summand_cells(n, cap)
-            assert len(cells) == n * (n - 1)
-            for (c, d), sets in cells.items():
-                assert sets is not None
-                for part in (0, 1):
-                    assert sets[part] == sum(
-                        1 << ((b - 1) * n + a - 1)
-                        for a in range(1, n + 1)
-                        for b in range(1, cap + 1)
-                        if homfunctor.oracle_parts(n, c, d, a, b)[part] == 1
-                    )
+    def test_oracle_vectors_sum_the_parts(self):
+        for n, cap in [(n, 3 * n) for n in range(2, 8)] + [(5, 30)]:
+            vectors = homfunctor._oracle_vectors(n, cap)
+            assert set(vectors) == {(c, d) for c in range(1, n + 1) for d in range(1, n)}
+            for (c, d), vector in vectors.items():
+                assert len(vector) == n * cap
+                for a in range(1, n + 1):
+                    for b in range(1, cap + 1):
+                        parts = homfunctor.oracle_parts(n, c, d, a, b)
+                        assert vector[(b - 1) * n + a - 1] == sum(parts), (n, c, d, a, b)
 
-    @pytest.mark.parametrize("honest_part", [0, 1])
-    def test_part_of_two_sends_its_summand_to_the_fallback(self, honest_part, monkeypatch):
-        """An oracle part of 2, where the honest part is 0 or 1, makes its
-        summand unusable: an object with that summand runs the per-x loop
-        and fails exactly that x, with the reference's records; an object
-        without it is still proved."""
+    def test_part_of_two_fails_exactly_that_x(self, monkeypatch):
+        """An oracle part of 2, where the honest part is 0 and where it is 1,
+        fails exactly that x of an object with that summand, with the
+        reference's records; an object without that summand still passes."""
         n = 4
         objects = _representatives(n)
         t = objects[2]
         c, d = t.summands[-1].orbit, t.summands[-1].ql
-        honest = homfunctor.oracle_parts
-        target = next(
-            x for x in indecomposables_up_to(n, 3 * n)
-            if honest(n, c, d, x.orbit, x.ql)[0] == honest_part
-            and not in_fundamental_domain(t, x)
-        )
-
-        def doubled(n_, c_, d_, a, b):
-            hom, hom_shifted = honest(n_, c_, d_, a, b)
-            if (c_, d_, a, b) == (c, d, target.orbit, target.ql):
-                hom = 2
-            return hom, hom_shifted
-
-        monkeypatch.setattr(homfunctor, "oracle_parts", doubled)
-        monkeypatch.setattr(homfunctor, "_cells", None)
-        assert homfunctor._summand_cells(n, 3 * n)[c, d] is None
-        calls = []
-        counted = homfunctor.oracle_dims
-        monkeypatch.setattr(
-            homfunctor, "oracle_dims", lambda obj, x: calls.append(x) or counted(obj, x)
-        )
-        report = verify_hom_functor(t)
-        assert len(calls) == n * 3 * n  # every x, by the per-x loop
-        [failure] = report.dimension_failures
-        assert failure["x"] == target.to_json()
-        assert failure["oracle_dims"][str(t.vertex_of(t.summands[-1]))] >= 2
-        reference = reference_verify_hom_functor(t)
-        assert report.dimension_failures == reference.dimension_failures
-        assert report.to_json() == reference.to_json()
-
         other = next(u for u in objects if (c, d) not in {(s.orbit, s.ql) for s in u.summands})
-        calls.clear()
-        assert verify_hom_functor(other).ok
-        assert len(calls) == len(other.summands) == n - 1
+        honest = homfunctor.oracle_parts
+        for honest_part in (0, 1):
+            target = next(
+                x for x in indecomposables_up_to(n, 3 * n)
+                if honest(n, c, d, x.orbit, x.ql)[0] == honest_part
+                and not in_fundamental_domain(t, x)
+            )
+
+            def doubled(n_, c_, d_, a, b):
+                hom, hom_shifted = honest(n_, c_, d_, a, b)
+                if (c_, d_, a, b) == (c, d, target.orbit, target.ql):
+                    hom = 2
+                return hom, hom_shifted
+
+            monkeypatch.setattr(homfunctor, "oracle_parts", doubled)
+            monkeypatch.setattr(homfunctor, "_vectors", None)
+            report = verify_hom_functor(t)
+            [failure] = report.dimension_failures
+            assert failure["x"] == target.to_json()
+            assert failure["oracle_dims"][str(t.vertex_of(t.summands[-1]))] >= 2
+            reference = reference_verify_hom_functor(t)
+            assert report.dimension_failures == reference.dimension_failures
+            assert report.to_json() == reference.to_json()
+            assert verify_hom_functor(other).ok
 
     def test_add_tau_is_compared_directly(self, monkeypatch):
         """At a point of add tau T the prediction is empty whatever its
@@ -849,7 +857,7 @@ class TestDimensionsPerSummand:
             return hom, hom_shifted
 
         monkeypatch.setattr(homfunctor, "oracle_parts", planted)
-        monkeypatch.setattr(homfunctor, "_cells", None)
+        monkeypatch.setattr(homfunctor, "_vectors", None)
         monkeypatch.setattr(homfunctor, "_held", None)
         table = homfunctor._table(t)
         table.paint(3 * n)
@@ -861,9 +869,26 @@ class TestDimensionsPerSummand:
         assert report.dimension_failures == reference.dimension_failures
         assert report.to_json() == reference.to_json()
 
+    def test_add_tau_cell_ignores_what_it_holds(self, monkeypatch):
+        """A summand painted into a cell of add tau T, without an oracle part
+        to match, leaves the prediction there empty, so the sweep passes as
+        the reference does."""
+        n = 5
+        t = _representatives(n)[4]
+        target = tau(t.summands[1], 1)
+        monkeypatch.setattr(homfunctor, "_held", None)
+        table = homfunctor._table(t)
+        table.paint(3 * n)
+        assert (target.orbit, target.ql) not in table.hammocks["D"]
+        table.hammocks["D"][target.orbit, target.ql] = [1]
+        report = verify_hom_functor(t)
+        assert report.ok
+        assert report.to_json() == reference_verify_hom_functor(t).to_json()
+
     def test_summand_moved_to_another_cell_is_not_proved(self, monkeypatch):
         """A summand dropped from one cell and repeated in another keeps its
-        count of cells but not its set of cells."""
+        count of cells but not its cells, and the sweep ends as the
+        reference ends."""
         n = 4
         t = _representatives(n)[3]
         monkeypatch.setattr(homfunctor, "_held", None)
@@ -875,20 +900,23 @@ class TestDimensionsPerSummand:
         )
         table.hammocks["T"][cells[0]].remove(1)
         table.hammocks["T"][cells[1]].append(1)
-        assert not homfunctor._dims_proved(t, table, 3 * n)
+        failing = homfunctor._failing_cells(t, table, 3 * n)
+        assert failing == {(b - 1) * n + a - 1 for a, b in cells[:2]}
+        ended = _ending(verify_hom_functor, t)
+        assert ended == _ending(reference_verify_hom_functor, t)
+        assert ended != ()
 
     @pytest.mark.parametrize("change", ["drop", "repeat", "foreign"])
     def test_changed_cell_runs_the_per_x_loop(self, change, monkeypatch):
         """A painted cell that loses a summand, holds one twice or holds a
-        vertex the object lacks defeats the proof, and the sweep then ends
-        as the reference does: a lost summand fails exactly its x, and the
-        other two raise where the chain string of the cell is built."""
+        vertex the object lacks ends the sweep as the per-x reference ends
+        it: a lost summand fails exactly its x, and the other two raise
+        where the chain string of the cell is built."""
         n = 4
         t = _representatives(n)[3]
         monkeypatch.setattr(homfunctor, "_held", None)
         table = homfunctor._table(t)
         table.paint(3 * n)
-        assert homfunctor._dims_proved(t, table, 3 * n)
         cell = next(
             (a, b) for (a, b), chain in sorted(table.hammocks["D"].items())
             if b > 2 * n - 2 and chain
@@ -900,16 +928,11 @@ class TestDimensionsPerSummand:
             chain.append(chain[-1])
         else:
             chain.append(len(t.summands) + 1)
-        assert not homfunctor._dims_proved(t, table, 3 * n)
+        a, b = cell
+        assert homfunctor._failing_cells(t, table, 3 * n) == {(b - 1) * n + a - 1}
 
-        def ending(route):
-            try:
-                return route(t).dimension_failures
-            except (AssertionError, IndexError) as exc:
-                return repr(exc)
-
-        ended = ending(verify_hom_functor)
-        assert ended == ending(reference_verify_hom_functor)
+        ended = _ending(verify_hom_functor, t)
+        assert ended == _ending(reference_verify_hom_functor, t)
         if change == "drop":
             assert [f["x"] for f in ended] == [Indec(n, *cell).to_json()]
         else:
