@@ -805,39 +805,50 @@ class TestDimensionsPerSummand:
                         parts = homfunctor.oracle_parts(n, c, d, a, b)
                         assert vector[(b - 1) * n + a - 1] == sum(parts), (n, c, d, a, b)
 
-    def test_part_of_two_fails_exactly_that_x(self, monkeypatch):
-        """An oracle part of 2, where the honest part is 0 and where it is 1,
-        fails exactly that x of an object with that summand, with the
-        reference's records; an object without that summand still passes."""
+    @pytest.mark.parametrize("honest_part", [0, 1])
+    def test_part_of_two_sends_its_summand_to_the_fallback(self, honest_part, monkeypatch):
+        """An oracle part of 2, where the honest part is 0 or 1, sends the
+        cell of its summand to the per-x comparison alone: an object with
+        that summand fails exactly that x, with the reference's records,
+        and no other x off add tau T is compared by `oracle_dims`; an
+        object without that summand still passes."""
         n = 4
         objects = _representatives(n)
         t = objects[2]
         c, d = t.summands[-1].orbit, t.summands[-1].ql
-        other = next(u for u in objects if (c, d) not in {(s.orbit, s.ql) for s in u.summands})
         honest = homfunctor.oracle_parts
-        for honest_part in (0, 1):
-            target = next(
-                x for x in indecomposables_up_to(n, 3 * n)
-                if honest(n, c, d, x.orbit, x.ql)[0] == honest_part
-                and not in_fundamental_domain(t, x)
-            )
+        target = next(
+            x for x in indecomposables_up_to(n, 3 * n)
+            if honest(n, c, d, x.orbit, x.ql)[0] == honest_part
+            and not in_fundamental_domain(t, x)
+        )
 
-            def doubled(n_, c_, d_, a, b):
-                hom, hom_shifted = honest(n_, c_, d_, a, b)
-                if (c_, d_, a, b) == (c, d, target.orbit, target.ql):
-                    hom = 2
-                return hom, hom_shifted
+        def doubled(n_, c_, d_, a, b):
+            hom, hom_shifted = honest(n_, c_, d_, a, b)
+            if (c_, d_, a, b) == (c, d, target.orbit, target.ql):
+                hom = 2
+            return hom, hom_shifted
 
-            monkeypatch.setattr(homfunctor, "oracle_parts", doubled)
-            monkeypatch.setattr(homfunctor, "_vectors", None)
-            report = verify_hom_functor(t)
-            [failure] = report.dimension_failures
-            assert failure["x"] == target.to_json()
-            assert failure["oracle_dims"][str(t.vertex_of(t.summands[-1]))] >= 2
-            reference = reference_verify_hom_functor(t)
-            assert report.dimension_failures == reference.dimension_failures
-            assert report.to_json() == reference.to_json()
-            assert verify_hom_functor(other).ok
+        monkeypatch.setattr(homfunctor, "oracle_parts", doubled)
+        monkeypatch.setattr(homfunctor, "_vectors", None)
+        calls = []
+        counted = homfunctor.oracle_dims
+        monkeypatch.setattr(
+            homfunctor, "oracle_dims", lambda obj, x: calls.append(x) or counted(obj, x)
+        )
+        report = verify_hom_functor(t)
+        add_tau = {(x.orbit, x.ql) for x in calls[:-1]}
+        assert add_tau == set(homfunctor._table(t).add_tau)
+        assert calls[-1] == target
+        [failure] = report.dimension_failures
+        assert failure["x"] == target.to_json()
+        assert failure["oracle_dims"][str(t.vertex_of(t.summands[-1]))] >= 2
+        reference = reference_verify_hom_functor(t)
+        assert report.dimension_failures == reference.dimension_failures
+        assert report.to_json() == reference.to_json()
+
+        other = next(u for u in objects if (c, d) not in {(s.orbit, s.ql) for s in u.summands})
+        assert verify_hom_functor(other).ok
 
     def test_add_tau_is_compared_directly(self, monkeypatch):
         """At a point of add tau T the prediction is empty whatever its
