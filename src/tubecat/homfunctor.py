@@ -13,10 +13,15 @@ summand" below for how that comparison is made). A string module has
 one basis vector per vertex its string traverses, so `predicted_dims` reads
 the prediction from the chains: nothing on add tau T, else the multiset
 chain T(x) + chain D(x). That the strings traverse exactly these vertices is
-checked where they are built: `_chain_string` for each chain string, and
-`sigma` for each joined string (a join through the loop passes the top
-vertex twice). The sweep builds sigma(x) at every domain point, which the
-bijection check needs anyway, and both chain strings at every other point.
+checked where they are built. `_chain_string` checks that each chain string
+is a string traversing its chain. A word is a string when each two adjacent
+letters may follow each other, so in sigma(x) = sigma_T * beta * sigma_D^-1
+only the pairs around beta are new; and once beta runs from the end of
+sigma_T to the end of sigma_D, the walk visits the vertices of sigma_T and
+then those of sigma_D (through the loop, the top vertex twice). So `sigma`
+checks just that, which also covers a trivial chain string. The sweep
+builds sigma(x) at every domain point, which the bijection check needs
+anyway, and both chain strings at every other point.
 
 No module is built per x. The bijection check builds `string_module` once
 for each string that `enumerate_strings` returns, so the relation check of
@@ -270,12 +275,13 @@ def beta_arrow(t: RigidObject, x: Indec) -> str | None:
 
 def sigma(t: RigidObject, x: Indec) -> StringWord:
     """The string assigned to x in the fundamental domain: one chain string
-    if the other is zero, else both joined through the connecting arrow."""
+    if the other is zero, else both joined through the connecting arrow,
+    checked only at that arrow (see the module docstring)."""
     if in_add_tau(t, x):
         raise ValueError(f"{x} is a translate of a summand; no string assigned")
     if not in_fundamental_domain(t, x):
         raise ValueError(f"{x} is outside the fundamental domain")
-    table = _table(t)
+    lam = _table(t).lam
     sig_t = sigma_string(t, x, "T")
     sig_d = sigma_string(t, x, "D")
     if sig_t.is_zero and sig_d.is_zero:
@@ -284,13 +290,18 @@ def sigma(t: RigidObject, x: Indec) -> StringWord:
         return sig_t
     if sig_t.is_zero:
         return sig_d
-    beta = beta_arrow(t, x)
-    parts = [p for p in (sig_t, st.word([(beta, 1)]), sig_d.inverse()) if p.kind == "word"]
-    joined = st.concatenate(table.lam, *parts)
-    both = table.chain(x, "T") + table.chain(x, "D")
-    if sorted(st.traversed_vertices(table.lam, joined)) != sorted(both):
-        raise AssertionError(f"joined string {joined} of {x} does not traverse {both}")
-    return joined
+    beta = (beta_arrow(t, x), 1)
+    head, tail = sig_t.letters, sig_d.inverse().letters
+    if (
+        st.letter_source(lam, beta) != st.end_vertex(lam, sig_t)
+        or st.letter_target(lam, beta) != st.end_vertex(lam, sig_d)
+        or not all(
+            st.letters_composable(lam, u, v)
+            for u, v in pairwise(head[-1:] + (beta,) + tail[:1])
+        )
+    ):
+        raise AssertionError(f"{beta[0]} does not join {sig_t} to {sig_d} for {x}")
+    return st.word(head + (beta,) + tail)
 
 
 # --- predictions ---------------------------------------------------------------

@@ -41,11 +41,6 @@ class StringWord:
     def is_zero(self) -> bool:
         return self.kind == "zero"
 
-    def __len__(self) -> int:
-        if self.kind == "zero":
-            return 0
-        return len(self.letters)
-
     @property
     def length(self) -> int:
         """Word length; the zero string has length -1 by convention."""
@@ -175,24 +170,6 @@ def is_string(p: Presentation, w: StringWord) -> bool:
     )
 
 
-def concatenate(p: Presentation, *parts: StringWord) -> StringWord:
-    """Join strings end to start; the result must again be a string."""
-    letters: list[Letter] = []
-    for part in parts:
-        if part.kind == "zero":
-            raise ValueError("cannot concatenate the zero string")
-        letters.extend(part.letters)
-    if not letters:
-        verts = {part.vertex for part in parts if part.kind == "trivial"}
-        if len(verts) != 1:
-            raise ValueError("trivial concatenation at incoherent vertices")
-        return trivial(verts.pop())
-    out = word(letters)
-    if not is_string(p, out):
-        raise ValueError(f"concatenation is not a string: {out}")
-    return out
-
-
 # --- enumeration -------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -305,12 +282,13 @@ def _canonical_band(forward: tuple[Letter, ...]) -> StringWord:
 class StringModule:
     """Dimension vector plus 0/1 arrow actions on vertex-graded basis slots.
 
-    Each action is stored with its (target dim, source dim) shape so that
-    empty matrices keep their meaning.
+    Each action is stored sparsely, as its (target dim, source dim) shape
+    and the (row, column) positions of its ones, so that empty matrices
+    keep their meaning. `action` and `to_json` expand it.
     """
 
     dims: tuple[tuple[int, int], ...]  # (vertex, dimension), sorted
-    actions: tuple[tuple[str, tuple[int, int], tuple[int, ...]], ...]
+    actions: tuple[tuple[str, tuple[int, int], tuple[tuple[int, int], ...]], ...]
 
     def dim(self, vertex: int) -> int:
         return dict(self.dims).get(vertex, 0)
@@ -321,9 +299,12 @@ class StringModule:
 
     def action(self, arrow_id: str) -> tuple[tuple[int, ...], ...]:
         """The matrix of the arrow's action, as a tuple of row tuples."""
-        for aid, (rows, cols), entries in self.actions:
+        for aid, (rows, cols), ones in self.actions:
             if aid == arrow_id:
-                return tuple(entries[i * cols:(i + 1) * cols] for i in range(rows))
+                matrix = [[0] * cols for _ in range(rows)]
+                for i, j in ones:
+                    matrix[i][j] = 1
+                return tuple(map(tuple, matrix))
         raise KeyError(arrow_id)
 
     def to_json(self) -> dict:
@@ -351,27 +332,23 @@ def string_module(p: Presentation, w: StringWord) -> StringModule:
         slot.append(dims[v])
         dims[v] += 1
 
-    # Row-major 0/1 matrices, (target dim) x (source dim), as flat lists.
-    shapes = {a.id: (dims[a.tgt], dims[a.src]) for a in p.quiver.arrows}
-    mats = {aid: [0] * (rows * cols) for aid, (rows, cols) in shapes.items()}
-    if w.kind == "word":
-        for i, (aid, d) in enumerate(w.letters):
-            row, col = (slot[i + 1], slot[i]) if d > 0 else (slot[i], slot[i + 1])
-            mats[aid][row * shapes[aid][1] + col] = 1
+    # Each letter puts one 1 at (target slot, source slot) of its arrow.
+    ones: dict[str, list[tuple[int, int]]] = {a.id: [] for a in p.quiver.arrows}
+    for i, (aid, d) in enumerate(w.letters):
+        ones[aid].append((slot[i + 1], slot[i]) if d > 0 else (slot[i], slot[i + 1]))
 
-    # With 0/1 entries, second @ first is nonzero iff some nonzero entry
-    # (i, j) of `second` meets a nonzero row j of `first`.
+    # With 0/1 entries, second @ first is nonzero iff some row of `first`
+    # holding a one is a column of `second` holding a one.
     for second, first in p.relations:
-        rows, cols = shapes[first]
-        mat = mats[first]
-        live = {j for j in range(rows) if any(mat[j * cols:(j + 1) * cols])}
-        inner = shapes[second][1]
-        if any(x and k % inner in live for k, x in enumerate(mats[second])):
+        if {i for i, _ in ones[first]} & {j for _, j in ones[second]}:
             raise AssertionError(f"relation ({second}, {first}) acts nonzero")
 
     return StringModule(
         tuple(sorted((v, d) for v, d in dims.items() if d)),
-        tuple((aid, shapes[aid], tuple(mat)) for aid, mat in sorted(mats.items())),
+        tuple(
+            (a.id, (dims[a.tgt], dims[a.src]), tuple(ones[a.id]))
+            for a in sorted(p.quiver.arrows, key=lambda a: a.id)
+        ),
     )
 
 

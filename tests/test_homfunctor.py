@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import re
 
 import pytest
 
@@ -26,7 +27,14 @@ from tubecat.rigid import (
     subwing_decomposition,
     tau_rigid,
 )
-from tubecat.strings import end_vertex, enumerate_strings, string_module, traversed_vertices
+from tubecat.strings import (
+    end_vertex,
+    enumerate_strings,
+    is_string,
+    string_module,
+    traversed_vertices,
+    word,
+)
 from tubecat.tube import (
     Indec,
     hom_tube,
@@ -75,6 +83,33 @@ def reference_modules(t, x):
         return (string_module(lam, sigma(t, x)),)
     words = (sigma_string(t, x, "T"), sigma_string(t, x, "D"))
     return tuple(string_module(lam, w) for w in words if not w.is_zero)
+
+
+def reference_sigma(t, x):
+    """The former whole-word join of sigma(x): sigma_T * beta * sigma_D^-1
+    checked letter by letter as a string (the former
+    `strings.concatenate`), then its sorted traversal compared with
+    chain T(x) + chain D(x)."""
+    if in_add_tau(t, x):
+        raise ValueError(f"{x} is a translate of a summand; no string assigned")
+    if not in_fundamental_domain(t, x):
+        raise ValueError(f"{x} is outside the fundamental domain")
+    lam = cached_endomorphism_algebra(t)
+    sig_t = sigma_string(t, x, "T")
+    sig_d = sigma_string(t, x, "D")
+    if sig_t.is_zero and sig_d.is_zero:
+        raise AssertionError(f"both chain strings vanish for {x} in the domain")
+    if sig_d.is_zero:
+        return sig_t
+    if sig_t.is_zero:
+        return sig_d
+    joined = word(sig_t.letters + ((homfunctor.beta_arrow(t, x), 1),) + sig_d.inverse().letters)
+    if not is_string(lam, joined):
+        raise ValueError(f"concatenation is not a string: {joined}")
+    both = [s for kind in ("T", "D") for s in reverse_hammock(t, x, kind)]
+    if sorted(traversed_vertices(lam, joined)) != sorted(map(t.vertex_of, both)):
+        raise AssertionError(f"joined string {joined} of {x} does not traverse {both}")
+    return joined
 
 
 def reference_verify_hom_functor(t, ql_cap=None):
@@ -343,6 +378,81 @@ class TestSigma:
                         sig = sigma(t, q)
                         assert 0 <= sig.length <= 2 * (n - 1) - 1
                     assert predicted_dims(t, q) == oracle_dims(t, q)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+    def test_equals_the_whole_word_join(self, n):
+        points = 0
+        for t in _representatives(n):
+            for x in sorted(fundamental_domain(n)):
+                assert in_fundamental_domain(t, x)
+                if not in_add_tau(t, x):
+                    assert sigma(t, x) == reference_sigma(t, x), (t, x)
+                    points += 1
+        assert points == len(_representatives(n)) * (3 * n * n - 5 * n + 2) // 2
+
+    @pytest.mark.parametrize(
+        "fault, summands, at, fake",
+        [
+            # Both chain strings are e1, at the top vertex; a2_1 runs 2 -> 1.
+            ("wrong-source", [(1, 3), (2, 2), (2, 1)], (1, 3), "a2_1"),
+            # Both chain strings are e1; a1_2 runs 1 -> 2.
+            ("wrong-target", [(1, 3), (1, 1), (3, 1)], (2, 3), "a1_2"),
+            # sigma_T is a3_1, ending at 1, and a1_2 * a3_1 is a relation.
+            ("relation", [(1, 3), (1, 1), (3, 1)], (3, 3), "a1_2"),
+        ],
+    )
+    def test_bad_connecting_arrow_is_caught(self, fault, summands, at, fake, monkeypatch):
+        """A connecting arrow that leaves or enters the wrong vertex, or
+        that forms a relation with the last letter of sigma_T, fails sigma
+        at that x and the object's hom-functor outcome, and no other
+        outcome."""
+        from tubecat.verify import check_hom_functor
+
+        n = 4
+        victim = from_summands(n, [Indec(n, *s) for s in summands])
+        x = Indec(n, *at)
+        lam = cached_endomorphism_algebra(victim)
+        sig_t, sig_d = sigma_string(victim, x, "T"), sigma_string(victim, x, "D")
+        arrow, ends = lam.quiver.arrow(fake), (end_vertex(lam, sig_t), end_vertex(lam, sig_d))
+        honest = homfunctor.beta_arrow
+        assert victim.top.orbit == 1 and honest(victim, x) != fake
+        assert {
+            "wrong-source": arrow.src != ends[0],
+            "wrong-target": arrow.src == ends[0] and arrow.tgt != ends[1],
+            "relation": sig_t.kind == "word" and lam.is_relation(fake, sig_t.letters[-1][0]),
+        }[fault]
+        monkeypatch.setattr(
+            homfunctor, "beta_arrow",
+            lambda t, y: fake if (t, y) == (victim, x) else honest(t, y),
+        )
+        monkeypatch.setattr(homfunctor, "_held", None)
+        message = f"{fake} does not join {sig_t} to {sig_d} for {x}"
+        with pytest.raises(AssertionError, match=f"^{re.escape(message)}$"):
+            sigma(victim, x)
+        with pytest.raises((AssertionError, ValueError)):
+            reference_sigma(victim, x)
+        failed = [o for o in check_hom_functor(n) if not o.ok]
+        assert [(o.subject, o.detail) for o in failed] == [(str(victim), f"error: {message}")]
+
+    @pytest.mark.parametrize("kind", ["T", "D"])
+    def test_loop_beside_a_chain_string_ending_in_it_is_caught(self, kind, monkeypatch):
+        """A forged chain string a3_1 * w ends at the top vertex, where the
+        connecting loop starts and ends, so only the letters around the
+        loop show the fault: w * w is a relation (kind "T"), and w followed
+        by its inverse is no string (kind "D")."""
+        n = 4
+        victim = from_summands(n, [Indec(n, 1, 3), Indec(n, 1, 1), Indec(n, 3, 1)])
+        x = Indec(n, 3, 3)
+        assert beta_arrow(victim, x) == "w"
+        honest = homfunctor.sigma_string
+        forged = word([("a3_1", 1), ("w", 1)])
+        monkeypatch.setattr(
+            homfunctor, "sigma_string",
+            lambda t, y, k: forged if (y, k) == (x, kind) else honest(t, y, k),
+        )
+        sig_t, sig_d = (forged, "a3_1") if kind == "T" else ("a3_1", forged)
+        with pytest.raises(AssertionError, match=re.escape(f"w does not join {sig_t} to {sig_d} for {x}")):
+            sigma(victim, x)
 
     def test_rejects_translates_and_outsiders(self):
         with pytest.raises(ValueError):

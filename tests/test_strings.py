@@ -57,14 +57,57 @@ def start_vertex(p, w):
 
 
 def stored_matrix(m, arrow_id):
-    """An arrow's action as a numpy array, read from the stored
-    (arrow id, shape, entries) record rather than from `action`; skips the
-    calling test when numpy is missing."""
+    """An arrow's action as a numpy array, built from the stored sparse
+    (arrow id, shape, positions of ones) record rather than from `action`;
+    skips the calling test when numpy is missing."""
     np = pytest.importorskip("numpy")
-    for aid, shape, entries in m.actions:
+    for aid, shape, ones in m.actions:
         if aid == arrow_id:
-            return np.array(entries, dtype=int).reshape(shape)
+            matrix = np.zeros(shape, dtype=int)
+            for i, j in ones:
+                matrix[i, j] = 1
+            return matrix
     raise KeyError(arrow_id)
+
+
+def reference_string_module(p, w):
+    """The former dense builder of `string_module`, as its `to_json()`:
+    every action a flat row-major 0/1 list, and the relation check read
+    from the entries of both matrices."""
+    if not strings.is_string(p, w):
+        raise ValueError(f"not a string of this presentation: {w}")
+    if w.kind == "zero":
+        return {"dims": {}, "actions": {}}
+    verts = traversed_vertices(p, w)
+    dims = {v: 0 for v in p.quiver.vertices}
+    slot = []
+    for v in verts:
+        slot.append(dims[v])
+        dims[v] += 1
+    shapes = {a.id: (dims[a.tgt], dims[a.src]) for a in p.quiver.arrows}
+    mats = {aid: [0] * (rows * cols) for aid, (rows, cols) in shapes.items()}
+    if w.kind == "word":
+        for i, (aid, d) in enumerate(w.letters):
+            row, col = (slot[i + 1], slot[i]) if d > 0 else (slot[i], slot[i + 1])
+            mats[aid][row * shapes[aid][1] + col] = 1
+    for second, first in p.relations:
+        rows, cols = shapes[first]
+        mat = mats[first]
+        live = {j for j in range(rows) if any(mat[j * cols:(j + 1) * cols])}
+        inner = shapes[second][1]
+        if any(x and k % inner in live for k, x in enumerate(mats[second])):
+            raise AssertionError(f"relation ({second}, {first}) acts nonzero")
+    return {
+        "dims": {str(v): d for v, d in sorted(dims.items()) if d},
+        "actions": {
+            aid: [mats[aid][i * cols:(i + 1) * cols] for i in range(rows)]
+            for aid, (rows, cols) in sorted(shapes.items())
+        },
+    }
+
+
+def _representatives(n):
+    return [t for t in maximal_rigid_objects(n) if t.top.orbit == 1]
 
 
 class TestWords:
@@ -72,6 +115,13 @@ class TestWords:
         w = word([("a", -1), ("w", 1)])
         assert w.canonical() == w.inverse().canonical()
         assert w.canonical().canonical() == w.canonical()
+
+    def test_every_string_is_truthy(self):
+        # No length protocol: a trivial string is not an empty container,
+        # and the zero string's length is -1, not 0.
+        for w in (trivial(3), ZERO_STRING, word([("a", 1)])):
+            assert w
+        assert ZERO_STRING.length == -1 and trivial(3).length == 0
 
     def test_zero_string(self):
         assert ZERO_STRING.is_zero
@@ -241,6 +291,31 @@ class TestStringModules:
         monkeypatch.setattr(strings, "is_string", lambda p, w: True)
         with pytest.raises(AssertionError, match=r"relation \(w, w\) acts nonzero"):
             string_module(RANK3, word([("w", 1), ("w", 1)]))
+
+    @pytest.mark.parametrize("builder", [string_module, reference_string_module])
+    @pytest.mark.parametrize("inverse", [False, True])
+    def test_tube_and_shifted_relation_is_caught(self, builder, inverse, monkeypatch):
+        """A relation between a tube-map arrow and a shifted-part arrow,
+        forged forwards and as its inverse, in both builders."""
+        lam = cached_endomorphism_algebra(maximal_rigid_objects(4)[0])
+        kinds = {a.id: a.kind for a in lam.quiver.arrows}
+        second, first = next(
+            r for r in lam.relations if {kinds[r[0]], kinds[r[1]]} == {"T", "D"}
+        )
+        forged = word([(first, 1), (second, 1)])
+        assert not is_string(lam, forged)
+        monkeypatch.setattr(strings, "is_string", lambda p, w: True)
+        with pytest.raises(
+            AssertionError, match=rf"^relation \({second}, {first}\) acts nonzero$"
+        ):
+            builder(lam, forged.inverse() if inverse else forged)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+    def test_modules_equal_the_dense_builder(self, n):
+        for t in _representatives(n):
+            lam = cached_endomorphism_algebra(t)
+            for s in enumerate_strings(lam).strings:
+                assert string_module(lam, s).to_json() == reference_string_module(lam, s)
 
     def test_rejects_non_string(self):
         with pytest.raises(ValueError):
