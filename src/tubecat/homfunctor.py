@@ -518,7 +518,7 @@ def verify_hom_functor(t: RigidObject, ql_cap: int | None = None) -> HomFunctorR
     for w in enum.strings:
         st.string_module(lam, w)  # its relation check, once per string
     bijection_ok = (
-        not enum.bands
+        enum.band is None
         and set(assigned) == set(enum.strings)
         and len(assigned) == len(enum.strings)
     )

@@ -552,19 +552,12 @@ def find_isomorphism(
     return dict(mapping) if backtrack(0) else None
 
 
-def _as_presentation(x: Quiver | Presentation) -> Presentation:
-    if isinstance(x, Presentation):
-        return x
-    return Presentation(x, frozenset())
-
-
 # --- emission ----------------------------------------------------------------
 
-def to_dot(p: Presentation | Quiver, name: str = "quiver") -> str:
+def to_dot(p: Presentation, name: str = "quiver") -> str:
     """DOT text: solid tube-map arrows, bold shifted-part arrows, dashed
     overlay edges for relations."""
-    pres = _as_presentation(p)
-    q = pres.quiver
+    q = p.quiver
     lines = [f"digraph {name} {{"]
     for v in q.vertices:
         lines.append(f"  {v};")
@@ -573,7 +566,7 @@ def to_dot(p: Presentation | Quiver, name: str = "quiver") -> str:
         if a.kind in ("D", "loop"):
             style = ", style=bold"
         lines.append(f'  {a.src} -> {a.tgt} [label="{a.id}"{style}];')
-    for second, first in sorted(pres.relations):
+    for second, first in sorted(p.relations):
         u = q.arrow(first).src
         w = q.arrow(second).tgt
         lines.append(f"  {u} -> {w} [style=dashed, constraint=false];")

@@ -7,8 +7,15 @@ Canonical forms identify a word with its inverse.
 
 Which letter may follow which depends on the two letters only, so the
 letters and their successors form one graph (`_letter_graph`). Strings are
-the walks in it; the strings of the projectives and injectives are pairs
-of maximal walks that keep one letter direction.
+the walks in it, and a cycle in it is a band; the strings of the
+projectives and injectives are pairs of maximal walks that keep one letter
+direction.
+
+A walk that repeats a letter has closed a band, so without bands every
+walk has distinct letters, at most 2 * #arrows of them. `enumerate_strings`
+therefore needs no length cap: it ends by itself or at its first band, and
+one band is enough, since a presentation is of finite type exactly when it
+has none (Butler-Ringel).
 """
 
 from __future__ import annotations
@@ -174,20 +181,16 @@ def is_string(p: Presentation, w: StringWord) -> bool:
 
 @dataclass(frozen=True)
 class StringEnumeration:
-    """Canonical strings; bands discovered while walking, if any.
+    """Every canonical string, or the first band the walk closed.
 
-    `complete` is False only when bands forced a length cap; `strings` then
-    holds every string up to `cap` letters.
+    `band` is None exactly when the presentation has no band, that is, is
+    of finite type (Butler-Ringel). A band-free walk never repeats a
+    letter, so it has at most 2 * #arrows letters and the list is finite.
+    With a band there is no finite list, so `strings` is empty.
     """
 
     strings: tuple[StringWord, ...]
-    bands: tuple[StringWord, ...]
-    complete: bool
-    cap: int
-
-
-def default_cap(p: Presentation) -> int:
-    return 4 * max(1, len(p.quiver.arrows)) * max(1, len(p.quiver.vertices))
+    band: StringWord | None
 
 
 def _letter_graph(p: Presentation) -> dict[Letter, list[Letter]]:
@@ -205,16 +208,16 @@ def _letter_graph(p: Presentation) -> dict[Letter, list[Letter]]:
     }
 
 
-def enumerate_strings(p: Presentation, cap: int | None = None) -> StringEnumeration:
-    """Every walk of at most `cap` letters in the letter graph, depth first.
+def enumerate_strings(p: Presentation) -> StringEnumeration:
+    """Every walk in the letter graph, depth first, up to its first band.
 
-    A stack of letter tuples: pop a walk and record it; unless it has `cap`
-    letters, push it once per successor of its last letter, extended by
-    that successor. A successor already in the walk closes a cycle of valid
-    transitions, which is exactly a band, recorded from the successor's
-    first occurrence; the walk is then cut at the cap. Without bands the
-    walk terminates by itself, so a walk at the cap that could still go on
-    without a band found is an error.
+    A stack of letter tuples: pop a walk and record it, then push it once
+    per successor of its last letter, extended by that successor. A
+    successor already in the walk closes a cycle of valid transitions,
+    which is exactly a band, taken from the successor's occurrence; the
+    walk returns it at once. So every walk on the stack has distinct
+    letters, at most 2 * #arrows of them, and the walk ends by itself or
+    at its first band.
 
     A string and its inverse are one string (Butler-Ringel). A walk is
     recorded only if `_is_canonical`, so no inverse is built per visit.
@@ -224,55 +227,41 @@ def enumerate_strings(p: Presentation, cap: int | None = None) -> StringEnumerat
     inverse, or a letter equal to its inverse). Each `StringWord` is built
     once, at the end.
 
-    The stack is explicit, so the cap is not limited by Python's recursion
-    depth; a walk of more than a million visits raises RuntimeError.
+    The stack is explicit, so long strings do not meet Python's recursion
+    limit; a walk of more than a million visits raises RuntimeError.
     """
     sb = is_special_biserial(p)
     if not sb:
         raise ValueError(f"presentation is not special biserial: {sb.witness}")
-    if cap is None:
-        cap = default_cap(p)
-    if cap < 1:
-        raise ValueError(f"cap must be >= 1, got {cap}")
 
     graph = _letter_graph(p)
     found: list[tuple[Letter, ...]] = []
-    bands: set[StringWord] = set()
-    capped = False
     budget = 1_000_000
     stack = [(letter,) for letter in graph]
     while stack:
         walk = stack.pop()
         budget -= 1
         if budget < 0:
-            raise RuntimeError(f"string walk exceeded the node budget at cap {cap}")
+            raise RuntimeError("string walk exceeded the node budget")
         if _is_canonical(walk):
             found.append(walk)
-        if len(walk) >= cap:
-            capped = capped or bool(graph[walk[-1]])
-            continue
         for nxt in graph[walk[-1]]:
             if nxt in walk:
-                bands.add(_canonical_band(walk[walk.index(nxt):]))
+                return StringEnumeration((), _canonical_band(walk[walk.index(nxt):]))
             stack.append(walk + (nxt,))
 
-    if capped and not bands:
-        raise RuntimeError(f"string walk exceeded cap {cap} without finding a band")
     # Trivial strings sort before words, and words by their letters.
     strings = tuple(trivial(v) for v in sorted(p.quiver.vertices)) + tuple(
         StringWord("word", letters) for letters in sorted(found)
     )
-    return StringEnumeration(strings, tuple(sorted(bands)), not bands, cap)
+    return StringEnumeration(strings, None)
 
 
-def _canonical_band(forward: tuple[Letter, ...]) -> StringWord:
-    """Primitive root of the cyclic word, in its least rotation over both
-    orientations."""
-    n = len(forward)
-    period = next(k for k in range(1, n + 1) if n % k == 0 and forward == forward[:k] * (n // k))
-    forward = forward[:period]
-    backward = tuple((aid, -d) for aid, d in reversed(forward))
-    rotations = [ls[i:] + ls[:i] for ls in (forward, backward) for i in range(period)]
+def _canonical_band(cycle: tuple[Letter, ...]) -> StringWord:
+    """A cycle of distinct letters, hence primitive, in its least rotation
+    over both orientations."""
+    backward = tuple((aid, -d) for aid, d in reversed(cycle))
+    rotations = [ls[i:] + ls[:i] for ls in (cycle, backward) for i in range(len(cycle))]
     return word(min(rotations, key=_letter_keys))
 
 

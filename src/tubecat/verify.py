@@ -248,8 +248,8 @@ def _strings_verdict(t) -> tuple[bool, str]:
     n = t.rank
     expected = (3 * n * n - 5 * n + 2) // 2
     enum = st.enumerate_strings(cached_endomorphism_algebra(t))
-    if enum.bands:
-        return False, f"band detected: {enum.bands[0]}"
+    if enum.band is not None:
+        return False, f"band detected: {enum.band}"
     if len(enum.strings) != expected:
         return False, f"{len(enum.strings)} strings, expected {expected}"
     return True, f"count={len(enum.strings)}, no bands"
@@ -336,16 +336,6 @@ def check_hom_functor(n: int, ql_cap: int | None = None) -> list[Outcome]:
     return _per_orbit("hom-functor", n, lambda t: _hom_functor_verdict(t, ql_cap))
 
 
-def _is_translate_orbit(members) -> bool:
-    """Whether the members are exactly the translates of the first one."""
-    current = members[0]
-    orbit = set()
-    for _ in range(current.rank):
-        orbit.add(current)
-        current = tau_rigid(current, 1)
-    return orbit == set(members)
-
-
 def check_converse(n: int) -> list[Outcome]:
     """Group objects by the isomorphism class of (loopless quiver, loop
     vertex); every class must contain exactly n objects forming one
@@ -354,10 +344,12 @@ def check_converse(n: int) -> list[Outcome]:
 
     Only representatives (top at orbit 1) have their quivers built and
     compared. Every other object joins its representative's class by
-    `_translate_certificate`, or fails the check when it has none. This is
-    exact because canonical order is relative to the top: tau^k T has the
-    same labelled endomorphism algebra as T, hence the same (quiver, loop
-    vertex).
+    `_translate_certificate`, or fails the check when it has none. The
+    certificate shows that tau^(top.orbit - 1) of each member is its
+    class's representative, so n members with n distinct top orbits are
+    exactly the n translates of it. This is exact because canonical order
+    is relative to the top: tau^k T has the same labelled endomorphism
+    algebra as T, hence the same (quiver, loop vertex).
 
     Classes are kept in buckets keyed by `pinned_invariant` of their
     (quiver, loop vertex). A representative is compared with
@@ -397,7 +389,7 @@ def check_converse(n: int) -> list[Outcome]:
         for quiver, vertex, members in classes:
             if len(members) != n:
                 return False, f"class at vertex {vertex} has {len(members)} objects"
-            if not _is_translate_orbit(members):
+            if len({t.top.orbit for t in members}) != n:
                 return False, f"class at vertex {vertex} is not one translate orbit"
 
         # every connecting vertex of every arising quiver is realized

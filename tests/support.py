@@ -1,8 +1,11 @@
 """Helpers that several test modules share and no module of `tubecat`
 calls: small enumerations of the tube, the oracle's cluster Hom, the
-quasisimple map of a rigid object and the end strings of an algebra."""
+quasisimple map of a rigid object, the end strings of an algebra and an
+algebra with a band."""
 
 from tubecat import strings
+from tubecat.endo import LOOP_ID
+from tubecat.quiver import Presentation
 from tubecat.rigid import RigidObject
 from tubecat.strings import StringWord
 from tubecat.tube import HomDims, Indec, hom_tube_oracle, in_wing, tau
@@ -59,3 +62,9 @@ def injective_string(p, v: int) -> StringWord:
     maximal relation-free path into v, then backwards along the other; the
     inverses of the two paths are the walks of inverse letters from v."""
     return strings._end_string(p, strings._letter_graph(p), v, -1)
+
+
+def free_loop(p: Presentation) -> Presentation:
+    """p without the relations of its loop. At rank 2 the loop is the only
+    arrow, so the loop alone is a band."""
+    return Presentation(p.quiver, frozenset(r for r in p.relations if LOOP_ID not in r))

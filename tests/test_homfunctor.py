@@ -44,7 +44,7 @@ from tubecat.tube import (
     tau,
 )
 
-from support import projective_string, quasisimple_map, quasisimples, wing_members
+from support import free_loop, projective_string, quasisimple_map, quasisimples, wing_members
 
 T3 = from_summands(3, [Indec(3, 1, 2), Indec(3, 1, 1)])
 T2 = from_summands(2, [Indec(2, 1, 1)])
@@ -152,7 +152,7 @@ def reference_verify_hom_functor(t, ql_cap=None):
     for w in enum.strings:
         string_module(lam, w)
     bijection_ok = (
-        not enum.bands
+        enum.band is None
         and set(assigned) == set(enum.strings)
         and len(assigned) == len(enum.strings)
     )
@@ -522,6 +522,15 @@ class TestVerifyHomFunctor:
         with pytest.raises(ValueError, match=f"ql_cap {cap} is below 4, .* at rank 3"):
             verify_hom_functor(T3, cap)
         assert painted == []
+
+    def test_band_fails_the_bijection(self, monkeypatch):
+        real = homfunctor.cached_endomorphism_algebra
+        monkeypatch.setattr(homfunctor, "cached_endomorphism_algebra", lambda t: free_loop(real(t)))
+        monkeypatch.setattr(homfunctor, "_held", None)  # a table built on the band algebra
+        report = verify_hom_functor(T2)
+        assert enumerate_strings(free_loop(real(T2))).band == word([("w", 1)])
+        assert not report.bijection_ok and not report.ok
+        assert report.domain_size_ok and not report.dimension_failures
 
     def test_cap_covering_the_domain(self):
         for t in maximal_rigid_objects(3):

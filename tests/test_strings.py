@@ -1,8 +1,11 @@
 """String and band combinatorics tests."""
 
 import hashlib
+import inspect
 import json
 import random
+import sys
+from collections import namedtuple
 
 import pytest
 
@@ -32,19 +35,23 @@ KRONECKER = presentation([1, 2], [("a", 1, 2), ("b", 1, 2)])
 LINEAR_A3 = presentation([1, 2, 3], [("a", 1, 2), ("b", 2, 3)])
 
 
+def oriented_cycle(m):
+    return presentation(range(1, m + 1), [(f"a{i}", i, i % m + 1) for i in range(1, m + 1)])
+
+
 class InfiniteTypeError(ValueError):
     """Band modules exist; the indecomposables cannot be counted."""
 
-    def __init__(self, bands):
-        super().__init__(f"presentation has band modules: {bands}")
-        self.bands = bands
+    def __init__(self, band):
+        super().__init__(f"presentation has band modules: {band}")
+        self.band = band
 
 
 def count_indecomposables(p):
     """Number of canonical strings, trivial ones included, zero excluded."""
     enum = enumerate_strings(p)
-    if enum.bands:
-        raise InfiniteTypeError(enum.bands)
+    if enum.band is not None:
+        raise InfiniteTypeError(enum.band)
     return len(enum.strings)
 
 
@@ -156,7 +163,7 @@ class TestWords:
 class TestEnumeration:
     def test_rank3_exact_set(self):
         enum = enumerate_strings(RANK3)
-        assert enum.complete
+        assert enum.band is None
         expected = {
             trivial(1).canonical(),
             trivial(2).canonical(),
@@ -176,8 +183,8 @@ class TestEnumeration:
 
     def test_kronecker_band(self):
         enum = enumerate_strings(KRONECKER)
-        assert not enum.complete
-        assert enum.bands == (word([("a", 1), ("b", -1)]).canonical(),)
+        assert enum.strings == ()
+        assert enum.band == word([("a", 1), ("b", -1)]).canonical()
         with pytest.raises(InfiniteTypeError):
             count_indecomposables(KRONECKER)
 
@@ -190,50 +197,69 @@ class TestEnumeration:
             enumerate_strings(bad)
 
     def test_pinned_for_all_objects(self):
-        # Digest of every enumeration at ranks 2..6 (strings, bands, cap)
-        # as produced by the earlier recursive walk.
+        # Digest of every enumeration at ranks 2..6 as produced by the
+        # earlier recursive walk, whose record also held the bands, a
+        # completeness flag and the default length cap: rebuilt here.
         data = []
         for n in range(2, 7):
             for t in maximal_rigid_objects(n):
-                enum = enumerate_strings(cached_endomorphism_algebra(t))
-                data.append([
-                    n,
-                    str(t),
-                    [s.to_json() for s in enum.strings],
-                    [b.to_json() for b in enum.bands],
-                    enum.complete,
-                    enum.cap,
-                ])
+                lam = cached_endomorphism_algebra(t)
+                enum = enumerate_strings(lam)
+                assert enum.band is None
+                cap = 4 * max(1, len(lam.quiver.arrows)) * max(1, len(lam.quiver.vertices))
+                data.append([n, str(t), [s.to_json() for s in enum.strings], [], True, cap])
         assert len(data) == 350
         digest = hashlib.sha256(json.dumps(data).encode()).hexdigest()
         assert digest == "3719ae74722a4b20dd54043076eea905b91f131fd37bf65cc7d163f6c8de9291"
 
     def test_long_walk_does_not_recurse(self):
-        # A branch of 1500 letters is deeper than Python's default
-        # recursion limit.
-        loop = presentation([1], [("w", 1, 1, "loop")])
-        enum = enumerate_strings(loop, cap=1500)
-        assert enum.bands == (word([("w", 1)]),)
-        assert not enum.complete
-        assert len(enum.strings) == 1501
-        assert max(s.length for s in enum.strings) == 1500
+        # The linear quiver's longest string is longer than the recursion
+        # limit, lowered to 100 frames above the current depth.
+        limit = len(inspect.stack(0)) + 100
+        m = limit + 2
+        path = presentation(range(1, m + 1), [(f"a{i}", i, i + 1) for i in range(1, m)])
+        old = sys.getrecursionlimit()
+        sys.setrecursionlimit(limit)
+        try:
+            enum = enumerate_strings(path)
+        finally:
+            sys.setrecursionlimit(old)
+        assert enum.band is None
+        assert len(enum.strings) == m * (m + 1) // 2
+        assert max(s.length for s in enum.strings) == m - 1 > limit
 
     @pytest.mark.parametrize("p", [
         presentation([1, 2], [("a", 1, 2)]),
         presentation([1], [("w", 1, 1)], [("w", "w")]),
     ], ids=["A2", "loop-w2"])
     def test_cap_at_the_longest_string(self, p):
-        # The longest string has one letter, so no walk at cap 1 could go
-        # on and the enumeration is complete.
-        enum = enumerate_strings(p, cap=1)
-        assert enum.complete and enum.cap == 1
-        assert enum.strings == enumerate_strings(p).strings
+        # The longest string has one letter, so the walk ends by itself
+        # after one letter and lists what the former walk did at cap 1.
+        enum = enumerate_strings(p)
+        reference = reference_enumeration(p, 1)
+        assert enum.band is None and reference.complete
+        assert enum.strings == reference.strings
         assert max(s.length for s in enum.strings) == 1
 
     @pytest.mark.parametrize("cap", [0, -1])
     def test_cap_below_one_raises(self, cap):
-        with pytest.raises(ValueError, match=f"cap must be >= 1, got {cap}"):
+        # There is no length cap to pass, by position or by name.
+        with pytest.raises(TypeError):
             enumerate_strings(LINEAR_A3, cap)
+        with pytest.raises(TypeError):
+            enumerate_strings(LINEAR_A3, cap=cap)
+
+    @pytest.mark.parametrize("p, visits, band", [
+        (oriented_cycle(16), 16, word([(f"a{i}", 1) for i in range(1, 17)])),
+        (presentation([1], [("w", 1, 1)]), 1, word([("w", 1)])),
+    ], ids=["16-cycle", "free-loop"])
+    def test_band_returns_at_its_first_closing(self, p, visits, band, monkeypatch):
+        # `_is_canonical` runs once per visited walk.
+        seen = []
+        is_canonical = strings._is_canonical
+        monkeypatch.setattr(strings, "_is_canonical", lambda ls: seen.append(ls) or is_canonical(ls))
+        assert enumerate_strings(p) == strings.StringEnumeration((), band)
+        assert len(seen) == visits
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_count_formula_for_all_objects(self, n):
@@ -424,15 +450,29 @@ def reference_canonical_letters(letters):
     return tuple((aid, -d) for aid, d in reversed(letters))
 
 
-def reference_enumeration(p, cap=None):
-    """The former `enumerate_strings`: one iterator over the remaining next
-    letters per letter of the growing branch, `first_seen` mapping each
-    letter on the branch to its first position, every visit canonicalised."""
+def reference_canonical_band(forward):
+    """The former `_canonical_band`: primitive root of the cyclic word, in
+    its least rotation over both orientations."""
+    n = len(forward)
+    period = next(k for k in range(1, n + 1) if n % k == 0 and forward == forward[:k] * (n // k))
+    forward = forward[:period]
+    backward = tuple((aid, -d) for aid, d in reversed(forward))
+    rotations = [ls[i:] + ls[:i] for ls in (forward, backward) for i in range(period)]
+    return word(min(rotations, key=strings._letter_keys))
+
+
+ReferenceEnumeration = namedtuple("ReferenceEnumeration", "strings bands complete cap")
+
+
+def reference_enumeration(p, cap):
+    """The walk with a length cap, before it stopped at its first band: one
+    iterator over the remaining next letters per letter of the growing
+    branch, `first_seen` mapping each letter on the branch to its first
+    position, every visit canonicalised. It lists every string of at most
+    `cap` letters and every band closed within them."""
     sb = strings.is_special_biserial(p)
     if not sb:
         raise ValueError(f"presentation is not special biserial: {sb.witness}")
-    if cap is None:
-        cap = strings.default_cap(p)
     all_letters = []
     for a in sorted(p.quiver.arrows, key=lambda a: a.id):
         all_letters.append((a.id, 1))
@@ -473,7 +513,7 @@ def reference_enumeration(p, cap=None):
                     del first_seen[last]
                 continue
             if nxt in first_seen:
-                bands.add(strings._canonical_band(tuple(letters[first_seen[nxt]:])))
+                bands.add(reference_canonical_band(tuple(letters[first_seen[nxt]:])))
             else:
                 first_seen[nxt] = len(letters)
             letters.append(nxt)
@@ -483,7 +523,7 @@ def reference_enumeration(p, cap=None):
         raise RuntimeError(f"string walk exceeded cap {cap} without finding a band")
     found_words = tuple(strings.StringWord("word", letters) for letters in sorted(found))
     trivials = tuple(trivial(v) for v in sorted(p.quiver.vertices))
-    return strings.StringEnumeration(trivials + found_words, tuple(sorted(bands)), not bands, cap)
+    return ReferenceEnumeration(trivials + found_words, tuple(sorted(bands)), not bands, cap)
 
 
 def reference_paths_from(p, v):
@@ -565,16 +605,20 @@ def outcome(fn, *args):
         return type(exc), str(exc)
 
 
-def assert_matches_reference(p, cap=None):
-    assert outcome(enumerate_strings, p, cap) == outcome(reference_enumeration, p, cap)
+def assert_matches_reference(p):
+    """The walk against the capped one at 2 * #arrows + 1 letters, which
+    lists every band-free walk and closes every cycle of distinct letters:
+    the same strings without bands, one of its bands otherwise."""
+    enum = enumerate_strings(p)
+    reference = reference_enumeration(p, 2 * len(p.quiver.arrows) + 1)
+    if enum.band is None:
+        assert reference.complete and enum.strings == reference.strings
+    else:
+        assert enum.strings == () and enum.band in reference.bands
     for v in p.quiver.vertices:
         assert outcome(projective_string, p, v) == outcome(reference_projective, p, v)
         assert outcome(injective_string, p, v) == outcome(reference_injective, p, v)
     assert outcome(projectives_match_injectives, p) == outcome(reference_match, p)
-
-
-def oriented_cycle(m):
-    return presentation(range(1, m + 1), [(f"a{i}", i, i % m + 1) for i in range(1, m + 1)])
 
 
 def random_special_biserial(rng):
@@ -607,23 +651,19 @@ class TestAgainstTheReferences:
 
     @pytest.mark.parametrize("relations", [[], [("w", "w")]])
     def test_one_vertex_loop(self, relations):
-        loop = presentation([1], [("w", 1, 1)], relations)
-        for cap in range(1, 41):
-            assert_matches_reference(loop, cap)
+        assert_matches_reference(presentation([1], [("w", 1, 1)], relations))
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
     def test_oriented_cycles(self, m):
-        assert_matches_reference(oriented_cycle(m), 3 * m)
+        assert_matches_reference(oriented_cycle(m))
 
     def test_random_special_biserial(self):
         rng = random.Random(20090511)
         with_bands = 0
         for _ in range(500):
             p = random_special_biserial(rng)
-            cap = rng.randint(1, 10)
-            assert_matches_reference(p, cap)
-            enum = outcome(enumerate_strings, p, cap)
-            with_bands += isinstance(enum, strings.StringEnumeration) and bool(enum.bands)
+            assert_matches_reference(p)
+            with_bands += enumerate_strings(p).band is not None
         assert with_bands > 50
 
     def test_canonical_predicate_on_every_visited_walk(self, monkeypatch):

@@ -16,6 +16,8 @@ from tubecat.quiver import Arrow, Quiver
 from tubecat.rigid import maximal_rigid_objects, tau_rigid
 from tubecat.tube import Indec
 
+from support import free_loop
+
 OUTCOME_KEYS = {"check", "rank", "ok", "detail", "subject", "seconds"}
 
 
@@ -179,6 +181,16 @@ CONVERSE_DIGEST = "e2ee0e6c80a90d5838321016c9c8e7795164249190a18a86cdf245c402f46
 ENDO_DIGEST = "b17839b49d1e484dd29fe828dc87742ca174aa28f0ae1a0b11441c90dcf5daa5"
 
 
+def _is_translate_orbit(members) -> bool:
+    """Whether the members are exactly the translates of the first one."""
+    current = members[0]
+    orbit = set()
+    for _ in range(current.rank):
+        orbit.add(current)
+        current = tau_rigid(current, 1)
+    return orbit == set(members)
+
+
 def _all_object_converse(n):
     """The converse check before the quotient: every object's quiver built
     and compared, each joining a class by `find_isomorphism`."""
@@ -200,7 +212,7 @@ def _all_object_converse(n):
         for q, vertex, members in classes:
             if len(members) != n:
                 return False, f"class at vertex {vertex} has {len(members)} objects"
-            if not verify._is_translate_orbit(members):
+            if not _is_translate_orbit(members):
                 return False, f"class at vertex {vertex} is not one translate orbit"
 
         for q, _, _ in classes:
@@ -264,6 +276,20 @@ class TestConverse:
             f"translate certificate fails: tau^{first.top.orbit - 1} of {first} "
             "is no representative"
         )
+
+    def test_repeated_member_fails_the_orbit_count(self, monkeypatch):
+        # One member listed twice in place of another: the class still has
+        # n objects and each has its certificate, but not n distinct tops.
+        objects = maximal_rigid_objects(4)
+        rep = objects[0]
+        twice, dropped = tau_rigid(rep, -1), tau_rigid(rep, -2)
+        assert rep.top.orbit == 1 and len({rep, twice, dropped}) == 3
+        listed = [twice if t == dropped else t for t in objects]
+        monkeypatch.setattr(verify, "maximal_rigid_objects", lambda n: listed)
+        (out,) = verify.check_converse(4)
+        _, vertex = verify.loopless_quiver(cached_endomorphism_algebra(rep))
+        assert not out.ok
+        assert out.detail == f"class at vertex {vertex} is not one translate orbit"
 
     def test_outcomes_pinned(self):
         converse = [o for n in range(2, 7) for o in verify.check_converse(n)]
@@ -391,6 +417,13 @@ class TestPerOrbit:
     def test_equals_the_loop_over_every_object_at_rank_seven(self, check):
         run, verdict = PER_ORBIT[check]
         assert _rows(run(7)) == _rows(_per_object(check, 7, verdict))
+
+    def test_band_fails_the_strings_check(self, monkeypatch):
+        real = verify.cached_endomorphism_algebra
+        monkeypatch.setattr(verify, "cached_endomorphism_algebra", lambda t: free_loop(real(t)))
+        outcomes = verify.check_strings(2)
+        assert len(outcomes) == 2
+        assert [(o.ok, o.detail) for o in outcomes] == [(False, "band detected: w")] * 2
 
     def test_orphaned_members_fail_by_name(self, monkeypatch):
         objects = maximal_rigid_objects(4)
