@@ -65,26 +65,27 @@ def compat_masks(n):
                 masks[j] |= 1 << i
     return masks
 
+
 def compatible_subsets(masks, size):
-    """All pairwise-compatible index subsets of the given size, sorted.
+    """Yield every pairwise-compatible index subset of the given size, in
+    sorted order.
 
     Equivalent to filtering every ``size``-subset by pairwise compatibility;
     branches whose remaining candidates cannot reach ``size`` members are
-    skipped.
+    skipped. Subsets are yielded as they are found, so none is held beyond
+    the caller's use of it.
     """
     m = len(masks)
-    out = []
 
     def extend(start, allowed, chosen):
         if len(chosen) == size:
-            out.append(chosen)
+            yield chosen
             return
         need = size - len(chosen)
         for i in range(start, m):
             if (allowed >> i).bit_count() < need:
                 return
             if allowed & (1 << i):
-                extend(i + 1, allowed & masks[i], chosen + (i,))
+                yield from extend(i + 1, allowed & masks[i], chosen + (i,))
 
-    extend(0, (1 << m) - 1, ())
-    return out
+    return extend(0, (1 << m) - 1, ())

@@ -4,6 +4,25 @@ A maximal rigid object is stored as its n-1 pairwise-compatible summands in
 a canonical order: the top summand first, then by descending quasilength,
 ties broken by orbit lifted into the top's window. Two independent
 enumeration routes are provided and cross-checked by the test suite.
+
+Both routes build every object through `from_summands`, which validates it
+against one compatibility table per rank, `kernel.compat_masks(n)`, held by
+`_compat_table`. The rigid indecomposable (a, b) has index
+i = (a - 1)(n - 1) + b - 1 there, and bit j of mask[i] is set iff the
+summands with indices i != j are compatible. With `chosen` the set bits of
+an object's summands, the summands are pairwise compatible exactly when
+`chosen & ~(mask[i] | 1 << i)` is 0 for every summand i: the own bit is
+ORed in because mask[i] never holds it, and a rigid summand is compatible
+with itself. The summands are tested in canonical order, and the masks are
+symmetric, so when the test first fails at a summand, it is compatible with
+every earlier one; a scan of the later ones finds the pair that the error
+names, the same pair as the pairwise loop this replaces
+(`reference_from_summands` in the tests).
+
+The wing test before each summand's mask test cannot fail on a correct
+table: every rigid indecomposable outside the wing of a top is incompatible
+with that top, which is tested first. It stays as a check of the table that
+shares nothing with it.
 """
 
 from __future__ import annotations
@@ -13,7 +32,7 @@ from functools import lru_cache
 from typing import Iterable, Mapping
 
 from tubecat import kernel
-from tubecat.tube import Indec, in_wing, is_compatible, is_rigid, lift_orbit, tau
+from tubecat.tube import Indec, is_rigid, lift_orbit, tau
 
 
 @dataclass(frozen=True, order=True)
@@ -48,16 +67,24 @@ class RigidObject:
 
 def canonical_order(n: int, summands: Iterable[Indec]) -> tuple[Indec, ...]:
     xs = list(summands)
-    top = max(xs, key=lambda s: s.ql)
-    xs.sort(key=lambda s: (-s.ql, lift_orbit(n, s.orbit, top.orbit)))
+    if xs:
+        a = max(xs, key=lambda s: s.ql).orbit
+        xs.sort(key=lambda s: (-s.ql, (s.orbit - a) % n))
     return tuple(xs)
+
+
+@lru_cache(maxsize=32)
+def _compat_table(n: int) -> tuple[int, ...]:
+    """`kernel.compat_masks(n)`, built once per rank and shared by
+    `from_summands` and the brute enumeration."""
+    return tuple(kernel.compat_masks(n))
 
 
 def from_summands(n: int, summands: Iterable[Indec]) -> RigidObject:
     """Build a maximal rigid object from its summand set, validating it."""
     xs = canonical_order(n, summands)
     if len(set(xs)) != n - 1:
-        got = ", ".join(map(str, xs))
+        got = ", ".join(map(str, xs)) or "none"
         raise ValueError(f"expected {n - 1} distinct summands, got {got}")
     for s in xs:
         if s.rank != n:
@@ -67,14 +94,26 @@ def from_summands(n: int, summands: Iterable[Indec]) -> RigidObject:
     top = xs[0]
     if top.ql != n - 1:
         raise ValueError(f"top summand {top} must have quasilength {n - 1}")
-    if sum(1 for s in xs if s.ql == n - 1) != 1:
+    # ql <= n - 1 throughout and xs is sorted by descending ql
+    if len(xs) > 1 and xs[1].ql == n - 1:
         raise ValueError("top summand must be unique")
-    for i, s in enumerate(xs):
-        if not in_wing(s, top):
+    table = _compat_table(n)
+    index = [(s.orbit - 1) * (n - 1) + s.ql - 1 for s in xs]  # kernel.rigid_coords inverted
+    chosen = 0
+    for i in index:
+        chosen |= 1 << i
+    for k, (s, i) in enumerate(zip(xs, index)):
+        # in_wing(s, top), with the orbit lifted into the top's window
+        if (s.orbit - top.orbit) % n + s.ql > n - 1:
             raise ValueError(f"summand {s} lies outside the wing of {top}")
-        for t in xs[i + 1:]:
-            if not is_compatible(s, t):
-                raise ValueError(f"summands {s} and {t} are incompatible")
+        mask = table[i]
+        if chosen & ~(mask | 1 << i):
+            for t, j in zip(xs[k + 1:], index[k + 1:]):
+                if not mask >> j & 1:
+                    raise ValueError(f"summands {s} and {t} are incompatible")
+            # Every earlier summand passed its own test, so its mask holds
+            # bit i: only an asymmetric table gets here.
+            raise RuntimeError(f"compatibility table of rank {n} is not symmetric at {s}")
     return RigidObject(n, xs)
 
 
@@ -115,7 +154,7 @@ def _sort_key(t: RigidObject):
 
 
 def _enumerate_brute(n: int) -> list[RigidObject]:
-    masks = kernel.compat_masks(n)
+    masks = _compat_table(n)
     out = []
     for subset in kernel.compatible_subsets(masks, n - 1):
         chosen = 0

@@ -1,11 +1,12 @@
 """Enumeration and wing-structure tests for maximal rigid objects."""
 
 import itertools
+import re
 from math import comb
 
 import pytest
 
-from tubecat import kernel
+from tubecat import kernel, rigid
 from tubecat.rigid import (
     RigidObject,
     enumerate_maximal_rigid,
@@ -16,7 +17,8 @@ from tubecat.rigid import (
     tau_rigid,
     tilting_intervals,
 )
-from tubecat.tube import Indec, in_wing, is_compatible, is_rigid, tau
+from tubecat.tube import Indec, in_wing, is_compatible, is_rigid, lift_orbit, tau
+from tubecat.verify import check_rigid
 
 from support import hom_cluster_oracle, quasisimple_map, rigid_indecomposables, wing_members
 
@@ -44,6 +46,43 @@ def is_maximal_rigid(n: int, summands) -> bool:
             if all(is_compatible(cand, s) for s in xs):
                 return False
     return True
+
+
+def reference_from_summands(n: int, summands) -> RigidObject:
+    """The pairwise validator that `from_summands` replaced: the same checks
+    in the same order, with every pair settled by `is_compatible`."""
+    xs = list(summands)
+    top = max(xs, key=lambda s: s.ql)
+    xs.sort(key=lambda s: (-s.ql, lift_orbit(n, s.orbit, top.orbit)))
+    xs = tuple(xs)
+    if len(set(xs)) != n - 1:
+        got = ", ".join(map(str, xs))
+        raise ValueError(f"expected {n - 1} distinct summands, got {got}")
+    for s in xs:
+        if s.rank != n:
+            raise ValueError(f"summand {s} has rank {s.rank}, expected {n}")
+        if not is_rigid(s):
+            raise ValueError(f"summand {s} is not rigid")
+    top = xs[0]
+    if top.ql != n - 1:
+        raise ValueError(f"top summand {top} must have quasilength {n - 1}")
+    if sum(1 for s in xs if s.ql == n - 1) != 1:
+        raise ValueError("top summand must be unique")
+    for i, s in enumerate(xs):
+        if not in_wing(s, top):
+            raise ValueError(f"summand {s} lies outside the wing of {top}")
+        for t in xs[i + 1:]:
+            if not is_compatible(s, t):
+                raise ValueError(f"summands {s} and {t} are incompatible")
+    return RigidObject(n, xs)
+
+
+def validated(build, n: int, summands):
+    """What `build` makes of the summands: the object, or its error message."""
+    try:
+        return build(n, summands)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
 
 
 class TestEnumeration:
@@ -115,12 +154,19 @@ class TestValidation:
         assert not is_maximal_rigid(3, [Indec(3, 1, 3), Indec(3, 1, 1)])
 
     def test_constructor_rejects_bad_input(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^top summand \(1,1\) must have quasilength 2$"):
             from_summands(3, [Indec(3, 1, 1), Indec(3, 2, 1)])  # no top
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^summands \(1,2\) and \(3,1\) are incompatible$"):
             from_summands(3, [Indec(3, 1, 2), Indec(3, 3, 1)])  # incompatible
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^summands \(1,1\) and \(2,1\) are incompatible$"):
+            from_summands(4, [Indec(4, 1, 3), Indec(4, 1, 1), Indec(4, 2, 1)])  # in the wing, incompatible
+        with pytest.raises(ValueError, match=r"^expected 2 distinct summands, got \(1,2\), \(1,2\)$"):
             from_summands(3, [Indec(3, 1, 2), Indec(3, 1, 2)])  # duplicate
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_empty_summand_set(self, n):
+        with pytest.raises(ValueError, match=rf"^expected {n - 1} distinct summands, got none$"):
+            from_summands(n, [])
 
     def test_top_is_first_summand(self):
         for t in maximal_rigid_objects(4):
@@ -256,10 +302,10 @@ class TestTiltingEncoding:
         assert all(set(fam) == interval_families for fam in per_orbit.values())
 
     def test_from_tilting_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^interval 4-4 out of range 1\.\.3$"):
             from_tilting(4, 1, [(1, 3), (1, 1), (4, 4)])  # out of range
-        with pytest.raises(ValueError):
-            from_tilting(4, 1, [(1, 3), (1, 1), (2, 2)])  # incompatible
+        with pytest.raises(ValueError, match=r"^summands \(1,1\) and \(2,1\) are incompatible$"):
+            from_tilting(4, 1, [(1, 3), (1, 1), (2, 2)])  # in the wing, incompatible
 
 
 class TestTauAction:
@@ -309,6 +355,7 @@ class TestKernel:
             for i, x in enumerate(rigids)
         ]
         assert kernel.compat_masks(n) == expected
+        assert rigid._compat_table(n) == tuple(expected)
 
     def test_masks_cross_64_bits(self):
         assert max(kernel.compat_masks(9)).bit_length() > 64
@@ -326,4 +373,109 @@ class TestKernel:
             for subset in itertools.combinations(range(len(masks)), n - 1)
             if all(masks[i] >> j & 1 for i, j in itertools.combinations(subset, 2))
         ]
-        assert kernel.compatible_subsets(masks, n - 1) == literal
+        assert list(kernel.compatible_subsets(masks, n - 1)) == literal
+
+
+def compatible_index_pairs(n: int) -> list[tuple[int, int]]:
+    masks = kernel.compat_masks(n)
+    return [(i, j) for i, j in itertools.combinations(range(len(masks)), 2) if masks[i] >> j & 1]
+
+
+class TestCompatTable:
+    """`from_summands` against the pairwise validator it replaced, and
+    faults in the compatibility table it reads."""
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    @pytest.mark.parametrize("method", ["structured", "brute"])
+    def test_equals_reference_on_every_object(self, n, method):
+        for t in enumerate_maximal_rigid(n, method):
+            given = sorted(t.summands)  # not in canonical order
+            assert from_summands(n, given) == t
+            assert reference_from_summands(n, given) == t
+
+    FAULTY = [
+        (3, [Indec(3, 1, 2), Indec(3, 1, 2)]),  # duplicate
+        (3, [Indec(3, 1, 2), Indec(4, 1, 1)]),  # wrong rank
+        (3, [Indec(3, 1, 3), Indec(3, 1, 1)]),  # not rigid
+        (4, [Indec(4, 1, 2), Indec(4, 1, 1), Indec(4, 3, 1)]),  # no top
+        (4, [Indec(4, 1, 3), Indec(4, 2, 3), Indec(4, 1, 1)]),  # two tops
+        (4, [Indec(4, 1, 3), Indec(4, 4, 1), Indec(4, 1, 1)]),  # outside the wing
+        (4, [Indec(4, 1, 3), Indec(4, 3, 2), Indec(4, 1, 1)]),  # outside, incompatible later
+        (4, [Indec(4, 1, 3), Indec(4, 1, 1), Indec(4, 2, 1)]),  # incompatible
+    ]
+
+    @pytest.mark.parametrize("n, summands", FAULTY)
+    def test_same_error_on_faulty_input(self, n, summands):
+        got = validated(from_summands, n, summands)
+        assert isinstance(got, str)
+        assert got == validated(reference_from_summands, n, summands)
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_same_outcome_on_every_single_replacement(self, n):
+        """Replace one summand of each object by any other rigid
+        indecomposable: duplicates, lost and second tops, incompatible
+        pairs and neighbouring objects all arise."""
+        rigids = rigid_indecomposables(n)
+        errors = set()
+        for t in maximal_rigid_objects(n):
+            for p, old in enumerate(t.summands):
+                for r in rigids:
+                    if r == old:
+                        continue
+                    given = t.summands[:p] + (r,) + t.summands[p + 1:]
+                    got = validated(from_summands, n, given)
+                    assert got == validated(reference_from_summands, n, given), given
+                    if isinstance(got, str):
+                        errors.add(re.sub(r"\(\d+,\d+\)", "X", got))
+        assert errors == {
+            f"ValueError: expected {n - 1} distinct summands, got " + ", ".join(["X"] * (n - 1)),
+            f"ValueError: top summand X must have quasilength {n - 1}",
+            "ValueError: top summand must be unique",
+            "ValueError: summands X and X are incompatible",
+        }
+
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_outside_the_wing_means_incompatible_with_the_top(self, n):
+        """Why no valid table lets a summand reach the wing test and fail
+        it: the top's own compatibility test rejects it first."""
+        top = Indec(n, 1, n - 1)
+        for x in rigid_indecomposables(n):
+            assert in_wing(x, top) or not is_compatible(x, top), x
+
+    @pytest.fixture
+    def serve_table(self, monkeypatch):
+        """Serve a given table as `kernel.compat_masks`, with the caches
+        that hold the table or objects built from it emptied around it."""
+        def serve(table):
+            monkeypatch.setattr(kernel, "compat_masks", lambda n: table)
+            rigid._compat_table.cache_clear()
+            rigid._enumerated.cache_clear()
+        yield serve
+        rigid._compat_table.cache_clear()
+        rigid._enumerated.cache_clear()
+
+    @pytest.mark.parametrize("i, j", compatible_index_pairs(4))
+    def test_cleared_bit_pair_fails_check_rigid(self, i, j, serve_table):
+        table = kernel.compat_masks(4)
+        table[i] &= ~(1 << j)
+        table[j] &= ~(1 << i)
+        serve_table(table)
+        (outcome,) = check_rigid(4)
+        assert not outcome.ok
+        assert "are incompatible" in outcome.detail
+
+    def test_spurious_bit_pair_meets_the_wing_test(self, serve_table):
+        # (3,2) lies outside the wing of (1,3) and is incompatible with
+        # (1,1), which follows it: the wing test must come first.
+        top, outside, low = Indec(4, 1, 3), Indec(4, 3, 2), Indec(4, 1, 1)
+        i, j = ((s.orbit - 1) * 3 + s.ql - 1 for s in (top, outside))
+        table = kernel.compat_masks(4)
+        table[i] |= 1 << j
+        table[j] |= 1 << i
+        serve_table(table)
+        with pytest.raises(ValueError, match=r"^summand \(3,2\) lies outside the wing of \(1,3\)$"):
+            from_summands(4, [top, outside, low])
+
+    def test_table_cache_is_bounded(self):
+        maxsize = rigid._compat_table.cache_info().maxsize
+        assert maxsize is not None and maxsize > 0
