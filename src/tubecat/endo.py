@@ -102,11 +102,10 @@ class CartanReport:
     total_hom: int
 
 
-def cartan_check(t: RigidObject, p: Presentation | None = None) -> CartanReport:
+def cartan_check(t: RigidObject) -> CartanReport:
     """Path counts i -> j must equal cluster-Hom dimensions Hom(T_j, T_i),
     for every ordered vertex pair; totals must agree as well."""
-    if p is None:
-        p = cached_endomorphism_algebra(t)
+    p = cached_endomorphism_algebra(t)
     paths = count_paths(p)
     mismatches = []
     total_paths = 0

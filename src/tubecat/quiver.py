@@ -1,7 +1,7 @@
 """Quivers with quadratic monomial relations.
 
-Path counting, the special biserial and gentle conditions, the critical-path
-bound on the Gorenstein dimension, recognition of type-A cluster-tilted
+Path counting, the special biserial and gentle conditions, the Gorenstein
+dimension of a gentle algebra, recognition of type-A cluster-tilted
 quivers by one shortest-path search per edge, connecting vertices from one
 adjacency pass after recognition, and small-scale isomorphism testing: a
 pinned isomorphism invariant and an exhaustive search with an optional
@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping
 
 
 class DivergentPathsError(ValueError):
@@ -122,14 +122,6 @@ class Presentation:
         )
 
 
-def presentation(vertices: Sequence[int], arrows: Iterable[tuple], relations: Iterable[tuple[str, str]] = ()) -> Presentation:
-    """Convenience constructor; arrows are (id, src, tgt[, kind]) tuples."""
-    return Presentation(
-        Quiver(tuple(vertices), tuple(Arrow(*a) for a in arrows)),
-        frozenset(relations),
-    )
-
-
 @dataclass(frozen=True)
 class CheckResult:
     """Boolean verdict with the first violation found, if any."""
@@ -232,94 +224,90 @@ def is_gentle(p: Presentation) -> CheckResult:
     return CheckResult(True)
 
 
-# --- Gorenstein bound -------------------------------------------------------
+# --- Gorenstein dimension ---------------------------------------------------
 
 @dataclass(frozen=True)
 class GorensteinReport:
-    """Critical-path bound on the Gorenstein dimension of a gentle algebra.
+    """Gorenstein dimension of a finite-dimensional gentle algebra.
 
-    n_g is the longest critical path starting with a gentle arrow (0 when
-    no gentle arrow exists). dimension is the exact value when determined:
-    n_g when positive, 0 for the one-vertex loop algebra with a squared-zero
-    loop, 1 when n_g == 0 but some projective is provably not injective.
-    Otherwise only the bound dimension <= 1 is reported.
+    n_g is the length of the longest critical path that starts with a gentle
+    arrow, 0 when no gentle arrow exists; `critical_path` is one such path.
     """
 
     n_g: int
     gentle_arrows: tuple[str, ...]
     critical_path: tuple[str, ...]
-    dimension: int | None
-    note: str
-
-    @property
-    def upper_bound(self) -> int:
-        return self.n_g if self.n_g > 0 else 1
+    dimension: int
 
 
-def gorenstein_bound(p: Presentation, not_self_injective: bool | None = None) -> GorensteinReport:
-    """Evaluate the critical-path bound; rejects non-gentle input.
+def gorenstein_bound(p: Presentation) -> GorensteinReport:
+    """The Gorenstein dimension of a finite-dimensional gentle algebra.
 
-    `not_self_injective` may supply external evidence (for example a
-    projective/injective mismatch) to sharpen the n_g == 0 case.
+    A gentle arrow is one that is not the second arrow of a relation, and
+    a critical path is a path whose consecutive arrows are relations.
+    Geiss-Reiten (2005): the algebra is Gorenstein of dimension n_g when
+    n_g > 0, and of dimension at most 1 when n_g = 0. In the second case
+    the dimension is 0 exactly when no vertex has two arrows out:
+
+    - With no gentle arrow, every arrow b is the second arrow of exactly
+      one relation (b, a). Sending b to a is injective, since at most one
+      relation follows a, so it permutes the arrows: every arrow is also
+      the first arrow of a relation. Say no vertex v has two arrows out.
+      Then the relation after each arrow into v has the one arrow out of v
+      as its second arrow, and that arrow has one relation before it, so
+      v has at most one arrow in as well. Each component is a point or an oriented
+      cycle with every path of length 2 zero (the loop with square zero is
+      the 1-cycle). These algebras are self-injective: dimension 0.
+    - Say v has two arrows out. The projective P(v), spanned by the paths
+      out of v, has a socle spanned by two maximal paths, one through each
+      arrow. An indecomposable injective has a simple socle, so P(v) is not
+      injective. The algebra is not self-injective: dimension 1.
+
+    Each arrow has at most one relation after it and one before it, so the
+    critical path from a gentle arrow never meets an arrow twice: the first
+    arrow met twice would have two relations before it, or one if it were
+    the gentle arrow. Rejects a presentation that is not gentle with
+    ValueError, and one with a relation-free cycle, whose algebra is
+    infinite-dimensional, with DivergentPathsError.
     """
     gentle = is_gentle(p)
     if not gentle:
         raise ValueError(f"presentation is not gentle: {gentle.witness}")
     q = p.quiver
-    seconds = {b for b, _ in p.relations}
+    out: dict[int, list[str]] = {v: [] for v in q.vertices}
+    for a in q.arrows:
+        out[a.src].append(a.id)
+    # Gentle: each arrow has at most one relation-free continuation, and at
+    # most one relation after it.
+    free = {a.id: b for a in q.arrows for b in out[a.tgt] if (b, a.id) not in p.relations}
+    then = {a: b for b, a in p.relations}
+
+    for a in q.arrows:  # a walk that lasts len(arrows) steps is on a cycle
+        aid = a.id
+        for _ in q.arrows:
+            aid = free.get(aid)
+            if aid is None:
+                break
+        else:
+            raise DivergentPathsError(
+                f"relation-free cycle through arrow {aid!r}; the algebra is infinite-dimensional"
+            )
+
+    seconds = set(then.values())
     gentle_arrows = tuple(a.id for a in q.arrows if a.id not in seconds)
-
-    # relation successors are unique for gentle algebras
-    def successor(aid: str) -> str | None:
-        for b, a in p.relations:
-            if a == aid:
-                return b
-        return None
-
-    n_g = 0
     best: tuple[str, ...] = ()
     for start in gentle_arrows:
         path = [start]
-        seen = {start}
-        nxt = successor(start)
-        while nxt is not None:
-            if nxt in seen:
-                raise ValueError("critical cycle reached from a gentle arrow")
-            path.append(nxt)
-            seen.add(nxt)
-            nxt = successor(nxt)
-        if len(path) > n_g:
-            n_g = len(path)
+        while path[-1] in then:
+            path.append(then[path[-1]])
+        if len(path) > len(best):
             best = tuple(path)
-    if n_g > len(q.arrows):
-        raise AssertionError("critical-path bound exceeded the arrow count")
-
-    if n_g > 0:
-        return GorensteinReport(
-            n_g, gentle_arrows, best, n_g, f"dimension = n_g = {n_g}"
-        )
-    if _is_dual_number_algebra(p):
-        return GorensteinReport(
-            0, gentle_arrows, (), 0,
-            "self-injective one-vertex loop algebra; dimension 0",
-        )
-    if not_self_injective:
-        return GorensteinReport(
-            0, gentle_arrows, (), 1,
-            "no gentle arrows; not self-injective, so dimension 1",
-        )
-    return GorensteinReport(
-        0, gentle_arrows, (), None, "no gentle arrows; dimension at most 1"
-    )
-
-
-def _is_dual_number_algebra(p: Presentation) -> bool:
-    """One vertex, one loop, loop squared zero."""
-    q = p.quiver
-    if len(q.vertices) != 1 or len(q.arrows) != 1:
-        return False
-    a = q.arrows[0]
-    return a.src == a.tgt and p.relations == frozenset({(a.id, a.id)})
+    n_g = len(best)
+    if n_g:
+        dimension = n_g
+    else:
+        dimension = 1 if any(len(ids) > 1 for ids in out.values()) else 0
+    return GorensteinReport(n_g, gentle_arrows, best, dimension)
 
 
 # --- type-A cluster-tilted quiver recognition --------------------------------

@@ -7,9 +7,7 @@ Canonical forms identify a word with its inverse.
 
 Which letter may follow which depends on the two letters only, so the
 letters and their successors form one graph (`_letter_graph`). Strings are
-the walks in it, and a cycle in it is a band; the strings of the
-projectives and injectives are pairs of maximal walks that keep one letter
-direction.
+the walks in it, and a cycle in it is a band.
 
 A walk that repeats a letter has closed a band, so without bands every
 walk has distinct letters, at most 2 * #arrows of them. `enumerate_strings`
@@ -282,10 +280,6 @@ class StringModule:
     def dim(self, vertex: int) -> int:
         return dict(self.dims).get(vertex, 0)
 
-    @property
-    def total_dim(self) -> int:
-        return sum(d for _, d in self.dims)
-
     def action(self, arrow_id: str) -> tuple[tuple[int, ...], ...]:
         """The matrix of the arrow's action, as a tuple of row tuples."""
         for aid, (rows, cols), ones in self.actions:
@@ -344,45 +338,3 @@ def string_module(p: Presentation, w: StringWord) -> StringModule:
 def zero_module() -> StringModule:
     return StringModule((), ())
 
-
-# --- projective and injective strings --------------------------------------------
-
-def _end_string(
-    p: Presentation, graph: dict[Letter, list[Letter]], v: int, d: int
-) -> StringWord:
-    """String of the projective (d = 1) or injective (d = -1) at v.
-
-    Every letter of direction d at v starts one maximal walk of letters of
-    that direction: a maximal relation-free path out of v (d = 1), or the
-    inverse of one into v (d = -1). There are at most two such walks for a
-    special biserial presentation; the string is the first walk inverted,
-    followed by the second.
-    """
-    arrows = p.quiver.arrows_from(v) if d > 0 else p.quiver.arrows_into(v)
-    walks = []
-    for a in arrows:
-        walk = [(a.id, d)]
-        while nxt := [y for y in graph[walk[-1]] if y[1] == d]:
-            if len(nxt) > 1:
-                raise ValueError("not special biserial")
-            if nxt[0] in walk:
-                kind = "projectives" if d > 0 else "injectives"
-                raise ValueError(f"relation-free cycle; {kind} are infinite")
-            walk.append(nxt[0])
-        walks.append(walk)
-    if not walks:
-        return trivial(v)
-    first, second = walks if len(walks) > 1 else (walks[0], [])
-    return word([(aid, -e) for aid, e in reversed(first)] + second)
-
-
-def projectives_match_injectives(p: Presentation) -> bool:
-    """Whether the projective and injective string multisets coincide.
-
-    A mismatch certifies that some projective is not injective, hence the
-    algebra is not self-injective; a match certifies nothing.
-    """
-    graph = _letter_graph(p)
-    projs = sorted(_end_string(p, graph, v, 1).canonical() for v in p.quiver.vertices)
-    injs = sorted(_end_string(p, graph, v, -1).canonical() for v in p.quiver.vertices)
-    return projs == injs

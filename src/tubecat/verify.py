@@ -121,14 +121,12 @@ class SuiteReport:
         }
 
 
-def _timed(check, rank, detail_ok, predicate, subject=None):
+def _timed(check, rank, predicate, subject=None):
     start = time.perf_counter()
     try:
         ok, detail = predicate()
     except Exception as exc:  # surfaced as a failing outcome, not a crash
         ok, detail = False, f"error: {exc}"
-    if ok and detail is None:
-        detail = detail_ok
     return Outcome(check, rank, ok, detail, subject, time.perf_counter() - start)
 
 
@@ -191,10 +189,10 @@ def check_oracle(n: int, ql_cap: int | None = None, seed: int = 0) -> list[Outco
         return True, "100 sampled extension spaces are symmetric"
 
     return [
-        _timed("oracle", n, "", agreement),
-        _timed("oracle", n, "", calibration),
-        _timed("oracle", n, "", boundary),
-        _timed("oracle", n, "", symmetry),
+        _timed("oracle", n, agreement),
+        _timed("oracle", n, calibration),
+        _timed("oracle", n, boundary),
+        _timed("oracle", n, symmetry),
     ]
 
 
@@ -210,12 +208,12 @@ def check_rigid(n: int) -> list[Outcome]:
             return False, f"{len(structured)} objects, expected {expected}"
         return True, f"{expected} objects, both routes identical"
 
-    return [_timed("rigid", n, "", count)]
+    return [_timed("rigid", n, count)]
 
 
 def _endo_verdict(t) -> tuple[bool, str]:
     lam = cached_endomorphism_algebra(t)
-    rep = cartan_check(t, lam)
+    rep = cartan_check(t)
     if not rep.ok:
         return False, f"path/Hom mismatch at {rep.mismatches[:3]}"
     bare, loop_vertex = loopless_quiver(lam)
@@ -234,13 +232,10 @@ def _gentle_verdict(t) -> tuple[bool, str]:
     g = is_gentle(lam)
     if not g:
         return False, f"not gentle: {g.witness}"
-    mismatch = not st.projectives_match_injectives(lam)
-    rep = gorenstein_bound(lam, not_self_injective=mismatch)
+    rep = gorenstein_bound(lam)
     expected = 0 if n == 2 else 1
     if rep.dimension != expected:
         return False, f"dimension {rep.dimension}, expected {expected}"
-    if n >= 3 and rep.gentle_arrows and rep.n_g != 1:
-        return False, f"critical bound {rep.n_g} with gentle arrows"
     return True, f"gentle, dimension {rep.dimension} (n_g={rep.n_g})"
 
 
@@ -312,7 +307,7 @@ def _per_orbit(check: str, n: int, verdict) -> list[Outcome]:
                 return verdict(t)
             return True, rep.detail
 
-        outcome = _timed(check, n, "", one, subject=str(t))
+        outcome = _timed(check, n, one, subject=str(t))
         if k == 0:
             representatives[t.summands] = outcome
         out.append(outcome)
@@ -403,7 +398,7 @@ def check_converse(n: int) -> list[Outcome]:
                     return False, f"connecting vertex {c} of a class quiver unrealized"
         return True, f"{len(classes)} classes, each a full translate orbit"
 
-    return [_timed("converse", n, "", run)]
+    return [_timed("converse", n, run)]
 
 
 _CHECK_FUNCTIONS = {

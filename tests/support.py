@@ -1,14 +1,25 @@
 """Helpers that several test modules share and no module of `tubecat`
-calls: small enumerations of the tube, the oracle's cluster Hom, the
-quasisimple map of a rigid object, the end strings of an algebra and an
-algebra with a band."""
+calls: a presentation constructor, small enumerations of the tube, the
+oracle's cluster Hom, the quasisimple map of a rigid object, the end
+strings of an algebra with the projective/injective comparison built on
+them, and an algebra with a band."""
+
+from typing import Iterable, Sequence
 
 from tubecat import strings
 from tubecat.endo import LOOP_ID
-from tubecat.quiver import Presentation
+from tubecat.quiver import Arrow, Presentation, Quiver
 from tubecat.rigid import RigidObject
-from tubecat.strings import StringWord
+from tubecat.strings import Letter, StringWord, trivial, word
 from tubecat.tube import HomDims, Indec, hom_tube_oracle, in_wing, tau
+
+
+def presentation(vertices: Sequence[int], arrows: Iterable[tuple], relations: Iterable[tuple[str, str]] = ()) -> Presentation:
+    """Convenience constructor; arrows are (id, src, tgt[, kind]) tuples."""
+    return Presentation(
+        Quiver(tuple(vertices), tuple(Arrow(*a) for a in arrows)),
+        frozenset(relations),
+    )
 
 
 def rigid_indecomposables(n: int) -> list[Indec]:
@@ -50,18 +61,55 @@ def quasisimple_map(t: RigidObject) -> dict[Indec, Indec]:
     return out
 
 
+def end_string(p: Presentation, graph: dict[Letter, list[Letter]], v: int, d: int) -> StringWord:
+    """String of the projective (d = 1) or injective (d = -1) at v.
+
+    Every letter of direction d at v starts one maximal walk of letters of
+    that direction in the letter graph: a maximal relation-free path out of
+    v (d = 1), or the inverse of one into v (d = -1). There are at most two
+    such walks for a special biserial presentation; the string is the first
+    walk inverted, followed by the second.
+    """
+    arrows = p.quiver.arrows_from(v) if d > 0 else p.quiver.arrows_into(v)
+    walks = []
+    for a in arrows:
+        walk = [(a.id, d)]
+        while nxt := [y for y in graph[walk[-1]] if y[1] == d]:
+            if len(nxt) > 1:
+                raise ValueError("not special biserial")
+            if nxt[0] in walk:
+                kind = "projectives" if d > 0 else "injectives"
+                raise ValueError(f"relation-free cycle; {kind} are infinite")
+            walk.append(nxt[0])
+        walks.append(walk)
+    if not walks:
+        return trivial(v)
+    first, second = walks if len(walks) > 1 else (walks[0], [])
+    return word([(aid, -e) for aid, e in reversed(first)] + second)
+
+
 def projective_string(p, v: int) -> StringWord:
     """String of the indecomposable projective at v: backwards along one
     maximal relation-free path out of v, then forwards along the other; the
     two paths are the walks of direct letters from v in the letter graph."""
-    return strings._end_string(p, strings._letter_graph(p), v, 1)
+    return end_string(p, strings._letter_graph(p), v, 1)
 
 
 def injective_string(p, v: int) -> StringWord:
     """String of the indecomposable injective at v: forwards along one
     maximal relation-free path into v, then backwards along the other; the
     inverses of the two paths are the walks of inverse letters from v."""
-    return strings._end_string(p, strings._letter_graph(p), v, -1)
+    return end_string(p, strings._letter_graph(p), v, -1)
+
+
+def projectives_match_injectives(p: Presentation) -> bool:
+    """Whether the projective and injective string multisets coincide, that
+    is, whether a finite-dimensional string algebra is self-injective: the
+    reference for `quiver.gorenstein_bound`'s dimension 0."""
+    graph = strings._letter_graph(p)
+    projs = sorted(end_string(p, graph, v, 1).canonical() for v in p.quiver.vertices)
+    injs = sorted(end_string(p, graph, v, -1).canonical() for v in p.quiver.vertices)
+    return projs == injs
 
 
 def free_loop(p: Presentation) -> Presentation:

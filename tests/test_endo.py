@@ -18,11 +18,11 @@ from tubecat.quiver import (
     gorenstein_bound,
     is_cluster_tilted_A,
     is_gentle,
-    presentation,
 )
 from tubecat.rigid import from_summands, from_tilting, maximal_rigid_objects
-from tubecat.strings import projectives_match_injectives
 from tubecat.tube import Indec
+
+from support import presentation, projectives_match_injectives
 
 T3_LADDER = from_summands(3, [Indec(3, 1, 2), Indec(3, 1, 1)])
 T4_CYCLE = from_summands(4, [Indec(4, 1, 3), Indec(4, 1, 1), Indec(4, 3, 1)])
@@ -137,23 +137,38 @@ class TestGorensteinFamily:
     def test_dimension_one(self, n):
         for t in maximal_rigid_objects(n):
             lam = cached_endomorphism_algebra(t)
-            mismatch = not projectives_match_injectives(lam)
-            report = gorenstein_bound(lam, not_self_injective=mismatch)
+            report = gorenstein_bound(lam)
             assert report.dimension == 1, (t, report)
             if report.gentle_arrows:
                 assert report.n_g == 1
 
+    @pytest.mark.parametrize("n, without_gentle_arrows", [
+        (2, 1), (3, 0), (4, 1), (5, 0), (6, 2), (7, 0), (8, 5),
+    ])
+    def test_every_representative_against_the_reference(self, n, without_gentle_arrows):
+        # Dimension 0 exactly when the projective and injective strings
+        # coincide, on the algebras with and without gentle arrows alike.
+        no_gentle_arrows = 0
+        for t in maximal_rigid_objects(n):
+            if t.top.orbit != 1:
+                continue
+            lam = cached_endomorphism_algebra(t)
+            report = gorenstein_bound(lam)
+            assert report.dimension == (0 if n == 2 else 1), t
+            assert (report.dimension == 0) == projectives_match_injectives(lam), t
+            no_gentle_arrows += report.n_g == 0
+        assert no_gentle_arrows == without_gentle_arrows
+
     def test_cycle_object_has_no_gentle_arrows(self):
-        """All arrows on the 3-cycle or the loop: the critical-path bound
-        degenerates and the projective/injective mismatch decides."""
+        """All arrows on the 3-cycle or the loop: n_g = 0, and the loop
+        vertex has two arrows out, so the algebra is not self-injective."""
         lam = cached_endomorphism_algebra(T4_CYCLE)
         assert is_gentle(lam)
-        report = gorenstein_bound(
-            lam, not_self_injective=not projectives_match_injectives(lam)
-        )
+        report = gorenstein_bound(lam)
         assert report.n_g == 0
         assert report.gentle_arrows == ()
         assert report.dimension == 1
+        assert not projectives_match_injectives(lam)
 
 
 class TestSevenRankInstance:
@@ -171,7 +186,7 @@ class TestSevenRankInstance:
         bare, loop_vertex = loopless_quiver(lam)
         assert is_cluster_tilted_A(bare)
         assert loop_vertex in connecting_vertices(bare)
-        assert cartan_check(t, lam).ok
+        assert cartan_check(t).ok
         assert is_gentle(lam)
 
 

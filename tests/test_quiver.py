@@ -1,7 +1,10 @@
 """Tests for quivers with quadratic monomial relations."""
 
+import itertools
 import random
+from collections import Counter
 from functools import lru_cache
+from typing import NamedTuple
 
 import pytest
 
@@ -9,6 +12,7 @@ from tubecat.endo import cached_endomorphism_algebra, loopless_quiver
 from tubecat.quiver import (
     Arrow,
     DivergentPathsError,
+    GorensteinReport,
     Presentation,
     Quiver,
     SizeLimitError,
@@ -20,10 +24,11 @@ from tubecat.quiver import (
     is_gentle,
     is_special_biserial,
     pinned_invariant,
-    presentation,
     to_dot,
 )
 from tubecat.rigid import maximal_rigid_objects
+
+from support import presentation, projectives_match_injectives
 
 DUAL_NUMBERS = presentation([1], [("w", 1, 1, "loop")], [("w", "w")])
 RANK3_ALGEBRA = presentation(
@@ -179,7 +184,8 @@ class TestGorenstein:
         )
         report = gorenstein_bound(p)
         assert report.n_g == 3
-        assert report.n_g <= len(p.quiver.arrows)
+        assert report.critical_path == ("a", "b", "c")
+        assert report.dimension == 3
 
     def test_unresolved_interval(self):
         # one oriented 3-cycle with all compositions zero: no gentle arrows
@@ -188,16 +194,85 @@ class TestGorenstein:
             [("a", 1, 2), ("b", 2, 3), ("c", 3, 1)],
             [("b", "a"), ("c", "b"), ("a", "c")],
         )
+        # is self-injective: dimension 0
         report = gorenstein_bound(p)
         assert report.n_g == 0
-        assert report.dimension is None
-        assert report.upper_bound == 1
-        sharpened = gorenstein_bound(p, not_self_injective=True)
-        assert sharpened.dimension == 1
+        assert report.dimension == 0
+        assert projectives_match_injectives(p)
 
     def test_rejects_non_gentle(self):
         with pytest.raises(ValueError):
             gorenstein_bound(presentation([1], [("x", 1, 1), ("y", 1, 1)]))
+
+    def test_rejects_a_relation_free_cycle(self):
+        # gentle, with no gentle arrow, but xyxy... never ends
+        p = presentation([1], [("x", 1, 1), ("y", 1, 1)], [("x", "x"), ("y", "y")])
+        assert is_gentle(p)
+        with pytest.raises(DivergentPathsError, match="relation-free cycle"):
+            gorenstein_bound(p)
+        with pytest.raises(DivergentPathsError):
+            count_paths(p)
+
+    def test_every_small_gentle_algebra_without_gentle_arrows(self):
+        # Dimension 0 exactly when the projective and injective strings
+        # coincide, that is, when the algebra is self-injective.
+        cases = [c for c in small_gentle_presentations() if c.finite and c.report.n_g == 0]
+        assert len(cases) == 46
+        assert sum(projectives_match_injectives(c.presentation) for c in cases) == 20
+        for c in cases:
+            assert c.report.dimension == (0 if projectives_match_injectives(c.presentation) else 1), c
+
+    def test_every_small_gentle_algebra_with_gentle_arrows(self):
+        cases = [c for c in small_gentle_presentations() if c.finite and c.report.n_g > 0]
+        assert len(cases) == 502
+        for c in cases:
+            assert c.report.dimension == c.report.n_g == len(c.report.critical_path)
+            assert not projectives_match_injectives(c.presentation)
+
+    def test_divergence_agrees_with_the_path_count(self):
+        cases = small_gentle_presentations()
+        assert (len(cases), sum(not c.finite for c in cases)) == (1426, 878)
+        for c in cases:
+            assert c.finite == (c.report is not None), c
+
+
+class SmallGentle(NamedTuple):
+    presentation: Presentation
+    finite: bool  # count_paths converges
+    report: GorensteinReport | None  # None when gorenstein_bound diverges
+
+
+@lru_cache(maxsize=1)
+def small_gentle_presentations() -> tuple[SmallGentle, ...]:
+    """Every gentle presentation on vertices 1..k (k <= 3) with 1..4 arrows,
+    over every set of relations. The arrows a0, a1, ... run through a
+    multiset of (source, target) pairs, so relabellings repeat."""
+    out = []
+    for k in (1, 2, 3):
+        pairs = [(u, v) for u in range(1, k + 1) for v in range(1, k + 1)]
+        for m in (1, 2, 3, 4):
+            for ends in itertools.combinations_with_replacement(pairs, m):
+                degrees = Counter(u for u, _ in ends) + Counter(-v for _, v in ends)
+                if max(degrees.values()) > 2:
+                    continue
+                arrows = [(f"a{i}", u, v) for i, (u, v) in enumerate(ends)]
+                composable = [(b, a) for a, _, tgt in arrows for b, src, _ in arrows if src == tgt]
+                for r in range(len(composable) + 1):
+                    for relations in itertools.combinations(composable, r):
+                        p = presentation(range(1, k + 1), arrows, relations)
+                        if not is_gentle(p):
+                            continue
+                        try:
+                            count_paths(p)
+                            finite = True
+                        except DivergentPathsError:
+                            finite = False
+                        try:
+                            report = gorenstein_bound(p)
+                        except DivergentPathsError:
+                            report = None
+                        out.append(SmallGentle(p, finite, report))
+    return tuple(out)
 
 
 class TestClusterTiltedRecognition:

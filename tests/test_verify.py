@@ -12,7 +12,7 @@ import pytest
 
 from tubecat import endo, quiver, verify
 from tubecat.endo import cached_endomorphism_algebra, endomorphism_algebra
-from tubecat.quiver import Arrow, Quiver
+from tubecat.quiver import Arrow, Presentation, Quiver
 from tubecat.rigid import maximal_rigid_objects, tau_rigid
 from tubecat.tube import Indec
 
@@ -26,19 +26,15 @@ class TestTimed:
         def boom():
             raise ZeroDivisionError("division by zero")
 
-        out = verify._timed("oracle", 3, "fine", boom, subject="T")
+        out = verify._timed("oracle", 3, boom, subject="T")
         assert not out.ok
         assert out.detail.startswith("error:")
         assert out.detail == "error: division by zero"
         assert (out.check, out.rank, out.subject) == ("oracle", 3, "T")
         assert out.seconds >= 0
 
-    def test_ok_without_detail_takes_default(self):
-        out = verify._timed("rigid", 2, "fine", lambda: (True, None))
-        assert out.ok and out.detail == "fine"
-
     def test_failure_keeps_its_detail(self):
-        out = verify._timed("rigid", 2, "fine", lambda: (False, "witness"))
+        out = verify._timed("rigid", 2, lambda: (False, "witness"))
         assert not out.ok and out.detail == "witness"
         assert out.line() == "FAIL n=2 rigid: witness"
 
@@ -225,7 +221,7 @@ def _all_object_converse(n):
                     return False, f"connecting vertex {c} of a class quiver unrealized"
         return True, f"{len(classes)} classes, each a full translate orbit"
 
-    return [verify._timed("converse", n, "", run)]
+    return [verify._timed("converse", n, run)]
 
 
 class TestConverse:
@@ -387,6 +383,27 @@ class TestEndo:
         assert [o.detail for o in outcomes] == ["recognizer: planted witness"] * 6
 
 
+class TestGentle:
+    """A gentle algebra with a relation-free cycle is infinite-dimensional
+    and fails the gentle check."""
+
+    def test_two_loops_with_square_zero(self, monkeypatch):
+        # gentle, but xyxy... is never zero
+        lam = Presentation(
+            Quiver((1,), (Arrow("x", 1, 1), Arrow("y", 1, 1))),
+            frozenset({("x", "x"), ("y", "y")}),
+        )
+        monkeypatch.setattr(verify, "cached_endomorphism_algebra", lambda t: lam)
+        detail = "error: relation-free cycle through arrow 'x'; the algebra is infinite-dimensional"
+        assert [(o.ok, o.detail) for o in verify.check_gentle(2)] == [(False, detail)] * 2
+
+    def test_free_loop(self, monkeypatch):
+        real = verify.cached_endomorphism_algebra
+        monkeypatch.setattr(verify, "cached_endomorphism_algebra", lambda t: free_loop(real(t)))
+        detail = "error: relation-free cycle through arrow 'w'; the algebra is infinite-dimensional"
+        assert [(o.ok, o.detail) for o in verify.check_gentle(2)] == [(False, detail)] * 2
+
+
 PER_ORBIT = {
     "endo": (verify.check_endo, verify._endo_verdict),
     "gentle": (verify.check_gentle, verify._gentle_verdict),
@@ -401,7 +418,7 @@ PER_ORBIT = {
 def _per_object(check, n, verdict):
     """The loop that `_per_orbit` replaced: every object's own verdict."""
     return [
-        verify._timed(check, n, "", lambda t=t: verdict(t), subject=str(t))
+        verify._timed(check, n, lambda t=t: verdict(t), subject=str(t))
         for t in maximal_rigid_objects(n)
     ]
 
