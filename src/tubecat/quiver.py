@@ -1,11 +1,12 @@
 """Quivers with quadratic monomial relations.
 
-Path counting, the special biserial and gentle conditions, the Gorenstein
-dimension of a gentle algebra, recognition of type-A cluster-tilted
-quivers by one shortest-path search per edge, connecting vertices from one
-adjacency pass after recognition, and small-scale isomorphism testing: a
-pinned isomorphism invariant and an exhaustive search with an optional
-pinned vertex, used by the converse check.
+Path counting and the Gorenstein dimension of a gentle algebra, both read
+from `_free_order`, the one walk over relation-free paths, which does not
+recurse; the special biserial and gentle conditions; recognition of type-A
+cluster-tilted quivers by one shortest-path search per edge, connecting
+vertices from one adjacency pass after recognition, and small-scale
+isomorphism testing: a pinned isomorphism invariant and an exhaustive
+search with an optional pinned vertex, used by the converse check.
 """
 
 from __future__ import annotations
@@ -17,6 +18,15 @@ from typing import Mapping
 
 class DivergentPathsError(ValueError):
     """A relation-free cycle makes the path count infinite."""
+
+
+class NotGentleError(ValueError):
+    """The presentation is not gentle; `witness` is `is_gentle`'s first
+    violation."""
+
+    def __init__(self, witness: str | None):
+        super().__init__(f"presentation is not gentle: {witness}")
+        self.witness = witness
 
 
 class SizeLimitError(ValueError):
@@ -63,12 +73,6 @@ class Quiver:
 
     def arrow(self, arrow_id: str) -> Arrow:
         return self._by_id[arrow_id]
-
-    def arrows_from(self, v: int) -> list[Arrow]:
-        return [a for a in self.arrows if a.src == v]
-
-    def arrows_into(self, v: int) -> list[Arrow]:
-        return [a for a in self.arrows if a.tgt == v]
 
     def to_json(self) -> dict:
         return {
@@ -133,48 +137,67 @@ class CheckResult:
         return self.ok
 
 
-# --- path counting ---------------------------------------------------------
+# --- relation-free paths ----------------------------------------------------
+
+def _ends(q: Quiver) -> tuple[dict[int, list[Arrow]], dict[int, list[Arrow]]]:
+    """The arrows out of and into each vertex, in arrow order."""
+    out: dict[int, list[Arrow]] = {v: [] for v in q.vertices}
+    into: dict[int, list[Arrow]] = {v: [] for v in q.vertices}
+    for a in q.arrows:
+        out[a.src].append(a)
+        into[a.tgt].append(a)
+    return out, into
+
+
+def _free_order(p: Presentation) -> tuple[list[Arrow], dict[str, list[Arrow]]]:
+    """The arrows, each after its relation-free predecessors, and those
+    predecessors by arrow id: Kahn's algorithm, without recursion.
+
+    When a relation-free cycle leaves arrows unordered, each still waits for
+    an unordered predecessor, so walking back from one repeats an arrow that
+    lies on the cycle. The DivergentPathsError raised here names it.
+    """
+    q, relations = p.quiver, p.relations
+    out, into = _ends(q)
+    before = {b.id: [a for a in into[b.src] if (b.id, a.id) not in relations] for b in q.arrows}
+    waiting = {aid: len(prev) for aid, prev in before.items()}
+    order = [a for a in q.arrows if not waiting[a.id]]
+    for a in order:  # grows while it is walked
+        for b in out[a.tgt]:
+            if (b.id, a.id) not in relations:
+                waiting[b.id] -= 1
+                if not waiting[b.id]:
+                    order.append(b)
+    if len(order) < len(q.arrows):
+        aid, seen = next(a.id for a in q.arrows if waiting[a.id]), set()
+        while aid not in seen:
+            seen.add(aid)
+            aid = next(a.id for a in before[aid] if waiting[a.id])
+        raise DivergentPathsError(
+            f"relation-free cycle through arrow {aid!r}; the algebra is infinite-dimensional"
+        )
+    return order, before
+
 
 def count_paths(p: Presentation) -> dict[tuple[int, int], int]:
     """Number of relation-free paths between every vertex pair.
 
-    Trivial paths are included on the diagonal. Raises DivergentPathsError
-    when a relation-free cycle makes the count infinite.
+    Trivial paths are included on the diagonal. The paths ending with an
+    arrow are the arrow alone and those ending with each relation-free
+    predecessor, added up in one pass in `_free_order`'s order, without
+    recursion; a relation-free cycle raises its DivergentPathsError.
     """
-    arrows = p.quiver.arrows
-    successors = {
-        a.id: [b.id for b in arrows if b.src == a.tgt and not p.is_relation(b.id, a.id)]
-        for a in arrows
-    }
-    by_id = {a.id: a for a in arrows}
-
-    # paths ending with a given arrow, keyed by their start vertex
-    memo: dict[str, dict[int, int]] = {}
-    on_stack: set[str] = set()
-
-    def ending_with(aid: str) -> dict[int, int]:
-        if aid in memo:
-            return memo[aid]
-        if aid in on_stack:
-            raise DivergentPathsError(
-                f"relation-free cycle through arrow {aid!r}; path count diverges"
-            )
-        on_stack.add(aid)
-        counts = {by_id[aid].src: 1}
-        for prev in arrows:
-            if aid in successors[prev.id]:
-                for start, c in ending_with(prev.id).items():
-                    counts[start] = counts.get(start, 0) + c
-        on_stack.discard(aid)
-        memo[aid] = counts
-        return counts
-
-    totals = {(u, v): 0 for u in p.quiver.vertices for v in p.quiver.vertices}
-    for v in p.quiver.vertices:
-        totals[(v, v)] = 1
-    for a in arrows:
-        for start, c in ending_with(a.id).items():
-            totals[(start, a.tgt)] += c
+    order, before = _free_order(p)
+    ending: dict[str, dict[int, int]] = {}
+    vertices = p.quiver.vertices
+    totals = {(u, v): int(u == v) for u in vertices for v in vertices}
+    for b in order:
+        counts = ending[b.id] = {b.src: 1}
+        for a in before[b.id]:
+            for start, c in ending[a.id].items():
+                counts[start] = counts.get(start, 0) + c
+        for start, c in counts.items():
+            totals[(start, b.tgt)] += c
     return totals
 
 
@@ -184,18 +207,19 @@ def is_special_biserial(p: Presentation) -> CheckResult:
     """At most two arrows in and out of each vertex, and each arrow has at
     most one relation-free continuation and one relation-free predecessor."""
     q = p.quiver
+    out, into = _ends(q)
     for v in q.vertices:
-        if len(q.arrows_from(v)) > 2:
+        if len(out[v]) > 2:
             return CheckResult(False, f"more than two arrows start at vertex {v}")
-        if len(q.arrows_into(v)) > 2:
+        if len(into[v]) > 2:
             return CheckResult(False, f"more than two arrows end at vertex {v}")
     for b in q.arrows:
-        before = [a for a in q.arrows_into(b.src) if not p.is_relation(b.id, a.id)]
+        before = [a for a in into[b.src] if not p.is_relation(b.id, a.id)]
         if len(before) > 1:
             return CheckResult(
                 False, f"arrow {b.id} continues {len(before)} arrows without relation"
             )
-        after = [g for g in q.arrows_from(b.tgt) if not p.is_relation(g.id, b.id)]
+        after = [g for g in out[b.tgt] if not p.is_relation(g.id, b.id)]
         if len(after) > 1:
             return CheckResult(
                 False, f"arrow {b.id} is continued by {len(after)} arrows without relation"
@@ -210,13 +234,14 @@ def is_gentle(p: Presentation) -> CheckResult:
     if not sb:
         return sb
     q = p.quiver
+    out, into = _ends(q)
     for b in q.arrows:
-        killed_in = [a for a in q.arrows_into(b.src) if p.is_relation(b.id, a.id)]
+        killed_in = [a for a in into[b.src] if p.is_relation(b.id, a.id)]
         if len(killed_in) > 1:
             return CheckResult(
                 False, f"arrow {b.id} kills {len(killed_in)} incoming compositions"
             )
-        killed_out = [g for g in q.arrows_from(b.tgt) if p.is_relation(g.id, b.id)]
+        killed_out = [g for g in out[b.tgt] if p.is_relation(g.id, b.id)]
         if len(killed_out) > 1:
             return CheckResult(
                 False, f"arrow {b.id} is killed by {len(killed_out)} outgoing arrows"
@@ -267,32 +292,17 @@ def gorenstein_bound(p: Presentation) -> GorensteinReport:
     critical path from a gentle arrow never meets an arrow twice: the first
     arrow met twice would have two relations before it, or one if it were
     the gentle arrow. Rejects a presentation that is not gentle with
-    ValueError, and one with a relation-free cycle, whose algebra is
-    infinite-dimensional, with DivergentPathsError.
+    NotGentleError, and one with a relation-free cycle, whose algebra is
+    infinite-dimensional, with the DivergentPathsError of `_free_order`,
+    the one walk over relation-free paths, which does not recurse.
     """
     gentle = is_gentle(p)
     if not gentle:
-        raise ValueError(f"presentation is not gentle: {gentle.witness}")
+        raise NotGentleError(gentle.witness)
+    _free_order(p)
     q = p.quiver
-    out: dict[int, list[str]] = {v: [] for v in q.vertices}
-    for a in q.arrows:
-        out[a.src].append(a.id)
-    # Gentle: each arrow has at most one relation-free continuation, and at
-    # most one relation after it.
-    free = {a.id: b for a in q.arrows for b in out[a.tgt] if (b, a.id) not in p.relations}
+    # Gentle: each arrow has at most one relation after it.
     then = {a: b for b, a in p.relations}
-
-    for a in q.arrows:  # a walk that lasts len(arrows) steps is on a cycle
-        aid = a.id
-        for _ in q.arrows:
-            aid = free.get(aid)
-            if aid is None:
-                break
-        else:
-            raise DivergentPathsError(
-                f"relation-free cycle through arrow {aid!r}; the algebra is infinite-dimensional"
-            )
-
     seconds = set(then.values())
     gentle_arrows = tuple(a.id for a in q.arrows if a.id not in seconds)
     best: tuple[str, ...] = ()
@@ -303,10 +313,8 @@ def gorenstein_bound(p: Presentation) -> GorensteinReport:
         if len(path) > len(best):
             best = tuple(path)
     n_g = len(best)
-    if n_g:
-        dimension = n_g
-    else:
-        dimension = 1 if any(len(ids) > 1 for ids in out.values()) else 0
+    # n_g, or else 1 exactly when some vertex has two arrows out
+    dimension = n_g or int(len({a.src for a in q.arrows}) < len(q.arrows))
     return GorensteinReport(n_g, gentle_arrows, best, dimension)
 
 
@@ -438,8 +446,8 @@ def pinned_invariant(q: Quiver, v: int) -> int:
 
     Colour refinement (1-WL) on the directed multigraph: vertices start
     coloured "is v" or not, and each round recolours a vertex by its colour
-    and the multisets of (colour, arrow multiplicity) of its out- and
-    in-neighbours, until the number of colours stops growing. Each round's
+    and the multisets of colours at the other ends of its out- and
+    in-arrows, until the number of colours stops growing. Each round's
     colours are renumbered through the sorted palette of its signatures, and
     the key hashes the sequence of sorted signature multisets. Vertex
     numbers and arrow ids and order never enter it, so it is unchanged by
@@ -450,11 +458,7 @@ def pinned_invariant(q: Quiver, v: int) -> int:
     """
     if v not in q.vertices:
         raise ValueError(f"pinned vertex {v} is not a vertex of the quiver")
-    out: dict[int, dict[int, int]] = {u: {} for u in q.vertices}
-    into: dict[int, dict[int, int]] = {u: {} for u in q.vertices}
-    for a in q.arrows:
-        out[a.src][a.tgt] = out[a.src].get(a.tgt, 0) + 1
-        into[a.tgt][a.src] = into[a.tgt].get(a.src, 0) + 1
+    out, into = _ends(q)
     colour = {u: int(u == v) for u in q.vertices}
     n_colours = len(set(colour.values()))
     key = 0
@@ -462,8 +466,8 @@ def pinned_invariant(q: Quiver, v: int) -> int:
         signature = {
             u: (
                 colour[u],
-                tuple(sorted((colour[w], m) for w, m in out[u].items())),
-                tuple(sorted((colour[w], m) for w, m in into[u].items())),
+                tuple(sorted(colour[a.tgt] for a in out[u])),
+                tuple(sorted(colour[a.src] for a in into[u])),
             )
             for u in q.vertices
         }
@@ -487,18 +491,17 @@ def find_isomorphism(
     if len(a.vertices) != len(b.vertices) or len(a.arrows) != len(b.arrows):
         return None
     if len(a.vertices) > _ISO_LIMIT:
-        raise SizeLimitError(
-            f"isomorphism search limited to {_ISO_LIMIT} vertices"
-        )
+        raise SizeLimitError(f"isomorphism search limited to {_ISO_LIMIT} vertices")
 
-    def degree_key(q: Quiver, v: int):
-        outs = len(q.arrows_from(v))
-        ins = len(q.arrows_into(v))
-        loops = sum(1 for x in q.arrows if x.src == x.tgt == v)
-        return (outs, ins, loops)
+    mult_a, mult_b = (Counter((x.src, x.tgt) for x in q.arrows) for q in (a, b))
 
-    keys_a = {v: degree_key(a, v) for v in a.vertices}
-    keys_b = {v: degree_key(b, v) for v in b.vertices}
+    def degree_key(mult: Counter, v: int):
+        outs = sum(m for (u, _), m in mult.items() if u == v)
+        ins = sum(m for (_, w), m in mult.items() if w == v)
+        return (outs, ins, mult[v, v])
+
+    keys_a = {v: degree_key(mult_a, v) for v in a.vertices}
+    keys_b = {v: degree_key(mult_b, v) for v in b.vertices}
     if sorted(keys_a.values()) != sorted(keys_b.values()):
         return None
 
@@ -506,16 +509,13 @@ def find_isomorphism(
     used: set[int] = set()
     mapping: dict[int, int] = {}
 
-    def arrow_mult(q: Quiver, u: int, v: int) -> int:
-        return sum(1 for x in q.arrows if x.src == u and x.tgt == v)
-
     def consistent(v: int, w: int) -> bool:
         if keys_a[v] != keys_b[w]:
             return False
         for u, img in mapping.items():
-            if arrow_mult(a, v, u) != arrow_mult(b, w, img):
+            if mult_a.get((v, u), 0) != mult_b.get((w, img), 0):
                 return False
-            if arrow_mult(a, u, v) != arrow_mult(b, img, w):
+            if mult_a.get((u, v), 0) != mult_b.get((img, w), 0):
                 return False
         return True
 

@@ -2,13 +2,13 @@
 calls: a presentation constructor, small enumerations of the tube, the
 oracle's cluster Hom, the quasisimple map of a rigid object, the end
 strings of an algebra with the projective/injective comparison built on
-them, and an algebra with a band."""
+them, an algebra with a band, and the former recursive path count."""
 
 from typing import Iterable, Sequence
 
 from tubecat import strings
 from tubecat.endo import LOOP_ID
-from tubecat.quiver import Arrow, Presentation, Quiver
+from tubecat.quiver import Arrow, DivergentPathsError, Presentation, Quiver
 from tubecat.rigid import RigidObject
 from tubecat.strings import Letter, StringWord, trivial, word
 from tubecat.tube import HomDims, Indec, hom_tube_oracle, in_wing, tau
@@ -70,7 +70,7 @@ def end_string(p: Presentation, graph: dict[Letter, list[Letter]], v: int, d: in
     such walks for a special biserial presentation; the string is the first
     walk inverted, followed by the second.
     """
-    arrows = p.quiver.arrows_from(v) if d > 0 else p.quiver.arrows_into(v)
+    arrows = [a for a in p.quiver.arrows if (a.src if d > 0 else a.tgt) == v]
     walks = []
     for a in arrows:
         walk = [(a.id, d)]
@@ -116,3 +116,44 @@ def free_loop(p: Presentation) -> Presentation:
     """p without the relations of its loop. At rank 2 the loop is the only
     arrow, so the loop alone is a band."""
     return Presentation(p.quiver, frozenset(r for r in p.relations if LOOP_ID not in r))
+
+
+def reference_count_paths(p: Presentation) -> dict[tuple[int, int], int]:
+    """The former `quiver.count_paths`: a depth-first search that counts
+    the paths ending with each arrow from those ending with each
+    relation-free predecessor, found by scanning every arrow, and raises
+    DivergentPathsError on meeting an arrow already on its stack. It
+    recurses once per arrow of the longest relation-free path."""
+    arrows = p.quiver.arrows
+    successors = {
+        a.id: [b.id for b in arrows if b.src == a.tgt and not p.is_relation(b.id, a.id)]
+        for a in arrows
+    }
+    by_id = {a.id: a for a in arrows}
+    memo: dict[str, dict[int, int]] = {}
+    on_stack: set[str] = set()
+
+    def ending_with(aid: str) -> dict[int, int]:
+        if aid in memo:
+            return memo[aid]
+        if aid in on_stack:
+            raise DivergentPathsError(
+                f"relation-free cycle through arrow {aid!r}; path count diverges"
+            )
+        on_stack.add(aid)
+        counts = {by_id[aid].src: 1}
+        for prev in arrows:
+            if aid in successors[prev.id]:
+                for start, c in ending_with(prev.id).items():
+                    counts[start] = counts.get(start, 0) + c
+        on_stack.discard(aid)
+        memo[aid] = counts
+        return counts
+
+    totals = {(u, v): 0 for u in p.quiver.vertices for v in p.quiver.vertices}
+    for v in p.quiver.vertices:
+        totals[(v, v)] = 1
+    for a in arrows:
+        for start, c in ending_with(a.id).items():
+            totals[(start, a.tgt)] += c
+    return totals

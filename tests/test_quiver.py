@@ -1,7 +1,10 @@
 """Tests for quivers with quadratic monomial relations."""
 
+import inspect
 import itertools
 import random
+import re
+import sys
 from collections import Counter
 from functools import lru_cache
 from typing import NamedTuple
@@ -13,6 +16,7 @@ from tubecat.quiver import (
     Arrow,
     DivergentPathsError,
     GorensteinReport,
+    NotGentleError,
     Presentation,
     Quiver,
     SizeLimitError,
@@ -28,7 +32,7 @@ from tubecat.quiver import (
 )
 from tubecat.rigid import maximal_rigid_objects
 
-from support import presentation, projectives_match_injectives
+from support import presentation, projectives_match_injectives, reference_count_paths
 
 DUAL_NUMBERS = presentation([1], [("w", 1, 1, "loop")], [("w", "w")])
 RANK3_ALGEBRA = presentation(
@@ -113,6 +117,128 @@ class TestCountPaths:
         for i, u in enumerate(verts):
             for j, v in enumerate(verts):
                 assert paths[(u, v)] == series[i, j]
+
+
+def acyclic_presentations(count: int = 400, seed: int = 0) -> list[Presentation]:
+    """Random presentations on vertices 1..k whose arrows all go from a
+    smaller to a larger vertex, so every path count is finite; parallel
+    arrows, diamonds and vertices with three or more arrows occur, and so
+    do arbitrary relations."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        k = rng.randint(2, 6)
+        arrows = []
+        for i in range(rng.randint(1, 10)):
+            u, v = sorted(rng.sample(range(1, k + 1), 2))
+            arrows.append((f"a{i}", u, v))
+        composable = [(b, a) for a, _, tgt in arrows for b, src, _ in arrows if src == tgt]
+        relations = [r for r in composable if rng.random() < 0.3]
+        out.append(presentation(range(1, k + 1), arrows, relations))
+    return out
+
+
+def relation_free_successors(p: Presentation, aid: str) -> list[str]:
+    tgt = p.quiver.arrow(aid).tgt
+    return [b.id for b in p.quiver.arrows if b.src == tgt and (b.id, aid) not in p.relations]
+
+
+def assert_names_an_arrow_on_a_relation_free_cycle(p: Presentation) -> str:
+    """The arrow that count_paths' error names, checked to come back to
+    itself by relation-free steps, in a walk of its own."""
+    with pytest.raises(DivergentPathsError) as raised:
+        count_paths(p)
+    named = re.fullmatch(
+        r"relation-free cycle through arrow '(\w+)'; the algebra is infinite-dimensional",
+        str(raised.value),
+    ).group(1)
+    reached, frontier = set(), relation_free_successors(p, named)
+    while frontier:
+        aid = frontier.pop()
+        if aid not in reached:
+            reached.add(aid)
+            frontier.extend(relation_free_successors(p, aid))
+    assert named in reached, (p, named)
+    return named
+
+
+class TestFreeOrder:
+    """`count_paths` walks `_free_order` once, without recursion; the former
+    recursive search is `reference_count_paths`."""
+
+    def test_equals_the_recursive_count_on_small_gentle_presentations(self):
+        cases = small_gentle_presentations()
+        assert len(cases) == 1426
+        for c in cases:
+            if c.finite:
+                assert count_paths(c.presentation) == reference_count_paths(c.presentation), c
+            else:
+                with pytest.raises(DivergentPathsError):
+                    reference_count_paths(c.presentation)
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_equals_the_recursive_count_on_every_representative(self, n):
+        reps = [t for t in maximal_rigid_objects(n) if t.top.orbit == 1]
+        for t in reps:
+            lam = cached_endomorphism_algebra(t)
+            assert count_paths(lam) == reference_count_paths(lam), t
+
+    def test_equals_the_recursive_count_on_acyclic_presentations(self):
+        diamond = [("a", 1, 2), ("b", 1, 3), ("c", 2, 4), ("d", 3, 4)]
+        fixed = [
+            presentation([1, 2, 3, 4], diamond),
+            presentation([1, 2, 3, 4], diamond, [("c", "a")]),
+            presentation([1, 2, 3, 4], diamond + [("e", 1, 2), ("f", 2, 4)], [("f", "e")]),
+            presentation([1, 2], [("a", 1, 2), ("b", 1, 2), ("c", 1, 2)]),
+        ]
+        cases = fixed + acyclic_presentations()
+        assert sum(not is_gentle(p) for p in cases) > 100
+        assert sum(len({(a.src, a.tgt) for a in p.quiver.arrows}) < len(p.quiver.arrows) for p in cases) > 100
+        for p in cases:
+            assert count_paths(p) == reference_count_paths(p), p
+        assert count_paths(fixed[0])[1, 4] == 2
+        assert count_paths(fixed[1])[1, 4] == 1
+        assert count_paths(fixed[2])[1, 4] == 4  # ac, af, bd, ec; fe is zero
+
+    def test_named_arrow_lies_on_a_relation_free_cycle(self):
+        infinite = [c.presentation for c in small_gentle_presentations() if not c.finite]
+        assert len(infinite) == 878
+        for p in infinite:
+            assert_names_an_arrow_on_a_relation_free_cycle(p)
+
+    def test_arrow_after_a_cycle_is_not_named(self):
+        # c comes first and waits for the free loop w, but lies on no cycle
+        p = presentation([1, 2], [("c", 1, 2), ("w", 1, 1)])
+        assert assert_names_an_arrow_on_a_relation_free_cycle(p) == "w"
+        rng = random.Random(3)
+        divergent = 0
+        for _ in range(400):
+            k = rng.randint(1, 4)
+            arrows = [(f"a{i}", rng.randint(1, k), rng.randint(1, k)) for i in range(rng.randint(1, 7))]
+            composable = [(b, a) for a, _, tgt in arrows for b, src, _ in arrows if src == tgt]
+            p = presentation(range(1, k + 1), arrows, [r for r in composable if rng.random() < 0.4])
+            try:
+                count_paths(p)
+            except DivergentPathsError:
+                assert_names_an_arrow_on_a_relation_free_cycle(p)
+                divergent += 1
+        assert divergent > 100
+
+    def test_long_path_does_not_recurse(self):
+        # A relation-free path with more arrows than the recursion limit,
+        # lowered to 100 frames above the current depth, listed sink first.
+        old = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack(0)) + 100)
+        try:
+            m = sys.getrecursionlimit() + 100
+            p = presentation(range(m + 1), [(f"a{i}", i, i + 1) for i in reversed(range(m))])
+            paths = count_paths(p)
+            with pytest.raises(RecursionError):
+                reference_count_paths(p)
+        finally:
+            sys.setrecursionlimit(old)
+        assert sum(paths.values()) == (m + 1) * (m + 2) // 2
+        assert paths[0, m] == 1 and paths[m, 0] == 0
 
 
 class TestSpecialBiserial:
@@ -203,6 +329,18 @@ class TestGorenstein:
     def test_rejects_non_gentle(self):
         with pytest.raises(ValueError):
             gorenstein_bound(presentation([1], [("x", 1, 1), ("y", 1, 1)]))
+
+    def test_not_gentle_error_carries_the_witness(self):
+        p = presentation(
+            [1, 2, 3],
+            [("u", 1, 2), ("v", 1, 2), ("w2", 2, 3)],
+            [("w2", "u"), ("w2", "v")],
+        )
+        with pytest.raises(NotGentleError) as raised:
+            gorenstein_bound(p)
+        assert isinstance(raised.value, ValueError)
+        assert raised.value.witness == is_gentle(p).witness == "arrow w2 kills 2 incoming compositions"
+        assert str(raised.value) == "presentation is not gentle: arrow w2 kills 2 incoming compositions"
 
     def test_rejects_a_relation_free_cycle(self):
         # gentle, with no gentle arrow, but xyxy... never ends

@@ -34,10 +34,10 @@ def oriented_triangles(q: Quiver) -> list[tuple[Arrow, Arrow, Arrow]]:
     """All oriented 3-cycles, as arrow triples starting at the least vertex."""
     out = []
     for a in q.arrows:
-        for b in q.arrows_from(a.tgt):
+        for b in (x for x in q.arrows if x.src == a.tgt):
             if b.tgt == a.src:
                 continue
-            for c in q.arrows_from(b.tgt):
+            for c in (x for x in q.arrows if x.src == b.tgt):
                 if c.tgt == a.src and a.src < min(a.tgt, b.tgt):
                     out.append((a, b, c))
     return out

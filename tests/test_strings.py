@@ -522,14 +522,14 @@ def reference_enumeration(p, cap):
 def reference_paths_from(p, v):
     """The former `_maximal_paths_from`."""
     out = []
-    for first in p.quiver.arrows_from(v):
+    for first in [a for a in p.quiver.arrows if a.src == v]:
         path = [first.id]
         while True:
             cur = path[-1]
             nxt = [
                 g.id
-                for g in p.quiver.arrows_from(p.quiver.arrow(cur).tgt)
-                if not p.is_relation(g.id, cur)
+                for g in p.quiver.arrows
+                if g.src == p.quiver.arrow(cur).tgt and not p.is_relation(g.id, cur)
             ]
             if not nxt:
                 break
@@ -545,14 +545,14 @@ def reference_paths_from(p, v):
 def reference_paths_into(p, v):
     """The former `_maximal_paths_into`."""
     out = []
-    for last in p.quiver.arrows_into(v):
+    for last in [a for a in p.quiver.arrows if a.tgt == v]:
         path = [last.id]
         while True:
             cur = path[0]
             prev = [
                 a.id
-                for a in p.quiver.arrows_into(p.quiver.arrow(cur).src)
-                if not p.is_relation(cur, a.id)
+                for a in p.quiver.arrows
+                if a.tgt == p.quiver.arrow(cur).src and not p.is_relation(cur, a.id)
             ]
             if not prev:
                 break

@@ -10,13 +10,13 @@ from math import comb
 
 import pytest
 
-from tubecat import endo, quiver, verify
+from tubecat import endo, quiver, tube, verify
 from tubecat.endo import cached_endomorphism_algebra, endomorphism_algebra
 from tubecat.quiver import Arrow, Presentation, Quiver
 from tubecat.rigid import maximal_rigid_objects, tau_rigid
 from tubecat.tube import Indec
 
-from support import free_loop
+from support import free_loop, presentation
 
 OUTCOME_KEYS = {"check", "rank", "ok", "detail", "subject", "seconds"}
 
@@ -137,16 +137,18 @@ class TestOracleFault:
     def test_off_by_one_at_one_pair_is_reported(self, monkeypatch):
         # (1,9) -> (2,9) lies above quasilength 3, so the calibration
         # contracts, which only start at quasilength <= n, never ask for it.
-        x, y = Indec(3, 1, 9), Indec(3, 2, 9)
-        real = verify.hom_tube_oracle
+        # The agreement loop reads the oracle on integer coordinates, where
+        # (n, b, d, shift) = (3, 9, 9, 1) is that pair and the n = 3 pairs
+        # (a,9) -> (a+1,9) that share its value.
+        real = tube._oracle_dim
 
-        def faulty(a, b):
-            return real(a, b) + (1 if (a, b) == (x, y) else 0)
+        def faulty(n, b, d, shift):
+            return real(n, b, d, shift) + (1 if (n, b, d, shift) == (3, 9, 9, 1) else 0)
 
-        monkeypatch.setattr(verify, "hom_tube_oracle", faulty)
+        monkeypatch.setattr(tube, "_oracle_dim", faulty)
         agreement, calibration, boundary, symmetry = verify.check_oracle(3)
         assert not agreement.ok
-        assert agreement.detail == "1/729 disagreements, first at (1,9)->(2,9)"
+        assert agreement.detail == "3/729 disagreements, first at (1,9)->(2,9)"
         assert calibration.ok and boundary.ok and symmetry.ok
 
     def test_cap_zero_is_not_the_default(self):
@@ -404,6 +406,38 @@ class TestGentle:
         assert [(o.ok, o.detail) for o in verify.check_gentle(2)] == [(False, detail)] * 2
 
 
+    def test_is_gentle_runs_once_per_representative(self, monkeypatch):
+        # Counted in every namespace that holds it: the verdict reads the
+        # gentle check through `gorenstein_bound` only.
+        calls = []
+        real = quiver.is_gentle
+
+        def counting(p):
+            calls.append(p)
+            return real(p)
+
+        for module in (quiver, verify):
+            if hasattr(module, "is_gentle"):
+                monkeypatch.setattr(module, "is_gentle", counting)
+        outcomes = verify.check_gentle(7)
+        assert len(outcomes) == 924 and all(o.ok for o in outcomes)
+        assert len(calls) == 132
+
+    @pytest.mark.parametrize("arrows, relations, witness", [
+        ([("x", 1, 1), ("y", 1, 1)], [], "arrow x continues 2 arrows without relation"),
+        (
+            [("u", 1, 2), ("v", 1, 2), ("w2", 2, 3)],
+            [("w2", "u"), ("w2", "v")],
+            "arrow w2 kills 2 incoming compositions",
+        ),
+    ], ids=["not-special-biserial", "shared-relation"])
+    def test_not_gentle_detail(self, monkeypatch, arrows, relations, witness):
+        lam = presentation(sorted({v for _, *ends in arrows for v in ends}), arrows, relations)
+        monkeypatch.setattr(verify, "cached_endomorphism_algebra", lambda t: lam)
+        detail = f"not gentle: {witness}"
+        assert [(o.ok, o.detail) for o in verify.check_gentle(2)] == [(False, detail)] * 2
+
+
 PER_ORBIT = {
     "endo": (verify.check_endo, verify._endo_verdict),
     "gentle": (verify.check_gentle, verify._gentle_verdict),
@@ -465,7 +499,7 @@ class TestPerOrbit:
         rep = objects[3]
         planted = cached_endomorphism_algebra(rep)
         calls = []
-        real = verify.is_gentle
+        real = quiver.is_gentle
 
         def faulty(lam):
             calls.append(lam)
@@ -473,7 +507,7 @@ class TestPerOrbit:
                 return quiver.CheckResult(False, "planted witness")
             return real(lam)
 
-        monkeypatch.setattr(verify, "is_gentle", faulty)
+        monkeypatch.setattr(quiver, "is_gentle", faulty)
         outcomes = verify.check_gentle(n)
         assert len(outcomes) == 70
         assert [o.subject for o in outcomes if not o.ok] == [str(rep)]
