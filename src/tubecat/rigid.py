@@ -2,13 +2,15 @@
 
 A maximal rigid object is stored as its n-1 pairwise-compatible summands in
 a canonical order: the top summand first, then by descending quasilength,
-ties broken by orbit lifted into the top's window. Two independent
-enumeration routes are provided and cross-checked by the test suite.
+ties broken by orbit lifted into the top's window. `enumerate_maximal_rigid`
+builds every object by filling the wing of each top; `maximal_compatible_masks`
+finds the same objects by subset search, as summand bitmasks, and
+`verify.check_rigid` compares the two routes on those masks at run time.
 
-Both routes build every object through `from_summands`, which validates it
-against one compatibility table per rank, `kernel.compat_masks(n)`, held by
+Objects are built through `from_summands`, which validates each against one
+compatibility table per rank, `kernel.compat_masks(n)`, held by
 `_compat_table`. The rigid indecomposable (a, b) has index
-i = (a - 1)(n - 1) + b - 1 there, and bit j of mask[i] is set iff the
+`rigid_index(n, a, b)` there, and bit j of mask[i] is set iff the
 summands with indices i != j are compatible. With `chosen` the set bits of
 an object's summands, the summands are pairwise compatible exactly when
 `chosen & ~(mask[i] | 1 << i)` is 0 for every summand i: the own bit is
@@ -29,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from tubecat import kernel
 from tubecat.tube import Indec, is_rigid, lift_orbit, tau
@@ -73,10 +75,15 @@ def canonical_order(n: int, summands: Iterable[Indec]) -> tuple[Indec, ...]:
     return tuple(xs)
 
 
+def rigid_index(n: int, a: int, b: int) -> int:
+    """Index of (a, b) in `kernel.compat_masks(n)`: inverts `kernel.rigid_coords`."""
+    return (a - 1) * (n - 1) + b - 1
+
+
 @lru_cache(maxsize=32)
 def _compat_table(n: int) -> tuple[int, ...]:
     """`kernel.compat_masks(n)`, built once per rank and shared by
-    `from_summands` and the brute enumeration."""
+    `from_summands` and `maximal_compatible_masks`."""
     return tuple(kernel.compat_masks(n))
 
 
@@ -98,7 +105,7 @@ def from_summands(n: int, summands: Iterable[Indec]) -> RigidObject:
     if len(xs) > 1 and xs[1].ql == n - 1:
         raise ValueError("top summand must be unique")
     table = _compat_table(n)
-    index = [(s.orbit - 1) * (n - 1) + s.ql - 1 for s in xs]  # kernel.rigid_coords inverted
+    index = [rigid_index(n, s.orbit, s.ql) for s in xs]
     chosen = 0
     for i in index:
         chosen |= 1 << i
@@ -129,54 +136,33 @@ def tau_rigid(t: RigidObject, k: int = 1) -> RigidObject:
 
 # --- enumeration ----------------------------------------------------------
 
-def enumerate_maximal_rigid(n: int, method: str = "structured") -> list[RigidObject]:
-    """All maximal rigid objects, each once, deterministically ordered.
-
-    method="brute": subset search over the n(n-1) rigid indecomposables,
-    filtered by pairwise compatibility and maximality.
-    method="structured": choose the top orbit, then fill its wing by
-    recursive subwing splits.
-    """
+def enumerate_maximal_rigid(n: int) -> list[RigidObject]:
+    """All maximal rigid objects, each once, deterministically ordered:
+    choose the top orbit, then fill its wing by recursive subwing splits."""
     if n < 2:
         raise ValueError("rank must be >= 2")
-    if method == "brute":
-        objects = _enumerate_brute(n)
-    elif method == "structured":
-        objects = _enumerate_structured(n)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    objects.sort(key=_sort_key)
+    objects = [from_summands(n, f) for a in range(1, n + 1) for f in _wing_fillings(n, a, n - 1)]
+    objects.sort(key=lambda t: (t.top.orbit, tuple((s.orbit, s.ql) for s in t.summands)))
     return objects
 
 
-def _sort_key(t: RigidObject):
-    return (t.top.orbit, tuple((s.orbit, s.ql) for s in t.summands))
-
-
-def _enumerate_brute(n: int) -> list[RigidObject]:
+def maximal_compatible_masks(n: int) -> Iterator[int]:
+    """The summand mask of every maximal rigid object, by subset search:
+    each pairwise-compatible (n-1)-subset of the rigid indecomposables, in
+    `kernel.compatible_subsets` order, that no outside candidate is
+    compatible with in full. Bit i is `kernel.rigid_coords(n, i)`."""
+    if n < 2:
+        raise ValueError("rank must be >= 2")
     masks = _compat_table(n)
-    out = []
+    full = (1 << len(masks)) - 1
     for subset in kernel.compatible_subsets(masks, n - 1):
         chosen = 0
+        common = full
         for i in subset:
             chosen |= 1 << i
-        # maximality: no outside candidate compatible with all members
-        common = (1 << len(masks)) - 1
-        for i in subset:
             common &= masks[i]
-        if common & ~chosen:
-            continue
-        summands = [Indec(n, *kernel.rigid_coords(n, i)) for i in subset]
-        out.append(from_summands(n, summands))
-    return out
-
-
-def _enumerate_structured(n: int) -> list[RigidObject]:
-    out = []
-    for a in range(1, n + 1):
-        for filling in _wing_fillings(n, a, n - 1):
-            out.append(from_summands(n, filling))
-    return out
+        if not common & ~chosen:
+            yield chosen
 
 
 def _wing_fillings(n: int, orbit: int, height: int) -> list[tuple[Indec, ...]]:

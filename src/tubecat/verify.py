@@ -31,7 +31,7 @@ after an exact certificate: its summands are the representative's translated
 element by element (`_translate_certificate`). `check_converse` works on the
 same quotient: it builds and compares the quivers of the representatives
 only, and puts every other object in its representative's class by that
-certificate. `check_rigid` and `check_oracle` stay per object.
+certificate. `check_rigid` compares every object with the brute route's masks.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ from tubecat.quiver import (
     gorenstein_bound,
     pinned_invariant,
 )
-from tubecat.rigid import enumerate_maximal_rigid, maximal_rigid_objects, tau_rigid
+from tubecat.rigid import maximal_compatible_masks, maximal_rigid_objects, rigid_index, tau_rigid
 from tubecat.tube import (
     Indec,
     ext1_cluster,
@@ -198,14 +198,25 @@ def check_oracle(n: int, ql_cap: int | None = None, seed: int = 0) -> list[Outco
 
 def check_rigid(n: int) -> list[Outcome]:
     def count():
-        # The cached objects every other check walks, against the brute route.
-        structured = list(maximal_rigid_objects(n))
-        brute = enumerate_maximal_rigid(n, "brute")
+        # The cached objects every other check walks, against the brute
+        # route's summand masks; no brute object is built.
+        by_mask = {}
+        for t in maximal_rigid_objects(n):
+            mask = sum(1 << rigid_index(n, s.orbit, s.ql) for s in t.summands)
+            if mask in by_mask:
+                return False, f"structured route lists {t} twice"
+            by_mask[mask] = t
+        total = len(by_mask)
+        for mask in maximal_compatible_masks(n):
+            if by_mask.pop(mask, None) is None:
+                bits = [i for i in range(mask.bit_length()) if mask >> i & 1]
+                coords = "+".join("({},{})".format(*kernel.rigid_coords(n, i)) for i in bits)
+                return False, f"structured route lacks brute mask {coords}"
+        if by_mask:
+            return False, f"brute route lacks {next(iter(by_mask.values()))}"
         expected = comb(2 * (n - 1), n - 1)
-        if structured != brute:
-            return False, "enumeration routes disagree"
-        if len(structured) != expected:
-            return False, f"{len(structured)} objects, expected {expected}"
+        if total != expected:
+            return False, f"{total} objects, expected {expected}"
         return True, f"{expected} objects, both routes identical"
 
     return [_timed("rigid", n, count)]

@@ -2,14 +2,15 @@
 calls: a presentation constructor, small enumerations of the tube, the
 oracle's cluster Hom, the quasisimple map of a rigid object, the end
 strings of an algebra with the projective/injective comparison built on
-them, an algebra with a band, and the former recursive path count."""
+them, an algebra with a band, the former recursive path count and the
+former object-building brute enumeration."""
 
 from typing import Iterable, Sequence
 
-from tubecat import strings
+from tubecat import kernel, strings
 from tubecat.endo import LOOP_ID
 from tubecat.quiver import Arrow, DivergentPathsError, Presentation, Quiver
-from tubecat.rigid import RigidObject
+from tubecat.rigid import RigidObject, from_summands
 from tubecat.strings import Letter, StringWord, trivial, word
 from tubecat.tube import HomDims, Indec, hom_tube_oracle, in_wing, tau
 
@@ -25,6 +26,27 @@ def presentation(vertices: Sequence[int], arrows: Iterable[tuple], relations: It
 def rigid_indecomposables(n: int) -> list[Indec]:
     """The n*(n-1) rigid indecomposables, in the kernel's fixed index order."""
     return [Indec(n, a, b) for a in range(1, n + 1) for b in range(1, n)]
+
+
+def reference_enumerate_brute(n: int) -> list[RigidObject]:
+    """The former brute route of `enumerate_maximal_rigid`, unsorted: every
+    pairwise-compatible (n-1)-subset of the rigid indecomposables that no
+    outside candidate is compatible with in full, in
+    `kernel.compatible_subsets` order, built through `from_summands`."""
+    masks = kernel.compat_masks(n)
+    out = []
+    for subset in kernel.compatible_subsets(masks, n - 1):
+        chosen = 0
+        for i in subset:
+            chosen |= 1 << i
+        common = (1 << len(masks)) - 1
+        for i in subset:
+            common &= masks[i]
+        if common & ~chosen:
+            continue
+        summands = [Indec(n, *kernel.rigid_coords(n, i)) for i in subset]
+        out.append(from_summands(n, summands))
+    return out
 
 
 def quasisimples(n: int) -> list[Indec]:

@@ -12,7 +12,9 @@ from tubecat.rigid import (
     enumerate_maximal_rigid,
     from_summands,
     from_tilting,
+    maximal_compatible_masks,
     maximal_rigid_objects,
+    rigid_index,
     subwing_decomposition,
     tau_rigid,
     tilting_intervals,
@@ -20,11 +22,27 @@ from tubecat.rigid import (
 from tubecat.tube import Indec, in_wing, is_compatible, is_rigid, lift_orbit, tau
 from tubecat.verify import check_rigid
 
-from support import hom_cluster_oracle, quasisimple_map, rigid_indecomposables, wing_members
+from support import (
+    hom_cluster_oracle,
+    quasisimple_map,
+    reference_enumerate_brute,
+    rigid_indecomposables,
+    wing_members,
+)
 
 
 def catalan(k: int) -> int:
     return comb(2 * k, k) // (k + 1)
+
+
+def summand_mask(t: RigidObject) -> int:
+    """Bit i set iff `kernel.rigid_coords(t.rank, i)` is a summand of t."""
+    return sum(1 << rigid_index(t.rank, s.orbit, s.ql) for s in t.summands)
+
+
+def enumeration_order(objects) -> list[RigidObject]:
+    """The order of `enumerate_maximal_rigid`: top orbit, then summands."""
+    return sorted(objects, key=lambda t: (t.top.orbit, tuple((s.orbit, s.ql) for s in t.summands)))
 
 
 def is_maximal_rigid(n: int, summands) -> bool:
@@ -93,12 +111,21 @@ class TestEnumeration:
             (Indec(2, 2, 1),),
         ]
 
-    @pytest.mark.parametrize("n", range(2, 7))
+    @pytest.mark.parametrize("n", range(2, 10))
     def test_counts_and_route_agreement(self, n):
-        structured = enumerate_maximal_rigid(n, "structured")
-        brute = enumerate_maximal_rigid(n, "brute")
-        assert structured == brute
-        assert len(structured) == n * catalan(n - 1)
+        structured = [summand_mask(t) for t in enumerate_maximal_rigid(n)]
+        brute = list(maximal_compatible_masks(n))
+        assert len(set(structured)) == len(structured) == n * catalan(n - 1)
+        assert len(set(brute)) == len(brute)
+        assert set(structured) == set(brute)
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_masks_follow_the_reference_brute_route(self, n):
+        """The masks are those of the objects the former brute route built
+        and validated, in its order; those objects are the structured ones."""
+        objects = reference_enumerate_brute(n)
+        assert [summand_mask(t) for t in objects] == list(maximal_compatible_masks(n))
+        assert enumeration_order(objects) == enumerate_maximal_rigid(n)
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_orbit_representatives_come_first(self, n):
@@ -135,16 +162,14 @@ class TestEnumeration:
 
     def test_deterministic_order(self):
         objects = enumerate_maximal_rigid(4)
-        assert objects == sorted(
-            objects, key=lambda t: (t.top.orbit, tuple((s.orbit, s.ql) for s in t.summands))
-        )
+        assert objects == enumeration_order(objects)
         assert objects == enumerate_maximal_rigid(4)
 
     def test_invalid_rank(self):
         with pytest.raises(ValueError):
             enumerate_maximal_rigid(1)
-        with pytest.raises(ValueError):
-            enumerate_maximal_rigid(3, "magic")
+        with pytest.raises(ValueError, match=r"^rank must be >= 2$"):
+            next(maximal_compatible_masks(1))
 
 
 class TestValidation:
@@ -360,10 +385,12 @@ class TestKernel:
     def test_masks_cross_64_bits(self):
         assert max(kernel.compat_masks(9)).bit_length() > 64
 
-    @pytest.mark.parametrize("n", range(2, 10))
+    @pytest.mark.parametrize("n", range(2, 13))
     def test_rigid_coords_follow_rigid_indecomposables(self, n):
-        coords = [kernel.rigid_coords(n, i) for i in range(n * (n - 1))]
+        indices = range(n * (n - 1))
+        coords = [kernel.rigid_coords(n, i) for i in indices]
         assert coords == [(x.orbit, x.ql) for x in rigid_indecomposables(n)]
+        assert [rigid_index(n, a, b) for a, b in coords] == list(indices)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_compatible_subsets_match_literal_filter(self, n):
@@ -386,9 +413,13 @@ class TestCompatTable:
     faults in the compatibility table it reads."""
 
     @pytest.mark.parametrize("n", range(2, 9))
-    @pytest.mark.parametrize("method", ["structured", "brute"])
-    def test_equals_reference_on_every_object(self, n, method):
-        for t in enumerate_maximal_rigid(n, method):
+    @pytest.mark.parametrize(
+        "route",
+        [enumerate_maximal_rigid, reference_enumerate_brute],
+        ids=["structured", "brute"],
+    )
+    def test_equals_reference_on_every_object(self, n, route):
+        for t in route(n):
             given = sorted(t.summands)  # not in canonical order
             assert from_summands(n, given) == t
             assert reference_from_summands(n, given) == t

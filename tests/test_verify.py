@@ -13,7 +13,7 @@ import pytest
 from tubecat import endo, quiver, tube, verify
 from tubecat.endo import cached_endomorphism_algebra, endomorphism_algebra
 from tubecat.quiver import Arrow, Presentation, Quiver
-from tubecat.rigid import maximal_rigid_objects, tau_rigid
+from tubecat.rigid import from_summands, maximal_rigid_objects, rigid_index, tau_rigid
 from tubecat.tube import Indec
 
 from support import free_loop, presentation
@@ -112,7 +112,42 @@ class TestRigid:
         monkeypatch.setattr(verify, "maximal_rigid_objects", lambda n: objects[1:])
         (outcome,) = verify.check_rigid(4)
         assert not outcome.ok
-        assert outcome.detail == "enumeration routes disagree"
+        # objects[0] is (1,3)+(1,1)+(3,1); the mask lists it in index order.
+        assert outcome.detail == "structured route lacks brute mask (1,1)+(1,3)+(3,1)"
+
+    def test_duplicate_cached_object_is_named(self, monkeypatch):
+        objects = maximal_rigid_objects(4)
+        twin = from_summands(4, reversed(objects[5].summands))
+        assert twin == objects[5] and twin is not objects[5]
+        monkeypatch.setattr(verify, "maximal_rigid_objects", lambda n: objects + (twin,))
+        (outcome,) = verify.check_rigid(4)
+        assert not outcome.ok
+        assert outcome.detail == f"structured route lists {objects[5]} twice"
+
+    def test_extra_brute_mask_is_named(self, monkeypatch):
+        real = verify.maximal_compatible_masks
+        spurious = sum(1 << rigid_index(4, a, 1) for a in (1, 2, 3))
+
+        def masks(n):
+            yield from real(n)
+            yield spurious
+
+        monkeypatch.setattr(verify, "maximal_compatible_masks", masks)
+        (outcome,) = verify.check_rigid(4)
+        assert not outcome.ok
+        assert outcome.detail == "structured route lacks brute mask (1,1)+(2,1)+(3,1)"
+
+    def test_missing_brute_mask_names_the_object(self, monkeypatch):
+        real = verify.maximal_compatible_masks
+        last = maximal_rigid_objects(4)[-1]
+        dropped = sum(1 << rigid_index(4, s.orbit, s.ql) for s in last.summands)
+        monkeypatch.setattr(
+            verify, "maximal_compatible_masks", lambda n: (m for m in real(n) if m != dropped)
+        )
+        (outcome,) = verify.check_rigid(4)
+        assert not outcome.ok
+        assert outcome.detail == "brute route lacks (4,3)+(4,2)+(4,1)"
+        assert str(last) == "(4,3)+(4,2)+(4,1)"
 
     def test_detail_when_both_routes_agree(self):
         (outcome,) = verify.check_rigid(4)
