@@ -3,10 +3,11 @@
 Path counting and the Gorenstein dimension of a gentle algebra, both read
 from `_free_order`, the one walk over relation-free paths, which does not
 recurse; the special biserial and gentle conditions; recognition of type-A
-cluster-tilted quivers by one shortest-path search per edge, connecting
-vertices from one adjacency pass after recognition, and small-scale
-isomorphism testing: a pinned isomorphism invariant and an exhaustive
-search with an optional pinned vertex, used by the converse check.
+cluster-tilted quivers by one shortest-path search per edge; their
+decomposition into blocks, which gives the connecting vertices and an exact
+canonical form of the quiver with one vertex pinned; and an exhaustive
+isomorphism search with an optional pinned vertex, which certifies the
+converse check's matches of canonical forms.
 """
 
 from __future__ import annotations
@@ -407,77 +408,83 @@ def is_cluster_tilted_A(q: Quiver) -> CheckResult:
     return CheckResult(True)
 
 
-def connecting_vertices(q: Quiver) -> frozenset[int]:
-    """Vertices of valency one, or of valency two traversed by a 3-cycle.
+def _blocks(q: Quiver) -> dict[int, list[tuple]]:
+    """The blocks at each vertex v (Buan-Vatne 2008): each oriented 3-cycle
+    v -> x -> y -> v as ("cycle", x, y), and each arrow on no 3-cycle as
+    ("out", w) or ("in", w) with w its other end.
 
-    For the one-vertex quiver the lone vertex is connecting. Rejects
-    quivers that fail the type-A recognition with NotClusterTiltedError.
+    A 3-cycle is listed once for each triple of arrows that closes it, so
+    a parallel arrow or a loop shows as a second block on the same
+    vertices, which no tree of blocks has.
+    """
+    out, _ = _ends(q)
+    blocks: dict[int, list[tuple]] = {v: [] for v in q.vertices}
+    for a in q.arrows:
+        u, w = a.src, a.tgt
+        cycles = [(b, c) for b in out[w] for c in out[b.tgt] if c.tgt == u]
+        if not cycles:
+            blocks[u].append(("out", w))
+            blocks[w].append(("in", u))
+        for b, c in cycles:
+            if a <= b and a <= c:  # from the cycle's least arrow
+                x = b.tgt
+                blocks[u].append(("cycle", w, x))
+                blocks[w].append(("cycle", x, u))
+                blocks[x].append(("cycle", u, w))
+    return blocks
+
+
+def connecting_vertices(q: Quiver) -> frozenset[int]:
+    """The vertices in at most one block: of valency one, of valency two
+    on a 3-cycle, or the lone vertex of the one-vertex quiver.
+
+    Rejects quivers that fail the type-A recognition with
+    NotClusterTiltedError.
     """
     check = is_cluster_tilted_A(q)
     if not check:
         raise NotClusterTiltedError(check.witness)
-    if len(q.vertices) == 1:
-        return frozenset(q.vertices)
-    # Recognized: no loops or 2-cycles and every 3-cycle oriented, so the
-    # valency is the neighbour count, and a valency-2 vertex lies on a
-    # 3-cycle exactly when its two neighbours are adjacent.
-    adj: dict[int, set[int]] = {v: set() for v in q.vertices}
-    for a in q.arrows:
-        adj[a.src].add(a.tgt)
-        adj[a.tgt].add(a.src)
-    out = set()
-    for v, near in adj.items():
-        if len(near) == 1:
-            out.add(v)
-        elif len(near) == 2:
-            u, w = near
-            if w in adj[u]:
-                out.add(v)
-    return frozenset(out)
+    return frozenset(v for v, here in _blocks(q).items() if len(here) <= 1)
+
+
+def canonical_key(q: Quiver, v: int) -> tuple:
+    """Canonical form of the quiver q with the vertex v pinned.
+
+    A type-A cluster-tilted quiver is a tree of blocks (`_blocks`), rebuilt
+    up to isomorphism from the tree rooted at v: two pinned quivers have
+    equal keys exactly when an isomorphism maps pin to pin. A vertex's key
+    is the sorted tuple of its blocks other than the one it was entered by,
+    ("out", key of w), ("in", key of w) or ("cycle", key of x, key of y);
+    sorting at every vertex, not only at the root, keeps it canonical on
+    any tree of blocks. The walk is a queue, not a recursion. Raises
+    NotClusterTiltedError when it meets a vertex twice or misses one.
+    """
+    if v not in q.vertices:
+        raise ValueError(f"pinned vertex {v} is not a vertex of the quiver")
+    blocks = _blocks(q)
+    parent = {v: v}
+    order = [v]
+    for w in order:  # grows while it is walked
+        if w != v:  # keep only the blocks w was not entered by
+            blocks[w].remove(next(b for b in blocks[w] if parent[w] in b[1:]))
+        for b in blocks[w]:
+            for u in b[1:]:
+                if u in parent:
+                    raise NotClusterTiltedError(f"blocks from vertex {v} meet vertex {u} twice")
+                parent[u] = w
+                order.append(u)
+    if len(order) < len(q.vertices):
+        missed = next(u for u in q.vertices if u not in parent)
+        raise NotClusterTiltedError(f"blocks from vertex {v} miss vertex {missed}")
+    key: dict[int, tuple] = {}
+    for w in reversed(order):  # every vertex after those it enters
+        key[w] = tuple(sorted((b[0], *(key[u] for u in b[1:])) for b in blocks[w]))
+    return key[v]
 
 
 # --- isomorphism ------------------------------------------------------------
 
 _ISO_LIMIT = 12
-
-
-def pinned_invariant(q: Quiver, v: int) -> int:
-    """Isomorphism invariant of the quiver q with the vertex v pinned.
-
-    Colour refinement (1-WL) on the directed multigraph: vertices start
-    coloured "is v" or not, and each round recolours a vertex by its colour
-    and the multisets of colours at the other ends of its out- and
-    in-arrows, until the number of colours stops growing. Each round's
-    colours are renumbered through the sorted palette of its signatures, and
-    the key hashes the sequence of sorted signature multisets. Vertex
-    numbers and arrow ids and order never enter it, so it is unchanged by
-    any relabelling of vertices that carries v along, any reordering of the
-    arrows and any renaming of their ids: if (q, v) and (q', v') are
-    isomorphic with v mapped to v', their keys are equal. The converse need
-    not hold, so equal keys still call for `find_isomorphism`.
-    """
-    if v not in q.vertices:
-        raise ValueError(f"pinned vertex {v} is not a vertex of the quiver")
-    out, into = _ends(q)
-    colour = {u: int(u == v) for u in q.vertices}
-    n_colours = len(set(colour.values()))
-    key = 0
-    while True:
-        signature = {
-            u: (
-                colour[u],
-                tuple(sorted(colour[a.tgt] for a in out[u])),
-                tuple(sorted(colour[a.src] for a in into[u])),
-            )
-            for u in q.vertices
-        }
-        key = hash((key, tuple(sorted(signature.values()))))
-        palette = sorted(set(signature.values()))
-        if len(palette) == n_colours:
-            return key
-        n_colours = len(palette)
-        index = {s: i for i, s in enumerate(palette)}
-        colour = {u: index[signature[u]] for u in q.vertices}
 
 
 def find_isomorphism(
@@ -495,13 +502,12 @@ def find_isomorphism(
 
     mult_a, mult_b = (Counter((x.src, x.tgt) for x in q.arrows) for q in (a, b))
 
-    def degree_key(mult: Counter, v: int):
-        outs = sum(m for (u, _), m in mult.items() if u == v)
-        ins = sum(m for (_, w), m in mult.items() if w == v)
-        return (outs, ins, mult[v, v])
+    def degree_keys(q: Quiver) -> dict[int, tuple[int, int, int]]:
+        """(arrows out, arrows in, loops) at each vertex."""
+        out, into = _ends(q)
+        return {v: (len(out[v]), len(into[v]), sum(x.tgt == v for x in out[v])) for v in q.vertices}
 
-    keys_a = {v: degree_key(mult_a, v) for v in a.vertices}
-    keys_b = {v: degree_key(mult_b, v) for v in b.vertices}
+    keys_a, keys_b = degree_keys(a), degree_keys(b)
     if sorted(keys_a.values()) != sorted(keys_b.values()):
         return None
 

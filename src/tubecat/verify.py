@@ -51,10 +51,10 @@ from tubecat.homfunctor import check_ql_cap, verify_hom_functor
 from tubecat.quiver import (
     NotClusterTiltedError,
     NotGentleError,
+    canonical_key,
     connecting_vertices,
     find_isomorphism,
     gorenstein_bound,
-    pinned_invariant,
 )
 from tubecat.rigid import maximal_compatible_masks, maximal_rigid_objects, rigid_index, tau_rigid
 from tubecat.tube import (
@@ -356,21 +356,17 @@ def check_converse(n: int) -> list[Outcome]:
     is relative to the top: tau^k T has the same labelled endomorphism
     algebra as T, hence the same (quiver, loop vertex).
 
-    Classes are kept in buckets keyed by `pinned_invariant` of their
-    (quiver, loop vertex). A representative is compared with
-    `find_isomorphism` only against the classes of its own bucket, and a
-    connecting vertex c of a class quiver only against the bucket of
-    (quiver, c). The key is an isomorphism invariant, so isomorphic pairs
-    always share a bucket and the search skips only pairs that cannot be
-    isomorphic; every membership and every realization is still decided by
-    `find_isomorphism` or the certificate. The classes, their order and
-    their members are those of a scan of every object over all classes, so
-    the verdict and the detail are too.
+    Classes are keyed by `canonical_key` of their (quiver, loop vertex), and
+    a connecting vertex c of a class quiver is looked up by the key of
+    (quiver, c). Every hit, a membership or a realization, is certified by
+    `find_isomorphism` with the vertices pinned, and a hit the search
+    refutes fails the check with a detail naming the object or the vertex.
+    A key that split an isomorphism class would leave a class short of n
+    objects, so the verdict does not rest on the key being exact.
     """
 
     def run():
-        buckets: dict[int, list[tuple]] = {}
-        classes: list[tuple] = []  # (quiver, loop vertex, members)
+        classes: dict[tuple, tuple] = {}  # key -> (quiver, loop vertex, members)
         class_of: dict[tuple, list] = {}  # representative's summands -> members
         for t in maximal_rigid_objects(n):
             if t.top.orbit != 1:
@@ -380,32 +376,26 @@ def check_converse(n: int) -> list[Outcome]:
                 members.append(t)
                 continue
             bare, lv = loopless_quiver(cached_endomorphism_algebra(t))
-            bucket = buckets.setdefault(pinned_invariant(bare, lv), [])
-            for quiver, vertex, members in bucket:
-                if find_isomorphism(bare, quiver, pin=(lv, vertex)) is not None:
-                    break
-            else:
-                members = []
-                bucket.append((bare, lv, members))
-                classes.append(bucket[-1])
+            quiver, vertex, members = classes.setdefault(canonical_key(bare, lv), (bare, lv, []))
+            if quiver is not bare and find_isomorphism(bare, quiver, pin=(lv, vertex)) is None:
+                return False, f"key of {t} hits a class that the search refutes"
             members.append(t)
             class_of[t.summands] = members
 
-        for quiver, vertex, members in classes:
+        for quiver, vertex, members in classes.values():
             if len(members) != n:
                 return False, f"class at vertex {vertex} has {len(members)} objects"
             if len({t.top.orbit for t in members}) != n:
                 return False, f"class at vertex {vertex} is not one translate orbit"
 
         # every connecting vertex of every arising quiver is realized
-        for quiver, _, _ in classes:
+        for quiver, _, _ in classes.values():
             for c in connecting_vertices(quiver):
-                bucket = buckets.get(pinned_invariant(quiver, c), ())
-                if not any(
-                    find_isomorphism(quiver, q2, pin=(c, v2)) is not None
-                    for q2, v2, _ in bucket
-                ):
+                hit = classes.get(canonical_key(quiver, c))
+                if hit is None:
                     return False, f"connecting vertex {c} of a class quiver unrealized"
+                if find_isomorphism(quiver, hit[0], pin=(c, hit[1])) is None:
+                    return False, f"connecting vertex {c} hits a class that the search refutes"
         return True, f"{len(classes)} classes, each a full translate orbit"
 
     return [_timed("converse", n, run)]

@@ -2,14 +2,24 @@
 calls: a presentation constructor, small enumerations of the tube, the
 oracle's cluster Hom, the quasisimple map of a rigid object, the end
 strings of an algebra with the projective/injective comparison built on
-them, an algebra with a band, the former recursive path count and the
-former object-building brute enumeration."""
+them, an algebra with a band, the former recursive path count, the former
+object-building brute enumeration, the former pinned isomorphism
+invariant, and the gate that compares `quiver.canonical_key` with the
+isomorphism search."""
 
 from typing import Iterable, Sequence
 
 from tubecat import kernel, strings
 from tubecat.endo import LOOP_ID
-from tubecat.quiver import Arrow, DivergentPathsError, Presentation, Quiver
+from tubecat.quiver import (
+    Arrow,
+    DivergentPathsError,
+    Presentation,
+    Quiver,
+    _ends,
+    canonical_key,
+    find_isomorphism,
+)
 from tubecat.rigid import RigidObject, from_summands
 from tubecat.strings import Letter, StringWord, trivial, word
 from tubecat.tube import HomDims, Indec, hom_tube_oracle, in_wing, tau
@@ -179,3 +189,71 @@ def reference_count_paths(p: Presentation) -> dict[tuple[int, int], int]:
         for start, c in ending_with(a.id).items():
             totals[(start, a.tgt)] += c
     return totals
+
+
+def pinned_invariant(q: Quiver, v: int) -> int:
+    """Isomorphism invariant of the quiver q with the vertex v pinned.
+
+    Colour refinement (1-WL) on the directed multigraph: vertices start
+    coloured "is v" or not, and each round recolours a vertex by its colour
+    and the multisets of colours at the other ends of its out- and
+    in-arrows, until the number of colours stops growing. Each round's
+    colours are renumbered through the sorted palette of its signatures, and
+    the key hashes the sequence of sorted signature multisets. Vertex
+    numbers and arrow ids and order never enter it, so it is unchanged by
+    any relabelling of vertices that carries v along, any reordering of the
+    arrows and any renaming of their ids: if (q, v) and (q', v') are
+    isomorphic with v mapped to v', their keys are equal. The converse need
+    not hold, so equal keys still call for `find_isomorphism`.
+    """
+    if v not in q.vertices:
+        raise ValueError(f"pinned vertex {v} is not a vertex of the quiver")
+    out, into = _ends(q)
+    colour = {u: int(u == v) for u in q.vertices}
+    n_colours = len(set(colour.values()))
+    key = 0
+    while True:
+        signature = {
+            u: (
+                colour[u],
+                tuple(sorted(colour[a.tgt] for a in out[u])),
+                tuple(sorted(colour[a.src] for a in into[u])),
+            )
+            for u in q.vertices
+        }
+        key = hash((key, tuple(sorted(signature.values()))))
+        palette = sorted(set(signature.values()))
+        if len(palette) == n_colours:
+            return key
+        n_colours = len(palette)
+        index = {s: i for i, s in enumerate(palette)}
+        colour = {u: index[signature[u]] for u in q.vertices}
+
+
+def assert_keys_partition_as_the_search(pins: Iterable[tuple[Quiver, int]]) -> int:
+    """Assert that `canonical_key` groups the pinned quivers (q, v) exactly
+    as `find_isomorphism` with the pins mapped to each other does, and
+    return the number of groups.
+
+    Each pinned quiver is searched against the first of its key, so equal
+    keys mean isomorphic. The firsts of different keys must be pairwise
+    non-isomorphic; a pair is searched only when it has the same vertex
+    degrees, in and out, and the same degrees at the pin, since the search
+    rejects any other pair at once.
+    """
+    groups: dict[tuple, list[tuple[Quiver, int]]] = {}
+    for q, v in pins:
+        groups.setdefault(canonical_key(q, v), []).append((q, v))
+    alike: dict[tuple, list[tuple[Quiver, int]]] = {}
+    for (q0, v0), *rest in groups.values():
+        for q, v in rest:
+            assert find_isomorphism(q, q0, pin=(v, v0)) is not None, (q, v, q0, v0)
+        out, into = _ends(q0)
+        degrees = (
+            tuple(sorted((len(out[u]), len(into[u])) for u in q0.vertices)),
+            (len(out[v0]), len(into[v0])),
+        )
+        for q, v in alike.setdefault(degrees, []):
+            assert find_isomorphism(q0, q, pin=(v0, v)) is None, (q0, v0, q, v)
+        alike[degrees].append((q0, v0))
+    return len(groups)

@@ -7,6 +7,7 @@ import re
 import sys
 from collections import Counter
 from functools import lru_cache
+from math import comb
 from typing import NamedTuple
 
 import pytest
@@ -16,10 +17,12 @@ from tubecat.quiver import (
     Arrow,
     DivergentPathsError,
     GorensteinReport,
+    NotClusterTiltedError,
     NotGentleError,
     Presentation,
     Quiver,
     SizeLimitError,
+    canonical_key,
     connecting_vertices,
     count_paths,
     find_isomorphism,
@@ -27,12 +30,16 @@ from tubecat.quiver import (
     is_cluster_tilted_A,
     is_gentle,
     is_special_biserial,
-    pinned_invariant,
     to_dot,
 )
 from tubecat.rigid import maximal_rigid_objects
 
-from support import presentation, projectives_match_injectives, reference_count_paths
+from support import (
+    assert_keys_partition_as_the_search,
+    presentation,
+    projectives_match_injectives,
+    reference_count_paths,
+)
 
 DUAL_NUMBERS = presentation([1], [("w", 1, 1, "loop")], [("w", "w")])
 RANK3_ALGEBRA = presentation(
@@ -547,6 +554,8 @@ def _rename_arrows(q, v, rng):
 
 
 class TestPinnedInvariant:
+    """`canonical_key`, the exact invariant of a quiver with a pinned vertex."""
+
     @pytest.mark.parametrize(
         "change", [_relabel_vertices, _shuffle_arrows, _rename_arrows]
     )
@@ -555,7 +564,7 @@ class TestPinnedInvariant:
         pairs = 0
         for bare, v in _arising_pins(7):
             moved, w = change(bare, v, rng)
-            assert pinned_invariant(moved, w) == pinned_invariant(bare, v), (bare, v)
+            assert canonical_key(moved, w) == canonical_key(bare, v), (bare, v)
             pairs += 1
         assert pairs > 924
 
@@ -567,37 +576,63 @@ class TestPinnedInvariant:
                 moved, w = change(moved, w, rng)
             assert moved != bare or not bare.arrows
             assert find_isomorphism(moved, bare, pin=(w, v)) is not None
-            assert pinned_invariant(moved, w) == pinned_invariant(bare, v)
+            assert canonical_key(moved, w) == canonical_key(bare, v)
 
     def test_separates_the_arising_classes(self):
         # one key per translate orbit: Catalan(n - 1) classes at rank n
         for n, classes in zip(range(2, 8), (1, 2, 5, 14, 42, 132)):
             keys = {
-                pinned_invariant(*loopless_quiver(cached_endomorphism_algebra(t)))
+                canonical_key(*loopless_quiver(cached_endomorphism_algebra(t)))
                 for t in maximal_rigid_objects(n)
             }
             assert len(keys) == classes, n
 
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_partitions_the_arising_pins_as_the_search(self, n):
+        pins = []
+        for t in maximal_rigid_objects(n):
+            if t.top.orbit == 1:
+                bare, loop_vertex = loopless_quiver(cached_endomorphism_algebra(t))
+                pins += [(bare, v) for v in (loop_vertex, *sorted(connecting_vertices(bare)))]
+        assert assert_keys_partition_as_the_search(pins) == comb(2 * n - 2, n - 1) // n
+
     def test_moving_the_pin_changes_the_key(self):
         linear = Quiver((1, 2, 3), (Arrow("x", 1, 2), Arrow("y", 2, 3)))
-        source, middle, sink = (pinned_invariant(linear, v) for v in (1, 2, 3))
+        source, middle, sink = (canonical_key(linear, v) for v in (1, 2, 3))
         assert len({source, middle, sink}) == 3
         sources = Quiver((1, 2, 3), (Arrow("x", 1, 2), Arrow("y", 3, 2)))
-        assert pinned_invariant(sources, 1) == pinned_invariant(sources, 3)
-        assert pinned_invariant(sources, 1) != pinned_invariant(sources, 2)
-        assert len({pinned_invariant(CYCLE3, v) for v in (1, 2, 3)}) == 1
-        assert pinned_invariant(CYCLE3, 1) != source
+        assert canonical_key(sources, 1) == canonical_key(sources, 3)
+        assert canonical_key(sources, 1) != canonical_key(sources, 2)
+        assert len({canonical_key(CYCLE3, v) for v in (1, 2, 3)}) == 1
+        assert canonical_key(CYCLE3, 1) != source
 
     def test_counts_arrow_multiplicity(self):
-        double = Quiver((1, 2), (Arrow("a", 1, 2), Arrow("b", 1, 2)))
+        # a second arrow on the same two vertices, or a loop, is a second
+        # block there: no tree of blocks
         single = Quiver((1, 2), (Arrow("a", 1, 2),))
-        loop = Quiver((1, 2), (Arrow("a", 1, 2), Arrow("b", 1, 1)))
-        keys = {pinned_invariant(q, 1) for q in (double, single, loop)}
-        assert len(keys) == 3
+        assert canonical_key(single, 1) == (("out", ()),)
+        for extra in (Arrow("b", 1, 2), Arrow("b", 2, 1), Arrow("b", 1, 1)):
+            twice = Quiver((1, 2), (Arrow("a", 1, 2), extra))
+            for v in (1, 2):
+                with pytest.raises(NotClusterTiltedError, match="twice"):
+                    canonical_key(twice, v)
+
+    def test_rejects_what_is_no_tree_of_blocks(self):
+        apart = Quiver((1, 2, 3), (Arrow("a", 1, 2),))
+        with pytest.raises(NotClusterTiltedError, match="from vertex 1 miss vertex 3"):
+            canonical_key(apart, 1)
+        square = Quiver((1, 2, 3, 4), tuple(Arrow(f"a{i}", i, i % 4 + 1) for i in range(1, 5)))
+        with pytest.raises(NotClusterTiltedError, match="from vertex 2 meet vertex"):
+            canonical_key(square, 2)
+        # two oriented 3-cycles on the edge 1 -> 2
+        pairs = [(1, 2), (2, 3), (3, 1), (2, 4), (4, 1)]
+        shared = Quiver((1, 2, 3, 4), tuple(Arrow(f"a{i}", *e) for i, e in enumerate(pairs)))
+        with pytest.raises(NotClusterTiltedError, match="twice"):
+            canonical_key(shared, 3)
 
     def test_pin_outside_the_quiver(self):
         with pytest.raises(ValueError, match="pinned vertex 4"):
-            pinned_invariant(CYCLE3, 4)
+            canonical_key(CYCLE3, 4)
 
 
 class TestEmission:

@@ -7,8 +7,10 @@ recogniser must agree with, verdict for verdict, on the quivers that arise,
 on the type-A mutation classes, on random and perturbed quivers, and on
 long cycles with oriented 3-cycle ears. `triangle_connecting_vertices` is
 the former `quiver.connecting_vertices`, the reference for the one that
-reads valencies and 3-cycles from one adjacency pass. `oriented_triangles`
-and `valency`, formerly in `quiver`, serve only these two references.
+reads the block decomposition. `oriented_triangles` and `valency`,
+formerly in `quiver`, serve only these two references. On the mutation
+classes, `quiver.canonical_key` must also group the pinned quivers exactly
+as the isomorphism search does.
 """
 
 import itertools
@@ -26,6 +28,8 @@ from tubecat.quiver import (
     is_cluster_tilted_A,
 )
 from tubecat.rigid import maximal_rigid_objects
+
+from support import assert_keys_partition_as_the_search
 
 
 # --- the reference: the former subset search ----------------------------------
@@ -357,6 +361,23 @@ def test_connecting_vertices_on_the_mutation_class_of_A(m):
         for c in (b, *(mutate(b, k) for k in range(m))):
             q = matrix_quiver(c)
             assert connecting_vertices(q) == triangle_connecting_vertices(q), q
+
+
+@pytest.mark.parametrize(
+    "m, pinned", [(1, 1), (2, 2), (3, 8), (4, 24), (5, 85), (6, 286)]
+)
+def test_canonical_key_on_the_mutation_class_of_A(m, pinned):
+    # every vertex of every quiver in the class, and of its mutations,
+    # which are the class's quivers again under other labels; `pinned` is
+    # the number of classes of pinned quivers (the least relabelled matrix
+    # with the pin kept first gives the same counts)
+    pins = [
+        (matrix_quiver(c), v)
+        for b in mutation_class(m)
+        for c in (b, *(mutate(b, k) for k in range(m)))
+        for v in range(1, m + 1)
+    ]
+    assert assert_keys_partition_as_the_search(pins) == pinned
 
 
 def test_agrees_on_random_quivers():

@@ -412,14 +412,11 @@ class TestCompatTable:
     """`from_summands` against the pairwise validator it replaced, and
     faults in the compatibility table it reads."""
 
-    @pytest.mark.parametrize("n", range(2, 9))
-    @pytest.mark.parametrize(
-        "route",
-        [enumerate_maximal_rigid, reference_enumerate_brute],
-        ids=["structured", "brute"],
-    )
-    def test_equals_reference_on_every_object(self, n, route):
-        for t in route(n):
+    # Only the structured route's objects: the reference brute route builds
+    # the same ones (`test_masks_follow_the_reference_brute_route`).
+    @pytest.mark.parametrize("n", range(2, 9), ids="structured-{}".format)
+    def test_equals_reference_on_every_object(self, n):
+        for t in enumerate_maximal_rigid(n):
             given = sorted(t.summands)  # not in canonical order
             assert from_summands(n, given) == t
             assert reference_from_summands(n, given) == t

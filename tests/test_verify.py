@@ -1,8 +1,7 @@
 """The verification suite itself: outcome records, error capture, check
-selection, faults injected into the oracle and the converse check, the
-bucketed converse search shown equal to a scan over all classes, and the
-per-orbit checks and the converse on representatives shown equal to a loop
-over every object."""
+selection, faults injected into the oracle and the converse check, and the
+per-orbit checks and the converse on representatives, keyed by the
+canonical form, shown equal to a loop over every object."""
 
 import hashlib
 import json
@@ -16,7 +15,7 @@ from tubecat.quiver import Arrow, Presentation, Quiver
 from tubecat.rigid import from_summands, maximal_rigid_objects, rigid_index, tau_rigid
 from tubecat.tube import Indec
 
-from support import free_loop, presentation
+from support import free_loop, pinned_invariant, presentation
 
 OUTCOME_KEYS = {"check", "rank", "ok", "detail", "subject", "seconds"}
 
@@ -225,15 +224,16 @@ def _is_translate_orbit(members) -> bool:
 
 
 def _all_object_converse(n):
-    """The converse check before the quotient: every object's quiver built
-    and compared, each joining a class by `find_isomorphism`."""
+    """The converse check before the quotient and before the canonical key:
+    every object's quiver built and compared, each joining a class by
+    `find_isomorphism` within its bucket of `pinned_invariant`."""
 
     def run():
         buckets = {}
         classes = []  # (quiver, loop vertex, members)
         for t in maximal_rigid_objects(n):
             bare, lv = verify.loopless_quiver(cached_endomorphism_algebra(t))
-            bucket = buckets.setdefault(verify.pinned_invariant(bare, lv), [])
+            bucket = buckets.setdefault(pinned_invariant(bare, lv), [])
             for q, vertex, members in bucket:
                 if verify.find_isomorphism(bare, q, pin=(lv, vertex)) is not None:
                     members.append(t)
@@ -250,7 +250,7 @@ def _all_object_converse(n):
 
         for q, _, _ in classes:
             for c in verify.connecting_vertices(q):
-                bucket = buckets.get(verify.pinned_invariant(q, c), ())
+                bucket = buckets.get(pinned_invariant(q, c), ())
                 if not any(
                     verify.find_isomorphism(q, q2, pin=(c, v2)) is not None
                     for q2, v2, _ in bucket
@@ -335,13 +335,37 @@ class TestConverse:
         assert out.ok
         assert out.detail == "132 classes, each a full translate orbit"
 
-    def test_one_bucket_gives_the_same_outcomes(self, monkeypatch):
-        # A constant key puts every class in one bucket: the full scan.
-        expected = [verify.check_converse(n) for n in range(2, 7)]
-        monkeypatch.setattr(verify, "pinned_invariant", lambda q, v: 0)
-        scanned = [verify.check_converse(n) for n in range(2, 7)]
-        assert [_rows(o) for o in scanned] == [_rows(o) for o in expected]
-        assert _digest([o for outs in scanned for o in outs]) == CONVERSE_DIGEST
+    def test_constant_key_fails_on_the_refuted_hit(self, monkeypatch):
+        # A constant key sends every representative to the first class. At
+        # rank 2 there is one class, so every hit holds; from rank 3 on the
+        # search refutes the second representative.
+        monkeypatch.setattr(verify, "canonical_key", lambda q, v: 0)
+        assert verify.check_converse(2)[0].ok
+        for n in range(3, 7):
+            second = [t for t in maximal_rigid_objects(n) if t.top.orbit == 1][1]
+            (out,) = verify.check_converse(n)
+            assert not out.ok
+            assert out.detail == f"key of {second} hits a class that the search refutes"
+
+    def test_refuted_realization_fails_naming_the_vertex(self, monkeypatch):
+        # The five representatives at rank 4 get their own keys; every
+        # connecting vertex after them gets the first class's key. The
+        # first class quiver is an oriented 3-cycle, so each of its
+        # vertices does realize the first class; vertex 1 of the second
+        # class quiver does not.
+        real = verify.canonical_key
+        keys = []
+
+        def faulty(q, v):
+            if len(keys) < 5:
+                keys.append(real(q, v))
+                return keys[-1]
+            return keys[0]
+
+        monkeypatch.setattr(verify, "canonical_key", faulty)
+        (out,) = verify.check_converse(4)
+        assert not out.ok
+        assert out.detail == "connecting vertex 1 hits a class that the search refutes"
 
     def test_isomorphism_searches_stay_linear(self, monkeypatch):
         calls = []
@@ -354,11 +378,19 @@ class TestConverse:
         monkeypatch.setattr(verify, "find_isomorphism", counting)
         (out,) = verify.check_converse(6)
         assert out.ok
-        # Only the 42 representatives are searched, each its own class, and
-        # the 210 other objects join by the translate certificate; the 112
-        # (class quiver, connecting vertex) pairs each take at least one
-        # search. A scan over all classes takes 7,744.
-        assert 112 <= len(calls) < 112 + 42
+        # Each of the 42 representatives opens its own class, with no
+        # search, and the 210 other objects join by the translate
+        # certificate; each of the 112 (class quiver, connecting vertex)
+        # pairs takes one search, which certifies its key's hit. A scan
+        # over all classes takes 7,744.
+        assert len(calls) == 112
+
+    def test_search_limit_fails_loudly(self, monkeypatch):
+        # the rank-6 quivers have five vertices
+        monkeypatch.setattr(quiver, "_ISO_LIMIT", 4)
+        (out,) = verify.check_converse(6)
+        assert not out.ok
+        assert out.detail == "error: isomorphism search limited to 4 vertices"
 
     def test_relabelled_copy_joins_its_class(self, monkeypatch):
         # One translate orbit is given a vertex-relabelled copy of the first
