@@ -3,9 +3,9 @@
 Path counting and the Gorenstein dimension of a gentle algebra, both read
 from `_free_order`, the one walk over relation-free paths, which does not
 recurse; the special biserial and gentle conditions; recognition of type-A
-cluster-tilted quivers by one shortest-path search per edge; their
-decomposition into blocks, which gives the connecting vertices and an exact
-canonical form of the quiver with one vertex pinned; and an exhaustive
+cluster-tilted quivers as trees of blocks, by one walk of the blocks that
+also gives an exact canonical form of the quiver with one vertex pinned,
+while the block counts give the connecting vertices; and an exhaustive
 isomorphism search with an optional pinned vertex, which certifies the
 converse check's matches of canonical forms.
 """
@@ -66,6 +66,8 @@ class Quiver:
         if len(by_id) != len(self.arrows):
             raise ValueError("arrow ids must be unique")
         vs = set(self.vertices)
+        if len(vs) != len(self.vertices):
+            raise ValueError("vertex ids must be unique")
         for a in self.arrows:
             if a.src not in vs or a.tgt not in vs:
                 raise ValueError(f"arrow {a} has endpoint outside the vertex set")
@@ -108,7 +110,11 @@ class Presentation:
 
     def __post_init__(self):
         for b, a in self.relations:
-            if self.quiver.arrow(b).src != self.quiver.arrow(a).tgt:
+            try:
+                second, first = self.quiver.arrow(b), self.quiver.arrow(a)
+            except KeyError as exc:
+                raise ValueError(f"relation ({b}, {a}) names unknown arrow {exc}") from None
+            if second.src != first.tgt:
                 raise ValueError(f"relation ({b}, {a}) is not composable")
 
     def is_relation(self, second: str, first: str) -> bool:
@@ -321,93 +327,6 @@ def gorenstein_bound(p: Presentation) -> GorensteinReport:
 
 # --- type-A cluster-tilted quiver recognition --------------------------------
 
-def _is_connected(adj: Mapping[int, set[int]]) -> bool:
-    start = next(iter(adj))
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        for w in adj[frontier.pop()] - seen:
-            seen.add(w)
-            frontier.append(w)
-    return len(seen) == len(adj)
-
-
-def is_cluster_tilted_A(q: Quiver) -> CheckResult:
-    """Recognize quivers of type-A cluster-tilted algebras (Buan-Vatne 2008).
-
-    In this order, the first failure being the witness: the underlying graph
-    is connected, without loops or 2-cycles; its 3-cycles are oriented;
-    valencies are at most four, and the arrows at valency-3 and valency-4
-    vertices split over 3-cycles as 2+1 and 2+2; no chordless cycle has
-    length >= 4. Then each edge {u, v} lies on at most one 3-cycle, say with
-    third vertex x, and a shortest u-v path avoiding the edge and x closes a
-    chordless cycle of length >= 4: a chord would shorten the path, and a
-    path of length 2 would be a second 3-cycle on the edge. Conversely such a
-    cycle through {u, v} avoids x, which would give it a chord.
-    """
-    if not q.vertices:
-        return CheckResult(False, "empty vertex set")
-    adj: dict[int, set[int]] = {v: set() for v in q.vertices}
-    for a in q.arrows:
-        adj[a.src].add(a.tgt)
-        adj[a.tgt].add(a.src)
-    if not _is_connected(adj):
-        return CheckResult(False, "underlying graph is not connected")
-    for a in q.arrows:
-        if a.src == a.tgt:
-            return CheckResult(False, f"loop {a.id} is a length-1 cycle")
-    for pair, arrows in Counter(frozenset((a.src, a.tgt)) for a in q.arrows).items():
-        if arrows > 1:
-            u, v = sorted(pair)
-            return CheckResult(False, f"length-2 cycle between {u} and {v}")
-
-    # 3-cycles in vertex-list order, from the common neighbours of each edge
-    order = {v: i for i, v in enumerate(q.vertices)}
-    later = {u: sorted((w for w in adj[u] if order[w] > order[u]), key=order.get) for u in adj}
-    directed = {(a.src, a.tgt) for a in q.arrows}
-    triangles = []
-    for u in q.vertices:
-        for v in later[u]:
-            for w in (w for w in later[v] if w in adj[u]):
-                if not ((u, v) in directed) == ((v, w) in directed) == ((w, u) in directed):
-                    return CheckResult(False, f"unoriented 3-cycle on {(u, v, w)}")
-                triangles.append((u, v, w))
-    third = {frozenset(t) - {x}: x for t in triangles for x in t}  # edge -> a 3-cycle's apex
-
-    for v in q.vertices:
-        val = len(adj[v])  # no loops or parallel arrows remain
-        if val > 4:
-            return CheckResult(False, f"vertex {v} has valency {val}")
-        on_cycle = sum(frozenset((v, w)) in third for w in adj[v])
-        if val == 4 and (on_cycle != 4 or sum(v in t for t in triangles) != 2):
-            return CheckResult(
-                False, f"valency-4 vertex {v} does not split 2+2 over two 3-cycles"
-            )
-        if val == 3 and on_cycle != 2:
-            return CheckResult(
-                False, f"valency-3 vertex {v} does not split 2+1 over a 3-cycle"
-            )
-
-    for a in q.arrows:  # breadth-first search for a detour around each edge
-        u, v = a.src, a.tgt
-        x = third.get(frozenset((u, v)))
-        parent = {u: u, x: x}  # blocks x (None when no 3-cycle holds the edge)
-        frontier = [u]
-        for w in frontier:
-            for y in adj[w] - parent.keys():
-                if (w, y) != (u, v):
-                    parent[y] = w
-                    frontier.append(y)
-        if v in parent:
-            cycle = [v]
-            while cycle[-1] != u:
-                cycle.append(parent[cycle[-1]])
-            return CheckResult(
-                False, f"chordless cycle of length {len(cycle)}: {tuple(reversed(cycle))}"
-            )
-    return CheckResult(True)
-
-
 def _blocks(q: Quiver) -> dict[int, list[tuple]]:
     """The blocks at each vertex v (Buan-Vatne 2008): each oriented 3-cycle
     v -> x -> y -> v as ("cycle", x, y), and each arrow on no 3-cycle as
@@ -434,6 +353,108 @@ def _blocks(q: Quiver) -> dict[int, list[tuple]]:
     return blocks
 
 
+def _walk(
+    blocks: dict[int, list[tuple]], v: int
+) -> tuple[dict[int, tuple[int, tuple] | None], tuple[int, int] | None]:
+    """Walk the blocks breadth-first from v, with a queue, leaving each
+    vertex by its blocks other than the one it was entered by; the block
+    lists are read, never changed.
+
+    Returns each vertex met, in the order met, with the vertex and block
+    it was entered from (None at v), and the first revisit (w, u), a
+    block at w meeting u again, or None. The blocks at w that hold the
+    vertex w was entered from are skipped: any but the entering block
+    would have met w twice there already.
+    """
+    via: dict[int, tuple[int, tuple] | None] = {v: None}
+    order = [v]
+    for w in order:  # grows while it is walked
+        came = via[w]
+        for b in blocks[w]:
+            if came and came[0] in b[1:]:
+                continue
+            for u in b[1:]:
+                if u in via:
+                    return via, (w, u)
+                via[u] = (w, b)
+                order.append(u)
+    return via, None
+
+
+def is_cluster_tilted_A(q: Quiver, blocks: dict[int, list[tuple]] | None = None) -> CheckResult:
+    """Recognize quivers of type-A cluster-tilted algebras (Buan-Vatne 2008)
+    as connected trees of blocks (`_blocks`), each vertex in at most two.
+
+    In this order, the first failure being the witness: a vertex set that
+    is not empty; no loop or 2-cycle; each vertex in at most two blocks;
+    a walk of the blocks from the first vertex (`_walk`) that meets no
+    vertex twice and misses none. `blocks`, when given, must be
+    `_blocks(q)`; `connecting_vertices` passes the ones it reads.
+
+    Buan-Vatne's conditions say the same: a connected underlying graph;
+    valencies at most four, split over 3-cycles as 2+1 at valency 3 and
+    2+2 at valency 4; every chordless cycle an oriented 3-cycle. A vertex
+    lies in one block per arrow on no 3-cycle and one per 3-cycle. In a
+    tree of blocks two 3-cycles share at most a vertex, so two blocks
+    give the splits; a cycle of the graph leaving a block would close a
+    cycle of blocks, so each stays in an oriented 3-cycle; every arrow is
+    in a block, so the blocks are connected as the graph is. Conversely
+    the splits leave at most two blocks at a vertex, and a cycle of
+    blocks gives the induced cycle below, which the conditions forbid: at
+    length 2, an arrow on two 3-cycles, its ends have three arrows on
+    3-cycles.
+
+    When the walk meets u again from w, the paths from w and from u back
+    to the first vertex join where they meet, leaving out the joining
+    vertex if both were entered from it by one 3-cycle. The cycle
+    x_1 .. x_k so found has distinct blocks B_1 .. B_k with x_i in B_i
+    and B_(i+1), and no other block holds x_i. An arrow between x_i and
+    x_j lies in a block holding both, so only consecutive vertices are
+    joined: the cycle is induced. Of length 3 it is unoriented, since an
+    oriented 3-cycle would be a third block at its vertices; of length 2
+    it is an arrow on two 3-cycles, since a lone arrow is one block.
+    """
+    if not q.vertices:
+        return CheckResult(False, "empty vertex set")
+    for a in q.arrows:
+        if a.src == a.tgt:
+            return CheckResult(False, f"loop {a.id} is a length-1 cycle")
+    for pair, arrows in Counter(frozenset((a.src, a.tgt)) for a in q.arrows).items():
+        if arrows > 1:
+            u, v = sorted(pair)
+            return CheckResult(False, f"length-2 cycle between {u} and {v}")
+    if blocks is None:
+        blocks = _blocks(q)
+    for v, here in blocks.items():
+        if len(here) > 2:
+            return CheckResult(False, f"vertex {v} lies in {len(here)} blocks")
+    via, meet = _walk(blocks, q.vertices[0])
+    if meet is None:
+        if len(via) < len(q.vertices):
+            return CheckResult(False, "underlying graph is not connected")
+        return CheckResult(True)
+
+    def up(x: int) -> list[int]:
+        path = [x]
+        while via[path[-1]]:
+            path.append(via[path[-1]][0])
+        return path
+
+    from_w, from_u = up(meet[0]), up(meet[1])
+    while len(from_w) > 1 and len(from_u) > 1 and via[from_w[-2]] == via[from_u[-2]]:
+        from_w.pop()  # shared, or both entered by one 3-cycle
+        from_u.pop()
+    if from_w[-1] == from_u[-1]:
+        from_u.pop()  # where the two paths join
+    cycle = from_w + from_u[::-1]
+    if len(cycle) == 2:
+        u, v = sorted(cycle)
+        return CheckResult(False, f"arrow between {u} and {v} lies on two 3-cycles")
+    if len(cycle) == 3:
+        return CheckResult(False, f"unoriented 3-cycle on {tuple(sorted(cycle))}")
+    return CheckResult(False, f"chordless cycle of length {len(cycle)}: {tuple(cycle)}")
+
+
 def connecting_vertices(q: Quiver) -> frozenset[int]:
     """The vertices in at most one block: of valency one, of valency two
     on a 3-cycle, or the lone vertex of the one-vertex quiver.
@@ -441,10 +462,11 @@ def connecting_vertices(q: Quiver) -> frozenset[int]:
     Rejects quivers that fail the type-A recognition with
     NotClusterTiltedError.
     """
-    check = is_cluster_tilted_A(q)
+    blocks = _blocks(q)
+    check = is_cluster_tilted_A(q, blocks)
     if not check:
         raise NotClusterTiltedError(check.witness)
-    return frozenset(v for v, here in _blocks(q).items() if len(here) <= 1)
+    return frozenset(v for v, here in blocks.items() if len(here) <= 1)
 
 
 def canonical_key(q: Quiver, v: int) -> tuple:
@@ -456,29 +478,23 @@ def canonical_key(q: Quiver, v: int) -> tuple:
     is the sorted tuple of its blocks other than the one it was entered by,
     ("out", key of w), ("in", key of w) or ("cycle", key of x, key of y);
     sorting at every vertex, not only at the root, keeps it canonical on
-    any tree of blocks. The walk is a queue, not a recursion. Raises
-    NotClusterTiltedError when it meets a vertex twice or misses one.
+    any tree of blocks. Raises NotClusterTiltedError when the walk
+    (`_walk`) meets a vertex twice or misses one.
     """
     if v not in q.vertices:
         raise ValueError(f"pinned vertex {v} is not a vertex of the quiver")
     blocks = _blocks(q)
-    parent = {v: v}
-    order = [v]
-    for w in order:  # grows while it is walked
-        if w != v:  # keep only the blocks w was not entered by
-            blocks[w].remove(next(b for b in blocks[w] if parent[w] in b[1:]))
-        for b in blocks[w]:
-            for u in b[1:]:
-                if u in parent:
-                    raise NotClusterTiltedError(f"blocks from vertex {v} meet vertex {u} twice")
-                parent[u] = w
-                order.append(u)
-    if len(order) < len(q.vertices):
-        missed = next(u for u in q.vertices if u not in parent)
+    via, meet = _walk(blocks, v)
+    if meet:
+        raise NotClusterTiltedError(f"blocks from vertex {v} meet vertex {meet[1]} twice")
+    if len(via) < len(q.vertices):
+        missed = next(u for u in q.vertices if u not in via)
         raise NotClusterTiltedError(f"blocks from vertex {v} miss vertex {missed}")
     key: dict[int, tuple] = {}
-    for w in reversed(order):  # every vertex after those it enters
-        key[w] = tuple(sorted((b[0], *(key[u] for u in b[1:])) for b in blocks[w]))
+    for w in reversed(via):  # every vertex after those it enters
+        # the block w was entered by holds a vertex not yet keyed
+        here = (b for b in blocks[w] if all(u in key for u in b[1:]))
+        key[w] = tuple(sorted((b[0], *(key[u] for u in b[1:])) for b in here))
     return key[v]
 
 

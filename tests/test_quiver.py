@@ -53,6 +53,18 @@ class TestConstruction:
         with pytest.raises(ValueError, match="arrow ids must be unique"):
             Quiver((1, 2), (Arrow("a", 1, 2), Arrow("a", 2, 1)))
 
+    def test_repeated_vertex_ids_rejected(self):
+        with pytest.raises(ValueError, match="vertex ids must be unique"):
+            Quiver((1, 1), ())
+        with pytest.raises(ValueError, match="vertex ids must be unique"):
+            Quiver.from_json({"vertices": [1, 2, 1], "arrows": []})
+
+    def test_unknown_relation_arrow_rejected(self):
+        data = RANK3_ALGEBRA.to_json()
+        data["relations"].append(["zz", "a"])
+        with pytest.raises(ValueError, match=r"relation \(zz, a\) names unknown arrow 'zz'"):
+            Presentation.from_json(data)
+
     def test_arrow_lookup(self):
         assert CYCLE3.arrow("b") == Arrow("b", 2, 3)
         with pytest.raises(KeyError):

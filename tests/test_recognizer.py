@@ -2,7 +2,7 @@
 
 `subset_search` is the former `quiver.is_cluster_tilted_A`: it tests every
 vertex subset for an induced cycle, so its cost doubles with each vertex.
-It is kept here, unchanged, as the reference that the shortest-path
+It is kept here, unchanged, as the reference that the block-tree
 recogniser must agree with, verdict for verdict, on the quivers that arise,
 on the type-A mutation classes, on random and perturbed quivers, and on
 long cycles with oriented 3-cycle ears. `triangle_connecting_vertices` is
@@ -24,6 +24,7 @@ from tubecat.quiver import (
     Arrow,
     CheckResult,
     Quiver,
+    canonical_key,
     connecting_vertices,
     is_cluster_tilted_A,
 )
@@ -388,6 +389,21 @@ def test_agrees_on_random_quivers():
     assert 50 < accepted < 4950
 
 
+def test_accepted_random_quivers_are_trees_of_blocks():
+    # the recogniser, canonical_key and connecting_vertices read one block
+    # decomposition: what the first accepts, the others must walk
+    rng = random.Random(1796)
+    accepted = 0
+    for _ in range(2000):
+        q = random_quiver(rng)
+        if is_cluster_tilted_A(q):
+            accepted += 1
+            for v in q.vertices:
+                canonical_key(q, v)  # raises unless the blocks form a tree
+            assert connecting_vertices(q) == triangle_connecting_vertices(q), q
+    assert accepted > 100
+
+
 def test_agrees_on_perturbed_type_A_quivers():
     rng = random.Random(2008)
     verdicts = []
@@ -434,11 +450,12 @@ def test_triangle_listing():
 # --- witnesses ---------------------------------------------------------------
 
 def test_valency_witness_comes_before_a_cycle():
-    # a vertex of valency 5 hung on an oriented 4-cycle
+    # a vertex of valency 5 hung on an oriented 4-cycle: the block count
+    # is checked before the walk that would find the 4-cycle
     q = quiver(7, [(1, 2), (2, 3), (3, 4), (4, 1)] + [(1, v) for v in (5, 6, 7)])
     assert not subset_search(q)
     result = is_cluster_tilted_A(q)
-    assert result.witness == "vertex 1 has valency 5"
+    assert result.witness == "vertex 1 lies in 5 blocks"
 
 
 def test_three_3_cycles_on_one_edge():
@@ -447,11 +464,33 @@ def test_three_3_cycles_on_one_edge():
     q = quiver(5, [(1, 2)] + [(2, w) for w in (3, 4, 5)] + [(w, 1) for w in (3, 4, 5)])
     assert not subset_search(q)
     result = is_cluster_tilted_A(q)
-    assert result.witness == "valency-4 vertex 1 does not split 2+2 over two 3-cycles"
+    assert result.witness == "vertex 1 lies in 3 blocks"
+
+
+def test_two_3_cycles_on_one_edge():
+    # 1 -> 2 and 2 -> w -> 1 for w = 3, 4: each vertex lies in at most two
+    # blocks, and the walk meets vertex 2 again by the second 3-cycle, from
+    # the first vertex or, in another vertex order, from the oriented
+    # triangle's third vertex
+    pairs = [(1, 2), (2, 3), (3, 1), (2, 4), (4, 1)]
+    q = quiver(4, pairs)
+    assert subset_search(q).witness == "valency-3 vertex 1 does not split 2+1 over a 3-cycle"
+    for vertices in itertools.permutations((1, 2, 3, 4)):
+        arrows = tuple(Arrow(f"a{i}", s, t) for i, (s, t) in enumerate(pairs))
+        result = is_cluster_tilted_A(Quiver(vertices, arrows))
+        assert result.witness == "arrow between 1 and 2 lies on two 3-cycles", vertices
+
+
+def test_bare_unoriented_triangle_witness_is_the_subset_search_witness():
+    q = quiver(3, [(1, 2), (2, 3), (1, 3)])
+    assert is_cluster_tilted_A(q).witness == subset_search(q).witness == (
+        "unoriented 3-cycle on (1, 2, 3)"
+    )
 
 
 def test_unoriented_3_cycle_witness_unchanged():
+    # vertex 3 lies on the oriented 3-cycle and on two arrows of the
+    # unoriented one: the block count rejects it before the walk
     q = quiver(5, [(1, 2), (2, 3), (3, 1), (3, 4), (4, 5), (3, 5)])
-    assert is_cluster_tilted_A(q).witness == subset_search(q).witness == (
-        "unoriented 3-cycle on (3, 4, 5)"
-    )
+    assert subset_search(q).witness == "unoriented 3-cycle on (3, 4, 5)"
+    assert is_cluster_tilted_A(q).witness == "vertex 3 lies in 3 blocks"

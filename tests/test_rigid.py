@@ -150,15 +150,20 @@ class TestEnumeration:
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_every_maximal_clique_has_full_size(self, n):
-        nx = pytest.importorskip("networkx")
-        graph = nx.Graph()
+        # every subset of the rigid indecomposables, of any size, that is
+        # pairwise compatible and lacks a further compatible summand
         rigids = rigid_indecomposables(n)
-        graph.add_nodes_from(rigids)
-        for x, y in itertools.combinations(rigids, 2):
-            if is_compatible(x, y):
-                graph.add_edge(x, y)
-        for clique in nx.find_cliques(graph):
-            assert len(clique) == n - 1
+        cliques = 0
+        for size in range(1, len(rigids) + 1):
+            for clique in itertools.combinations(rigids, size):
+                if all(is_compatible(x, y) for x, y in itertools.combinations(clique, 2)):
+                    if not any(
+                        all(is_compatible(x, y) for y in clique)
+                        for x in rigids if x not in clique
+                    ):
+                        assert size == n - 1, clique
+                        cliques += 1
+        assert cliques == comb(2 * n - 2, n - 1)
 
     def test_deterministic_order(self):
         objects = enumerate_maximal_rigid(4)

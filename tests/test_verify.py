@@ -427,9 +427,9 @@ class TestEndo:
         calls = []
         real = quiver.is_cluster_tilted_A
 
-        def counting(q):
+        def counting(q, *blocks):
             calls.append(q)
-            return real(q)
+            return real(q, *blocks)
 
         # check_endo may reach the recognizer directly or through
         # connecting_vertices; count both routes
@@ -443,7 +443,7 @@ class TestEndo:
         assert len(outcomes) == 70
 
     def test_recognizer_witness_in_detail(self, monkeypatch):
-        def planted(q):
+        def planted(q, *blocks):
             return quiver.CheckResult(False, "planted witness")
 
         monkeypatch.setattr(quiver, "is_cluster_tilted_A", planted)
