@@ -120,11 +120,10 @@ def cmd_rigid(parser, args) -> int:
         print(len(objects))
         return 0
     if args.format == "json":
-        payload = []
-        for t in objects:
-            record = t.to_json()
-            record["tilting_intervals"] = [f"{lo}-{hi}" for lo, hi in tilting_intervals(t)]
-            payload.append(record)
+        payload = [
+            {**t.to_json(), "tilting_intervals": [f"{lo}-{hi}" for lo, hi in tilting_intervals(t)]}
+            for t in objects
+        ]
         print(json.dumps(payload, indent=2, sort_keys=True))
         return 0
     for t in objects:
@@ -142,10 +141,11 @@ def cmd_endo(parser, args) -> int:
     except ValueError as exc:
         parser.error(f"argument --tilting: {exc}")
     data = bundle_json(t)
+    dots = bundle_dot(t) if args.out is not None or args.format == "dot" else {}
     if args.out is not None:
         try:
             args.out.mkdir(parents=True, exist_ok=True)
-            for name, text in bundle_dot(t).items():
+            for name, text in dots.items():
                 (args.out / f"{name}.dot").write_text(text)
         except OSError as exc:
             parser.error(f"argument --out: cannot write to {args.out}: {exc.strerror}")
@@ -153,7 +153,7 @@ def cmd_endo(parser, args) -> int:
     if args.format == "json":
         print(json.dumps(data, indent=2, sort_keys=True))
     elif args.format == "dot":
-        for name, text in bundle_dot(t).items():
+        for name, text in dots.items():
             print(f"// {name}")
             print(text)
     else:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from tubecat.quiver import Arrow, Presentation, Quiver, count_paths, to_dot
-from tubecat.rigid import RigidObject, subwing_decomposition
+from tubecat.rigid import RigidObject, subwing_decomposition, tilting_intervals
 from tubecat.tube import hom_cluster
 
 LOOP_ID = "w"
@@ -108,8 +108,7 @@ def cartan_check(t: RigidObject) -> CartanReport:
     p = cached_endomorphism_algebra(t)
     paths = count_paths(p)
     mismatches = []
-    total_paths = 0
-    total_hom = 0
+    total_paths = total_hom = 0
     for i in p.quiver.vertices:
         for j in p.quiver.vertices:
             n_paths = paths[(i, j)]
@@ -134,8 +133,6 @@ def bundle(t: RigidObject) -> dict[str, Presentation]:
 
 
 def bundle_json(t: RigidObject) -> dict:
-    from tubecat.rigid import tilting_intervals
-
     out: dict = t.to_json()
     out["tilting_intervals"] = [f"{lo}-{hi}" for lo, hi in tilting_intervals(t)]
     for name, pres in bundle(t).items():

@@ -3,11 +3,11 @@
 Path counting and the Gorenstein dimension of a gentle algebra, both read
 from `_free_order`, the one walk over relation-free paths, which does not
 recurse; the special biserial and gentle conditions; recognition of type-A
-cluster-tilted quivers as trees of blocks, by one walk of the blocks that
-also gives an exact canonical form of the quiver with one vertex pinned,
-while the block counts give the connecting vertices; and an exhaustive
-isomorphism search with an optional pinned vertex, which certifies the
-converse check's matches of canonical forms.
+cluster-tilted quivers as trees of blocks, built once per quiver: the block
+counts give the connecting vertices, and a walk of the blocks from each
+connecting vertex gives an exact canonical form of the quiver pinned there;
+and an exhaustive isomorphism search with an optional pinned vertex, which
+certifies the converse check's matches of canonical forms.
 """
 
 from __future__ import annotations
@@ -88,13 +88,11 @@ class Quiver:
 
     @classmethod
     def from_json(cls, data: Mapping) -> "Quiver":
-        return cls(
-            tuple(data["vertices"]),
-            tuple(
-                Arrow(d["id"], d["src"], d["tgt"], d.get("kind"))
-                for d in data["arrows"]
-            ),
-        )
+        try:
+            arrows = [Arrow(d["id"], d["src"], d["tgt"], d.get("kind")) for d in data["arrows"]]
+            return cls(tuple(data["vertices"]), tuple(arrows))
+        except KeyError as exc:
+            raise ValueError(f"quiver JSON lacks field {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -127,10 +125,11 @@ class Presentation:
 
     @classmethod
     def from_json(cls, data: Mapping) -> "Presentation":
-        return cls(
-            Quiver.from_json(data),
-            frozenset((b, a) for b, a in data.get("relations", ())),
-        )
+        relations = data.get("relations", ())
+        for r in relations:
+            if not isinstance(r, (list, tuple)) or len(r) != 2:
+                raise ValueError(f"relation {r!r} is not a pair of arrow ids")
+        return cls(Quiver.from_json(data), frozenset(map(tuple, relations)))
 
 
 @dataclass(frozen=True)
@@ -389,7 +388,8 @@ def is_cluster_tilted_A(q: Quiver, blocks: dict[int, list[tuple]] | None = None)
     is not empty; no loop or 2-cycle; each vertex in at most two blocks;
     a walk of the blocks from the first vertex (`_walk`) that meets no
     vertex twice and misses none. `blocks`, when given, must be
-    `_blocks(q)`; `connecting_vertices` passes the ones it reads.
+    `_blocks(q)`; `connecting_vertices` and `connecting_keys` pass the
+    ones they read.
 
     Buan-Vatne's conditions say the same: a connected underlying graph;
     valencies at most four, split over 3-cycles as 2+1 at valency 3 and
@@ -455,47 +455,40 @@ def is_cluster_tilted_A(q: Quiver, blocks: dict[int, list[tuple]] | None = None)
     return CheckResult(False, f"chordless cycle of length {len(cycle)}: {tuple(cycle)}")
 
 
-def connecting_vertices(q: Quiver) -> frozenset[int]:
-    """The vertices in at most one block: of valency one, of valency two
-    on a 3-cycle, or the lone vertex of the one-vertex quiver.
-
-    Rejects quivers that fail the type-A recognition with
-    NotClusterTiltedError.
-    """
+def _tree_of_blocks(q: Quiver) -> tuple[dict[int, list[tuple]], list[int]]:
+    """`_blocks(q)` and its vertices in at most one block, in vertex order, or
+    NotClusterTiltedError with the recogniser's witness; built once."""
     blocks = _blocks(q)
     check = is_cluster_tilted_A(q, blocks)
     if not check:
         raise NotClusterTiltedError(check.witness)
-    return frozenset(v for v, here in blocks.items() if len(here) <= 1)
+    return blocks, [v for v, here in blocks.items() if len(here) <= 1]
 
 
-def canonical_key(q: Quiver, v: int) -> tuple:
-    """Canonical form of the quiver q with the vertex v pinned.
+def connecting_vertices(q: Quiver) -> frozenset[int]:
+    """The vertices in at most one block: of valency one, of valency two
+    on a 3-cycle, or the lone vertex of the one-vertex quiver."""
+    return frozenset(_tree_of_blocks(q)[1])
 
-    A type-A cluster-tilted quiver is a tree of blocks (`_blocks`), rebuilt
-    up to isomorphism from the tree rooted at v: two pinned quivers have
-    equal keys exactly when an isomorphism maps pin to pin. A vertex's key
-    is the sorted tuple of its blocks other than the one it was entered by,
-    ("out", key of w), ("in", key of w) or ("cycle", key of x, key of y);
-    sorting at every vertex, not only at the root, keeps it canonical on
-    any tree of blocks. Raises NotClusterTiltedError when the walk
-    (`_walk`) meets a vertex twice or misses one.
+
+def connecting_keys(q: Quiver) -> dict[int, tuple]:
+    """Canonical form of the quiver q pinned at each connecting vertex:
+    equal keys exactly when an isomorphism maps pin to pin. A vertex's key,
+    from the tree of blocks rooted at the pin, is the sorted tuple of its
+    blocks other than the one it was entered by, ("out", key of w), ("in",
+    key of w) or ("cycle", key of x, key of y). Once q is recognised, the
+    walk (`_walk`) from any pin meets no vertex twice and misses none.
     """
-    if v not in q.vertices:
-        raise ValueError(f"pinned vertex {v} is not a vertex of the quiver")
-    blocks = _blocks(q)
-    via, meet = _walk(blocks, v)
-    if meet:
-        raise NotClusterTiltedError(f"blocks from vertex {v} meet vertex {meet[1]} twice")
-    if len(via) < len(q.vertices):
-        missed = next(u for u in q.vertices if u not in via)
-        raise NotClusterTiltedError(f"blocks from vertex {v} miss vertex {missed}")
-    key: dict[int, tuple] = {}
-    for w in reversed(via):  # every vertex after those it enters
-        # the block w was entered by holds a vertex not yet keyed
-        here = (b for b in blocks[w] if all(u in key for u in b[1:]))
-        key[w] = tuple(sorted((b[0], *(key[u] for u in b[1:])) for b in here))
-    return key[v]
+    blocks, connecting = _tree_of_blocks(q)
+    keys = {}
+    for v in connecting:
+        key: dict[int, tuple] = {}
+        for w in reversed(_walk(blocks, v)[0]):  # every vertex after those it enters
+            # the block w was entered by holds a vertex not yet keyed
+            here = (b for b in blocks[w] if all(u in key for u in b[1:]))
+            key[w] = tuple(sorted((b[0], *(key[u] for u in b[1:])) for b in here))
+        keys[v] = key[v]
+    return keys
 
 
 # --- isomorphism ------------------------------------------------------------

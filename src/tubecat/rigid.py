@@ -30,7 +30,7 @@ shares nothing with it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, Mapping
 
 from tubecat import kernel
@@ -63,8 +63,13 @@ class RigidObject:
         n = int(data["rank"])
         return from_summands(n, [Indec.from_json(n, s) for s in data["summands"]])
 
-    def __str__(self):
+    @cached_property
+    def label(self) -> str:
+        """`str(self)`, built once and shared by the outcomes that name it."""
         return "+".join(str(s) for s in self.summands)
+
+    def __str__(self):
+        return self.label
 
 
 def canonical_order(n: int, summands: Iterable[Indec]) -> tuple[Indec, ...]:
@@ -106,9 +111,7 @@ def from_summands(n: int, summands: Iterable[Indec]) -> RigidObject:
         raise ValueError("top summand must be unique")
     table = _compat_table(n)
     index = [rigid_index(n, s.orbit, s.ql) for s in xs]
-    chosen = 0
-    for i in index:
-        chosen |= 1 << i
+    chosen = sum(1 << i for i in index)  # the summands are distinct
     for k, (s, i) in enumerate(zip(xs, index)):
         # in_wing(s, top), with the orbit lifted into the top's window
         if (s.orbit - top.orbit) % n + s.ql > n - 1:
@@ -156,8 +159,7 @@ def maximal_compatible_masks(n: int) -> Iterator[int]:
     masks = _compat_table(n)
     full = (1 << len(masks)) - 1
     for subset in kernel.compatible_subsets(masks, n - 1):
-        chosen = 0
-        common = full
+        chosen, common = 0, full
         for i in subset:
             chosen |= 1 << i
             common &= masks[i]

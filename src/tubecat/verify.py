@@ -29,9 +29,10 @@ leaves unchanged:
 Each member still gets its own outcome, and takes its representative's only
 after an exact certificate: its summands are the representative's translated
 element by element (`_translate_certificate`). `check_converse` works on the
-same quotient: it builds and compares the quivers of the representatives
-only, and puts every other object in its representative's class by that
-certificate. `check_rigid` compares every object with the brute route's masks.
+same quotient: it builds, keys and compares the quivers of the
+representatives only, each keyed once at every connecting vertex, and puts
+every other object in its representative's class by that certificate.
+`check_rigid` compares every object with the brute route's masks.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ from tubecat.homfunctor import check_ql_cap, verify_hom_functor
 from tubecat.quiver import (
     NotClusterTiltedError,
     NotGentleError,
-    canonical_key,
+    connecting_keys,
     connecting_vertices,
     find_isomorphism,
     gorenstein_bound,
@@ -78,7 +79,7 @@ CHECK_NAMES = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Outcome:
     check: str
     rank: int
@@ -356,17 +357,19 @@ def check_converse(n: int) -> list[Outcome]:
     is relative to the top: tau^k T has the same labelled endomorphism
     algebra as T, hence the same (quiver, loop vertex).
 
-    Classes are keyed by `canonical_key` of their (quiver, loop vertex), and
-    a connecting vertex c of a class quiver is looked up by the key of
-    (quiver, c). Every hit, a membership or a realization, is certified by
-    `find_isomorphism` with the vertices pinned, and a hit the search
-    refutes fails the check with a detail naming the object or the vertex.
-    A key that split an isomorphism class would leave a class short of n
-    objects, so the verdict does not rest on the key being exact.
+    Each representative's quiver is keyed once, by `connecting_keys`; a
+    loop vertex that is not connecting fails the check, naming the object.
+    A class is keyed at its loop vertex, and its other connecting vertices
+    look up the classes that realize them (the loop vertex would hit its
+    own class, with the same pin). Every hit, a membership or a realization,
+    is certified by `find_isomorphism` with the vertices pinned; a hit the
+    search refutes fails the check, naming the object or the vertex. A key
+    that split an isomorphism class would leave a class short of n objects,
+    so the verdict does not rest on the key being exact.
     """
 
     def run():
-        classes: dict[tuple, tuple] = {}  # key -> (quiver, loop vertex, members)
+        classes: dict[tuple, tuple] = {}  # key -> (quiver, loop vertex, other keys, members)
         class_of: dict[tuple, list] = {}  # representative's summands -> members
         for t in maximal_rigid_objects(n):
             if t.top.orbit != 1:
@@ -376,22 +379,25 @@ def check_converse(n: int) -> list[Outcome]:
                 members.append(t)
                 continue
             bare, lv = loopless_quiver(cached_endomorphism_algebra(t))
-            quiver, vertex, members = classes.setdefault(canonical_key(bare, lv), (bare, lv, []))
+            keys = connecting_keys(bare)
+            if lv not in keys:
+                return False, f"loop of {t} at non-connecting vertex {lv}"
+            quiver, vertex, _, members = classes.setdefault(keys.pop(lv), (bare, lv, keys, []))
             if quiver is not bare and find_isomorphism(bare, quiver, pin=(lv, vertex)) is None:
                 return False, f"key of {t} hits a class that the search refutes"
             members.append(t)
             class_of[t.summands] = members
 
-        for quiver, vertex, members in classes.values():
+        for _, vertex, _, members in classes.values():
             if len(members) != n:
                 return False, f"class at vertex {vertex} has {len(members)} objects"
             if len({t.top.orbit for t in members}) != n:
                 return False, f"class at vertex {vertex} is not one translate orbit"
 
-        # every connecting vertex of every arising quiver is realized
-        for quiver, _, _ in classes.values():
-            for c in connecting_vertices(quiver):
-                hit = classes.get(canonical_key(quiver, c))
+        # every other connecting vertex of every arising quiver is realized
+        for quiver, _, keys, _ in classes.values():
+            for c, key in keys.items():
+                hit = classes.get(key)
                 if hit is None:
                     return False, f"connecting vertex {c} of a class quiver unrealized"
                 if find_isomorphism(quiver, hit[0], pin=(c, hit[1])) is None:

@@ -4,10 +4,11 @@ oracle's cluster Hom, the quasisimple map of a rigid object, the end
 strings of an algebra with the projective/injective comparison built on
 them, an algebra with a band, the former recursive path count, the former
 object-building brute enumeration, the former pinned isomorphism
-invariant, and the gate that compares `quiver.canonical_key` with the
-isomorphism search."""
+invariant, the former `quiver.canonical_key` of a quiver pinned at any
+vertex, and the gate that compares a pinned key with the isomorphism
+search."""
 
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from tubecat import kernel, strings
 from tubecat.endo import LOOP_ID
@@ -15,9 +16,11 @@ from tubecat.quiver import (
     Arrow,
     DivergentPathsError,
     Presentation,
+    NotClusterTiltedError,
     Quiver,
+    _blocks,
     _ends,
-    canonical_key,
+    _walk,
     find_isomorphism,
 )
 from tubecat.rigid import RigidObject, from_summands
@@ -230,10 +233,42 @@ def pinned_invariant(q: Quiver, v: int) -> int:
         colour = {u: index[signature[u]] for u in q.vertices}
 
 
-def assert_keys_partition_as_the_search(pins: Iterable[tuple[Quiver, int]]) -> int:
-    """Assert that `canonical_key` groups the pinned quivers (q, v) exactly
-    as `find_isomorphism` with the pins mapped to each other does, and
-    return the number of groups.
+def reference_canonical_key(q: Quiver, v: int) -> tuple:
+    """The former `quiver.canonical_key`: the canonical form of the quiver q
+    with any vertex v pinned, built from its own `_blocks(q)`, the reference
+    for `quiver.connecting_keys` at the connecting vertices.
+
+    A type-A cluster-tilted quiver is a tree of blocks, rebuilt up to
+    isomorphism from the tree rooted at v: two pinned quivers have equal
+    keys exactly when an isomorphism maps pin to pin. A vertex's key is the
+    sorted tuple of its blocks other than the one it was entered by,
+    ("out", key of w), ("in", key of w) or ("cycle", key of x, key of y).
+    Raises NotClusterTiltedError when the walk (`_walk`) meets a vertex
+    twice or misses one, and ValueError on a pin outside the quiver.
+    """
+    if v not in q.vertices:
+        raise ValueError(f"pinned vertex {v} is not a vertex of the quiver")
+    blocks = _blocks(q)
+    via, meet = _walk(blocks, v)
+    if meet:
+        raise NotClusterTiltedError(f"blocks from vertex {v} meet vertex {meet[1]} twice")
+    if len(via) < len(q.vertices):
+        missed = next(u for u in q.vertices if u not in via)
+        raise NotClusterTiltedError(f"blocks from vertex {v} miss vertex {missed}")
+    key: dict[int, tuple] = {}
+    for w in reversed(via):  # every vertex after those it enters
+        # the block w was entered by holds a vertex not yet keyed
+        here = (b for b in blocks[w] if all(u in key for u in b[1:]))
+        key[w] = tuple(sorted((b[0], *(key[u] for u in b[1:])) for b in here))
+    return key[v]
+
+
+def assert_keys_partition_as_the_search(
+    pins: Iterable[tuple[Quiver, int]], key: Callable[[Quiver, int], tuple]
+) -> int:
+    """Assert that `key` groups the pinned quivers (q, v) exactly as
+    `find_isomorphism` with the pins mapped to each other does, and return
+    the number of groups.
 
     Each pinned quiver is searched against the first of its key, so equal
     keys mean isomorphic. The firsts of different keys must be pairwise
@@ -243,7 +278,7 @@ def assert_keys_partition_as_the_search(pins: Iterable[tuple[Quiver, int]]) -> i
     """
     groups: dict[tuple, list[tuple[Quiver, int]]] = {}
     for q, v in pins:
-        groups.setdefault(canonical_key(q, v), []).append((q, v))
+        groups.setdefault(key(q, v), []).append((q, v))
     alike: dict[tuple, list[tuple[Quiver, int]]] = {}
     for (q0, v0), *rest in groups.values():
         for q, v in rest:

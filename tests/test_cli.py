@@ -227,6 +227,23 @@ class TestSuccessPaths:
         for name, text in bundle_dot(ENDO_OBJECT).items():
             assert (out_dir / f"{name}.dot").read_text() == text
 
+    def test_endo_out_and_dot_print_the_files_written(self, tmp_path, capsys, monkeypatch):
+        built = []
+
+        def counting(t):
+            built.append(t)
+            return bundle_dot(t)
+
+        monkeypatch.setattr(cli, "bundle_dot", counting)
+        code, out, _ = run_cli(ENDO_ARGV + ["--out", str(tmp_path), "--format", "dot"], capsys)
+        assert code == 0
+        assert built == [ENDO_OBJECT]
+        head, printed = out.split("\n", 1)
+        assert head == f"wrote 3 dot files to {tmp_path}"
+        assert printed == "".join(
+            f"// {name}\n{(tmp_path / f'{name}.dot').read_text()}\n" for name in BUNDLE_NAMES
+        )
+
     def test_endo_above_the_rank_cap(self, capsys, monkeypatch):
         # `endo` builds one object, so the cap of `rigid` and `verify`
         # does not apply to it.

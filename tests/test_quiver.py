@@ -22,7 +22,7 @@ from tubecat.quiver import (
     Presentation,
     Quiver,
     SizeLimitError,
-    canonical_key,
+    connecting_keys,
     connecting_vertices,
     count_paths,
     find_isomorphism,
@@ -38,6 +38,7 @@ from support import (
     assert_keys_partition_as_the_search,
     presentation,
     projectives_match_injectives,
+    reference_canonical_key,
     reference_count_paths,
 )
 
@@ -90,6 +91,25 @@ class TestConstruction:
     def test_json_roundtrip(self):
         p = RANK3_ALGEBRA
         assert Presentation.from_json(p.to_json()) == p
+
+    def test_json_without_arrows_names_the_field(self):
+        data = RANK3_ALGEBRA.to_json()
+        del data["arrows"]
+        with pytest.raises(ValueError, match="^quiver JSON lacks field 'arrows'$"):
+            Presentation.from_json(data)
+
+    def test_json_arrow_without_target_names_the_field(self):
+        data = CYCLE3.to_json()
+        del data["arrows"][1]["tgt"]
+        with pytest.raises(ValueError, match="^quiver JSON lacks field 'tgt'$"):
+            Quiver.from_json(data)
+
+    @pytest.mark.parametrize("relation", [["w"], ["w", "w", "w"], "ww", 5])
+    def test_json_relation_that_is_no_pair_is_named(self, relation):
+        data = RANK3_ALGEBRA.to_json()
+        data["relations"].append(relation)
+        with pytest.raises(ValueError, match=re.escape(f"relation {relation!r} is not a pair")):
+            Presentation.from_json(data)
 
 
 class TestCountPaths:
@@ -565,8 +585,13 @@ def _rename_arrows(q, v, rng):
     return Quiver(q.vertices, arrows), v
 
 
+def connecting_key(q, v):
+    return connecting_keys(q)[v]
+
+
 class TestPinnedInvariant:
-    """`canonical_key`, the exact invariant of a quiver with a pinned vertex."""
+    """`connecting_keys`, the exact invariant of a quiver pinned at each
+    connecting vertex; the arising pins are all connecting."""
 
     @pytest.mark.parametrize(
         "change", [_relabel_vertices, _shuffle_arrows, _rename_arrows]
@@ -576,7 +601,7 @@ class TestPinnedInvariant:
         pairs = 0
         for bare, v in _arising_pins(7):
             moved, w = change(bare, v, rng)
-            assert canonical_key(moved, w) == canonical_key(bare, v), (bare, v)
+            assert connecting_key(moved, w) == connecting_key(bare, v), (bare, v)
             pairs += 1
         assert pairs > 924
 
@@ -588,13 +613,13 @@ class TestPinnedInvariant:
                 moved, w = change(moved, w, rng)
             assert moved != bare or not bare.arrows
             assert find_isomorphism(moved, bare, pin=(w, v)) is not None
-            assert canonical_key(moved, w) == canonical_key(bare, v)
+            assert connecting_key(moved, w) == connecting_key(bare, v)
 
     def test_separates_the_arising_classes(self):
         # one key per translate orbit: Catalan(n - 1) classes at rank n
         for n, classes in zip(range(2, 8), (1, 2, 5, 14, 42, 132)):
             keys = {
-                canonical_key(*loopless_quiver(cached_endomorphism_algebra(t)))
+                connecting_key(*loopless_quiver(cached_endomorphism_algebra(t)))
                 for t in maximal_rigid_objects(n)
             }
             assert len(keys) == classes, n
@@ -606,45 +631,57 @@ class TestPinnedInvariant:
             if t.top.orbit == 1:
                 bare, loop_vertex = loopless_quiver(cached_endomorphism_algebra(t))
                 pins += [(bare, v) for v in (loop_vertex, *sorted(connecting_vertices(bare)))]
-        assert assert_keys_partition_as_the_search(pins) == comb(2 * n - 2, n - 1) // n
+        assert assert_keys_partition_as_the_search(pins, connecting_key) == comb(2 * n - 2, n - 1) // n
 
     def test_moving_the_pin_changes_the_key(self):
+        # the middle vertex of a path lies in two blocks: it is not keyed
         linear = Quiver((1, 2, 3), (Arrow("x", 1, 2), Arrow("y", 2, 3)))
-        source, middle, sink = (canonical_key(linear, v) for v in (1, 2, 3))
-        assert len({source, middle, sink}) == 3
-        sources = Quiver((1, 2, 3), (Arrow("x", 1, 2), Arrow("y", 3, 2)))
-        assert canonical_key(sources, 1) == canonical_key(sources, 3)
-        assert canonical_key(sources, 1) != canonical_key(sources, 2)
-        assert len({canonical_key(CYCLE3, v) for v in (1, 2, 3)}) == 1
-        assert canonical_key(CYCLE3, 1) != source
+        source, sink = connecting_keys(linear).values()
+        assert list(connecting_keys(linear)) == [1, 3] and source != sink
+        sources = connecting_keys(Quiver((1, 2, 3), (Arrow("x", 1, 2), Arrow("y", 3, 2))))
+        assert list(sources) == [1, 3] and sources[1] == sources[3]
+        assert sources[1] != source
+        cycle = connecting_keys(CYCLE3)
+        assert list(cycle) == [1, 2, 3] and len(set(cycle.values())) == 1
+        assert cycle[1] != source
 
     def test_counts_arrow_multiplicity(self):
         # a second arrow on the same two vertices, or a loop, is a second
         # block there: no tree of blocks
         single = Quiver((1, 2), (Arrow("a", 1, 2),))
-        assert canonical_key(single, 1) == (("out", ()),)
-        for extra in (Arrow("b", 1, 2), Arrow("b", 2, 1), Arrow("b", 1, 1)):
+        assert connecting_keys(single) == {1: (("out", ()),), 2: (("in", ()),)}
+        for extra, witness in (
+            (Arrow("b", 1, 2), "length-2 cycle between 1 and 2"),
+            (Arrow("b", 2, 1), "length-2 cycle between 1 and 2"),
+            (Arrow("b", 1, 1), "loop b is a length-1 cycle"),
+        ):
             twice = Quiver((1, 2), (Arrow("a", 1, 2), extra))
-            for v in (1, 2):
-                with pytest.raises(NotClusterTiltedError, match="twice"):
-                    canonical_key(twice, v)
+            with pytest.raises(NotClusterTiltedError) as caught:
+                connecting_keys(twice)
+            assert caught.value.witness == witness
 
     def test_rejects_what_is_no_tree_of_blocks(self):
+        # the recogniser's witness, as `connecting_vertices` raises it
         apart = Quiver((1, 2, 3), (Arrow("a", 1, 2),))
-        with pytest.raises(NotClusterTiltedError, match="from vertex 1 miss vertex 3"):
-            canonical_key(apart, 1)
         square = Quiver((1, 2, 3, 4), tuple(Arrow(f"a{i}", i, i % 4 + 1) for i in range(1, 5)))
-        with pytest.raises(NotClusterTiltedError, match="from vertex 2 meet vertex"):
-            canonical_key(square, 2)
         # two oriented 3-cycles on the edge 1 -> 2
         pairs = [(1, 2), (2, 3), (3, 1), (2, 4), (4, 1)]
         shared = Quiver((1, 2, 3, 4), tuple(Arrow(f"a{i}", *e) for i, e in enumerate(pairs)))
-        with pytest.raises(NotClusterTiltedError, match="twice"):
-            canonical_key(shared, 3)
+        for q, witness in (
+            (apart, "underlying graph is not connected"),
+            (square, "chordless cycle of length 4: (4, 1, 2, 3)"),
+            (shared, "arrow between 1 and 2 lies on two 3-cycles"),
+        ):
+            for keyed in (connecting_keys, connecting_vertices):
+                with pytest.raises(NotClusterTiltedError) as caught:
+                    keyed(q)
+                assert caught.value.witness == witness
 
     def test_pin_outside_the_quiver(self):
+        # only the connecting vertices are keyed; the reference raises
+        assert 4 not in connecting_keys(CYCLE3)
         with pytest.raises(ValueError, match="pinned vertex 4"):
-            canonical_key(CYCLE3, 4)
+            reference_canonical_key(CYCLE3, 4)
 
 
 class TestEmission:

@@ -9,8 +9,10 @@ long cycles with oriented 3-cycle ears. `triangle_connecting_vertices` is
 the former `quiver.connecting_vertices`, the reference for the one that
 reads the block decomposition. `oriented_triangles` and `valency`,
 formerly in `quiver`, serve only these two references. On the mutation
-classes, `quiver.canonical_key` must also group the pinned quivers exactly
-as the isomorphism search does.
+classes, `support.reference_canonical_key`, the former
+`quiver.canonical_key`, must group the quivers pinned at any vertex exactly
+as the isomorphism search does, and `quiver.connecting_keys` must equal it
+at every connecting vertex.
 """
 
 import itertools
@@ -24,13 +26,13 @@ from tubecat.quiver import (
     Arrow,
     CheckResult,
     Quiver,
-    canonical_key,
+    connecting_keys,
     connecting_vertices,
     is_cluster_tilted_A,
 )
 from tubecat.rigid import maximal_rigid_objects
 
-from support import assert_keys_partition_as_the_search
+from support import assert_keys_partition_as_the_search, reference_canonical_key
 
 
 # --- the reference: the former subset search ----------------------------------
@@ -378,7 +380,34 @@ def test_canonical_key_on_the_mutation_class_of_A(m, pinned):
         for c in (b, *(mutate(b, k) for k in range(m)))
         for v in range(1, m + 1)
     ]
-    assert assert_keys_partition_as_the_search(pins) == pinned
+    assert assert_keys_partition_as_the_search(pins, reference_canonical_key) == pinned
+
+
+def assert_keys_equal_the_reference(q):
+    keys = connecting_keys(q)
+    assert set(keys) == connecting_vertices(q), q
+    for c, key in keys.items():
+        assert key == reference_canonical_key(q, c), (q, c)
+    return keys
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_connecting_keys_on_every_arising_quiver(n):
+    for t in maximal_rigid_objects(n):
+        if t.top.orbit == 1:
+            assert_keys_equal_the_reference(loopless_quiver(cached_endomorphism_algebra(t))[0])
+
+
+@pytest.mark.parametrize("m, catalan", [(1, 1), (2, 2), (3, 5), (4, 14), (5, 42), (6, 132)])
+def test_connecting_keys_on_the_mutation_class_of_A(m, catalan):
+    # pinned at connecting vertices only, the classes are the Catalan(m)
+    # that arise at rank m + 1, one per translate orbit
+    pins = []
+    for b in mutation_class(m):
+        for c in (b, *(mutate(b, k) for k in range(m))):
+            q = matrix_quiver(c)
+            pins += [(q, v) for v in assert_keys_equal_the_reference(q)]
+    assert assert_keys_partition_as_the_search(pins, lambda q, v: connecting_keys(q)[v]) == catalan
 
 
 def test_agrees_on_random_quivers():
@@ -390,8 +419,9 @@ def test_agrees_on_random_quivers():
 
 
 def test_accepted_random_quivers_are_trees_of_blocks():
-    # the recogniser, canonical_key and connecting_vertices read one block
-    # decomposition: what the first accepts, the others must walk
+    # the recogniser, connecting_keys and connecting_vertices read one
+    # block decomposition: what the first accepts, the reference key walks
+    # from every vertex, and the others agree with their references
     rng = random.Random(1796)
     accepted = 0
     for _ in range(2000):
@@ -399,8 +429,9 @@ def test_accepted_random_quivers_are_trees_of_blocks():
         if is_cluster_tilted_A(q):
             accepted += 1
             for v in q.vertices:
-                canonical_key(q, v)  # raises unless the blocks form a tree
+                reference_canonical_key(q, v)  # raises unless the blocks form a tree
             assert connecting_vertices(q) == triangle_connecting_vertices(q), q
+            assert_keys_equal_the_reference(q)
     assert accepted > 100
 
 

@@ -339,7 +339,7 @@ class TestConverse:
         # A constant key sends every representative to the first class. At
         # rank 2 there is one class, so every hit holds; from rank 3 on the
         # search refutes the second representative.
-        monkeypatch.setattr(verify, "canonical_key", lambda q, v: 0)
+        monkeypatch.setattr(verify, "connecting_keys", lambda q: dict.fromkeys(q.vertices, 0))
         assert verify.check_converse(2)[0].ok
         for n in range(3, 7):
             second = [t for t in maximal_rigid_objects(n) if t.top.orbit == 1][1]
@@ -348,24 +348,62 @@ class TestConverse:
             assert out.detail == f"key of {second} hits a class that the search refutes"
 
     def test_refuted_realization_fails_naming_the_vertex(self, monkeypatch):
-        # The five representatives at rank 4 get their own keys; every
-        # connecting vertex after them gets the first class's key. The
-        # first class quiver is an oriented 3-cycle, so each of its
-        # vertices does realize the first class; vertex 1 of the second
-        # class quiver does not.
-        real = verify.canonical_key
-        keys = []
+        # Each representative's key at its loop vertex is its own, so the
+        # five classes at rank 4 form; every other connecting vertex gets
+        # the first class's key. The first class quiver is an oriented
+        # 3-cycle, so each of its vertices does realize the first class.
+        # The second class quiver is 1 -> 2 -> 3 with the loop at 1, which
+        # is not looked up; its other end, vertex 3, does not realize it.
+        real = verify.connecting_keys
+        loops = dict(  # each representative's quiver -> its loop vertex
+            verify.loopless_quiver(cached_endomorphism_algebra(t))
+            for t in maximal_rigid_objects(4) if t.top.orbit == 1
+        )
+        first, vertex = next(iter(loops.items()))
+        first_key = real(first)[vertex]
 
-        def faulty(q, v):
-            if len(keys) < 5:
-                keys.append(real(q, v))
-                return keys[-1]
-            return keys[0]
+        def faulty(q):
+            return {c: key if c == loops[q] else first_key for c, key in real(q).items()}
 
-        monkeypatch.setattr(verify, "canonical_key", faulty)
+        monkeypatch.setattr(verify, "connecting_keys", faulty)
         (out,) = verify.check_converse(4)
         assert not out.ok
-        assert out.detail == "connecting vertex 1 hits a class that the search refutes"
+        assert out.detail == "connecting vertex 3 hits a class that the search refutes"
+
+    def test_loop_at_a_non_connecting_vertex_names_the_object(self, monkeypatch):
+        # The first representative whose quiver has a vertex in two blocks
+        # is given its loop there.
+        real = verify.loopless_quiver
+        for t in maximal_rigid_objects(5):
+            bare, _ = real(cached_endomorphism_algebra(t))
+            inner = sorted(set(bare.vertices) - quiver.connecting_vertices(bare))
+            if inner:
+                victim, moved = cached_endomorphism_algebra(t), inner[0]
+                break
+
+        def faulty(p):
+            bare, lv = real(p)
+            return (bare, moved) if p is victim else (bare, lv)
+
+        monkeypatch.setattr(verify, "loopless_quiver", faulty)
+        (out,) = verify.check_converse(5)
+        assert not out.ok
+        assert out.detail == f"loop of {t} at non-connecting vertex {moved}"
+
+    def test_blocks_built_once_per_representative(self, monkeypatch):
+        calls = []
+        real = quiver._blocks
+
+        def counting(q):
+            calls.append(q)
+            return real(q)
+
+        monkeypatch.setattr(quiver, "_blocks", counting)
+        (out,) = verify.check_converse(7)
+        assert out.ok
+        # Catalan(6) representatives, each keyed at every connecting vertex
+        # from one block tree
+        assert len(calls) == 132
 
     def test_isomorphism_searches_stay_linear(self, monkeypatch):
         calls = []
@@ -380,10 +418,11 @@ class TestConverse:
         assert out.ok
         # Each of the 42 representatives opens its own class, with no
         # search, and the 210 other objects join by the translate
-        # certificate; each of the 112 (class quiver, connecting vertex)
-        # pairs takes one search, which certifies its key's hit. A scan
-        # over all classes takes 7,744.
-        assert len(calls) == 112
+        # certificate. Of the 112 (class quiver, connecting vertex) pairs,
+        # the 42 at a class's own loop vertex hit that class with the same
+        # pin and take no search; each of the other 70 takes one, which
+        # certifies its key's hit. A scan over all classes takes 7,744.
+        assert len(calls) == 70
 
     def test_search_limit_fails_loudly(self, monkeypatch):
         # the rank-6 quivers have five vertices
