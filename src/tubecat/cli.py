@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from tubecat import __version__
-from tubecat.endo import bundle_dot, bundle_json
+from tubecat.endo import bundle, bundle_dot, bundle_json
 from tubecat.homfunctor import check_ql_cap
 from tubecat.rigid import (
     enumerate_maximal_rigid,
@@ -140,8 +140,9 @@ def cmd_endo(parser, args) -> int:
         t = from_tilting(args.rank, args.top, args.tilting)
     except ValueError as exc:
         parser.error(f"argument --tilting: {exc}")
-    data = bundle_json(t)
-    dots = bundle_dot(t) if args.out is not None or args.format == "dot" else {}
+    presentations = bundle(t)
+    data = bundle_json(t, presentations)
+    dots = bundle_dot(t, presentations) if args.out is not None or args.format == "dot" else {}
     if args.out is not None:
         try:
             args.out.mkdir(parents=True, exist_ok=True)

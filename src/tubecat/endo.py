@@ -68,10 +68,11 @@ def cluster_tilted_completion(g: Presentation) -> Presentation:
     return Presentation(Quiver(g.quiver.vertices, tuple(arrows)), frozenset(relations))
 
 
-def endomorphism_algebra(t: RigidObject) -> Presentation:
+def endomorphism_algebra(t: RigidObject, completed: Presentation | None = None) -> Presentation:
     """Completion of the tilted presentation plus a squared-zero loop at the
-    top vertex. Arrow kinds: "T" from triples, "D" from completion, "loop"."""
-    completed = cluster_tilted_completion(tilted_algebra(t))
+    top vertex. Arrow kinds: "T" from triples, "D" from completion, "loop".
+    `completed`, when given, is that completion, already built for t."""
+    completed = completed or cluster_tilted_completion(tilted_algebra(t))
     top = t.vertex_of(t.top)
     arrows = completed.quiver.arrows + (Arrow(LOOP_ID, top, top, "loop"),)
     relations = completed.relations | {(LOOP_ID, LOOP_ID)}
@@ -123,22 +124,27 @@ def cartan_check(t: RigidObject) -> CartanReport:
 # --- emission -----------------------------------------------------------------
 
 def bundle(t: RigidObject) -> dict[str, Presentation]:
-    """The tilted, cluster-tilted and endomorphism presentations of t."""
+    """The tilted, cluster-tilted and endomorphism presentations of t, each
+    built once: the endomorphism presentation extends the completion."""
     tilted = tilted_algebra(t)
+    completed = cluster_tilted_completion(tilted)
     return {
         "tilted": tilted,
-        "cluster_tilted": cluster_tilted_completion(tilted),
-        "endomorphism": endomorphism_algebra(t),
+        "cluster_tilted": completed,
+        "endomorphism": endomorphism_algebra(t, completed),
     }
 
 
-def bundle_json(t: RigidObject) -> dict:
+def bundle_json(t: RigidObject, presentations: dict | None = None) -> dict:
+    """The object, its tilting intervals and `presentations` (default:
+    `bundle(t)`) as JSON."""
     out: dict = t.to_json()
     out["tilting_intervals"] = [f"{lo}-{hi}" for lo, hi in tilting_intervals(t)]
-    for name, pres in bundle(t).items():
+    for name, pres in (presentations or bundle(t)).items():
         out[name] = pres.to_json()
     return out
 
 
-def bundle_dot(t: RigidObject) -> dict[str, str]:
-    return {name: to_dot(pres, name) for name, pres in bundle(t).items()}
+def bundle_dot(t: RigidObject, presentations: dict | None = None) -> dict[str, str]:
+    """DOT text of each of `presentations` (default: `bundle(t)`)."""
+    return {name: to_dot(pres, name) for name, pres in (presentations or bundle(t)).items()}

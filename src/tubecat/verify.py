@@ -28,11 +28,15 @@ leaves unchanged:
 
 Each member still gets its own outcome, and takes its representative's only
 after an exact certificate: its summands are the representative's translated
-element by element (`_translate_certificate`). `check_converse` works on the
-same quotient: it builds, keys and compares the quivers of the
-representatives only, each keyed once at every connecting vertex, and puts
-every other object in its representative's class by that certificate.
-`check_rigid` compares every object with the brute route's masks.
+element by element (`_translate_certificate`). The certificate is a function
+of the object list alone, so `_certificates` runs it once per list, in
+enumeration order, and every check that walks the same list reads the
+position of each member's representative from that one pass.
+`check_converse` works on the same quotient: it builds, keys and compares
+the quivers of the representatives only, each keyed once at every
+connecting vertex, and puts every other object in its representative's
+class by that certificate. `check_rigid` compares every object with the
+brute route's masks.
 """
 
 from __future__ import annotations
@@ -284,7 +288,9 @@ def _translate_certificate(t, representatives: dict):
     A representative is an object whose top is at orbit 1, and
     `representatives` is keyed by their summands tuples. With
     k = t.top.orbit - 1 the certificate is exact: `tau_rigid(t, k).summands`
-    is, element by element, a key of `representatives`.
+    is, element by element, a key of `representatives`. `_certificates`
+    runs it once per object list; the detail depends on t alone, so a check
+    rebuilds it against an empty table.
     """
     k = t.top.orbit - 1
     found = representatives.get(tau_rigid(t, k).summands)
@@ -293,35 +299,63 @@ def _translate_certificate(t, representatives: dict):
     return found, None
 
 
+_held: tuple | None = None  # (object list, its certificates), the last list certified
+
+
+def _certificates(objects) -> memoryview:
+    """For each object, the position of its representative in `objects`
+    (its own for a representative), or -1 when it has no certificate, as
+    one C int per object.
+
+    One pass in enumeration order: each member is certified by
+    `_translate_certificate` against the representatives listed before it,
+    the rule every check applied in its own pass. The result depends on the
+    list alone, so it is kept for one list, matched by identity (held, so
+    its id is never reused): the checks of one rank share the cached
+    enumeration and one pass, and any other list gets a pass of its own.
+    """
+    global _held
+    if _held is None or _held[0] is not objects:
+        representatives: dict[tuple, int] = {}
+        positions = memoryview(bytearray(4 * len(objects))).cast("i")
+        for i, t in enumerate(objects):
+            if t.top.orbit == 1:
+                representatives[t.summands] = i
+                positions[i] = i
+            else:
+                found, _ = _translate_certificate(t, representatives)
+                positions[i] = -1 if found is None else found
+        _held = (objects, positions)
+    return _held[1]
+
+
 def _per_orbit(check: str, n: int, verdict) -> list[Outcome]:
     """One outcome per object, in enumeration order, with `verdict` run once
     per translate orbit when the orbit's representative passes.
 
     Representatives come first in enumeration order. Any other member t
-    takes its representative's outcome only if `_translate_certificate`
-    finds a verified representative; if not, t fails with a detail naming
-    it. If the representative failed, t runs `verdict` itself, so every
-    failure keeps its own concrete witness.
+    takes the outcome of the representative that `_certificates` gives it,
+    read by position; with none, t fails with a detail naming it. If the
+    representative failed, t runs `verdict` itself, so every failure keeps
+    its own concrete witness. When no check has certified the list yet,
+    the pass runs inside the first member's outcome, so the outcomes'
+    seconds still cover it.
     """
-    representatives: dict[tuple, Outcome] = {}
-    out = []
-    for t in maximal_rigid_objects(n):
-        k = t.top.orbit - 1
+    objects = maximal_rigid_objects(n)
+    out: list[Outcome] = []
+    for i, t in enumerate(objects):
 
-        def one(t=t, k=k):
-            if k == 0:
+        def one(t=t, i=i):
+            if t.top.orbit == 1:
                 return verdict(t)
-            rep, failure = _translate_certificate(t, representatives)
-            if rep is None:
-                return False, failure
-            if not rep.ok:
+            rep = _certificates(objects)[i]
+            if rep < 0:
+                return False, _translate_certificate(t, {})[1]
+            if not out[rep].ok:
                 return verdict(t)
-            return True, rep.detail
+            return True, out[rep].detail
 
-        outcome = _timed(check, n, one, subject=str(t))
-        if k == 0:
-            representatives[t.summands] = outcome
-        out.append(outcome)
+        out.append(_timed(check, n, one, subject=str(t)))
     return out
 
 
@@ -349,8 +383,9 @@ def check_converse(n: int) -> list[Outcome]:
     be realized by some class.
 
     Only representatives (top at orbit 1) have their quivers built and
-    compared. Every other object joins its representative's class by
-    `_translate_certificate`, or fails the check when it has none. The
+    compared. Every other object joins its representative's class by the
+    position that `_certificates` gives it, from the pass the per-object
+    checks share, or fails the check when it has none. The
     certificate shows that tau^(top.orbit - 1) of each member is its
     class's representative, so n members with n distinct top orbits are
     exactly the n translates of it. This is exact because canonical order
@@ -369,14 +404,15 @@ def check_converse(n: int) -> list[Outcome]:
     """
 
     def run():
+        objects = maximal_rigid_objects(n)
+        certificates = _certificates(objects)
         classes: dict[tuple, tuple] = {}  # key -> (quiver, loop vertex, other keys, members)
-        class_of: dict[tuple, list] = {}  # representative's summands -> members
-        for t in maximal_rigid_objects(n):
+        class_of: dict[int, list] = {}  # representative's position -> members
+        for i, t in enumerate(objects):
             if t.top.orbit != 1:
-                members, failure = _translate_certificate(t, class_of)
-                if members is None:
-                    return False, failure
-                members.append(t)
+                if certificates[i] < 0:
+                    return False, _translate_certificate(t, {})[1]
+                class_of[certificates[i]].append(t)
                 continue
             bare, lv = loopless_quiver(cached_endomorphism_algebra(t))
             keys = connecting_keys(bare)
@@ -386,7 +422,7 @@ def check_converse(n: int) -> list[Outcome]:
             if quiver is not bare and find_isomorphism(bare, quiver, pin=(lv, vertex)) is None:
                 return False, f"key of {t} hits a class that the search refutes"
             members.append(t)
-            class_of[t.summands] = members
+            class_of[i] = members
 
         for _, vertex, _, members in classes.values():
             if len(members) != n:

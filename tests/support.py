@@ -5,8 +5,8 @@ strings of an algebra with the projective/injective comparison built on
 them, an algebra with a band, the former recursive path count, the former
 object-building brute enumeration, the former pinned isomorphism
 invariant, the former `quiver.canonical_key` of a quiver pinned at any
-vertex, and the gate that compares a pinned key with the isomorphism
-search."""
+vertex, the gate that compares a pinned key with the isomorphism
+search, and the former per-check translate certificates."""
 
 from typing import Callable, Iterable, Sequence
 
@@ -23,7 +23,7 @@ from tubecat.quiver import (
     _walk,
     find_isomorphism,
 )
-from tubecat.rigid import RigidObject, from_summands
+from tubecat.rigid import RigidObject, from_summands, tau_rigid
 from tubecat.strings import Letter, StringWord, trivial, word
 from tubecat.tube import HomDims, Indec, hom_tube_oracle, in_wing, tau
 
@@ -292,3 +292,22 @@ def assert_keys_partition_as_the_search(
             assert find_isomorphism(q0, q, pin=(v0, v)) is None, (q0, v0, q, v)
         alike[degrees].append((q0, v0))
     return len(groups)
+
+
+def reference_certificates(objects: Sequence[RigidObject]) -> list[int]:
+    """The loop that each per-object check and converse ran on its own
+    before `verify._certificates` shared one pass: in list order, each
+    representative (top at orbit 1) is entered by its summands, and each
+    other object looks up `tau_rigid(t, top.orbit - 1).summands` among the
+    representatives entered so far. The position of the representative
+    found (a representative's own), or -1 for none."""
+    representatives: dict[tuple, int] = {}
+    out = []
+    for i, t in enumerate(objects):
+        k = t.top.orbit - 1
+        if k == 0:
+            representatives[t.summands] = i
+            out.append(i)
+        else:
+            out.append(representatives.get(tau_rigid(t, k).summands, -1))
+    return out

@@ -3,11 +3,14 @@
 `perfbench/tracer.py` wraps tubecat functions by dotted name. A renamed or
 deleted target, or a hook that the code no longer calls, makes every traced
 benchmark run fail; these tests make it fail here first. The first only
-resolves the targets; the second installs the hooks in a child process and
-runs the benchmark's smoke workload under them.
+resolves the targets; the others install the hooks in a child process and
+run a workload under them: smoke as the benchmark's self-test runs it, and
+each workload's calls at rank 3, so that a hook serving a workload's checks
+must fire on that workload, not only on smoke, which runs every check.
 """
 
 import importlib
+import importlib.util
 import inspect
 import os
 import subprocess
@@ -34,19 +37,27 @@ def test_every_hook_target_resolves(tracer):
         assert callable(original), hook.target
 
 
-def test_every_hook_fires_on_smoke():
+def _workload_names() -> list[str]:
+    spec = importlib.util.spec_from_file_location("workloads", PERFBENCH / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return sorted(module.WORKLOADS)
+
+
+def _traced(name: str, *lines: str) -> str:
+    """Stdout of a child that installs every hook, binds `workload` to the
+    named workload, runs `lines` and checks that the hooks serving the
+    workload's checks fired."""
     src = PERFBENCH.parent / "src"
     script = "\n".join([
         "import tubecat.verify",
         "from tracer import HOOKS, Tracer, kernel_hooks",
         "from workloads import WORKLOADS",
-        "workload = WORKLOADS['smoke']",
+        f"workload = WORKLOADS[{name!r}]",
         "tracer = Tracer()",
         "tracer.install([*HOOKS, *kernel_hooks()])",
-        "reports = [tubecat.verify.run_suite(**call) for call in workload.calls]",
-        "assert all(report.ok for report in reports)",
+        *lines,
         "tracer.check_fired(workload.checks)",
-        "print(sum(len(report.outcomes) for report in reports), workload.outcomes)",
     ])
     path = os.pathsep.join(
         p for p in (str(src), str(PERFBENCH), os.environ.get("PYTHONPATH", "")) if p
@@ -56,5 +67,24 @@ def test_every_hook_fires_on_smoke():
         capture_output=True, text=True, timeout=120, env=dict(os.environ, PYTHONPATH=path),
     )
     assert done.returncode == 0, done.stderr
-    produced, expected = done.stdout.split()
+    return done.stdout
+
+
+def test_every_hook_fires_on_smoke():
+    out = _traced(
+        "smoke",
+        "reports = [tubecat.verify.run_suite(**call) for call in workload.calls]",
+        "assert all(report.ok for report in reports)",
+        "print(sum(len(report.outcomes) for report in reports), workload.outcomes)",
+    )
+    produced, expected = out.split()
     assert produced == expected
+
+
+@pytest.mark.parametrize("name", _workload_names())
+def test_hooks_serving_a_workload_fire_on_it_at_rank_three(name):
+    _traced(
+        name,
+        "for call in workload.calls:",
+        "    assert tubecat.verify.run_suite(**dict(call, ranks=[3])).ok",
+    )

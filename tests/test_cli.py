@@ -1,5 +1,6 @@
 """Command-line front end: exit codes, JSON schema, and a full verify run."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from tubecat import cli, homfunctor
+from tubecat import cli, endo, homfunctor
 from tubecat.endo import bundle_dot, bundle_json
 from tubecat.quiver import Presentation
 from tubecat.rigid import RigidObject, enumerate_maximal_rigid, tilting_intervals
@@ -230,9 +231,9 @@ class TestSuccessPaths:
     def test_endo_out_and_dot_print_the_files_written(self, tmp_path, capsys, monkeypatch):
         built = []
 
-        def counting(t):
+        def counting(t, presentations=None):
             built.append(t)
-            return bundle_dot(t)
+            return bundle_dot(t, presentations)
 
         monkeypatch.setattr(cli, "bundle_dot", counting)
         code, out, _ = run_cli(ENDO_ARGV + ["--out", str(tmp_path), "--format", "dot"], capsys)
@@ -243,6 +244,28 @@ class TestSuccessPaths:
         assert printed == "".join(
             f"// {name}\n{(tmp_path / f'{name}.dot').read_text()}\n" for name in BUNDLE_NAMES
         )
+
+    @pytest.mark.parametrize("fmt, digest", [
+        ("json", "ff59d0e638beb4bad8230e8e2280d0b96bc27b767fbdd5c4b15715e28bacce69"),
+        ("dot", "336c831d3ac346b259914431a7adb847957cc6c8aeff78228967a4d940cb0fd1"),
+        ("table", "1fb1b049d68c1f1495b9182b7741e8424a9245bca5bec7b5418a7558889d3682"),
+    ])
+    def test_endo_builds_each_presentation_once(self, fmt, digest, capsys, monkeypatch):
+        # SHA-256 of the output when each of the json and dot emitters built
+        # its own bundle, and each bundle its own tilted algebra twice.
+        counts = {"tilted_algebra": 0, "cluster_tilted_completion": 0}
+        for name in counts:
+            real = getattr(endo, name)
+
+            def counting(arg, name=name, real=real):
+                counts[name] += 1
+                return real(arg)
+
+            monkeypatch.setattr(endo, name, counting)
+        code, out, _ = run_cli(ENDO_ARGV + ["--format", fmt], capsys)
+        assert code == 0
+        assert counts == {"tilted_algebra": 1, "cluster_tilted_completion": 1}
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_endo_above_the_rank_cap(self, capsys, monkeypatch):
         # `endo` builds one object, so the cap of `rigid` and `verify`

@@ -1,7 +1,8 @@
 """The verification suite itself: outcome records, error capture, check
 selection, faults injected into the oracle and the converse check, and the
 per-orbit checks and the converse on representatives, keyed by the
-canonical form, shown equal to a loop over every object."""
+canonical form, shown equal to a loop over every object, and the translate
+certificates they share, shown equal to the loop each check ran."""
 
 import hashlib
 import json
@@ -9,13 +10,13 @@ from math import comb
 
 import pytest
 
-from tubecat import endo, quiver, tube, verify
+from tubecat import endo, quiver, rigid, tube, verify
 from tubecat.endo import cached_endomorphism_algebra, endomorphism_algebra
 from tubecat.quiver import Arrow, Presentation, Quiver
 from tubecat.rigid import from_summands, maximal_rigid_objects, rigid_index, tau_rigid
 from tubecat.tube import Indec
 
-from support import free_loop, pinned_invariant, presentation
+from support import free_loop, pinned_invariant, presentation, reference_certificates
 
 OUTCOME_KEYS = {"check", "rank", "ok", "detail", "subject", "seconds"}
 
@@ -624,3 +625,103 @@ class TestPerOrbit:
         assert {id(lam) for lam in calls[14:]} == {
             id(cached_endomorphism_algebra(t)) for t in members
         }
+
+
+def _variants(n):
+    """The real object list of rank n and three faulty ones: a representative
+    dropped, a member listed twice, and a member listed before its
+    representative."""
+    objects = list(maximal_rigid_objects(n))
+    rep = objects[-1]
+    while rep.top.orbit != 1:
+        rep = tau_rigid(rep, rep.top.orbit - 1)
+    member = objects[-1]
+    assert member.top.orbit != 1
+    return {
+        "real": maximal_rigid_objects(n),
+        "dropped": [t for t in objects if t != rep],
+        "repeated": objects + [member],
+        "member-first": [member] + objects[:-1],
+    }
+
+
+def _count_tau_rigid(monkeypatch) -> list:
+    """Count `tau_rigid` in every namespace that holds it, with no list
+    certified yet."""
+    calls = []
+    real = verify.tau_rigid
+
+    def counting(t, k=1):
+        calls.append(t)
+        return real(t, k)
+
+    for module in (rigid, verify):
+        monkeypatch.setattr(module, "tau_rigid", counting)
+    monkeypatch.setattr(verify, "_held", None)
+    return calls
+
+
+class TestCertificates:
+    @pytest.mark.parametrize("variant", ["real", "dropped", "repeated", "member-first"])
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_equals_the_loop_each_check_ran(self, n, variant):
+        objects = _variants(n)[variant]
+        got = verify._certificates(objects)
+        assert list(got) == reference_certificates(objects)
+        assert (-1 in got) == (variant in ("dropped", "member-first"))
+        assert verify._certificates(objects) is got
+
+    def test_one_integer_per_object(self):
+        got = verify._certificates(maximal_rigid_objects(6))
+        assert got.format == "i" and got.nbytes == 4 * len(got) == 4 * comb(10, 5)
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_full_suite_certifies_each_member_once(self, n, monkeypatch):
+        calls = _count_tau_rigid(monkeypatch)
+        assert verify.run_suite([n]).ok
+        assert len(calls) == comb(2 * n - 2, n - 1) - comb(2 * n - 2, n - 1) // n
+
+    def test_structure_checks_at_rank_seven_certify_each_member_once(self, monkeypatch):
+        calls = _count_tau_rigid(monkeypatch)
+        for check in ("rigid", "endo", "gentle", "strings", "converse"):
+            assert verify.run_suite([7], only=check).ok
+        assert len(calls) == 924 - 132
+        assert all(t.top.orbit != 1 for t in calls)
+
+    @pytest.mark.parametrize("check", ["endo", "gentle", "strings", "hom-functor", "converse"])
+    def test_fresh_list_for_one_check_fails_only_its_orphans(self, check, monkeypatch):
+        # The other checks walk the cached enumeration before and after the
+        # faulty list, so a certificate kept for the wrong list would show.
+        n = 4
+        real = verify.maximal_rigid_objects
+        dropped = real(n)[2]
+        assert dropped.top.orbit == 1
+        orphans = [
+            t for t in real(n) if t.top.orbit != 1 and tau_rigid(t, t.top.orbit - 1) == dropped
+        ]
+        assert len(orphans) == n - 1
+        faulty = []
+
+        def objects(n):
+            return [t for t in real(n) if t != dropped] if faulty else real(n)
+
+        def once(*args, inner=verify._CHECK_FUNCTIONS[check]):
+            faulty.append(check)
+            try:
+                return inner(*args)
+            finally:
+                faulty.clear()
+
+        monkeypatch.setattr(verify, "maximal_rigid_objects", objects)
+        monkeypatch.setitem(verify._CHECK_FUNCTIONS, check, once)
+        verify._certificates(real(n))
+        failed = [o for o in verify.run_suite([n]).outcomes if not o.ok]
+        assert {o.check for o in failed} == {check}
+        detail = "translate certificate fails: tau^{} of {} is no representative".format
+        if check == "converse":
+            first = orphans[0]
+            assert [o.detail for o in failed] == [detail(first.top.orbit - 1, first)]
+        else:
+            assert [(o.subject, o.detail) for o in failed] == [
+                (str(t), detail(t.top.orbit - 1, t)) for t in orphans
+            ]
