@@ -20,8 +20,10 @@ only the pairs around beta are new; and once beta runs from the end of
 sigma_T to the end of sigma_D, the walk visits the vertices of sigma_T and
 then those of sigma_D (through the loop, the top vertex twice). So `sigma`
 checks just that, which also covers a trivial chain string. The sweep
-builds sigma(x) at every domain point, which the bijection check needs
-anyway, and both chain strings at every other point.
+first checks the chain strings, once per chain, in one pass over the painted
+cells off add tau T in sweep order (`_build_chain_strings`); it then builds
+sigma(x) at every domain point, which the bijection check needs anyway, from
+the memoised chain strings.
 
 No module is built per x. The bijection check builds `string_module` once
 for each string that `enumerate_strings` returns, so the relation check of
@@ -71,7 +73,8 @@ a vertex that is no summand; off add tau T that is exactly where the per-x
 comparison fails. On add tau T the prediction is empty, so there
 `predicted_dims` and `oracle_dims` are compared directly. The sweep builds
 the record of x only at a failing cell, so its failures are the per-x
-comparison's, and it reads "the oracle vanishes at x" from the same vectors.
+comparison's, and it reads "the oracle vanishes at x" from the same vectors,
+one flag per cell, computed once per object.
 
 A report keeps only what failed; `HomFunctorReport.records` rebuilds the
 record of every swept x on access, with the helper that builds each failure
@@ -179,11 +182,12 @@ class _ObjectTable:
     def chain(self, x: Indec, kind: str) -> Chain:
         """Painted chain of x, repainting to a larger cap if x is above."""
         _same_rank(self.obj, x)
-        if kind not in ("T", "D"):
+        hammock = self.hammocks.get(kind)
+        if hammock is None:
             raise ValueError(f"kind must be 'T' or 'D', got {kind!r}")
         if x.ql > self.painted:
             self.paint(max(x.ql, 2 * self.painted))
-        return tuple(self.hammocks[kind].get((x.orbit, x.ql), ()))
+        return tuple(hammock.get((x.orbit, x.ql), ()))
 
 
 _held: _ObjectTable | None = None
@@ -248,6 +252,22 @@ def _chain_string(table: _ObjectTable, chain: Chain, summands: list[Indec]) -> S
     return word
 
 
+def _build_chain_strings(t: RigidObject, table: _ObjectTable, ql_cap: int) -> None:
+    """Memoise the string of every chain painted at a swept x off add tau T,
+    in sweep order and T before D, building only the chains not yet held.
+    These are the chains that `sigma` and the other swept x need, so each is
+    checked once, and a faulty chain fails as it would where first fetched."""
+    n, words, hammocks = t.rank, table.words, table.hammocks.items()
+    for b in range(1, ql_cap + 1):
+        for a in range(1, n + 1):
+            if (a, b) not in table.add_tau:
+                for kind, hammock in hammocks:
+                    cell = hammock.get((a, b))
+                    if cell and (chain := tuple(cell)) not in words:
+                        summands = reverse_hammock(t, Indec(n, a, b), kind)
+                        words[chain] = _chain_string(table, chain, summands)
+
+
 def beta_arrow(t: RigidObject, x: Indec) -> str | None:
     """Connecting arrow from the end of the tube-side string to the end of
     the shifted-side string; None when either string is zero."""
@@ -290,18 +310,17 @@ def sigma(t: RigidObject, x: Indec) -> StringWord:
         return sig_t
     if sig_t.is_zero:
         return sig_d
-    beta = (beta_arrow(t, x), 1)
-    head, tail = sig_t.letters, sig_d.inverse().letters
+    beta = beta_arrow(t, x)
+    arrow, letter = lam.quiver.arrow(beta), (beta, 1)
+    head, tail = sig_t.letters, tuple((aid, -d) for aid, d in reversed(sig_d.letters))
     if (
-        st.letter_source(lam, beta) != st.end_vertex(lam, sig_t)
-        or st.letter_target(lam, beta) != st.end_vertex(lam, sig_d)
-        or not all(
-            st.letters_composable(lam, u, v)
-            for u, v in pairwise(head[-1:] + (beta,) + tail[:1])
-        )
+        arrow.src != st.end_vertex(lam, sig_t)
+        or arrow.tgt != st.end_vertex(lam, sig_d)
+        or head and not st.letters_composable(lam, head[-1], letter)
+        or tail and not st.letters_composable(lam, letter, tail[0])
     ):
-        raise AssertionError(f"{beta[0]} does not join {sig_t} to {sig_d} for {x}")
-    return st.word(head + (beta,) + tail)
+        raise AssertionError(f"{beta} does not join {sig_t} to {sig_d} for {x}")
+    return st.word(head + (letter,) + tail)
 
 
 # --- predictions ---------------------------------------------------------------
@@ -485,8 +504,9 @@ def verify_hom_functor(t: RigidObject, ql_cap: int | None = None) -> HomFunctorR
     table = _table(t)
     table.paint(ql_cap)
     failing = _failing_cells(t, table, ql_cap)
+    _build_chain_strings(t, table, ql_cap)
     vectors = _oracle_vectors(n, ql_cap)
-    own = [vectors[s] for s in table.coords]
+    vanishing = [not any(column) for column in zip(*(vectors[s] for s in table.coords))]
 
     failures = []
     locus_failures = []
@@ -501,12 +521,9 @@ def verify_hom_functor(t: RigidObject, ql_cap: int | None = None) -> HomFunctorR
                 domain_count += 1
                 assigned[sigma(t, x).canonical()] = x
             continue
-        sigma_string(t, x, "T")  # both chain strings, checked once per chain
-        sigma_string(t, x, "D")
-        vanishes = not any(vector[cell] for vector in own)
-        if vanishes != on_vanishing_locus(t, x):
+        if vanishing[cell] != on_vanishing_locus(t, x):
             locus_failures.append(
-                f"{x}: oracle {'vanishes' if vanishes else 'is nonzero'} "
+                f"{x}: oracle {'vanishes' if vanishing[cell] else 'is nonzero'} "
                 f"off pattern"
             )
 

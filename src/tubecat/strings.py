@@ -19,10 +19,13 @@ has none (Butler-Ringel).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 
 from tubecat.quiver import Presentation, is_special_biserial
 
 Letter = tuple[str, int]  # (arrow id, +1 direct / -1 inverse)
+
+_arrow_id = attrgetter("id")  # sorts arrows by id, faster than by `Arrow` order
 
 
 @dataclass(frozen=True, order=True)
@@ -168,7 +171,7 @@ def is_string(p: Presentation, w: StringWord) -> bool:
     if w.kind == "trivial":
         return w.vertex in p.quiver.vertices
     arrow_ids = {a.id for a in p.quiver.arrows}
-    if any(aid not in arrow_ids for aid, _ in w.letters):
+    if any(aid not in arrow_ids or d not in (1, -1) for aid, d in w.letters):
         return False
     return all(
         letters_composable(p, x, y) for x, y in zip(w.letters, w.letters[1:])
@@ -195,7 +198,7 @@ def _letter_graph(p: Presentation) -> dict[Letter, list[Letter]]:
     """Every letter, direct before inverse by arrow id, mapped to the
     letters that may follow it in a string."""
     letters = [
-        (a.id, d) for a in sorted(p.quiver.arrows, key=lambda a: a.id) for d in (1, -1)
+        (a.id, d) for a in sorted(p.quiver.arrows, key=_arrow_id) for d in (1, -1)
     ]
     by_source: dict[int, list[Letter]] = {}
     for letter in letters:
@@ -303,35 +306,40 @@ class StringModule:
 def string_module(p: Presentation, w: StringWord) -> StringModule:
     """The standard module of a string: one basis slot per traversed vertex,
     identity arrow actions along the word. The zero string yields the zero
-    module."""
+    module.
+
+    Only the word's vertices and arrows are walked. An arrow off the word
+    acts by zero, and so does any relation through it, so testing only the
+    relations with both arrows on the word is exact."""
     if not is_string(p, w):
         raise ValueError(f"not a string of this presentation: {w}")
     if w.kind == "zero":
         return zero_module()
-    verts = traversed_vertices(p, w)
-    dims: dict[int, int] = {v: 0 for v in p.quiver.vertices}
+    dims: dict[int, int] = {}
     slot: list[int] = []
-    for v in verts:
-        slot.append(dims[v])
-        dims[v] += 1
+    for v in traversed_vertices(p, w):
+        slot.append(dims.get(v, 0))
+        dims[v] = slot[-1] + 1
 
     # Each letter puts one 1 at (target slot, source slot) of its arrow.
-    ones: dict[str, list[tuple[int, int]]] = {a.id: [] for a in p.quiver.arrows}
+    ones: dict[str, list[tuple[int, int]]] = {}
     for i, (aid, d) in enumerate(w.letters):
-        ones[aid].append((slot[i + 1], slot[i]) if d > 0 else (slot[i], slot[i + 1]))
+        ones.setdefault(aid, []).append((slot[i + 1], slot[i]) if d > 0 else (slot[i], slot[i + 1]))
 
     # With 0/1 entries, second @ first is nonzero iff some row of `first`
     # holding a one is a column of `second` holding a one.
     for second, first in p.relations:
-        if {i for i, _ in ones[first]} & {j for _, j in ones[second]}:
+        if first in ones and second in ones and (
+            {i for i, _ in ones[first]} & {j for _, j in ones[second]}
+        ):
             raise AssertionError(f"relation ({second}, {first}) acts nonzero")
 
     return StringModule(
-        tuple(sorted((v, d) for v, d in dims.items() if d)),
-        tuple(
-            (a.id, (dims[a.tgt], dims[a.src]), tuple(ones[a.id]))
-            for a in sorted(p.quiver.arrows, key=lambda a: a.id)
-        ),
+        tuple(sorted(dims.items())),
+        tuple([
+            (a.id, (dims.get(a.tgt, 0), dims.get(a.src, 0)), tuple(ones.get(a.id, ())))
+            for a in sorted(p.quiver.arrows, key=_arrow_id)
+        ]),
     )
 
 

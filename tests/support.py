@@ -6,7 +6,9 @@ them, an algebra with a band, the former recursive path count, the former
 object-building brute enumeration, the former pinned isomorphism
 invariant, the former `quiver.canonical_key` of a quiver pinned at any
 vertex, the gate that compares a pinned key with the isomorphism
-search, and the former per-check translate certificates."""
+search, the former per-check translate certificates, and the former
+`strings.string_module`, which walks every vertex, arrow and relation of
+the algebra."""
 
 from typing import Callable, Iterable, Sequence
 
@@ -24,7 +26,7 @@ from tubecat.quiver import (
     find_isomorphism,
 )
 from tubecat.rigid import RigidObject, from_summands, tau_rigid
-from tubecat.strings import Letter, StringWord, trivial, word
+from tubecat.strings import Letter, StringModule, StringWord, trivial, word, zero_module
 from tubecat.tube import HomDims, Indec, hom_tube_oracle, in_wing, tau
 
 
@@ -311,3 +313,35 @@ def reference_certificates(objects: Sequence[RigidObject]) -> list[int]:
         else:
             out.append(representatives.get(tau_rigid(t, k).summands, -1))
     return out
+
+
+def reference_string_module(p: Presentation, w: StringWord) -> StringModule:
+    """The former `strings.string_module`: dimensions and ones kept for
+    every vertex and arrow of p, and every relation of p tested, in
+    `p.relations` order."""
+    if not strings.is_string(p, w):
+        raise ValueError(f"not a string of this presentation: {w}")
+    if w.kind == "zero":
+        return zero_module()
+    verts = strings.traversed_vertices(p, w)
+    dims: dict[int, int] = {v: 0 for v in p.quiver.vertices}
+    slot: list[int] = []
+    for v in verts:
+        slot.append(dims[v])
+        dims[v] += 1
+
+    ones: dict[str, list[tuple[int, int]]] = {a.id: [] for a in p.quiver.arrows}
+    for i, (aid, d) in enumerate(w.letters):
+        ones[aid].append((slot[i + 1], slot[i]) if d > 0 else (slot[i], slot[i + 1]))
+
+    for second, first in p.relations:
+        if {i for i, _ in ones[first]} & {j for _, j in ones[second]}:
+            raise AssertionError(f"relation ({second}, {first}) acts nonzero")
+
+    return StringModule(
+        tuple(sorted((v, d) for v, d in dims.items() if d)),
+        tuple(
+            (a.id, (dims[a.tgt], dims[a.src]), tuple(ones[a.id]))
+            for a in sorted(p.quiver.arrows, key=lambda a: a.id)
+        ),
+    )

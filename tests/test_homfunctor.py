@@ -1092,3 +1092,73 @@ class TestDimensionsPerSummand:
             for t in representatives:
                 points = [x for u, x in seen if u is t]
                 assert sorted(points) == sorted(tau(s, 1) for s in t.summands)
+
+
+class TestChainPass:
+    """The sweep builds the chain strings in one pass over the painted
+    cells, before it walks the x's."""
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_each_chain_string_is_built_once(self, n, monkeypatch):
+        """One `_chain_string` per distinct non-empty chain painted at a
+        swept x off add tau T, and none for any other chain; chain strings
+        are fetched only for the sigma of domain points."""
+        built, fetched = [], []
+        honest, fetch = homfunctor._chain_string, homfunctor.sigma_string
+
+        def counting(table, chain, summands):
+            built.append(chain)
+            return honest(table, chain, summands)
+
+        monkeypatch.setattr(homfunctor, "_chain_string", counting)
+        monkeypatch.setattr(
+            homfunctor, "sigma_string", lambda t, x, k: fetched.append(x) or fetch(t, x, k)
+        )
+        for t in _representatives(n):
+            monkeypatch.setattr(homfunctor, "_held", None)
+            built.clear()
+            fetched.clear()
+            assert verify_hom_functor(t).ok
+            assert fetched and all(in_fundamental_domain(t, x) for x in fetched)
+            table = homfunctor._table(t)
+            chains = {
+                tuple(chain)
+                for hammock in table.hammocks.values()
+                for (a, b), chain in hammock.items()
+                if b <= 3 * n and chain and (a, b) not in table.add_tau
+            }
+            assert sorted(c for c in built if c) == sorted(chains), t
+            assert built.count(()) <= 1
+
+    def test_unnested_chain_outside_the_domain_fails_its_object(self, monkeypatch):
+        """A chain painted in reverse at one x outside the fundamental
+        domain, and nowhere else, fails the hom-functor outcome of its
+        object, and no other, with the detail the per-x fetch gave."""
+        from tubecat.verify import check_hom_functor
+
+        n = 4
+        victim = _representatives(n)[3]
+        honest = homfunctor._ObjectTable.paint
+        planted = []
+
+        def paint(table, cap):
+            honest(table, cap)
+            if table.obj is victim:
+                a, b = next(
+                    (a, b) for (a, b), chain in sorted(table.hammocks["T"].items())
+                    if b <= 3 * n and len(chain) >= 2
+                    and not in_fundamental_domain(victim, Indec(n, a, b))
+                )
+                table.hammocks["T"][a, b].reverse()
+                planted.append(tuple(table.hammocks["T"][a, b]))
+
+        monkeypatch.setattr(homfunctor._ObjectTable, "paint", paint)
+        monkeypatch.setattr(homfunctor, "_held", None)
+        ended = _ending(verify_hom_functor, victim)
+        low, high = (victim.summands[v - 1] for v in planted[0][:2])
+        message = f"hammock chain not wing-nested at {low}, {high}"
+        assert ended == repr(AssertionError(message))
+        monkeypatch.setattr(homfunctor, "_held", None)
+        assert _ending(reference_verify_hom_functor, victim) == ended
+        failed = [o for o in check_hom_functor(n) if not o.ok]
+        assert [(o.subject, o.detail) for o in failed] == [(str(victim), f"error: {message}")]

@@ -27,7 +27,13 @@ from tubecat.strings import (
 )
 from tubecat.tube import Indec, in_wing
 
-from support import injective_string, presentation, projective_string, projectives_match_injectives
+from support import (
+    injective_string,
+    presentation,
+    projective_string,
+    projectives_match_injectives,
+    reference_string_module,
+)
 
 RANK3 = presentation([1, 2], [("w", 1, 1, "loop"), ("a", 1, 2, "T")], [("w", "w")])
 KRONECKER = presentation([1, 2], [("a", 1, 2), ("b", 1, 2)])
@@ -76,7 +82,7 @@ def stored_matrix(m, arrow_id):
     raise KeyError(arrow_id)
 
 
-def reference_string_module(p, w):
+def dense_string_module(p, w):
     """The former dense builder of `string_module`, as its `to_json()`:
     every action a flat row-major 0/1 list, and the relation check read
     from the entries of both matrices."""
@@ -153,6 +159,17 @@ class TestWords:
         assert not is_string(RANK3, word([("w", 1), ("w", -1)]))  # immediate inverse
         assert not is_string(RANK3, word([("a", 1), ("w", 1)]))  # not composable
         assert is_string(RANK3, word([("a", -1), ("w", 1), ("a", 1)]))
+
+    @pytest.mark.parametrize("direction", [0, 2, -5])
+    def test_direction_other_than_one_is_no_string(self, direction):
+        """A letter is an arrow read forwards (1) or backwards (-1); any
+        other direction is rejected rather than read as an inverse."""
+        lam = cached_endomorphism_algebra(maximal_rigid_objects(3)[0])
+        assert is_string(lam, word([("a1_2", 1)])) and is_string(lam, word([("a1_2", -1)]))
+        forged = word([("a1_2", direction)])
+        assert not is_string(lam, forged)
+        with pytest.raises(ValueError, match="not a string"):
+            string_module(lam, forged)
 
     def test_inverse_relation_detected(self):
         # both letters inverse: their inverse reading must avoid relations too
@@ -315,7 +332,7 @@ class TestStringModules:
         with pytest.raises(AssertionError, match=r"relation \(w, w\) acts nonzero"):
             string_module(RANK3, word([("w", 1), ("w", 1)]))
 
-    @pytest.mark.parametrize("builder", [string_module, reference_string_module])
+    @pytest.mark.parametrize("builder", [string_module, reference_string_module, dense_string_module])
     @pytest.mark.parametrize("inverse", [False, True])
     def test_tube_and_shifted_relation_is_caught(self, builder, inverse, monkeypatch):
         """A relation between a tube-map arrow and a shifted-part arrow,
@@ -338,7 +355,28 @@ class TestStringModules:
         for t in _representatives(n):
             lam = cached_endomorphism_algebra(t)
             for s in enumerate_strings(lam).strings:
-                assert string_module(lam, s).to_json() == reference_string_module(lam, s)
+                assert string_module(lam, s).to_json() == dense_string_module(lam, s)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+    def test_modules_equal_the_reference(self, n):
+        """The module built from the word's own vertices and arrows equals
+        the former one built over the whole algebra, arrow order and the
+        zero actions of the arrows off the word included."""
+        for t in _representatives(n):
+            lam = cached_endomorphism_algebra(t)
+            for s in enumerate_strings(lam).strings:
+                assert string_module(lam, s) == reference_string_module(lam, s), (t, s)
+
+    def test_forged_relation_fails_as_the_reference(self, monkeypatch):
+        """Past a forged `is_string`, both builders name the same relation."""
+        monkeypatch.setattr(strings, "is_string", lambda p, w: True)
+        forged = word([("w", 1), ("w", 1)])
+        messages = []
+        for builder in (string_module, reference_string_module):
+            with pytest.raises(AssertionError) as caught:
+                builder(RANK3, forged)
+            messages.append(str(caught.value))
+        assert messages == ["relation (w, w) acts nonzero"] * 2
 
     def test_rejects_non_string(self):
         with pytest.raises(ValueError):
