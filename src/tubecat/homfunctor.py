@@ -19,11 +19,12 @@ letters may follow each other, so in sigma(x) = sigma_T * beta * sigma_D^-1
 only the pairs around beta are new; and once beta runs from the end of
 sigma_T to the end of sigma_D, the walk visits the vertices of sigma_T and
 then those of sigma_D (through the loop, the top vertex twice). So `sigma`
-checks just that, which also covers a trivial chain string. The sweep
-first checks the chain strings, once per chain, in one pass over the painted
-cells off add tau T in sweep order (`_build_chain_strings`); it then builds
-sigma(x) at every domain point, which the bijection check needs anyway, from
-the memoised chain strings.
+checks just that, which also covers a trivial chain string, from the
+algebra's letter table (see `strings`). The sweep first checks the chain
+strings of the painted cells outside the fundamental domain, in sweep order
+(`_build_chain_strings`); it then builds sigma(x) at every domain point,
+which the bijection check needs anyway, and that checks the domain's other
+chains on their first fetch. So each chain string is checked once.
 
 No module is built per x. The bijection check builds `string_module` once
 for each string that `enumerate_strings` returns, so the relation check of
@@ -32,7 +33,9 @@ other place for those builds, but it also runs without the sweep, where
 they would be pure added cost.
 
 Coordinates are normalized so the top summand is (1, n-1); the vanishing
-locus outside the fundamental domain is stated in those coordinates.
+locus outside the fundamental domain is stated in those coordinates. The
+swept x are built once per (rank, cap) (`_sweep`), and the sweep tests
+add tau T and the vanishing locus on their integer coordinates.
 
 Each object T gets one table, built on first use and replaced when another
 object is asked about, so the module holds state for one object at a time,
@@ -122,14 +125,16 @@ def in_add_tau(t: RigidObject, x: Indec) -> bool:
     return (x.orbit, x.ql) in _table(t).add_tau
 
 
+def _on_locus(n: int, orbit: int, ql: int) -> bool:
+    """Vanishing-locus membership of a top-normalized point: (n, kn - 1),
+    k >= 2. Every such point lies outside the fundamental domain."""
+    return orbit == n and (ql + 1) % n == 0 and ql >= 2 * n - 1
+
+
 def on_vanishing_locus(t: RigidObject, x: Indec) -> bool:
     """Outside the fundamental domain, Hom vanishes exactly on the objects
     (n, kn - 1), k >= 2, in top-normalized coordinates."""
-    n = t.rank
-    orbit = _normalized_orbit(t, x)
-    if _in_domain(n, orbit, x.ql):
-        return False
-    return orbit == n and (x.ql + 1) % n == 0 and x.ql >= 2 * n - 1
+    return _on_locus(t.rank, _normalized_orbit(t, x), x.ql)
 
 
 # --- the table of one object ----------------------------------------------------
@@ -253,14 +258,14 @@ def _chain_string(table: _ObjectTable, chain: Chain, summands: list[Indec]) -> S
 
 
 def _build_chain_strings(t: RigidObject, table: _ObjectTable, ql_cap: int) -> None:
-    """Memoise the string of every chain painted at a swept x off add tau T,
-    in sweep order and T before D, building only the chains not yet held.
-    These are the chains that `sigma` and the other swept x need, so each is
-    checked once, and a faulty chain fails as it would where first fetched."""
-    n, words, hammocks = t.rank, table.words, table.hammocks.items()
-    for b in range(1, ql_cap + 1):
+    """Memoise the string of every chain painted at a swept x outside the
+    fundamental domain, in sweep order and T before D, building only the
+    chains not yet held. `sigma` builds the chains of the domain points on
+    their first fetch, so each chain string of the sweep is checked once."""
+    n, top, words, hammocks = t.rank, t.top.orbit, table.words, table.hammocks.items()
+    for b in range(n, ql_cap + 1):  # ql <= n - 1 lies in the domain
         for a in range(1, n + 1):
-            if (a, b) not in table.add_tau:
+            if not _in_domain(n, (a - top) % n + 1, b):
                 for kind, hammock in hammocks:
                     cell = hammock.get((a, b))
                     if cell and (chain := tuple(cell)) not in words:
@@ -313,11 +318,12 @@ def sigma(t: RigidObject, x: Indec) -> StringWord:
     beta = beta_arrow(t, x)
     arrow, letter = lam.quiver.arrow(beta), (beta, 1)
     head, tail = sig_t.letters, tuple((aid, -d) for aid, d in reversed(sig_d.letters))
+    successors = st._letters(lam).successors
     if (
         arrow.src != st.end_vertex(lam, sig_t)
         or arrow.tgt != st.end_vertex(lam, sig_d)
-        or head and not st.letters_composable(lam, head[-1], letter)
-        or tail and not st.letters_composable(lam, letter, tail[0])
+        or head and letter not in successors.get(head[-1], ())
+        or tail and tail[0] not in successors.get(letter, ())
     ):
         raise AssertionError(f"{beta} does not join {sig_t} to {sig_d} for {x}")
     return st.word(head + (letter,) + tail)
@@ -420,8 +426,19 @@ def check_ql_cap(n: int, ql_cap: int | None) -> None:
         )
 
 
-def _sweep(n: int, ql_cap: int) -> list[Indec]:
-    return [Indec(n, a, b) for b in range(1, ql_cap + 1) for a in range(1, n + 1)]
+# `_sweep` of the last (rank, cap) asked for.
+_swept: tuple[tuple[int, int], tuple[Indec, ...]] | None = None
+
+
+def _sweep(n: int, ql_cap: int) -> tuple[Indec, ...]:
+    """Every swept x = (a, b), b <= ql_cap, at index (b - 1) n + a - 1. One
+    entry is held, for the last (n, ql_cap)."""
+    global _swept
+    if _swept is None or _swept[0] != (n, ql_cap):
+        _swept = ((n, ql_cap), tuple(
+            Indec(n, a, b) for b in range(1, ql_cap + 1) for a in range(1, n + 1)
+        ))
+    return _swept[1]
 
 
 def _record(t: RigidObject, x: Indec, pred: dict[int, int], orac: dict[int, int]) -> dict:
@@ -513,15 +530,17 @@ def verify_hom_functor(t: RigidObject, ql_cap: int | None = None) -> HomFunctorR
     assigned: dict[StringWord, Indec] = {}
     domain_count = 0
 
+    top, add_tau = t.top.orbit, table.add_tau
     for cell, x in enumerate(_sweep(n, ql_cap)):
         if cell in failing:
             failures.append(_record(t, x, predicted_dims(t, x), oracle_dims(t, x)))
+        a, b = x.orbit, x.ql
         if in_fundamental_domain(t, x):
-            if not in_add_tau(t, x):
+            if (a, b) not in add_tau:
                 domain_count += 1
                 assigned[sigma(t, x).canonical()] = x
             continue
-        if vanishing[cell] != on_vanishing_locus(t, x):
+        if vanishing[cell] != _on_locus(n, (a - top) % n + 1, b):
             locus_failures.append(
                 f"{x}: oracle {'vanishes' if vanishing[cell] else 'is nonzero'} "
                 f"off pattern"

@@ -6,8 +6,15 @@ applied first) and displayed right to left, matching path composition.
 Canonical forms identify a word with its inverse.
 
 Which letter may follow which depends on the two letters only, so the
-letters and their successors form one graph (`_letter_graph`). Strings are
-the walks in it, and a cycle in it is a band.
+letters and their successors form one graph. Strings are the walks in it,
+and a cycle in it is a band. The graph is kept in a letter table, built once
+per presentation from `letter_source`, `letter_target` and
+`letters_composable`, which stay the definitions: the arrows by id, each
+letter's (source, target) and each letter's successors. One table is held,
+for the last presentation asked for, matched by identity. `is_string`,
+`traversed_vertices`, `end_vertex`, `enumerate_strings` and `string_module`
+read it; a letter that is not in it (an unknown arrow id, or a direction
+other than 1 and -1) is answered from the definitions, as without a table.
 
 A walk that repeats a letter has closed a band, so without bands every
 walk has distinct letters, at most 2 * #arrows of them. `enumerate_strings`
@@ -136,7 +143,9 @@ def end_vertex(p: Presentation, w: StringWord) -> int:
     if w.kind == "trivial":
         return w.vertex
     if w.kind == "word":
-        return letter_target(p, w.letters[-1])
+        last = w.letters[-1]
+        ends = _letters(p).ends.get(last)
+        return ends[1] if ends is not None else letter_target(p, last)
     raise ValueError("the zero string has no endpoints")
 
 
@@ -146,9 +155,13 @@ def traversed_vertices(p: Presentation, w: StringWord) -> list[int]:
         return []
     if w.kind == "trivial":
         return [w.vertex]
-    out = [letter_source(p, w.letters[0])]
-    for letter in w.letters:
-        out.append(letter_target(p, letter))
+    ends = _letters(p).ends
+    out: list[int] = []
+    for x in w.letters:
+        src, tgt = ends.get(x) or (letter_source(p, x), letter_target(p, x))
+        if not out:
+            out.append(src)
+        out.append(tgt)
     return out
 
 
@@ -165,17 +178,55 @@ def letters_composable(p: Presentation, x: Letter, y: Letter) -> bool:
     return True
 
 
+class _LetterTable:
+    """The letters of one presentation, direct before inverse by arrow id:
+    `arrows` sorted by id, `ends` maps each letter to its (source, target)
+    and `successors` to the letters that may follow it, in that order."""
+
+    __slots__ = ("presentation", "arrows", "ends", "successors")
+
+    def __init__(self, p: Presentation):
+        self.presentation = p
+        self.arrows = tuple(sorted(p.quiver.arrows, key=_arrow_id))
+        self.ends: dict[Letter, tuple[int, int]] = {}
+        by_source: dict[int, list[Letter]] = {}
+        for a in self.arrows:
+            for x in ((a.id, 1), (a.id, -1)):
+                self.ends[x] = ends = (letter_source(p, x), letter_target(p, x))
+                by_source.setdefault(ends[0], []).append(x)
+        self.successors = {
+            x: tuple([y for y in by_source.get(tgt, ()) if letters_composable(p, x, y)])
+            for x, (_, tgt) in self.ends.items()
+        }
+
+
+_held: _LetterTable | None = None
+
+
+def _letters(p: Presentation) -> _LetterTable:
+    """The letter table of p, replacing the one held for any other
+    presentation."""
+    global _held
+    table = _held
+    if table is None or table.presentation is not p:
+        table = _held = _LetterTable(p)
+    return table
+
+
 def is_string(p: Presentation, w: StringWord) -> bool:
+    """A word is a string when its first letter is a letter of p and each
+    next letter may follow the one before, which makes it a letter of p too."""
     if w.kind == "zero":
         return True
     if w.kind == "trivial":
         return w.vertex in p.quiver.vertices
-    arrow_ids = {a.id for a in p.quiver.arrows}
-    if any(aid not in arrow_ids or d not in (1, -1) for aid, d in w.letters):
+    successors, letters = _letters(p).successors, w.letters
+    if letters[0] not in successors:
         return False
-    return all(
-        letters_composable(p, x, y) for x, y in zip(w.letters, w.letters[1:])
-    )
+    for x, y in zip(letters, letters[1:]):
+        if y not in successors[x]:
+            return False
+    return True
 
 
 # --- enumeration -------------------------------------------------------------
@@ -194,23 +245,9 @@ class StringEnumeration:
     band: StringWord | None
 
 
-def _letter_graph(p: Presentation) -> dict[Letter, list[Letter]]:
-    """Every letter, direct before inverse by arrow id, mapped to the
-    letters that may follow it in a string."""
-    letters = [
-        (a.id, d) for a in sorted(p.quiver.arrows, key=_arrow_id) for d in (1, -1)
-    ]
-    by_source: dict[int, list[Letter]] = {}
-    for letter in letters:
-        by_source.setdefault(letter_source(p, letter), []).append(letter)
-    return {
-        x: [y for y in by_source.get(letter_target(p, x), ()) if letters_composable(p, x, y)]
-        for x in letters
-    }
-
-
 def enumerate_strings(p: Presentation) -> StringEnumeration:
-    """Every walk in the letter graph, depth first, up to its first band.
+    """Every walk in the letter table's graph, depth first, up to its first
+    band.
 
     A stack of letter tuples: pop a walk and record it, then push it once
     per successor of its last letter, extended by that successor. A
@@ -235,7 +272,7 @@ def enumerate_strings(p: Presentation) -> StringEnumeration:
     if not sb:
         raise ValueError(f"presentation is not special biserial: {sb.witness}")
 
-    graph = _letter_graph(p)
+    graph = _letters(p).successors
     found: list[tuple[Letter, ...]] = []
     budget = 1_000_000
     stack = [(letter,) for letter in graph]
@@ -338,7 +375,7 @@ def string_module(p: Presentation, w: StringWord) -> StringModule:
         tuple(sorted(dims.items())),
         tuple([
             (a.id, (dims.get(a.tgt, 0), dims.get(a.src, 0)), tuple(ones.get(a.id, ())))
-            for a in sorted(p.quiver.arrows, key=_arrow_id)
+            for a in _letters(p).arrows
         ]),
     )
 

@@ -1,29 +1,37 @@
 """Helpers that several test modules share and no module of `tubecat`
-calls: a presentation constructor, small enumerations of the tube, the
-oracle's cluster Hom, the quasisimple map of a rigid object, the end
-strings of an algebra with the projective/injective comparison built on
-them, an algebra with a band, the former recursive path count, the former
-object-building brute enumeration, the former pinned isomorphism
-invariant, the former `quiver.canonical_key` of a quiver pinned at any
-vertex, the gate that compares a pinned key with the isomorphism
-search, the former per-check translate certificates, and the former
+calls: a presentation constructor, every small gentle presentation, small
+enumerations of the tube, the oracle's cluster Hom, the quasisimple map of
+a rigid object, the end strings of an algebra with the projective/injective
+comparison built on them, an algebra with a band, the former recursive path
+count, the former object-building brute enumeration, the former pinned
+isomorphism invariant, the former `quiver.canonical_key` of a quiver pinned
+at any vertex, the gate that compares a pinned key with the isomorphism
+search, the former per-check translate certificates, the former
 `strings.string_module`, which walks every vertex, arrow and relation of
-the algebra."""
+the algebra, and the former `strings.is_string`, which reads every letter
+from the quiver."""
 
-from typing import Callable, Iterable, Sequence
+import itertools
+from collections import Counter
+from functools import lru_cache
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from tubecat import kernel, strings
 from tubecat.endo import LOOP_ID
 from tubecat.quiver import (
     Arrow,
     DivergentPathsError,
+    GorensteinReport,
     Presentation,
     NotClusterTiltedError,
     Quiver,
     _blocks,
     _ends,
     _walk,
+    count_paths,
     find_isomorphism,
+    gorenstein_bound,
+    is_gentle,
 )
 from tubecat.rigid import RigidObject, from_summands, tau_rigid
 from tubecat.strings import Letter, StringModule, StringWord, trivial, word, zero_module
@@ -36,6 +44,45 @@ def presentation(vertices: Sequence[int], arrows: Iterable[tuple], relations: It
         Quiver(tuple(vertices), tuple(Arrow(*a) for a in arrows)),
         frozenset(relations),
     )
+
+
+class SmallGentle(NamedTuple):
+    presentation: Presentation
+    finite: bool  # count_paths converges
+    report: GorensteinReport | None  # None when gorenstein_bound diverges
+
+
+@lru_cache(maxsize=1)
+def small_gentle_presentations() -> tuple[SmallGentle, ...]:
+    """Every gentle presentation on vertices 1..k (k <= 3) with 1..4 arrows,
+    over every set of relations. The arrows a0, a1, ... run through a
+    multiset of (source, target) pairs, so relabellings repeat."""
+    out = []
+    for k in (1, 2, 3):
+        pairs = [(u, v) for u in range(1, k + 1) for v in range(1, k + 1)]
+        for m in (1, 2, 3, 4):
+            for ends in itertools.combinations_with_replacement(pairs, m):
+                degrees = Counter(u for u, _ in ends) + Counter(-v for _, v in ends)
+                if max(degrees.values()) > 2:
+                    continue
+                arrows = [(f"a{i}", u, v) for i, (u, v) in enumerate(ends)]
+                composable = [(b, a) for a, _, tgt in arrows for b, src, _ in arrows if src == tgt]
+                for r in range(len(composable) + 1):
+                    for relations in itertools.combinations(composable, r):
+                        p = presentation(range(1, k + 1), arrows, relations)
+                        if not is_gentle(p):
+                            continue
+                        try:
+                            count_paths(p)
+                            finite = True
+                        except DivergentPathsError:
+                            finite = False
+                        try:
+                            report = gorenstein_bound(p)
+                        except DivergentPathsError:
+                            report = None
+                        out.append(SmallGentle(p, finite, report))
+    return tuple(out)
 
 
 def rigid_indecomposables(n: int) -> list[Indec]:
@@ -98,7 +145,7 @@ def quasisimple_map(t: RigidObject) -> dict[Indec, Indec]:
     return out
 
 
-def end_string(p: Presentation, graph: dict[Letter, list[Letter]], v: int, d: int) -> StringWord:
+def end_string(p: Presentation, graph: Mapping[Letter, Sequence[Letter]], v: int, d: int) -> StringWord:
     """String of the projective (d = 1) or injective (d = -1) at v.
 
     Every letter of direction d at v starts one maximal walk of letters of
@@ -129,21 +176,21 @@ def projective_string(p, v: int) -> StringWord:
     """String of the indecomposable projective at v: backwards along one
     maximal relation-free path out of v, then forwards along the other; the
     two paths are the walks of direct letters from v in the letter graph."""
-    return end_string(p, strings._letter_graph(p), v, 1)
+    return end_string(p, strings._letters(p).successors, v, 1)
 
 
 def injective_string(p, v: int) -> StringWord:
     """String of the indecomposable injective at v: forwards along one
     maximal relation-free path into v, then backwards along the other; the
     inverses of the two paths are the walks of inverse letters from v."""
-    return end_string(p, strings._letter_graph(p), v, -1)
+    return end_string(p, strings._letters(p).successors, v, -1)
 
 
 def projectives_match_injectives(p: Presentation) -> bool:
     """Whether the projective and injective string multisets coincide, that
     is, whether a finite-dimensional string algebra is self-injective: the
     reference for `quiver.gorenstein_bound`'s dimension 0."""
-    graph = strings._letter_graph(p)
+    graph = strings._letters(p).successors
     projs = sorted(end_string(p, graph, v, 1).canonical() for v in p.quiver.vertices)
     injs = sorted(end_string(p, graph, v, -1).canonical() for v in p.quiver.vertices)
     return projs == injs
@@ -313,6 +360,21 @@ def reference_certificates(objects: Sequence[RigidObject]) -> list[int]:
         else:
             out.append(representatives.get(tau_rigid(t, k).summands, -1))
     return out
+
+
+def reference_is_string(p: Presentation, w: StringWord) -> bool:
+    """The former `strings.is_string`: every letter's arrow id and direction
+    checked against p, then each adjacent pair by `letters_composable`."""
+    if w.kind == "zero":
+        return True
+    if w.kind == "trivial":
+        return w.vertex in p.quiver.vertices
+    arrow_ids = {a.id for a in p.quiver.arrows}
+    if any(aid not in arrow_ids or d not in (1, -1) for aid, d in w.letters):
+        return False
+    return all(
+        strings.letters_composable(p, x, y) for x, y in zip(w.letters, w.letters[1:])
+    )
 
 
 def reference_string_module(p: Presentation, w: StringWord) -> StringModule:

@@ -487,6 +487,24 @@ class TestPredictions:
         assert on_vanishing_locus(t, Indec(3, 1, 5))
         assert not on_vanishing_locus(t, Indec(3, 3, 5))
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+    def test_locus_is_the_stated_pattern_outside_the_domain(self, n):
+        """The locus test, which does not ask for the domain, equals the
+        pattern read outside the fundamental domain, at every x up to ql 5n
+        of every object."""
+        hits = 0
+        for t in maximal_rigid_objects(n):
+            for x in indecomposables_up_to(n, 5 * n):
+                orbit = (x.orbit - t.top.orbit) % n + 1
+                stated = not in_fundamental_domain(t, x) and (
+                    orbit == n and (x.ql + 1) % n == 0 and x.ql >= 2 * n - 1
+                )
+                assert on_vanishing_locus(t, x) == stated, (t, x)
+                hits += stated
+        assert hits == len(maximal_rigid_objects(n)) * sum(
+            1 for b in range(2 * n - 1, 5 * n + 1) if (b + 1) % n == 0
+        )
+
 
 class TestVerifyHomFunctor:
     @pytest.mark.parametrize("n", [2, 3, 4])
@@ -876,10 +894,13 @@ class TestObjectTable:
             if not name.startswith("__")
             and isinstance(value, (dict, list, set, tuple, homfunctor._ObjectTable))
         }
-        assert set(held) == {"_held", "_vectors"}
+        assert set(held) == {"_held", "_vectors", "_swept"}
         assert held["_held"].obj is objects[0]
         key, vectors = held["_vectors"]
         assert key == (5, 30) and len(vectors) == 5 * 4
+        key, swept = held["_swept"]
+        assert key == (5, 30) and len(swept) == 5 * 30
+        assert swept == tuple(Indec(5, a, b) for b in range(1, 31) for a in range(1, 6))
         caches = {
             name for name, value in vars(homfunctor).items()
             if hasattr(value, "cache_info")
@@ -1129,6 +1150,34 @@ class TestChainPass:
             }
             assert sorted(c for c in built if c) == sorted(chains), t
             assert built.count(()) <= 1
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_pass_walks_only_cells_outside_the_domain(self, n, monkeypatch):
+        """On a fresh table the pass reads the hammocks of outside x only,
+        and builds exactly the distinct non-empty chains painted there."""
+        read, built = [], []
+        honest_read, honest_build = homfunctor.reverse_hammock, homfunctor._chain_string
+        monkeypatch.setattr(
+            homfunctor, "reverse_hammock", lambda t, x, k: read.append(x) or honest_read(t, x, k)
+        )
+        monkeypatch.setattr(
+            homfunctor, "_chain_string", lambda table, c, s: built.append(c) or honest_build(table, c, s)
+        )
+        for t in _representatives(n):
+            monkeypatch.setattr(homfunctor, "_held", None)
+            read.clear()
+            built.clear()
+            table = homfunctor._table(t)
+            table.paint(3 * n)
+            homfunctor._build_chain_strings(t, table, 3 * n)
+            assert read and not any(in_fundamental_domain(t, x) for x in read)
+            outside = {
+                tuple(chain)
+                for hammock in table.hammocks.values()
+                for (a, b), chain in hammock.items()
+                if b <= 3 * n and chain and not in_fundamental_domain(t, Indec(n, a, b))
+            }
+            assert sorted(built) == sorted(outside) == sorted(table.words), t
 
     def test_unnested_chain_outside_the_domain_fails_its_object(self, monkeypatch):
         """A chain painted in reverse at one x outside the fundamental

@@ -1,14 +1,11 @@
 """Tests for quivers with quadratic monomial relations."""
 
 import inspect
-import itertools
 import random
 import re
 import sys
-from collections import Counter
 from functools import lru_cache
 from math import comb
-from typing import NamedTuple
 
 import pytest
 
@@ -16,7 +13,6 @@ from tubecat.endo import cached_endomorphism_algebra, loopless_quiver
 from tubecat.quiver import (
     Arrow,
     DivergentPathsError,
-    GorensteinReport,
     NotClusterTiltedError,
     NotGentleError,
     Presentation,
@@ -40,6 +36,7 @@ from support import (
     projectives_match_injectives,
     reference_canonical_key,
     reference_count_paths,
+    small_gentle_presentations,
 )
 
 DUAL_NUMBERS = presentation([1], [("w", 1, 1, "loop")], [("w", "w")])
@@ -411,45 +408,6 @@ class TestGorenstein:
         assert (len(cases), sum(not c.finite for c in cases)) == (1426, 878)
         for c in cases:
             assert c.finite == (c.report is not None), c
-
-
-class SmallGentle(NamedTuple):
-    presentation: Presentation
-    finite: bool  # count_paths converges
-    report: GorensteinReport | None  # None when gorenstein_bound diverges
-
-
-@lru_cache(maxsize=1)
-def small_gentle_presentations() -> tuple[SmallGentle, ...]:
-    """Every gentle presentation on vertices 1..k (k <= 3) with 1..4 arrows,
-    over every set of relations. The arrows a0, a1, ... run through a
-    multiset of (source, target) pairs, so relabellings repeat."""
-    out = []
-    for k in (1, 2, 3):
-        pairs = [(u, v) for u in range(1, k + 1) for v in range(1, k + 1)]
-        for m in (1, 2, 3, 4):
-            for ends in itertools.combinations_with_replacement(pairs, m):
-                degrees = Counter(u for u, _ in ends) + Counter(-v for _, v in ends)
-                if max(degrees.values()) > 2:
-                    continue
-                arrows = [(f"a{i}", u, v) for i, (u, v) in enumerate(ends)]
-                composable = [(b, a) for a, _, tgt in arrows for b, src, _ in arrows if src == tgt]
-                for r in range(len(composable) + 1):
-                    for relations in itertools.combinations(composable, r):
-                        p = presentation(range(1, k + 1), arrows, relations)
-                        if not is_gentle(p):
-                            continue
-                        try:
-                            count_paths(p)
-                            finite = True
-                        except DivergentPathsError:
-                            finite = False
-                        try:
-                            report = gorenstein_bound(p)
-                        except DivergentPathsError:
-                            report = None
-                        out.append(SmallGentle(p, finite, report))
-    return tuple(out)
 
 
 class TestClusterTiltedRecognition:

@@ -9,9 +9,9 @@ from collections import namedtuple
 
 import pytest
 
-from tubecat import strings
+from tubecat import homfunctor, strings
 from tubecat.endo import cached_endomorphism_algebra
-from tubecat.quiver import count_paths
+from tubecat.quiver import Presentation, count_paths
 from tubecat.rigid import maximal_rigid_objects
 from tubecat.strings import (
     ZERO_STRING,
@@ -19,6 +19,8 @@ from tubecat.strings import (
     enumerate_strings,
     is_string,
     letter_source,
+    letter_target,
+    letters_composable,
     string_module,
     traversed_vertices,
     trivial,
@@ -32,7 +34,9 @@ from support import (
     presentation,
     projective_string,
     projectives_match_injectives,
+    reference_is_string,
     reference_string_module,
+    small_gentle_presentations,
 )
 
 RANK3 = presentation([1, 2], [("w", 1, 1, "loop"), ("a", 1, 2, "T")], [("w", "w")])
@@ -174,6 +178,125 @@ class TestWords:
     def test_inverse_relation_detected(self):
         # both letters inverse: their inverse reading must avoid relations too
         assert not is_string(RANK3, word([("w", -1), ("w", -1)]))
+
+
+def _small_gentle(finite_only=False):
+    return [
+        c.presentation for c in small_gentle_presentations() if c.finite or not finite_only
+    ]
+
+
+def _forged_letters(p):
+    """Letters outside the table of p: a known arrow read in directions 0,
+    2 and -5, and an unknown arrow id."""
+    aid = min(a.id for a in p.quiver.arrows)
+    return [(aid, 0), (aid, 2), (aid, -5), ("no-such-arrow", 1)]
+
+
+class TestLetterTable:
+    """The letter table that the string layer reads, against the
+    definitions it is built from, and the one table held."""
+
+    @staticmethod
+    def assert_table_is_the_definitions(p):
+        table = strings._letters(p)
+        assert table.presentation is p
+        assert table.arrows == tuple(sorted(p.quiver.arrows, key=lambda a: a.id))
+        letters = [(a.id, d) for a in table.arrows for d in (1, -1)]
+        assert list(table.ends) == list(table.successors) == letters
+        for x in letters:
+            assert table.ends[x] == (letter_source(p, x), letter_target(p, x))
+            assert table.successors[x] == tuple(y for y in letters if letters_composable(p, x, y))
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+    def test_equals_the_definitions_on_every_representative(self, n):
+        for t in _representatives(n):
+            self.assert_table_is_the_definitions(cached_endomorphism_algebra(t))
+
+    def test_equals_the_definitions_on_small_gentle_presentations(self):
+        cases = _small_gentle()
+        assert (len(cases), len(_small_gentle(finite_only=True))) == (1426, 548)
+        for p in cases:
+            self.assert_table_is_the_definitions(p)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+    def test_is_string_on_enumerated_and_chain_strings(self, n):
+        """Every enumerated string and every chain string of the sweep is a
+        string for the table and for the former predicate."""
+        for t in _representatives(n):
+            lam = cached_endomorphism_algebra(t)
+            assert homfunctor.verify_hom_functor(t).ok
+            chain_strings = list(homfunctor._table(t).words.values())
+            for w in (*enumerate_strings(lam).strings, *chain_strings):
+                assert is_string(lam, w) and reference_is_string(lam, w), (t, w)
+
+    def test_is_string_on_the_small_gentle_strings(self):
+        for p in _small_gentle(finite_only=True):
+            for w in enumerate_strings(p).strings:
+                assert is_string(p, w) and reference_is_string(p, w), (p, w)
+
+    def test_is_string_on_short_and_forged_words(self):
+        """Every word of one or two letters over the letters of p and the
+        forged ones: unknown ids, directions 0, 2 and -5, and every pair
+        that does not compose."""
+        algebras = [cached_endomorphism_algebra(t) for n in (2, 3, 4) for t in _representatives(n)]
+        rejected = 0
+        for p in [*algebras, *_small_gentle(finite_only=True), RANK3, KRONECKER]:
+            alphabet = [*strings._letters(p).ends, *_forged_letters(p)]
+            for x in alphabet:
+                assert is_string(p, word([x])) == reference_is_string(p, word([x])), (p, x)
+                for y in alphabet:
+                    w = word([x, y])
+                    assert is_string(p, w) == reference_is_string(p, w), (p, w)
+                    rejected += not is_string(p, w)
+        assert rejected > 10_000
+
+    @pytest.mark.parametrize("forged", [("a", 0), ("a", 2), ("a", -5), ("no-such-arrow", 1)])
+    def test_ends_of_forged_letters_read_the_definitions(self, forged):
+        """Outside the table, `traversed_vertices` and `end_vertex` answer
+        from `letter_source` and `letter_target`, or raise as they do."""
+        for w in (word([forged]), word([("w", 1), forged]), word([forged, ("a", -1)])):
+            assert answer(traversed_vertices, RANK3, w) == answer(reference_traversed, RANK3, w)
+            assert answer(end_vertex, RANK3, w) == answer(reference_end, RANK3, w)
+
+    def test_one_table_for_the_last_presentation(self):
+        """Alternating two presentations rebuilds the table each time and
+        answers each correctly; an equal copy is another presentation."""
+        rank3_only = word([("a", -1), ("w", 1), ("a", 1)])
+        a3_only = word([("a", 1), ("b", 1)])
+        expected = {p: enumerate_strings(p) for p in (RANK3, LINEAR_A3)}
+        copy = Presentation.from_json(RANK3.to_json())
+        assert copy == RANK3 and copy is not RANK3
+        rounds = [(RANK3, rank3_only, a3_only), (LINEAR_A3, a3_only, rank3_only)] * 3
+        # The copy right after RANK3: a table matched by equality would be kept.
+        for p, good, bad in [*rounds, rounds[0], (copy, rank3_only, a3_only)]:
+            assert is_string(p, good) and not is_string(p, bad)
+            assert strings._held.presentation is p
+            assert enumerate_strings(p) == expected[p]
+            assert traversed_vertices(p, good) == reference_traversed(p, good)
+        tables = [name for name, value in vars(strings).items() if isinstance(value, strings._LetterTable)]
+        assert tables == ["_held"]
+        caches = {
+            name for name, value in vars(strings).items()
+            if hasattr(value, "cache_info") and getattr(value, "__module__", None) == strings.__name__
+        }
+        assert caches == set()  # no module-level cache of any kind
+
+
+def reference_traversed(p, w):
+    return [letter_source(p, w.letters[0]), *(letter_target(p, x) for x in w.letters)]
+
+
+def reference_end(p, w):
+    return letter_target(p, w.letters[-1])
+
+
+def answer(fn, *args):
+    """The value of fn(*args), or the KeyError it raised, as its message."""
+    try:
+        return fn(*args)
+    except KeyError as exc:
+        return KeyError, str(exc)
 
 
 class TestEnumeration:
