@@ -105,14 +105,15 @@ class CartanReport:
 
 def cartan_check(t: RigidObject) -> CartanReport:
     """Path counts i -> j must equal cluster-Hom dimensions Hom(T_j, T_i),
-    for every ordered vertex pair; totals must agree as well."""
+    for every ordered vertex pair (a pair absent from `count_paths` has no
+    path); totals must agree as well."""
     p = cached_endomorphism_algebra(t)
     paths = count_paths(p)
     mismatches = []
     total_paths = total_hom = 0
     for i in p.quiver.vertices:
         for j in p.quiver.vertices:
-            n_paths = paths[(i, j)]
+            n_paths = paths.get((i, j), 0)
             n_hom = hom_cluster(t.summand(j), t.summand(i)).total
             total_paths += n_paths
             total_hom += n_hom

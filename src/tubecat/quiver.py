@@ -186,24 +186,27 @@ def _free_order(p: Presentation) -> tuple[list[Arrow], dict[str, list[Arrow]]]:
 
 
 def count_paths(p: Presentation) -> dict[tuple[int, int], int]:
-    """Number of relation-free paths between every vertex pair.
+    """Number of relation-free paths between every vertex pair joined by
+    one; a pair that is absent has none.
 
     Trivial paths are included on the diagonal. The paths ending with an
     arrow are the arrow alone and those ending with each relation-free
     predecessor, added up in one pass in `_free_order`'s order, without
-    recursion; a relation-free cycle raises its DivergentPathsError.
+    recursion; a relation-free cycle raises its DivergentPathsError. Only
+    the nonzero counts are kept, so the result grows with the paths, not
+    with the square of the vertices.
     """
     order, before = _free_order(p)
     ending: dict[str, dict[int, int]] = {}
-    vertices = p.quiver.vertices
-    totals = {(u, v): int(u == v) for u in vertices for v in vertices}
+    totals = {(v, v): 1 for v in p.quiver.vertices}
     for b in order:
         counts = ending[b.id] = {b.src: 1}
         for a in before[b.id]:
             for start, c in ending[a.id].items():
                 counts[start] = counts.get(start, 0) + c
         for start, c in counts.items():
-            totals[(start, b.tgt)] += c
+            pair = (start, b.tgt)
+            totals[pair] = totals.get(pair, 0) + c
     return totals
 
 

@@ -10,10 +10,13 @@ the nullity is the number of connected components of the graph of equated
 unknowns that hold no zero-row. The systems for X = (0, b) and Y of growing
 quasilength with a fixed top vertex nest, so each such family is one
 union-find, `_nullities`, over the columns of Y, which yields the nullity
-after each column. The union-find is kept suspended between requests and
-resumed where it stopped, so every column of a family is solved once (see
-`_oracle_dim`). The oracle uses nothing from `kernel` and no closed-form
-reasoning about the tube.
+after each column. `_columns` numbers each column's unknowns in the order
+of their index in X, which steps by n, so an unknown's id is found by
+arithmetic: the column's first id plus the index's distance from the
+column's lowest index, divided by n. The union-find is kept suspended
+between requests and resumed where it stopped, so every column of a family
+is solved once (see `_oracle_dim`). The oracle uses nothing from `kernel`
+and no closed-form reasoning about the tube.
 """
 
 from __future__ import annotations
@@ -200,28 +203,33 @@ def _columns(n: int, b: int, top: int) -> Iterator[tuple[int, list[tuple[int, ..
     without end: the number of new unknowns (i, m) and the rows at m,
     numbered over all unknowns so far.
 
-    A row at m names unknowns of columns m and m - 1 only, so only the ids
-    of those two columns are kept; a row naming an unknown that does not
-    exist raises `KeyError`.
+    The unknowns of column m are the (i, m) with e^X_i at the vertex of
+    e^Y_m, that is i in range(lowest, b, n) for lowest = (b - 1 - vy) % n,
+    numbered in that order after those of the earlier columns. So the id of
+    (i, m) is the column's first id plus (i - lowest) // n, and a row at m,
+    which names unknowns of columns m and m - 1 only, reads both ids from
+    those two columns' first ids and lowest indices. That the ids are the
+    ones a per-column table would give is checked against
+    `tests/support.reference_columns`.
     """
     size = 0
-    previous: dict[int, int] = {}  # i -> id of the unknown (i, m - 1)
+    first = lowest = 0
     for m in count():
         vy = (top - 1 - m) % n  # vertex of e^Y_m; e^X_i sits at (b - 1 - i) mod n
-        new = range((b - 1 - vy) % n, b, n)
-        current = dict(zip(new, range(size, size + len(new))))
-        size += len(new)
+        previous, below = first, lowest  # column m - 1
+        first, lowest = size, (b - 1 - vy) % n
+        new = len(range(lowest, b, n))
+        size += new
         rows = []
         for i in range((b - 2 - vy) % n, b, n):  # e^X_i at vy + 1
             row = ()
             if i + 1 < b:
-                row = (current[i + 1],)
+                row = (first + (i + 1 - lowest) // n,)
             if m >= 1:
-                row += (previous[i],)
+                row += (previous + (i - below) // n,)
             if row:
                 rows.append(row)
-        yield len(new), rows
-        previous = current
+        yield new, rows
 
 
 def _nullities(steps: Iterable[tuple[int, Iterable[tuple[int, ...]]]]) -> Iterator[int]:

@@ -145,12 +145,20 @@ def check_oracle(n: int, ql_cap: int | None = None, seed: int = 0) -> list[Outco
     cap = 3 * n if ql_cap is None else ql_cap
 
     def agreement():  # on integer coordinates; `calibration` calls the oracle by Indec
+        # The oracle depends on a pair only through (b, d, (c - a) mod n), so
+        # each of its n * cap**2 values is read once; every pair still meets
+        # the kernel.
+        oracle = [
+            [[tube._oracle_dim(n, b, d, shift) for shift in range(n)] for d in range(1, cap + 1)]
+            for b in range(1, cap + 1)
+        ]
         xs = [(a, b) for a in range(1, n + 1) for b in range(1, cap + 1)]
         bad = 0
         first = ""
         for a, b in xs:
+            row = oracle[b - 1]
             for c, d in xs:
-                if kernel.hom_tube_dim(n, a, b, c, d) != tube._oracle_dim(n, b, d, (c - a) % n):
+                if kernel.hom_tube_dim(n, a, b, c, d) != row[d - 1][(c - a) % n]:
                     bad += 1
                     if not first:
                         first = f"{Indec(n, a, b)}->{Indec(n, c, d)}"
@@ -172,6 +180,7 @@ def check_oracle(n: int, ql_cap: int | None = None, seed: int = 0) -> list[Outco
         return True, "ray, coray and translate contracts hold"
 
     def boundary():
+        small = list(indecomposables_up_to(n, n))
         for x in indecomposables_up_to(n, cap):
             rigid = hom_tube(x, tau(x, 1)) == 0
             if rigid != (x.ql <= n - 1):
@@ -179,7 +188,7 @@ def check_oracle(n: int, ql_cap: int | None = None, seed: int = 0) -> list[Outco
             if has_D_endomorphism(x) != (x.ql >= n - 1):
                 return False, f"shifted-endomorphism boundary fails at {x}"
             if x.ql <= n:
-                for y in indecomposables_up_to(n, n):
+                for y in small:
                     if hom_tube(x, y) > 1:
                         return False, f"multi-dimensional Hom at {x}->{y}"
         return True, "rigidity and endomorphism boundaries match quasilength"

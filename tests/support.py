@@ -8,13 +8,14 @@ isomorphism invariant, the former `quiver.canonical_key` of a quiver pinned
 at any vertex, the gate that compares a pinned key with the isomorphism
 search, the former per-check translate certificates, the former
 `strings.string_module`, which walks every vertex, arrow and relation of
-the algebra, and the former `strings.is_string`, which reads every letter
-from the quiver."""
+the algebra, the former `strings.is_string`, which reads every letter
+from the quiver, and the former `tube._columns`, which looks its unknowns'
+ids up in a table per column."""
 
 import itertools
 from collections import Counter
 from functools import lru_cache
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from tubecat import kernel, strings
 from tubecat.endo import LOOP_ID
@@ -200,6 +201,30 @@ def free_loop(p: Presentation) -> Presentation:
     """p without the relations of its loop. At rank 2 the loop is the only
     arrow, so the loop alone is a band."""
     return Presentation(p.quiver, frozenset(r for r in p.relations if LOOP_ID not in r))
+
+
+def reference_columns(n: int, b: int, top: int) -> Iterator[tuple[int, list[tuple[int, ...]]]]:
+    """The former `tube._columns`: the same steps (new, rows), with the ids
+    of the unknowns (i, m) of columns m and m - 1 kept in a dict per column;
+    a row naming an unknown that does not exist raises `KeyError`."""
+    size = 0
+    previous: dict[int, int] = {}  # i -> id of the unknown (i, m - 1)
+    for m in itertools.count():
+        vy = (top - 1 - m) % n  # vertex of e^Y_m; e^X_i sits at (b - 1 - i) mod n
+        new = range((b - 1 - vy) % n, b, n)
+        current = dict(zip(new, range(size, size + len(new))))
+        size += len(new)
+        rows = []
+        for i in range((b - 2 - vy) % n, b, n):  # e^X_i at vy + 1
+            row = ()
+            if i + 1 < b:
+                row = (current[i + 1],)
+            if m >= 1:
+                row += (previous[i],)
+            if row:
+                rows.append(row)
+        yield len(new), rows
+        previous = current
 
 
 def reference_count_paths(p: Presentation) -> dict[tuple[int, int], int]:

@@ -105,7 +105,7 @@ class TestEndomorphismAlgebra:
 class TestCartanCheck:
     def test_rank3_entries(self):
         paths = count_paths(cached_endomorphism_algebra(T3_LADDER))
-        assert paths == {(1, 1): 2, (1, 2): 2, (2, 1): 0, (2, 2): 1}
+        assert paths == {(1, 1): 2, (1, 2): 2, (2, 2): 1}  # no path 2 -> 1
         assert cartan_check(T3_LADDER).ok
 
     def test_rank2_total(self):

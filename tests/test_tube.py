@@ -9,6 +9,7 @@ import hashlib
 import inspect
 import json
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -34,7 +35,13 @@ from tubecat.tube import (
     _oracle_dim,
 )
 
-from support import hom_cluster_oracle, quasisimples, rigid_indecomposables, wing_members
+from support import (
+    hom_cluster_oracle,
+    quasisimples,
+    reference_columns,
+    rigid_indecomposables,
+    wing_members,
+)
 
 small_rank = hst.integers(min_value=2, max_value=6)
 
@@ -316,6 +323,20 @@ class TestOracle:
         assert len(pulled) == 4500  # 30 columns per family, each once
         assert _oracle_dim.cache_info().currsize == 4500
         assert all(len(dims) == 30 for dims, _ in tube._families.values())
+
+    @pytest.mark.parametrize(
+        "n, b_max, columns",
+        [(n, 3 * n + 1, 3 * n + 1) for n in range(2, 9)] + [(5, 30, 30)],
+    )
+    def test_columns_equal_the_per_column_tables(self, n, b_max, columns):
+        # The ids by arithmetic against the former dict per column, over the
+        # first columns of every family with b <= b_max; (5, 30, 30) is every
+        # family that `check_oracle(5, 30)` solves, to its last column.
+        for b in range(1, b_max + 1):
+            for top in range(n):
+                assert list(islice(tube._columns(n, b, top), columns)) == list(
+                    islice(reference_columns(n, b, top), columns)
+                ), (b, top)
 
     def test_rejects_quasilength_below_one(self):
         # A d below 1 once read the last solved entry through dims[-1].

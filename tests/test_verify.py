@@ -10,7 +10,7 @@ from math import comb
 
 import pytest
 
-from tubecat import endo, quiver, rigid, tube, verify
+from tubecat import endo, kernel, quiver, rigid, tube, verify
 from tubecat.endo import cached_endomorphism_algebra, endomorphism_algebra
 from tubecat.quiver import Arrow, Presentation, Quiver
 from tubecat.rigid import from_summands, maximal_rigid_objects, rigid_index, tau_rigid
@@ -185,6 +185,37 @@ class TestOracleFault:
         assert not agreement.ok
         assert agreement.detail == "3/729 disagreements, first at (1,9)->(2,9)"
         assert calibration.ok and boundary.ok and symmetry.ok
+
+    def test_agreement_reads_each_oracle_key_once(self, monkeypatch):
+        # The oracle is read once per (b, d, shift), 30 * 30 * 5 keys, and the
+        # kernel once per pair, 150 ** 2; counted over the agreement alone.
+        reads, pairs = [], [0]
+        real_oracle, real_hom = tube._oracle_dim, kernel.hom_tube_dim
+
+        def oracle(*key):
+            reads.append(key)
+            return real_oracle(*key)
+
+        def hom(*args):
+            pairs[0] += 1
+            return real_hom(*args)
+
+        counts = []
+        real_timed = verify._timed
+
+        def timed(check, rank, predicate, subject=None):
+            before = len(reads), pairs[0]
+            out = real_timed(check, rank, predicate, subject)
+            counts.append((predicate.__name__, len(reads) - before[0], pairs[0] - before[1]))
+            return out
+
+        monkeypatch.setattr(tube, "_oracle_dim", oracle)
+        monkeypatch.setattr(kernel, "hom_tube_dim", hom)
+        monkeypatch.setattr(verify, "_timed", timed)
+        agreement = verify.check_oracle(5, 30)[0]
+        assert agreement.ok and agreement.detail == "22500 pairs agree exactly"
+        assert counts[0] == ("agreement", 4500, 22500)
+        assert len(set(reads[:4500])) == 4500
 
     def test_cap_zero_is_not_the_default(self):
         """A cap below the fundamental domain is rejected before any
