@@ -6,8 +6,9 @@ recurse; the special biserial and gentle conditions; recognition of type-A
 cluster-tilted quivers as trees of blocks, built once per quiver: the block
 counts give the connecting vertices, and a walk of the blocks from each
 connecting vertex gives an exact canonical form of the quiver pinned there;
-and an exhaustive isomorphism search with an optional pinned vertex, which
-certifies the converse check's matches of canonical forms.
+and the same walks from two pins, zipped into a vertex map and checked on
+the arrows, give the pinned isomorphism that certifies the converse check's
+matches of canonical forms.
 """
 
 from __future__ import annotations
@@ -28,10 +29,6 @@ class NotGentleError(ValueError):
     def __init__(self, witness: str | None):
         super().__init__(f"presentation is not gentle: {witness}")
         self.witness = witness
-
-
-class SizeLimitError(ValueError):
-    """Input exceeds the exhaustive-search size limit."""
 
 
 class NotClusterTiltedError(ValueError):
@@ -194,16 +191,23 @@ def count_paths(p: Presentation) -> dict[tuple[int, int], int]:
     predecessor, added up in one pass in `_free_order`'s order, without
     recursion; a relation-free cycle raises its DivergentPathsError. Only
     the nonzero counts are kept, so the result grows with the paths, not
-    with the square of the vertices.
+    with the square of the vertices. An arrow's counts are kept only until
+    its last relation-free successor has read them.
     """
     order, before = _free_order(p)
+    unread = Counter(a.id for prev in before.values() for a in prev)
     ending: dict[str, dict[int, int]] = {}
     totals = {(v, v): 1 for v in p.quiver.vertices}
     for b in order:
-        counts = ending[b.id] = {b.src: 1}
+        counts = {b.src: 1}
         for a in before[b.id]:
             for start, c in ending[a.id].items():
                 counts[start] = counts.get(start, 0) + c
+            unread[a.id] -= 1
+            if not unread[a.id]:
+                del ending[a.id]
+        if unread[b.id]:
+            ending[b.id] = counts
         for start, c in counts.items():
             pair = (start, b.tgt)
             totals[pair] = totals.get(pair, 0) + c
@@ -496,66 +500,35 @@ def connecting_keys(q: Quiver) -> dict[int, tuple]:
 
 # --- isomorphism ------------------------------------------------------------
 
-_ISO_LIMIT = 12
+def find_isomorphism(a: Quiver, b: Quiver, pin: tuple[int, int]) -> dict[int, int] | None:
+    """The isomorphism from a to b that maps pin[0] to pin[1], read off the
+    two block walks (`_walk`) from the pins, or None.
 
-
-def find_isomorphism(
-    a: Quiver,
-    b: Quiver,
-    pin: tuple[int, int] | None = None,
-) -> dict[int, int] | None:
-    """Vertex bijection mapping arrows bijectively with multiplicity. `pin`
-    fixes the image of one vertex. Exhaustive with degree pruning; limited
-    size."""
-    if len(a.vertices) != len(b.vertices) or len(a.arrows) != len(b.arrows):
+    Rooted at a connecting vertex of a recognised type-A quiver, the walk
+    leaves each vertex by at most one block: the pin lies in at most one,
+    and every other vertex in at most two, one of them the block it was
+    entered by. A 3-cycle lists its other two vertices in the order of its
+    orientation. So the order of the walk is canonical, and a pinned
+    isomorphism sends the i-th vertex of one walk to the i-th of the other.
+    The two orders, zipped, are returned when they map the arrows of a onto
+    those of b with multiplicity. That check makes every map returned an
+    isomorphism, whatever the quivers and pins; on recognised quivers
+    pinned at connecting vertices, the certificate also finds every one.
+    Linear in the arrows, with no size limit.
+    """
+    orders = []
+    for q, v in zip((a, b), pin):
+        if v not in q.vertices:
+            return None
+        order = list(_walk(_blocks(q), v)[0])
+        if len(order) < len(q.vertices):
+            return None
+        orders.append(order)
+    if len(orders[0]) != len(orders[1]):
         return None
-    if len(a.vertices) > _ISO_LIMIT:
-        raise SizeLimitError(f"isomorphism search limited to {_ISO_LIMIT} vertices")
-
-    mult_a, mult_b = (Counter((x.src, x.tgt) for x in q.arrows) for q in (a, b))
-
-    def degree_keys(q: Quiver) -> dict[int, tuple[int, int, int]]:
-        """(arrows out, arrows in, loops) at each vertex."""
-        out, into = _ends(q)
-        return {v: (len(out[v]), len(into[v]), sum(x.tgt == v for x in out[v])) for v in q.vertices}
-
-    keys_a, keys_b = degree_keys(a), degree_keys(b)
-    if sorted(keys_a.values()) != sorted(keys_b.values()):
-        return None
-
-    verts_a = sorted(a.vertices)
-    used: set[int] = set()
-    mapping: dict[int, int] = {}
-
-    def consistent(v: int, w: int) -> bool:
-        if keys_a[v] != keys_b[w]:
-            return False
-        for u, img in mapping.items():
-            if mult_a.get((v, u), 0) != mult_b.get((w, img), 0):
-                return False
-            if mult_a.get((u, v), 0) != mult_b.get((img, w), 0):
-                return False
-        return True
-
-    def backtrack(i: int) -> bool:
-        if i == len(verts_a):
-            return True
-        v = verts_a[i]
-        candidates = [pin[1]] if pin and pin[0] == v else b.vertices
-        for w in candidates:
-            if w in used or not consistent(v, w):
-                continue
-            mapping[v] = w
-            used.add(w)
-            if backtrack(i + 1):
-                return True
-            del mapping[v]
-            used.discard(w)
-        return False
-
-    if pin and (pin[0] not in a.vertices or pin[1] not in b.vertices):
-        return None
-    return dict(mapping) if backtrack(0) else None
+    mapping = dict(zip(*orders))
+    arrows = Counter((mapping[x.src], mapping[x.tgt]) for x in a.arrows)
+    return mapping if arrows == Counter((x.src, x.tgt) for x in b.arrows) else None
 
 
 # --- emission ----------------------------------------------------------------

@@ -348,9 +348,19 @@ def _per_orbit(check: str, n: int, verdict) -> list[Outcome]:
     representative failed, t runs `verdict` itself, so every failure keeps
     its own concrete witness. When no check has certified the list yet,
     the pass runs inside the first member's outcome, so the outcomes'
-    seconds still cover it.
+    seconds still cover it. An enumeration that raises gives one failing
+    outcome with no subject, as in rigid and converse.
     """
-    objects = maximal_rigid_objects(n)
+    objects = None
+
+    def listing():
+        nonlocal objects
+        objects = maximal_rigid_objects(n)
+        return True, ""
+
+    listed = _timed(check, n, listing)
+    if not listed.ok:
+        return [listed]
     out: list[Outcome] = []
     for i, t in enumerate(objects):
 
@@ -406,10 +416,11 @@ def check_converse(n: int) -> list[Outcome]:
     A class is keyed at its loop vertex, and its other connecting vertices
     look up the classes that realize them (the loop vertex would hit its
     own class, with the same pin). Every hit, a membership or a realization,
-    is certified by `find_isomorphism` with the vertices pinned; a hit the
-    search refutes fails the check, naming the object or the vertex. A key
-    that split an isomorphism class would leave a class short of n objects,
-    so the verdict does not rest on the key being exact.
+    is certified by `find_isomorphism`, which zips the block walks of the
+    two quivers from their pins and checks the vertex map on the arrows; a
+    hit the certificate refutes fails the check, naming the object or the
+    vertex. A key that split an isomorphism class would leave a class short
+    of n objects, so the verdict does not rest on the key being exact.
     """
 
     def run():
@@ -429,7 +440,7 @@ def check_converse(n: int) -> list[Outcome]:
                 return False, f"loop of {t} at non-connecting vertex {lv}"
             quiver, vertex, _, members = classes.setdefault(keys.pop(lv), (bare, lv, keys, []))
             if quiver is not bare and find_isomorphism(bare, quiver, pin=(lv, vertex)) is None:
-                return False, f"key of {t} hits a class that the search refutes"
+                return False, f"key of {t} hits a class that the certificate refutes"
             members.append(t)
             class_of[i] = members
 
@@ -446,7 +457,7 @@ def check_converse(n: int) -> list[Outcome]:
                 if hit is None:
                     return False, f"connecting vertex {c} of a class quiver unrealized"
                 if find_isomorphism(quiver, hit[0], pin=(c, hit[1])) is None:
-                    return False, f"connecting vertex {c} hits a class that the search refutes"
+                    return False, f"connecting vertex {c} hits a class that the certificate refutes"
         return True, f"{len(classes)} classes, each a full translate orbit"
 
     return [_timed("converse", n, run)]

@@ -5,12 +5,15 @@ a rigid object, the end strings of an algebra with the projective/injective
 comparison built on them, an algebra with a band, the former recursive path
 count, the former object-building brute enumeration, the former pinned
 isomorphism invariant, the former `quiver.canonical_key` of a quiver pinned
-at any vertex, the gate that compares a pinned key with the isomorphism
-search, the former per-check translate certificates, the former
-`strings.string_module`, which walks every vertex, arrow and relation of
-the algebra, the former `strings.is_string`, which reads every letter
-from the quiver, and the former `tube._columns`, which looks its unknowns'
-ids up in a table per column."""
+at any vertex, the former `quiver.find_isomorphism`, an exhaustive search
+limited to 12 vertices that is now the reference for the block-walk
+certificate, a test that a vertex map is a pinned isomorphism, the pinned
+pairs that decide whether a key partitions as isomorphism does and the gate
+that checks them with the search, the former per-check translate
+certificates, the former `strings.string_module`, which walks every vertex,
+arrow and relation of the algebra, the former `strings.is_string`, which
+reads every letter from the quiver, and the former `tube._columns`, which
+looks its unknowns' ids up in a table per column."""
 
 import itertools
 from collections import Counter
@@ -30,7 +33,6 @@ from tubecat.quiver import (
     _ends,
     _walk,
     count_paths,
-    find_isomorphism,
     gorenstein_bound,
     is_gentle,
 )
@@ -281,7 +283,8 @@ def pinned_invariant(q: Quiver, v: int) -> int:
     any relabelling of vertices that carries v along, any reordering of the
     arrows and any renaming of their ids: if (q, v) and (q', v') are
     isomorphic with v mapped to v', their keys are equal. The converse need
-    not hold, so equal keys still call for `find_isomorphism`.
+    not hold, so equal keys still call for `reference_find_isomorphism`,
+    which, unlike the certificate in `quiver`, needs no tree of blocks.
     """
     if v not in q.vertices:
         raise ValueError(f"pinned vertex {v} is not a vertex of the quiver")
@@ -337,35 +340,129 @@ def reference_canonical_key(q: Quiver, v: int) -> tuple:
     return key[v]
 
 
-def assert_keys_partition_as_the_search(
-    pins: Iterable[tuple[Quiver, int]], key: Callable[[Quiver, int], tuple]
-) -> int:
-    """Assert that `key` groups the pinned quivers (q, v) exactly as
-    `find_isomorphism` with the pins mapped to each other does, and return
-    the number of groups.
+class SizeLimitError(ValueError):
+    """Input exceeds the exhaustive-search size limit."""
 
-    Each pinned quiver is searched against the first of its key, so equal
-    keys mean isomorphic. The firsts of different keys must be pairwise
-    non-isomorphic; a pair is searched only when it has the same vertex
-    degrees, in and out, and the same degrees at the pin, since the search
-    rejects any other pair at once.
+
+_ISO_LIMIT = 12
+
+
+def reference_find_isomorphism(
+    a: Quiver,
+    b: Quiver,
+    pin: tuple[int, int] | None = None,
+) -> dict[int, int] | None:
+    """Vertex bijection mapping arrows bijectively with multiplicity. `pin`
+    fixes the image of one vertex. Exhaustive with degree pruning; limited
+    size."""
+    if len(a.vertices) != len(b.vertices) or len(a.arrows) != len(b.arrows):
+        return None
+    if len(a.vertices) > _ISO_LIMIT:
+        raise SizeLimitError(f"isomorphism search limited to {_ISO_LIMIT} vertices")
+
+    mult_a, mult_b = (Counter((x.src, x.tgt) for x in q.arrows) for q in (a, b))
+
+    def degree_keys(q: Quiver) -> dict[int, tuple[int, int, int]]:
+        """(arrows out, arrows in, loops) at each vertex."""
+        out, into = _ends(q)
+        return {v: (len(out[v]), len(into[v]), sum(x.tgt == v for x in out[v])) for v in q.vertices}
+
+    keys_a, keys_b = degree_keys(a), degree_keys(b)
+    if sorted(keys_a.values()) != sorted(keys_b.values()):
+        return None
+
+    verts_a = sorted(a.vertices)
+    used: set[int] = set()
+    mapping: dict[int, int] = {}
+
+    def consistent(v: int, w: int) -> bool:
+        if keys_a[v] != keys_b[w]:
+            return False
+        for u, img in mapping.items():
+            if mult_a.get((v, u), 0) != mult_b.get((w, img), 0):
+                return False
+            if mult_a.get((u, v), 0) != mult_b.get((img, w), 0):
+                return False
+        return True
+
+    def backtrack(i: int) -> bool:
+        if i == len(verts_a):
+            return True
+        v = verts_a[i]
+        candidates = [pin[1]] if pin and pin[0] == v else b.vertices
+        for w in candidates:
+            if w in used or not consistent(v, w):
+                continue
+            mapping[v] = w
+            used.add(w)
+            if backtrack(i + 1):
+                return True
+            del mapping[v]
+            used.discard(w)
+        return False
+
+    if pin and (pin[0] not in a.vertices or pin[1] not in b.vertices):
+        return None
+    return dict(mapping) if backtrack(0) else None
+
+
+def assert_pinned_isomorphism(
+    a: Quiver, b: Quiver, pin: tuple[int, int], mapping: Mapping[int, int]
+) -> None:
+    """Assert that the map is a bijection of the vertices that sends pin[0]
+    to pin[1] and the arrows of a onto those of b, with multiplicity."""
+    assert sorted(mapping) == sorted(a.vertices)
+    assert sorted(mapping.values()) == sorted(b.vertices)
+    assert mapping[pin[0]] == pin[1]
+    moved = Counter((mapping[x.src], mapping[x.tgt]) for x in a.arrows)
+    assert moved == Counter((x.src, x.tgt) for x in b.arrows)
+
+
+class KeyedPairs(NamedTuple):
+    groups: int  # distinct keys
+    alike: list[tuple[Quiver, Quiver, tuple[int, int]]]  # equal keys: must be isomorphic
+    apart: list[tuple[Quiver, Quiver, tuple[int, int]]]  # different keys: must not be
+
+
+def keyed_pairs(pins: Iterable[tuple[Quiver, int]], key: Callable[[Quiver, int], tuple]) -> KeyedPairs:
+    """The pinned pairs (a, b, pin) whose isomorphism decides whether `key`
+    groups the pinned quivers (q, v) exactly as isomorphism does.
+
+    Each pinned quiver is paired with the first of its key, so equal keys
+    must mean isomorphic. The firsts of different keys must be pairwise
+    non-isomorphic; a pair is listed only when it has the same vertex
+    degrees, in and out, and the same degrees at the pin, since no pinned
+    isomorphism joins any other pair.
     """
     groups: dict[tuple, list[tuple[Quiver, int]]] = {}
     for q, v in pins:
         groups.setdefault(key(q, v), []).append((q, v))
-    alike: dict[tuple, list[tuple[Quiver, int]]] = {}
+    alike, apart = [], []
+    by_degrees: dict[tuple, list[tuple[Quiver, int]]] = {}
     for (q0, v0), *rest in groups.values():
-        for q, v in rest:
-            assert find_isomorphism(q, q0, pin=(v, v0)) is not None, (q, v, q0, v0)
+        alike += [(q, q0, (v, v0)) for q, v in rest]
         out, into = _ends(q0)
         degrees = (
             tuple(sorted((len(out[u]), len(into[u])) for u in q0.vertices)),
             (len(out[v0]), len(into[v0])),
         )
-        for q, v in alike.setdefault(degrees, []):
-            assert find_isomorphism(q0, q, pin=(v0, v)) is None, (q0, v0, q, v)
-        alike[degrees].append((q0, v0))
-    return len(groups)
+        apart += [(q0, q, (v0, v)) for q, v in by_degrees.setdefault(degrees, [])]
+        by_degrees[degrees].append((q0, v0))
+    return KeyedPairs(len(groups), alike, apart)
+
+
+def assert_keys_partition_as_the_search(
+    pins: Iterable[tuple[Quiver, int]], key: Callable[[Quiver, int], tuple]
+) -> int:
+    """Assert that `key` groups the pinned quivers (q, v) exactly as
+    `reference_find_isomorphism` with the pins mapped to each other does,
+    on the pairs of `keyed_pairs`, and return the number of groups."""
+    pairs = keyed_pairs(pins, key)
+    for a, b, pin in pairs.alike:
+        assert reference_find_isomorphism(a, b, pin=pin) is not None, (a, b, pin)
+    for a, b, pin in pairs.apart:
+        assert reference_find_isomorphism(a, b, pin=pin) is None, (a, b, pin)
+    return pairs.groups
 
 
 def reference_certificates(objects: Sequence[RigidObject]) -> list[int]:

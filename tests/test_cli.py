@@ -331,3 +331,35 @@ def test_runs_without_numpy():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == ["30"]
+
+
+def test_a_raising_enumeration_fails_each_check_at_its_rank():
+    """With `kernel.cluster_dims` reading the shifted part through tau in
+    place of tau^2, the enumeration of maximal rigid objects raises from
+    rank 3 on. Every check that walks the objects fails at that rank with
+    the error, nothing escapes `run_suite`, and `verify` exits 1, not 2.
+    A fresh process keeps the mutant out of this one's caches."""
+    mutant = [
+        "import json, sys",
+        "from tubecat import cli, kernel, verify",
+        "hom = kernel.hom_tube_dim",
+        "kernel.cluster_dims = lambda n, a, b, c, d: (hom(n, a, b, c, d), hom(n, c, d, a - 1, b))",
+    ]
+    suite = subprocess.run(
+        [sys.executable, "-c", "\n".join(mutant + [
+            "report = verify.run_suite(range(2, 6))",
+            "print(json.dumps([(o.check, o.ok, o.detail) for o in report.outcomes if o.rank == 3]))",
+        ])],
+        capture_output=True, text=True, env=child_env(), timeout=120,
+    )
+    assert suite.returncode == 0, suite.stderr
+    at_three = json.loads(suite.stdout)
+    error = "error: summands (1,2) and (2,1) are incompatible"
+    for check in ("rigid", "endo", "gentle", "strings", "hom-functor", "converse"):
+        assert [row[1:] for row in at_three if row[0] == check] == [[False, error]], check
+    command = subprocess.run(
+        [sys.executable, "-c", "\n".join(mutant + ["sys.exit(cli.main(['verify', '--rank', '2..5']))"])],
+        capture_output=True, text=True, env=child_env(), timeout=120,
+    )
+    assert command.returncode == 1, command.stderr
+    assert f"FAIL n=3 endo: {error}" in command.stdout.splitlines()

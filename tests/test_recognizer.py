@@ -11,8 +11,9 @@ reads the block decomposition. `oriented_triangles` and `valency`,
 formerly in `quiver`, serve only these two references. On the mutation
 classes, `support.reference_canonical_key`, the former
 `quiver.canonical_key`, must group the quivers pinned at any vertex exactly
-as the isomorphism search does, and `quiver.connecting_keys` must equal it
-at every connecting vertex.
+as `support.reference_find_isomorphism`, the former exhaustive isomorphism
+search, does, and `quiver.connecting_keys` must equal it at every
+connecting vertex.
 """
 
 import itertools
@@ -28,11 +29,18 @@ from tubecat.quiver import (
     Quiver,
     connecting_keys,
     connecting_vertices,
+    find_isomorphism,
     is_cluster_tilted_A,
 )
 from tubecat.rigid import maximal_rigid_objects
 
-from support import assert_keys_partition_as_the_search, reference_canonical_key
+from support import (
+    assert_keys_partition_as_the_search,
+    assert_pinned_isomorphism,
+    keyed_pairs,
+    reference_canonical_key,
+    reference_find_isomorphism,
+)
 
 
 # --- the reference: the former subset search ----------------------------------
@@ -408,6 +416,23 @@ def test_connecting_keys_on_the_mutation_class_of_A(m, catalan):
             q = matrix_quiver(c)
             pins += [(q, v) for v in assert_keys_equal_the_reference(q)]
     assert assert_keys_partition_as_the_search(pins, lambda q, v: connecting_keys(q)[v]) == catalan
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_certificate_on_the_mutation_class_of_A(m):
+    # on the pairs that the partition above checks, the block-walk
+    # certificate finds a pinned isomorphism exactly when the search does
+    pins = []
+    for b in mutation_class(m):
+        for c in (b, *(mutate(b, k) for k in range(m))):
+            q = matrix_quiver(c)
+            pins += [(q, v) for v in connecting_vertices(q)]
+    pairs = keyed_pairs(pins, lambda q, v: connecting_keys(q)[v])
+    for a, b, pin in pairs.alike + pairs.apart:
+        found = find_isomorphism(a, b, pin)
+        assert (found is None) == (reference_find_isomorphism(a, b, pin) is None), (a, b, pin)
+        if found is not None:
+            assert_pinned_isomorphism(a, b, pin, found)
 
 
 def test_agrees_on_random_quivers():

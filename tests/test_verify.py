@@ -16,7 +16,13 @@ from tubecat.quiver import Arrow, Presentation, Quiver
 from tubecat.rigid import from_summands, maximal_rigid_objects, rigid_index, tau_rigid
 from tubecat.tube import Indec
 
-from support import free_loop, pinned_invariant, presentation, reference_certificates
+from support import (
+    free_loop,
+    pinned_invariant,
+    presentation,
+    reference_certificates,
+    reference_find_isomorphism,
+)
 
 OUTCOME_KEYS = {"check", "rank", "ok", "detail", "subject", "seconds"}
 
@@ -257,8 +263,9 @@ def _is_translate_orbit(members) -> bool:
 
 def _all_object_converse(n):
     """The converse check before the quotient and before the canonical key:
-    every object's quiver built and compared, each joining a class by
-    `find_isomorphism` within its bucket of `pinned_invariant`."""
+    every object's quiver built and compared, each joining a class by the
+    exhaustive `reference_find_isomorphism` within its bucket of
+    `pinned_invariant`."""
 
     def run():
         buckets = {}
@@ -267,7 +274,7 @@ def _all_object_converse(n):
             bare, lv = verify.loopless_quiver(cached_endomorphism_algebra(t))
             bucket = buckets.setdefault(pinned_invariant(bare, lv), [])
             for q, vertex, members in bucket:
-                if verify.find_isomorphism(bare, q, pin=(lv, vertex)) is not None:
+                if reference_find_isomorphism(bare, q, pin=(lv, vertex)) is not None:
                     members.append(t)
                     break
             else:
@@ -284,7 +291,7 @@ def _all_object_converse(n):
             for c in verify.connecting_vertices(q):
                 bucket = buckets.get(pinned_invariant(q, c), ())
                 if not any(
-                    verify.find_isomorphism(q, q2, pin=(c, v2)) is not None
+                    reference_find_isomorphism(q, q2, pin=(c, v2)) is not None
                     for q2, v2, _ in bucket
                 ):
                     return False, f"connecting vertex {c} of a class quiver unrealized"
@@ -370,14 +377,14 @@ class TestConverse:
     def test_constant_key_fails_on_the_refuted_hit(self, monkeypatch):
         # A constant key sends every representative to the first class. At
         # rank 2 there is one class, so every hit holds; from rank 3 on the
-        # search refutes the second representative.
+        # certificate refutes the second representative.
         monkeypatch.setattr(verify, "connecting_keys", lambda q: dict.fromkeys(q.vertices, 0))
         assert verify.check_converse(2)[0].ok
         for n in range(3, 7):
             second = [t for t in maximal_rigid_objects(n) if t.top.orbit == 1][1]
             (out,) = verify.check_converse(n)
             assert not out.ok
-            assert out.detail == f"key of {second} hits a class that the search refutes"
+            assert out.detail == f"key of {second} hits a class that the certificate refutes"
 
     def test_refuted_realization_fails_naming_the_vertex(self, monkeypatch):
         # Each representative's key at its loop vertex is its own, so the
@@ -400,7 +407,7 @@ class TestConverse:
         monkeypatch.setattr(verify, "connecting_keys", faulty)
         (out,) = verify.check_converse(4)
         assert not out.ok
-        assert out.detail == "connecting vertex 3 hits a class that the search refutes"
+        assert out.detail == "connecting vertex 3 hits a class that the certificate refutes"
 
     def test_loop_at_a_non_connecting_vertex_names_the_object(self, monkeypatch):
         # The first representative whose quiver has a vertex in two blocks
@@ -423,19 +430,26 @@ class TestConverse:
         assert out.detail == f"loop of {t} at non-connecting vertex {moved}"
 
     def test_blocks_built_once_per_representative(self, monkeypatch):
-        calls = []
-        real = quiver._blocks
+        calls, certificates = [], []
+        real, certify = quiver._blocks, verify.find_isomorphism
 
         def counting(q):
             calls.append(q)
             return real(q)
 
+        def counting_certificates(*args, **kwargs):
+            certificates.append(args)
+            return certify(*args, **kwargs)
+
         monkeypatch.setattr(quiver, "_blocks", counting)
+        monkeypatch.setattr(verify, "find_isomorphism", counting_certificates)
         (out,) = verify.check_converse(7)
         assert out.ok
         # Catalan(6) representatives, each keyed at every connecting vertex
-        # from one block tree
-        assert len(calls) == 132
+        # from one block tree, and two block trees per certificate, one for
+        # each quiver it walks
+        assert len(certificates) == 252
+        assert len(calls) == 132 + 2 * 252
 
     def test_isomorphism_searches_stay_linear(self, monkeypatch):
         calls = []
@@ -449,19 +463,13 @@ class TestConverse:
         (out,) = verify.check_converse(6)
         assert out.ok
         # Each of the 42 representatives opens its own class, with no
-        # search, and the 210 other objects join by the translate
-        # certificate. Of the 112 (class quiver, connecting vertex) pairs,
-        # the 42 at a class's own loop vertex hit that class with the same
-        # pin and take no search; each of the other 70 takes one, which
-        # certifies its key's hit. A scan over all classes takes 7,744.
+        # isomorphism certificate, and the 210 other objects join by the
+        # translate certificate. Of the 112 (class quiver, connecting
+        # vertex) pairs, the 42 at a class's own loop vertex hit that class
+        # with the same pin and take none; each of the other 70 takes one,
+        # which certifies its key's hit. A scan over all classes takes
+        # 7,744.
         assert len(calls) == 70
-
-    def test_search_limit_fails_loudly(self, monkeypatch):
-        # the rank-6 quivers have five vertices
-        monkeypatch.setattr(quiver, "_ISO_LIMIT", 4)
-        (out,) = verify.check_converse(6)
-        assert not out.ok
-        assert out.detail == "error: isomorphism search limited to 4 vertices"
 
     def test_relabelled_copy_joins_its_class(self, monkeypatch):
         # One translate orbit is given a vertex-relabelled copy of the first
@@ -472,7 +480,7 @@ class TestConverse:
         target, target_vertex = pairs[0]
         victim = next(
             t for t, (bare, lv) in zip(maximal_rigid_objects(5), pairs)
-            if quiver.find_isomorphism(bare, target, pin=(lv, target_vertex)) is None
+            if reference_find_isomorphism(bare, target, pin=(lv, target_vertex)) is None
         )
         victims = [cached_endomorphism_algebra(tau_rigid(victim, k)) for k in range(5)]
         perm = dict(zip(target.vertices, reversed(target.vertices)))
