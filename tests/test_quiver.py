@@ -590,7 +590,8 @@ def connecting_key(q, v):
 
 class TestPinnedInvariant:
     """`connecting_keys`, the exact invariant of a quiver pinned at each
-    connecting vertex; the arising pins are all connecting."""
+    connecting vertex; the arising pins are all connecting. Each changed
+    copy must also be certified by `find_isomorphism`, its map checked."""
 
     @pytest.mark.parametrize(
         "change", [_relabel_vertices, _shuffle_arrows, _rename_arrows]
@@ -601,6 +602,9 @@ class TestPinnedInvariant:
         for bare, v in _arising_pins(7):
             moved, w = change(bare, v, rng)
             assert connecting_key(moved, w) == connecting_key(bare, v), (bare, v)
+            found = find_isomorphism(bare, moved, (v, w))
+            assert found is not None, (bare, v)
+            assert_pinned_isomorphism(bare, moved, (v, w), found)
             pairs += 1
         assert pairs > 924
 
@@ -611,7 +615,9 @@ class TestPinnedInvariant:
             for change in (_rename_arrows, _shuffle_arrows, _relabel_vertices):
                 moved, w = change(moved, w, rng)
             assert moved != bare or not bare.arrows
-            assert find_isomorphism(moved, bare, pin=(w, v)) is not None
+            found = find_isomorphism(moved, bare, pin=(w, v))
+            assert found is not None
+            assert_pinned_isomorphism(moved, bare, (w, v), found)
             assert connecting_key(moved, w) == connecting_key(bare, v)
 
     def test_separates_the_arising_classes(self):
@@ -716,17 +722,6 @@ class TestCertificate:
             assert (found is None) == (reference_find_isomorphism(a, b, pin) is None), (a, b, pin)
             if found is not None:
                 assert_pinned_isomorphism(a, b, pin, found)
-
-    @pytest.mark.parametrize(
-        "change", [_relabel_vertices, _shuffle_arrows, _rename_arrows]
-    )
-    def test_certifies_changed_copies(self, change):
-        rng = random.Random(5)
-        for bare, v in _arising_pins(6):
-            moved, w = change(bare, v, rng)
-            found = find_isomorphism(bare, moved, (v, w))
-            assert found is not None, (bare, v)
-            assert_pinned_isomorphism(bare, moved, (v, w), found)
 
     def test_certifies_past_the_search_limit(self):
         q = LONG_CHAIN
