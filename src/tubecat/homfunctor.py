@@ -34,23 +34,23 @@ they would be pure added cost.
 
 Coordinates are normalized so the top summand is (1, n-1); the vanishing
 locus outside the fundamental domain is stated in those coordinates. The
-swept x are built once per (rank, cap) (`_sweep`), and the sweep tests
-add tau T and the vanishing locus on their integer coordinates.
+swept x are built once per (rank, cap) (`_sweep`); x = (a, b) is swept cell
+(b - 1) n + a - 1.
 
 Each object T gets one table, built on first use and replaced when another
 object is asked about, so the module holds state for one object at a time,
-besides the oracle vectors of one (rank, cap) (see below). The table keeps
+besides the rigid summands of one (rank, cap) (see below). The table keeps
 the summands as (orbit, ql) integers, the translates of the summands, the
-painted reverse hammocks, the arrows of the endomorphism algebra by their
-(source, target) vertices, and one memo: each chain's string. The chain of
-x is its painted cell, read directly. A chain string depends only on its
-chain, so every wing, arrow and string check runs once per distinct chain.
-Consecutive members of a chain are joined by the algebra's tube-map arrow
-between them (kind "T"), and the two strings of x by its shifted-part arrow
-(kind "D") or the loop, so no arrow id is formed here.
+painted reverse hammocks as one chain tuple per cell, the arrows of the
+endomorphism algebra by their (source, target) vertices, and one memo: each
+chain's string. A chain string depends only on its chain, so every wing,
+arrow and string check runs once per distinct chain. Consecutive members of
+a chain are joined by the algebra's tube-map arrow between them (kind "T"),
+and the two strings of x by its shifted-part arrow (kind "D") or the loop,
+so no arrow id is formed here.
 
-Both reverse hammocks of every x are painted into the table once per
-summand instead of being filtered once per x. `kernel.hom_tube_dim(n, a, b,
+Both reverse hammocks are painted once per rigid summand and (rank, cap)
+(`_summand_cells`), not filtered once per x. `kernel.hom_tube_dim(n, a, b,
 c, d)` counts the k with max(0, b - d) <= k <= b - 1 and k = c - a (mod n).
 A summand s = (c, d) is rigid, so d <= n - 1 and each window holds at most
 one such k. Hence, for x = (a, b):
@@ -60,24 +60,24 @@ one such k. Hence, for x = (a, b):
 - Hom(x, tau^2 s) > 0 exactly when b lies in [k + 1, k + d] for some
   k >= 0 with k = (c - 2 - a) mod n: s paints one interval every n steps.
 
-Summands are painted in ascending (ql, vertex) order, so each chain comes
-out in the order a stable sort by ql of the filtered summands gives. The
-sweep paints up to its cap first; a later x above the painted cap extends
-the painting to at least twice the old cap.
+A table lays its summands' cells out in ascending (ql, vertex) order, so
+each chain comes out in the order a stable sort by ql of the filtered
+summands gives. The sweep paints up to its cap; a later x above the painted
+cap repaints to at least twice the old cap.
 
 Dimensions per summand. At x off add tau T the predicted dimension at
 vertex v is the number of times v lies in chain T(x) and chain D(x), and the
-oracle's is Hom(s_v, x) + Hom(x, tau^2 s_v) (`oracle_parts`), which reads
-only s_v and x. So `_oracle_vectors` holds, once per (rank, cap), the
-oracle's sum for every rigid s at every swept x, and `_failing_cells`
-counts each vertex over the painted cells of both hammocks. A cell fails
-where a vertex's counts differ from its summand's vector, or where it holds
-a vertex that is no summand; off add tau T that is exactly where the per-x
-comparison fails. On add tau T the prediction is empty, so there
-`predicted_dims` and `oracle_dims` are compared directly. The sweep builds
-the record of x only at a failing cell, so its failures are the per-x
-comparison's, and it reads "the oracle vanishes at x" from the same vectors,
-one flag per cell, computed once per object.
+oracle's is Hom(s_v, x) + Hom(x, tau^2 s_v) (`oracle_parts`). Both read only
+s_v and x, so the comparison is an identity over the n(n - 1) rigid
+summands, proved once per (rank, cap): `_Summands` keeps two integer masks
+over the swept cells for every rigid s, `fail` where its painted count
+differs from its oracle vector and `nz` where that vector is nonzero. Off
+add tau T, the per-x comparison fails for T exactly at the cells of the OR
+of its summands' `fail` masks. On add tau T the prediction is empty
+whatever the cells hold, so there `predicted_dims` and `oracle_dims` are
+compared directly. The oracle vanishes at x exactly where no summand's `nz`
+holds x. The sweep builds the record of x only at a failing cell, so its
+failures are the per-x comparison's.
 
 A report keeps only what failed; `HomFunctorReport.records` rebuilds the
 record of every swept x on access, with the helper that builds each failure
@@ -131,10 +131,70 @@ def _on_locus(n: int, orbit: int, ql: int) -> bool:
     return orbit == n and (ql + 1) % n == 0 and ql >= 2 * n - 1
 
 
-def on_vanishing_locus(t: RigidObject, x: Indec) -> bool:
-    """Outside the fundamental domain, Hom vanishes exactly on the objects
-    (n, kn - 1), k >= 2, in top-normalized coordinates."""
-    return _on_locus(t.rank, _normalized_orbit(t, x), x.ql)
+# --- the rigid summands of one (rank, cap) ---------------------------------------
+
+def _summand_cells(n: int, c: int, d: int, cap: int) -> tuple[list[int], list[int]]:
+    """The swept cells, b <= cap, of both reverse hammocks that s = (c, d)
+    lies in: its tube-side ray and its shifted-side intervals (see the
+    module docstring)."""
+    tube_side, shifted = [], []
+    for a in range(1, n + 1):
+        r = (a - c) % n
+        if r < d:
+            tube_side.extend(range((d - r - 1) * n + a - 1, cap * n, n))
+        k = (c - 2 - a) % n
+        while k < cap:
+            shifted.extend(range(k * n + a - 1, min(k + d, cap) * n, n))
+            k += n
+    return tube_side, shifted
+
+
+class _Summands:
+    """The rigid summands s of one (rank, cap): `cells[s]`, the tube-side
+    and shifted-side cells of s; `masks[s]`, on first use, its (fail, nz)
+    masks over the swept cells; and `regions[top]`, the masks of the swept
+    cells outside the fundamental domain and of the vanishing locus."""
+
+    def __init__(self, n: int, cap: int):
+        self.key = (n, cap)
+        self.cells = {
+            (c, d): _summand_cells(n, c, d, cap) for c in range(1, n + 1) for d in range(1, n)
+        }
+        self._masks: dict[tuple[int, int], tuple[int, int]] | None = None
+        points = [(cell, cell % n + 1, cell // n + 1) for cell in range(n * cap)]
+        self.regions = {top: (
+            sum(1 << cell for cell, a, b in points if not _in_domain(n, (a - top) % n + 1, b)),
+            sum(1 << cell for cell, a, b in points if _on_locus(n, (a - top) % n + 1, b)),
+        ) for top in range(1, n + 1)}
+
+    @property
+    def masks(self) -> dict[tuple[int, int], tuple[int, int]]:
+        if self._masks is None:
+            n, cap = self.key
+            self._masks = {}
+            for (c, d), cells in self.cells.items():
+                count = [0] * (n * cap)
+                for cell in cells[0] + cells[1]:
+                    count[cell] += 1
+                fail = nz = 0
+                for cell, got in enumerate(count):
+                    want = sum(oracle_parts(n, c, d, cell % n + 1, cell // n + 1))
+                    fail |= (got != want) << cell
+                    nz |= (want != 0) << cell
+                self._masks[c, d] = fail, nz
+        return self._masks
+
+
+_summands: _Summands | None = None
+
+
+def _painting(n: int, cap: int) -> _Summands:
+    """The rigid summands of (n, cap); one entry is held, for the last
+    (n, cap) asked for."""
+    global _summands
+    if _summands is None or _summands.key != (n, cap):
+        _summands = _Summands(n, cap)
+    return _summands
 
 
 # --- the table of one object ----------------------------------------------------
@@ -157,42 +217,34 @@ class _ObjectTable:
             range(1, len(self.coords) + 1), key=lambda v: self.coords[v - 1][1]
         )
         self.painted = 0
-        self.hammocks: dict[str, dict[tuple[int, int], list[int]]] = {"T": {}, "D": {}}
+        self.hammocks: dict[str, tuple[Chain, ...]] = {"T": (), "D": ()}
         self.words: dict[Chain, StringWord] = {}
 
     def paint(self, cap: int) -> None:
-        """Extend both reverse hammocks of every x from ql `painted` to `cap`.
-
-        Cells above the old cap are empty, so appending the summands in
-        `by_ql` order keeps every chain sorted by (ql, vertex).
-        """
-        n, lo = self.obj.rank, self.painted + 1
-        if cap < lo:
+        """Paint both reverse hammocks of every x up to `cap` from the cells
+        of the summands, laid out in `by_ql` order so every chain is sorted
+        by (ql, vertex). A cap at or below the painted one changes nothing."""
+        if cap <= self.painted:
             return
-        tube_side, shifted = self.hammocks["T"], self.hammocks["D"]
+        n, cells = self.obj.rank, _painting(self.obj.rank, cap).cells
+        tube_side, shifted = [[] for _ in range(n * cap)], [[] for _ in range(n * cap)]
         for v in self.by_ql:
-            c, d = self.coords[v - 1]
-            for a in range(1, n + 1):
-                r = (a - c) % n
-                if r < d:
-                    for b in range(max(d - r, lo), cap + 1):
-                        tube_side.setdefault((a, b), []).append(v)
-                k = (c - 2 - a) % n
-                while k < cap:
-                    for b in range(max(k + 1, lo), min(k + d, cap) + 1):
-                        shifted.setdefault((a, b), []).append(v)
-                    k += n
+            tube_cells, shifted_cells = cells[self.coords[v - 1]]
+            for cell in tube_cells:
+                tube_side[cell].append(v)
+            for cell in shifted_cells:
+                shifted[cell].append(v)
+        self.hammocks = {"T": tuple(map(tuple, tube_side)), "D": tuple(map(tuple, shifted))}
         self.painted = cap
 
     def chain(self, x: Indec, kind: str) -> Chain:
         """Painted chain of x, repainting to a larger cap if x is above."""
         _same_rank(self.obj, x)
-        hammock = self.hammocks.get(kind)
-        if hammock is None:
+        if kind not in self.hammocks:
             raise ValueError(f"kind must be 'T' or 'D', got {kind!r}")
         if x.ql > self.painted:
             self.paint(max(x.ql, 2 * self.painted))
-        return tuple(hammock.get((x.orbit, x.ql), ()))
+        return self.hammocks[kind][(x.ql - 1) * self.obj.rank + x.orbit - 1]
 
 
 _held: _ObjectTable | None = None
@@ -262,15 +314,14 @@ def _build_chain_strings(t: RigidObject, table: _ObjectTable, ql_cap: int) -> No
     fundamental domain, in sweep order and T before D, building only the
     chains not yet held. `sigma` builds the chains of the domain points on
     their first fetch, so each chain string of the sweep is checked once."""
-    n, top, words, hammocks = t.rank, t.top.orbit, table.words, table.hammocks.items()
-    for b in range(n, ql_cap + 1):  # ql <= n - 1 lies in the domain
-        for a in range(1, n + 1):
-            if not _in_domain(n, (a - top) % n + 1, b):
-                for kind, hammock in hammocks:
-                    cell = hammock.get((a, b))
-                    if cell and (chain := tuple(cell)) not in words:
-                        summands = reverse_hammock(t, Indec(n, a, b), kind)
-                        words[chain] = _chain_string(table, chain, summands)
+    swept, words = _sweep(t.rank, ql_cap), table.words
+    outside = _painting(t.rank, ql_cap).regions[t.top.orbit][0]
+    for cell in range(outside.bit_length()):
+        if outside >> cell & 1:
+            for kind, hammock in table.hammocks.items():
+                chain = hammock[cell]
+                if chain and chain not in words:
+                    words[chain] = _chain_string(table, chain, reverse_hammock(t, swept[cell], kind))
 
 
 def beta_arrow(t: RigidObject, x: Indec) -> str | None:
@@ -360,57 +411,6 @@ def oracle_dims(t: RigidObject, x: Indec) -> dict[int, int]:
         if total:
             out[i] = total
     return out
-
-
-# --- dimensions per summand ------------------------------------------------------
-
-# `_oracle_vectors` of the last (rank, cap) asked for.
-_vectors: tuple[tuple[int, int], dict[tuple[int, int], tuple[int, ...]]] | None = None
-
-
-def _oracle_vectors(n: int, ql_cap: int) -> dict[tuple[int, int], tuple[int, ...]]:
-    """For every rigid s = (c, d): the oracle's Hom(s, x) + Hom(x, tau^2 s)
-    at each swept x = (a, b), b <= ql_cap, at index (b - 1) n + a - 1. One
-    entry is held, for the last (n, ql_cap)."""
-    global _vectors
-    if _vectors is None or _vectors[0] != (n, ql_cap):
-        cells = [(a, b) for b in range(1, ql_cap + 1) for a in range(1, n + 1)]
-        _vectors = ((n, ql_cap), {
-            (c, d): tuple(sum(oracle_parts(n, c, d, a, b)) for a, b in cells)
-            for c in range(1, n + 1)
-            for d in range(1, n)
-        })
-    return _vectors[1]
-
-
-def _failing_cells(t: RigidObject, table: _ObjectTable, ql_cap: int) -> set[int]:
-    """Indices of the swept x where `predicted_dims != oracle_dims` (see the
-    module docstring)."""
-    n = t.rank
-    vectors = _oracle_vectors(n, ql_cap)
-    counts = {v: [0] * (n * ql_cap) for v in range(1, len(table.coords) + 1)}
-    failing = set()
-    for hammock in table.hammocks.values():
-        for (a, b), chain in hammock.items():
-            if b <= ql_cap:
-                cell = (b - 1) * n + a - 1
-                for v in chain:
-                    row = counts.get(v)
-                    if row is None:  # a vertex that is no summand
-                        failing.add(cell)
-                    else:
-                        row[cell] += 1
-    for v, s in enumerate(table.coords, start=1):
-        row, vector = counts[v], vectors[s]
-        if tuple(row) != vector:
-            failing.update(i for i, (got, want) in enumerate(zip(row, vector)) if got != want)
-    # On add tau T the prediction is empty whatever the cells hold.
-    for a, b in table.add_tau:
-        x, cell = Indec(n, a, b), (b - 1) * n + a - 1
-        failing.discard(cell)
-        if predicted_dims(t, x) != oracle_dims(t, x):
-            failing.add(cell)
-    return failing
 
 
 # --- verification ---------------------------------------------------------------
@@ -509,10 +509,9 @@ def verify_hom_functor(t: RigidObject, ql_cap: int | None = None) -> HomFunctorR
     cardinality, the string module of every string, and the outside
     vanishing locus.
 
-    `_failing_cells` compares the dimensions of every swept x at once, and
-    the sweep builds the record of x only where they differ, in sweep order;
-    the vanishing locus is read from the same oracle vectors (see the module
-    docstring)."""
+    The dimensions and the vanishing locus are read from the masks of the
+    summands of t, and the sweep builds the record of x only where the
+    dimensions differ, in sweep order (see the module docstring)."""
     n = t.rank
     check_ql_cap(n, ql_cap)
     if ql_cap is None:
@@ -520,31 +519,32 @@ def verify_hom_functor(t: RigidObject, ql_cap: int | None = None) -> HomFunctorR
     lam = cached_endomorphism_algebra(t)
     table = _table(t)
     table.paint(ql_cap)
-    failing = _failing_cells(t, table, ql_cap)
+    summands, swept, add_tau = _painting(n, ql_cap), _sweep(n, ql_cap), table.add_tau
+    masks, fail, nz = summands.masks, 0, 0
+    for s in table.coords:
+        fail |= masks[s][0]
+        nz |= masks[s][1]
+    for a, b in add_tau:  # the prediction there is empty whatever the cells hold
+        cell = (b - 1) * n + a - 1
+        fail &= ~(1 << cell)
+        fail |= (predicted_dims(t, swept[cell]) != oracle_dims(t, swept[cell])) << cell
     _build_chain_strings(t, table, ql_cap)
-    vectors = _oracle_vectors(n, ql_cap)
-    vanishing = [not any(column) for column in zip(*(vectors[s] for s in table.coords))]
 
     failures = []
-    locus_failures = []
     assigned: dict[StringWord, Indec] = {}
     domain_count = 0
-
-    top, add_tau = t.top.orbit, table.add_tau
-    for cell, x in enumerate(_sweep(n, ql_cap)):
-        if cell in failing:
+    for cell, x in enumerate(swept):
+        if fail and fail >> cell & 1:
             failures.append(_record(t, x, predicted_dims(t, x), oracle_dims(t, x)))
-        a, b = x.orbit, x.ql
-        if in_fundamental_domain(t, x):
-            if (a, b) not in add_tau:
-                domain_count += 1
-                assigned[sigma(t, x).canonical()] = x
-            continue
-        if vanishing[cell] != _on_locus(n, (a - top) % n + 1, b):
-            locus_failures.append(
-                f"{x}: oracle {'vanishes' if vanishing[cell] else 'is nonzero'} "
-                f"off pattern"
-            )
+        if in_fundamental_domain(t, x) and (x.orbit, x.ql) not in add_tau:
+            domain_count += 1
+            assigned[sigma(t, x).canonical()] = x
+    outside, locus = summands.regions[t.top.orbit]
+    off = (outside & ~nz) ^ locus
+    locus_failures = [
+        f"{swept[cell]}: oracle {'is nonzero' if nz >> cell & 1 else 'vanishes'} off pattern"
+        for cell in range(off.bit_length()) if off >> cell & 1
+    ]
 
     # The cap covers the domain (`check_ql_cap`), so the sweep counted all of it.
     expected = (3 * n * n - 5 * n + 2) // 2

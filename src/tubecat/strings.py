@@ -307,12 +307,12 @@ def _canonical_band(cycle: tuple[Letter, ...]) -> StringWord:
 
 @dataclass(frozen=True)
 class StringModule:
-    """Dimension vector plus 0/1 arrow actions on vertex-graded basis slots.
+    """Dimension vector plus 0/1 actions on vertex-graded basis slots of
+    the arrows on the word only, by arrow id; any other arrow acts by zero.
 
     Each action is stored sparsely, as its (target dim, source dim) shape
-    and the (row, column) positions of its ones, so that empty matrices
-    keep their meaning. `action` and `to_json` expand it.
-    """
+    and the (row, column) positions of its ones. `action` and `to_json`
+    expand it."""
 
     dims: tuple[tuple[int, int], ...]  # (vertex, dimension), sorted
     actions: tuple[tuple[str, tuple[int, int], tuple[tuple[int, int], ...]], ...]
@@ -321,7 +321,7 @@ class StringModule:
         return dict(self.dims).get(vertex, 0)
 
     def action(self, arrow_id: str) -> tuple[tuple[int, ...], ...]:
-        """The matrix of the arrow's action, as a tuple of row tuples."""
+        """The matrix of the arrow's action as row tuples; KeyError off the word."""
         for aid, (rows, cols), ones in self.actions:
             if aid == arrow_id:
                 matrix = [[0] * cols for _ in range(rows)]
@@ -345,9 +345,9 @@ def string_module(p: Presentation, w: StringWord) -> StringModule:
     identity arrow actions along the word. The zero string yields the zero
     module.
 
-    Only the word's vertices and arrows are walked. An arrow off the word
-    acts by zero, and so does any relation through it, so testing only the
-    relations with both arrows on the word is exact."""
+    Only the word's vertices and arrows are walked and kept. An arrow off
+    the word acts by zero, and so does any relation through it, so testing
+    only the relations with both arrows on the word is exact."""
     if not is_string(p, w):
         raise ValueError(f"not a string of this presentation: {w}")
     if w.kind == "zero":
@@ -371,13 +371,11 @@ def string_module(p: Presentation, w: StringWord) -> StringModule:
         ):
             raise AssertionError(f"relation ({second}, {first}) acts nonzero")
 
-    return StringModule(
-        tuple(sorted(dims.items())),
-        tuple([
-            (a.id, (dims.get(a.tgt, 0), dims.get(a.src, 0)), tuple(ones.get(a.id, ())))
-            for a in _letters(p).arrows
-        ]),
-    )
+    ends = _letters(p).ends
+    return StringModule(tuple(sorted(dims.items())), tuple([
+        (aid, (dims[tgt], dims[src]), tuple(pos))
+        for aid, pos in sorted(ones.items()) for src, tgt in (ends[aid, 1],)
+    ]))
 
 
 def zero_module() -> StringModule:

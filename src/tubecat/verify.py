@@ -19,12 +19,12 @@ leaves unchanged:
   invariant when both are translated.
 - `tube._oracle_dim` is keyed on that shift alone, and each of its nested
   families, keyed on (shift + d) mod n, is one solver resumed column by
-  column, so the oracle's dimensions are invariant too, and so are the
-  sweep's per-summand oracle vectors, which read the oracle through the
-  same shifts.
+  column, so the oracle's dimensions are invariant too.
 - The Hom-functor sweep covers every orbit 1..n for each ql <= cap, so the
-  swept set of x is closed under the translate, and the fundamental domain
-  and the vanishing locus are stated in top-normalized coordinates.
+  swept set of x is closed under the translate. Its dimension and locus
+  proofs are masks per rigid summand, each painted and read from the oracle
+  through (a - c) mod n alone, so they move with T and x; the fundamental
+  domain and the vanishing locus are stated in top-normalized coordinates.
 
 Each member still gets its own outcome, and takes its representative's only
 after an exact certificate: its summands are the representative's translated

@@ -1,8 +1,9 @@
 """Helpers that several test modules share and no module of `tubecat`
 calls: a presentation constructor, every small gentle presentation, small
 enumerations of the tube, the oracle's cluster Hom, the quasisimple map of
-a rigid object, the end strings of an algebra with the projective/injective
-comparison built on them, an algebra with a band, the former recursive path
+a rigid object, the vanishing locus of the Hom-functor sweep, the end
+strings of an algebra with the projective/injective comparison built on
+them, an algebra with a band, the former recursive path
 count, the former object-building brute enumeration, the former pinned
 isomorphism invariant, the former `quiver.canonical_key` of a quiver pinned
 at any vertex, the former `quiver.find_isomorphism`, an exhaustive search
@@ -20,7 +21,7 @@ from collections import Counter
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from tubecat import kernel, strings
+from tubecat import homfunctor, kernel, strings
 from tubecat.endo import LOOP_ID
 from tubecat.quiver import (
     Arrow,
@@ -146,6 +147,14 @@ def quasisimple_map(t: RigidObject) -> dict[Indec, Indec]:
         )
         out[q] = best
     return out
+
+
+def on_vanishing_locus(t: RigidObject, x: Indec) -> bool:
+    """Outside the fundamental domain, Hom vanishes exactly on the objects
+    (n, kn - 1), k >= 2, in top-normalized coordinates. The former
+    `homfunctor.on_vanishing_locus`; the sweep reads the same pattern as a
+    mask."""
+    return homfunctor._on_locus(t.rank, homfunctor._normalized_orbit(t, x), x.ql)
 
 
 def end_string(p: Presentation, graph: Mapping[Letter, Sequence[Letter]], v: int, d: int) -> StringWord:

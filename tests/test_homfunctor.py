@@ -3,6 +3,7 @@
 import hashlib
 import json
 import re
+from collections import Counter
 
 import pytest
 
@@ -12,7 +13,6 @@ from tubecat.homfunctor import (
     beta_arrow,
     in_add_tau,
     in_fundamental_domain,
-    on_vanishing_locus,
     oracle_dims,
     predicted_dims,
     reverse_hammock,
@@ -44,7 +44,14 @@ from tubecat.tube import (
     tau,
 )
 
-from support import free_loop, projective_string, quasisimple_map, quasisimples, wing_members
+from support import (
+    free_loop,
+    on_vanishing_locus,
+    projective_string,
+    quasisimple_map,
+    quasisimples,
+    wing_members,
+)
 
 T3 = from_summands(3, [Indec(3, 1, 2), Indec(3, 1, 1)])
 T2 = from_summands(2, [Indec(2, 1, 1)])
@@ -779,7 +786,7 @@ class TestObjectTable:
             return hom, hom_shifted
 
         monkeypatch.setattr(homfunctor, "oracle_parts", off_by_one)
-        monkeypatch.setattr(homfunctor, "_vectors", None)
+        monkeypatch.setattr(homfunctor, "_summands", None)
         report = verify_hom_functor(t)
         assert not report.ok
         assert [r["x"] for r in report.dimension_failures] == [target.to_json()]
@@ -845,22 +852,23 @@ class TestObjectTable:
             assert o.detail.endswith(" are not triple-related")
 
     def test_dropped_hammock_summand_fails_that_x(self, monkeypatch):
-        """A painted cell that lost one summand is a dimension failure at
-        exactly its x."""
+        """A summand that lost one of its painted cells is missing from the
+        chain there, a dimension failure at exactly that x."""
         n = 4
         t = maximal_rigid_objects(n)[3]
         monkeypatch.setattr(homfunctor, "_held", None)
         table = homfunctor._table(t)
         table.paint(3 * n)
         cell = next(
-            (a, b) for (a, b), chain in sorted(table.hammocks["T"].items())
-            if b > 2 * n - 2 and len(chain) >= 2
+            cell for cell, chain in enumerate(table.hammocks["T"])
+            if cell >= (2 * n - 2) * n and len(chain) >= 2
         )
-        dropped = table.hammocks["T"][cell].pop()
+        dropped = table.hammocks["T"][cell][-1]
+        _plant(monkeypatch, t.summands[dropped - 1], "T", lambda cells: [c for c in cells if c != cell])
         report = verify_hom_functor(t)
         assert not report.ok
         [failure] = report.dimension_failures
-        assert failure["x"] == Indec(n, *cell).to_json()
+        assert failure["x"] == homfunctor._sweep(n, 3 * n)[cell].to_json()
         pred, orac = failure["predicted_dims"], failure["oracle_dims"]
         assert pred.get(str(dropped), 0) == orac[str(dropped)] - 1
 
@@ -892,12 +900,12 @@ class TestObjectTable:
         held = {
             name: value for name, value in vars(homfunctor).items()
             if not name.startswith("__")
-            and isinstance(value, (dict, list, set, tuple, homfunctor._ObjectTable))
+            and isinstance(value, (dict, list, set, tuple, homfunctor._ObjectTable, homfunctor._Summands))
         }
-        assert set(held) == {"_held", "_vectors", "_swept"}
+        assert set(held) == {"_held", "_summands", "_swept"}
         assert held["_held"].obj is objects[0]
-        key, vectors = held["_vectors"]
-        assert key == (5, 30) and len(vectors) == 5 * 4
+        summands = held["_summands"]
+        assert summands.key == (5, 30) and len(summands.cells) == len(summands.masks) == 5 * 4
         key, swept = held["_swept"]
         assert key == (5, 30) and len(swept) == 5 * 30
         assert swept == tuple(Indec(5, a, b) for b in range(1, 31) for a in range(1, 6))
@@ -913,6 +921,23 @@ def _representatives(n):
     return [t for t in maximal_rigid_objects(n) if t.top.orbit == 1]
 
 
+def _plant(monkeypatch, summand, kind, change):
+    """Plant a fault in the painting of one rigid summand: `change` maps its
+    tube-side (kind "T") or shifted-side ("D") cells to the planted ones.
+    The tables painted afterwards and the summands' masks read them."""
+    honest, side = homfunctor._summand_cells, "TD".index(kind)
+
+    def planted(n, c, d, cap):
+        cells = list(honest(n, c, d, cap))
+        if (c, d) == (summand.orbit, summand.ql):
+            cells[side] = change(cells[side])
+        return tuple(cells)
+
+    monkeypatch.setattr(homfunctor, "_summand_cells", planted)
+    monkeypatch.setattr(homfunctor, "_summands", None)
+    monkeypatch.setattr(homfunctor, "_held", None)
+
+
 def _ending(route, t):
     """The dimension failures of a sweep, or the repr of what it raised."""
     try:
@@ -922,9 +947,9 @@ def _ending(route, t):
 
 
 class TestDimensionsPerSummand:
-    """The sweep's one dimension comparison, each vertex's painted cells
-    counted against its summand's oracle vector, against the per-x
-    reference route."""
+    """The sweep's dimension and locus proofs, read from each rigid
+    summand's masks, against the per-x reference route, with faults planted
+    in the summands' cells."""
 
     @pytest.mark.parametrize("n, cap", [(2, 6), (3, 9), (4, 12), (5, 15), (6, 18), (7, 21), (5, 30)])
     def test_reports_equal_the_per_x_route(self, n, cap):
@@ -934,16 +959,22 @@ class TestDimensionsPerSummand:
             assert report.dimension_failures == reference.dimension_failures == ()
             assert report.to_json() == reference.to_json(), t
 
-    def test_oracle_vectors_sum_the_parts(self):
+    def test_masks_read_the_parts(self):
+        """Each rigid summand's cells hold every swept x as often as its
+        two oracle parts say, so its `fail` mask is empty, and its `nz` mask
+        holds the x where the parts sum to a nonzero value."""
         for n, cap in [(n, 3 * n) for n in range(2, 8)] + [(5, 30)]:
-            vectors = homfunctor._oracle_vectors(n, cap)
-            assert set(vectors) == {(c, d) for c in range(1, n + 1) for d in range(1, n)}
-            for (c, d), vector in vectors.items():
-                assert len(vector) == n * cap
-                for a in range(1, n + 1):
-                    for b in range(1, cap + 1):
-                        parts = homfunctor.oracle_parts(n, c, d, a, b)
-                        assert vector[(b - 1) * n + a - 1] == sum(parts), (n, c, d, a, b)
+            summands = homfunctor._Summands(n, cap)
+            assert set(summands.cells) == {(c, d) for c in range(1, n + 1) for d in range(1, n)}
+            assert set(summands.masks) == set(summands.cells)
+            for (c, d), (fail, nz) in summands.masks.items():
+                tube_side, shifted = map(Counter, summands.cells[c, d])
+                assert fail == 0, (n, c, d)
+                for cell in range(n * cap):
+                    parts = homfunctor.oracle_parts(n, c, d, cell % n + 1, cell // n + 1)
+                    assert (tube_side[cell], shifted[cell]) == parts, (n, c, d, cell)
+                    assert nz >> cell & 1 == (sum(parts) != 0)
+                assert max(tube_side | shifted, default=0) < n * cap
 
     @pytest.mark.parametrize("honest_part", [0, 1])
     def test_part_of_two_sends_its_summand_to_the_fallback(self, honest_part, monkeypatch):
@@ -970,7 +1001,7 @@ class TestDimensionsPerSummand:
             return hom, hom_shifted
 
         monkeypatch.setattr(homfunctor, "oracle_parts", doubled)
-        monkeypatch.setattr(homfunctor, "_vectors", None)
+        monkeypatch.setattr(homfunctor, "_summands", None)
         calls = []
         counted = homfunctor.oracle_dims
         monkeypatch.setattr(
@@ -999,6 +1030,7 @@ class TestDimensionsPerSummand:
         t = _representatives(n)[4]
         target = tau(t.summands[1], 1)
         c, d = t.summands[0].orbit, t.summands[0].ql
+        cell = (target.ql - 1) * n + target.orbit - 1
         honest = homfunctor.oracle_parts
 
         def planted(n_, c_, d_, a, b):
@@ -1008,12 +1040,11 @@ class TestDimensionsPerSummand:
             return hom, hom_shifted
 
         monkeypatch.setattr(homfunctor, "oracle_parts", planted)
-        monkeypatch.setattr(homfunctor, "_vectors", None)
-        monkeypatch.setattr(homfunctor, "_held", None)
+        _plant(monkeypatch, t.summands[0], "D", lambda cells: cells + [cell])
         table = homfunctor._table(t)
         table.paint(3 * n)
-        assert (target.orbit, target.ql) not in table.hammocks["D"]
-        table.hammocks["D"][target.orbit, target.ql] = [1]
+        assert table.hammocks["D"][cell] == (1,)
+        assert homfunctor._painting(n, 3 * n).masks[c, d][0] == 0
         report = verify_hom_functor(t)
         assert [f["x"] for f in report.dimension_failures] == [target.to_json()]
         reference = reference_verify_hom_functor(t)
@@ -1023,71 +1054,111 @@ class TestDimensionsPerSummand:
     def test_add_tau_cell_ignores_what_it_holds(self, monkeypatch):
         """A summand painted into a cell of add tau T, without an oracle part
         to match, leaves the prediction there empty, so the sweep passes as
-        the reference does."""
+        the reference does, although that summand's `fail` mask holds the
+        cell."""
         n = 5
         t = _representatives(n)[4]
         target = tau(t.summands[1], 1)
-        monkeypatch.setattr(homfunctor, "_held", None)
+        cell = (target.ql - 1) * n + target.orbit - 1
+        _plant(monkeypatch, t.summands[0], "D", lambda cells: cells + [cell])
         table = homfunctor._table(t)
         table.paint(3 * n)
-        assert (target.orbit, target.ql) not in table.hammocks["D"]
-        table.hammocks["D"][target.orbit, target.ql] = [1]
+        assert table.hammocks["D"][cell] == (1,)
+        s = t.summands[0]
+        assert homfunctor._painting(n, 3 * n).masks[s.orbit, s.ql][0] == 1 << cell
         report = verify_hom_functor(t)
         assert report.ok
         assert report.to_json() == reference_verify_hom_functor(t).to_json()
 
     def test_summand_moved_to_another_cell_is_not_proved(self, monkeypatch):
-        """A summand dropped from one cell and repeated in another keeps its
-        count of cells but not its cells, and the sweep ends as the
-        reference ends."""
+        """A summand dropped from one of its cells and repeated in another
+        keeps its count of cells but not its cells: its `fail` mask holds
+        both, and the sweep ends as the reference ends."""
         n = 4
         t = _representatives(n)[3]
-        monkeypatch.setattr(homfunctor, "_held", None)
-        table = homfunctor._table(t)
-        table.paint(3 * n)
-        cells = sorted(
-            cell for cell, chain in table.hammocks["T"].items()
-            if cell[1] <= 3 * n and 1 in chain
-        )
-        table.hammocks["T"][cells[0]].remove(1)
-        table.hammocks["T"][cells[1]].append(1)
-        failing = homfunctor._failing_cells(t, table, 3 * n)
-        assert failing == {(b - 1) * n + a - 1 for a, b in cells[:2]}
+        s = t.summands[0]
+        cells = sorted(homfunctor._summand_cells(n, s.orbit, s.ql, 3 * n)[0])
+        _plant(monkeypatch, s, "T", lambda got: [c for c in got if c != cells[0]] + [cells[1]])
+        assert homfunctor._painting(n, 3 * n).masks[s.orbit, s.ql][0] == 1 << cells[0] | 1 << cells[1]
         ended = _ending(verify_hom_functor, t)
         assert ended == _ending(reference_verify_hom_functor, t)
         assert ended != ()
 
     @pytest.mark.parametrize("change", ["drop", "repeat", "foreign"])
     def test_changed_cell_runs_the_per_x_loop(self, change, monkeypatch):
-        """A painted cell that loses a summand, holds one twice or holds a
-        vertex the object lacks ends the sweep as the per-x reference ends
-        it: a lost summand fails exactly its x, and the other two raise
-        where the chain string of the cell is built."""
+        """A summand that loses a painted cell, holds it twice, or gains a
+        cell it has no map at ends the sweep as the per-x reference ends it:
+        a lost or gained summand fails exactly its x, and a repeated one
+        raises where the chain string of the cell is built."""
         n = 4
         t = _representatives(n)[3]
         monkeypatch.setattr(homfunctor, "_held", None)
         table = homfunctor._table(t)
         table.paint(3 * n)
         cell = next(
-            (a, b) for (a, b), chain in sorted(table.hammocks["D"].items())
-            if b > 2 * n - 2 and chain
+            cell for cell, chain in enumerate(table.hammocks["D"])
+            if cell >= (2 * n - 2) * n and chain
         )
         chain = table.hammocks["D"][cell]
-        if change == "drop":
-            chain.pop()
-        elif change == "repeat":
-            chain.append(chain[-1])
+        if change == "foreign":
+            v = next(v for v in range(1, n) if v not in chain)
         else:
-            chain.append(len(t.summands) + 1)
-        a, b = cell
-        assert homfunctor._failing_cells(t, table, 3 * n) == {(b - 1) * n + a - 1}
+            v = chain[-1]
+        s = t.summands[v - 1]
+        if change == "drop":
+            _plant(monkeypatch, s, "D", lambda cells: [c for c in cells if c != cell])
+        else:
+            _plant(monkeypatch, s, "D", lambda cells: cells + [cell])
+        assert homfunctor._painting(n, 3 * n).masks[s.orbit, s.ql][0] == 1 << cell
 
         ended = _ending(verify_hom_functor, t)
         assert ended == _ending(reference_verify_hom_functor, t)
-        if change == "drop":
-            assert [f["x"] for f in ended] == [Indec(n, *cell).to_json()]
-        else:
+        if change == "repeat":
             assert isinstance(ended, str)
+        else:
+            assert [f["x"] for f in ended] == [homfunctor._sweep(n, 3 * n)[cell].to_json()]
+
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_summand_fault_reaches_every_holder(self, n, monkeypatch):
+        """One cell dropped from one rigid summand's tube-side cells reaches
+        both the dimension failures and the chain strings of every
+        representative that holds that summand, at that x alone, as the
+        per-x reference reports it; a representative without the summand
+        still passes. The summand is the first or the last member of the
+        chain there in every holder, so the chain left is a string."""
+        representatives = _representatives(n)
+        swept = homfunctor._sweep(n, 3 * n)
+
+        def at_an_end_everywhere(s, cell):
+            holders = [t for t in representatives if s in t.summands]
+            chains = [(homfunctor._table(t).chain(swept[cell], "T"), t.vertex_of(s)) for t in holders]
+            return 0 < len(holders) < len(representatives) and all(
+                (v,) in (chain[:1], chain[-1:]) for chain, v in chains
+            )
+
+        s, cell = next(
+            (s, cell)
+            for s in sorted({s for t in representatives for s in t.summands}, key=lambda s: -s.ql)
+            for cell in sorted(homfunctor._summand_cells(n, s.orbit, s.ql, 3 * n)[0])
+            if not in_fundamental_domain(representatives[0], swept[cell]) and at_an_end_everywhere(s, cell)
+        )
+        x = swept[cell]
+        honest = {t: sigma_string(t, x, "T") for t in representatives}
+        _plant(monkeypatch, s, "T", lambda cells: [c for c in cells if c != cell])
+        for t in representatives:
+            report = verify_hom_functor(t)
+            if s not in t.summands:
+                assert report.ok, t
+                continue
+            v, lam = t.vertex_of(s), cached_endomorphism_algebra(t)
+            [failure] = report.dimension_failures
+            assert failure["x"] == x.to_json()
+            assert failure["oracle_dims"][str(v)] - failure["predicted_dims"].get(str(v), 0) == 1
+            chain = homfunctor._table(t).chain(x, "T")
+            sig = sigma_string(t, x, "T")
+            assert v not in chain and sorted(traversed_vertices(lam, sig)) == sorted(chain)
+            assert failure["sigmaT"] == sig.to_json() != honest[t].to_json()
+            assert report.to_json() == reference_verify_hom_functor(t).to_json()
 
     def test_passing_sweep_calls_both_dimension_hooks(self, monkeypatch):
         """A proved sweep still compares `predicted_dims` with `oracle_dims`
@@ -1143,10 +1214,10 @@ class TestChainPass:
             assert fetched and all(in_fundamental_domain(t, x) for x in fetched)
             table = homfunctor._table(t)
             chains = {
-                tuple(chain)
+                chain
                 for hammock in table.hammocks.values()
-                for (a, b), chain in hammock.items()
-                if b <= 3 * n and chain and (a, b) not in table.add_tau
+                for cell, chain in enumerate(hammock)
+                if chain and (cell % n + 1, cell // n + 1) not in table.add_tau
             }
             assert sorted(c for c in built if c) == sorted(chains), t
             assert built.count(()) <= 1
@@ -1171,11 +1242,12 @@ class TestChainPass:
             table.paint(3 * n)
             homfunctor._build_chain_strings(t, table, 3 * n)
             assert read and not any(in_fundamental_domain(t, x) for x in read)
+            swept = homfunctor._sweep(n, 3 * n)
             outside = {
-                tuple(chain)
+                chain
                 for hammock in table.hammocks.values()
-                for (a, b), chain in hammock.items()
-                if b <= 3 * n and chain and not in_fundamental_domain(t, Indec(n, a, b))
+                for cell, chain in enumerate(hammock)
+                if chain and not in_fundamental_domain(t, swept[cell])
             }
             assert sorted(built) == sorted(outside) == sorted(table.words), t
 
@@ -1193,13 +1265,14 @@ class TestChainPass:
         def paint(table, cap):
             honest(table, cap)
             if table.obj is victim:
-                a, b = next(
-                    (a, b) for (a, b), chain in sorted(table.hammocks["T"].items())
-                    if b <= 3 * n and len(chain) >= 2
-                    and not in_fundamental_domain(victim, Indec(n, a, b))
+                hammock = list(table.hammocks["T"])
+                cell = next(
+                    cell for cell, chain in enumerate(hammock)
+                    if len(chain) >= 2 and not in_fundamental_domain(victim, Indec(n, cell % n + 1, cell // n + 1))
                 )
-                table.hammocks["T"][a, b].reverse()
-                planted.append(tuple(table.hammocks["T"][a, b]))
+                hammock[cell] = hammock[cell][::-1]
+                table.hammocks["T"] = tuple(hammock)
+                planted.append(hammock[cell])
 
         monkeypatch.setattr(homfunctor._ObjectTable, "paint", paint)
         monkeypatch.setattr(homfunctor, "_held", None)

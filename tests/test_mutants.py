@@ -1,0 +1,111 @@
+"""A suite-level mutant gate: each check is shown to catch its faults.
+
+Each row plants one fault in a copy of the `tubecat` sources, by replacing
+one piece of source text that must occur exactly once, and runs
+`run_suite(range(2, 6))` on the copy in a fresh process, so that no
+module-level cache carries the fault over to other tests. The checks that
+the row names, and no other, must fail, each with a failing outcome whose
+detail matches the row's witness pattern, and no exception may escape the
+suite. When verdict code moves between checks or layers, the table shows
+that every mutant is still caught, and by which check.
+
+A row that names no check is a mutant that survives: a gap in the checks,
+kept so that the gate fails once something starts to catch it and the row
+can name the check.
+"""
+
+import json
+import os
+import re
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+from typing import NamedTuple
+
+import pytest
+
+import tubecat
+
+SOURCES = Path(tubecat.__file__).resolve().parent
+
+
+class Mutant(NamedTuple):
+    name: str
+    module: str  # file of the package the fault is planted in
+    old: str  # source text replaced, found exactly once
+    new: str
+    catches: dict[str, str]  # check -> pattern that a failing detail of it matches
+
+
+MUTANTS = (
+    Mutant(
+        "shifted-side-painted-with-tau3", "homfunctor.py",
+        "k = (c - 2 - a) % n", "k = (c - 3 - a) % n",
+        {"hom-functor": r"^\d+ dimension mismatches"},
+    ),
+    Mutant(
+        "ray-with-r-le-d", "homfunctor.py",
+        "if r < d:", "if r <= d:",
+        {"hom-functor": r"^(\d+ dimension mismatches|error: chain members .* are not triple-related)"},
+    ),
+    Mutant(
+        "composable-ignores-inverse-relations", "strings.py",
+        "if x[1] < 0 and y[1] < 0 and p.is_relation(x[0], y[0]):", "if False:",
+        {"strings": r"^band detected: ", "hom-functor": r"string bijection fails"},
+    ),
+    Mutant(
+        "sigma-junction-inverted", "homfunctor.py",
+        "or head and letter not in successors.get(head[-1], ())",
+        "or head and letter in successors.get(head[-1], ())",
+        {"hom-functor": r"^error: \S+ does not join \S+ to \S+ for \(\d+,\d+\)$"},
+    ),
+    # Survives: the module of a string is built only after `is_string`,
+    # whose letter table already refuses every relation, so no check can
+    # reach this relation test with a word that fails it.
+    Mutant(
+        "string-module-skips-relations", "strings.py",
+        'raise AssertionError(f"relation ({second}, {first}) acts nonzero")', "pass",
+        {},
+    ),
+    Mutant(
+        "oracle-parts-off-by-one", "homfunctor.py",
+        "tube._oracle_dim(n, d, b, (a - c) % n)", "tube._oracle_dim(n, d, b, (a - c + 1) % n)",
+        {"hom-functor": r"^\d+ dimension mismatches"},
+    ),
+)
+
+SUITE = "\n".join([
+    "import json",
+    "from tubecat.verify import run_suite",
+    "report = run_suite(range(2, 6))",
+    "print(json.dumps([[o.check, o.rank, o.detail] for o in report.outcomes if not o.ok]))",
+])
+
+
+def _failures(mutant: Mutant, root: Path) -> list[list]:
+    """The failing outcomes of the suite on a copy of the sources with the
+    mutant planted, as [check, rank, detail]."""
+    package = root / "tubecat"
+    shutil.copytree(SOURCES, package, ignore=shutil.ignore_patterns("__pycache__"))
+    path = package / mutant.module
+    source = path.read_text()
+    assert source.count(mutant.old) == 1, f"{mutant.name}: its source text is not found once"
+    path.write_text(source.replace(mutant.old, mutant.new))
+    done = subprocess.run(
+        [sys.executable, "-c", SUITE],
+        capture_output=True, text=True, timeout=120, cwd=root,
+        env=dict(os.environ, PYTHONPATH=str(root), PYTHONDONTWRITEBYTECODE="1"),
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
+
+
+@pytest.mark.parametrize("mutant", MUTANTS, ids=[m.name for m in MUTANTS])
+def test_each_mutant_fails_its_checks(mutant, tmp_path):
+    failed = _failures(mutant, tmp_path)
+    assert {check for check, _, _ in failed} == set(mutant.catches), failed[:3]
+    for check, pattern in mutant.catches.items():
+        details = [detail for c, _, detail in failed if c == check]
+        assert any(re.search(pattern, detail) for detail in details), (check, details[:3])
+

@@ -15,6 +15,7 @@ from tubecat.quiver import Presentation, count_paths
 from tubecat.rigid import maximal_rigid_objects
 from tubecat.strings import (
     ZERO_STRING,
+    StringModule,
     end_vertex,
     enumerate_strings,
     is_string,
@@ -427,11 +428,16 @@ class TestStringModules:
                 assert sum(d for _, d in string_module(lam, s).dims) == s.length + 1
 
     def test_actions_respect_relations(self):
+        """Every relation with both arrows on the word acts by zero; an arrow
+        off the word is not kept, since it acts by zero."""
         lam = cached_endomorphism_algebra(maximal_rigid_objects(4)[0])
         for s in enumerate_strings(lam).strings:
             m = string_module(lam, s)
+            kept = {aid for aid, _, _ in m.actions}
+            assert kept == {aid for aid, _ in s.letters}
             for second, first in lam.relations:
-                assert not (stored_matrix(m, second) @ stored_matrix(m, first)).any()
+                if {second, first} <= kept:
+                    assert not (stored_matrix(m, second) @ stored_matrix(m, first)).any()
 
     def test_action_rows_match_stored_entries(self):
         lam = cached_endomorphism_algebra(maximal_rigid_objects(4)[0])
@@ -442,12 +448,18 @@ class TestStringModules:
                 assert len(rows) == shape[0]
                 assert [list(r) for r in rows] == stored_matrix(m, aid).tolist()
 
-    def test_empty_actions_keep_their_shape(self):
-        # At e1 the arrow a: 1 -> 2 acts 0 x 1, at e2 it acts 1 x 0.
-        assert string_module(RANK3, trivial(1)).action("a") == ()
-        assert string_module(RANK3, trivial(2)).action("a") == ((),)
+    def test_arrows_off_the_word_are_not_kept(self):
+        # A trivial string has no arrow on its word; a: 1 -> 2 on the word
+        # a * w acts 1 x 2, and w acts 2 x 2.
+        for v in (1, 2):
+            assert string_module(RANK3, trivial(v)).actions == ()
+            with pytest.raises(KeyError):
+                string_module(RANK3, trivial(v)).action("a")
+        m = string_module(RANK3, word([("w", 1), ("a", 1)]))
+        assert m.action("a") == ((0, 1),)
+        assert m.action("w") == ((0, 0), (1, 0))
         with pytest.raises(KeyError):
-            string_module(RANK3, trivial(1)).action("nope")
+            m.action("nope")
 
     def test_relation_acting_nonzero_is_caught(self, monkeypatch):
         # w*w is a relation, so only a forged string can pass through it.
@@ -475,20 +487,30 @@ class TestStringModules:
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
     def test_modules_equal_the_dense_builder(self, n):
+        """On the arrows of the word; the dense builder's other arrows act
+        by zero."""
         for t in _representatives(n):
             lam = cached_endomorphism_algebra(t)
             for s in enumerate_strings(lam).strings:
-                assert string_module(lam, s).to_json() == dense_string_module(lam, s)
+                dense, on_word = dense_string_module(lam, s), {aid for aid, _ in s.letters}
+                assert not any(map(any, (
+                    row for aid, rows in dense["actions"].items() if aid not in on_word for row in rows
+                )))
+                dense["actions"] = {aid: rows for aid, rows in dense["actions"].items() if aid in on_word}
+                assert string_module(lam, s).to_json() == dense
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
     def test_modules_equal_the_reference(self, n):
         """The module built from the word's own vertices and arrows equals
-        the former one built over the whole algebra, arrow order and the
-        zero actions of the arrows off the word included."""
+        the former one built over the whole algebra on the arrows of the
+        word, in arrow order, and each other arrow acts by zero there."""
         for t in _representatives(n):
             lam = cached_endomorphism_algebra(t)
             for s in enumerate_strings(lam).strings:
-                assert string_module(lam, s) == reference_string_module(lam, s), (t, s)
+                reference, on_word = reference_string_module(lam, s), {aid for aid, _ in s.letters}
+                assert all(not ones for aid, _, ones in reference.actions if aid not in on_word)
+                kept = tuple(action for action in reference.actions if action[0] in on_word)
+                assert string_module(lam, s) == StringModule(reference.dims, kept), (t, s)
 
     def test_forged_relation_fails_as_the_reference(self, monkeypatch):
         """Past a forged `is_string`, both builders name the same relation."""
@@ -509,8 +531,7 @@ class TestStringModules:
         m = string_module(RANK3, word([("w", 1)]))
         data = json.loads(json.dumps(m.to_json()))
         assert data["dims"] == {"1": 2}
-        assert data["actions"]["w"] == [[0, 0], [1, 0]]
-        assert data["actions"]["a"] == []
+        assert data["actions"] == {"w": [[0, 0], [1, 0]]}
 
     def test_module_dims_sums(self):
         """The dimension at a vertex sums the string's visits to it."""
