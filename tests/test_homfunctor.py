@@ -1118,6 +1118,31 @@ class TestDimensionsPerSummand:
         else:
             assert [f["x"] for f in ended] == [homfunctor._sweep(n, 3 * n)[cell].to_json()]
 
+    @pytest.mark.parametrize("fault", ["is nonzero", "vanishes"])
+    def test_oracle_off_the_locus_pattern_is_reported(self, fault, monkeypatch):
+        """An oracle that is nonzero at a point of the vanishing locus, or
+        that vanishes at an outside point off it, fails the locus check at
+        exactly that x, with the dimensions there, as the per-x reference
+        reports it."""
+        n = 4
+        t = _representatives(n)[2]
+        outside = [x for x in homfunctor._sweep(n, 3 * n) if not in_fundamental_domain(t, x)]
+        target = next(x for x in outside if on_vanishing_locus(t, x) == (fault == "is nonzero"))
+        top = (t.top.orbit, t.top.ql)
+        honest = homfunctor.oracle_parts
+
+        def planted(n_, c, d, a, b):
+            if (a, b) != (target.orbit, target.ql):
+                return honest(n_, c, d, a, b)
+            return (1, 0) if fault == "is nonzero" and (c, d) == top else (0, 0)
+
+        monkeypatch.setattr(homfunctor, "oracle_parts", planted)
+        monkeypatch.setattr(homfunctor, "_summands", None)
+        report = verify_hom_functor(t)
+        assert report.locus_failures == (f"{target}: oracle {fault} off pattern",)
+        assert [f["x"] for f in report.dimension_failures] == [target.to_json()]
+        assert report.to_json() == reference_verify_hom_functor(t).to_json()
+
     @pytest.mark.parametrize("n", [4, 5, 6])
     def test_summand_fault_reaches_every_holder(self, n, monkeypatch):
         """One cell dropped from one rigid summand's tube-side cells reaches
