@@ -3,12 +3,11 @@
 Path counting and the Gorenstein dimension of a gentle algebra, both read
 from `_free_order`, the one walk over relation-free paths, which does not
 recurse; the special biserial and gentle conditions; recognition of type-A
-cluster-tilted quivers as trees of blocks, built once per quiver: the block
-counts give the connecting vertices, and a walk of the blocks from each
-connecting vertex gives an exact canonical form of the quiver pinned there;
-and the same walks from two pins, zipped into a vertex map and checked on
-the arrows, give the pinned isomorphism that certifies the converse check's
-matches of canonical forms.
+cluster-tilted quivers as trees of blocks, built once per quiver, whose
+block counts give the connecting vertices; and `_pinned_form`, the arrows
+read in the order of the block walk from a connecting vertex: an exact key
+of the quiver pinned there and, zipped with an equal form, the pinned
+isomorphism that certifies the converse check's key hits.
 """
 
 from __future__ import annotations
@@ -478,57 +477,57 @@ def connecting_vertices(q: Quiver) -> frozenset[int]:
     return frozenset(_tree_of_blocks(q)[1])
 
 
-def connecting_keys(q: Quiver) -> dict[int, tuple]:
-    """Canonical form of the quiver q pinned at each connecting vertex:
-    equal keys exactly when an isomorphism maps pin to pin. A vertex's key,
-    from the tree of blocks rooted at the pin, is the sorted tuple of its
-    blocks other than the one it was entered by, ("out", key of w), ("in",
-    key of w) or ("cycle", key of x, key of y). Once q is recognised, the
-    walk (`_walk`) from any pin meets no vertex twice and misses none.
+def _pinned_form(q: Quiver, blocks: dict[int, list[tuple]], v: int) -> tuple[list, tuple] | None:
+    """The vertices of q in the order of the block walk from v (`_walk`;
+    `blocks` is `_blocks(q)`), and q's arrows as (position of src, position
+    of tgt) pairs, sorted; the vertex count is the order's length. None
+    when the walk misses a vertex."""
+    order = list(_walk(blocks, v)[0])
+    if len(order) < len(q.vertices):
+        return None
+    at = {u: i for i, u in enumerate(order)}
+    return order, tuple(sorted((at[a.src], at[a.tgt]) for a in q.arrows))
+
+
+def connecting_keys(q: Quiver) -> dict[int, tuple[tuple[int, int], ...]]:
+    """The arrows of `_pinned_form` at each connecting vertex, from one
+    `_blocks` build: equal keys exactly when an isomorphism maps pin to pin.
+
+    The walk order is canonical. From a connecting vertex of a recognised
+    quiver the walk meets every vertex once and leaves each by at most one
+    block: the pin lies in at most one, every other vertex in at most two,
+    one of them the block it was entered by. A block lists its other
+    vertices as the arrows orient them, a 3-cycle in its cyclic order. So
+    a pinned isomorphism maps the i-th vertex of one walk to the i-th of
+    the other, and the keys are equal. Conversely equal keys zip into an
+    isomorphism (`find_isomorphism`): a recognised quiver is connected, so
+    its key gives its vertex count, one more than its largest position.
     """
     blocks, connecting = _tree_of_blocks(q)
-    keys = {}
-    for v in connecting:
-        key: dict[int, tuple] = {}
-        for w in reversed(_walk(blocks, v)[0]):  # every vertex after those it enters
-            # the block w was entered by holds a vertex not yet keyed
-            here = (b for b in blocks[w] if all(u in key for u in b[1:]))
-            key[w] = tuple(sorted((b[0], *(key[u] for u in b[1:])) for b in here))
-        keys[v] = key[v]
-    return keys
+    return {v: _pinned_form(q, blocks, v)[1] for v in connecting}
 
 
 # --- isomorphism ------------------------------------------------------------
 
 def find_isomorphism(a: Quiver, b: Quiver, pin: tuple[int, int]) -> dict[int, int] | None:
-    """The isomorphism from a to b that maps pin[0] to pin[1], read off the
-    two block walks (`_walk`) from the pins, or None.
+    """The isomorphism from a to b that maps pin[0] to pin[1], zipped from
+    the walk orders of two equal pinned forms (`_pinned_form`), or None.
 
-    Rooted at a connecting vertex of a recognised type-A quiver, the walk
-    leaves each vertex by at most one block: the pin lies in at most one,
-    and every other vertex in at most two, one of them the block it was
-    entered by. A 3-cycle lists its other two vertices in the order of its
-    orientation. So the order of the walk is canonical, and a pinned
-    isomorphism sends the i-th vertex of one walk to the i-th of the other.
-    The two orders, zipped, are returned when they map the arrows of a onto
-    those of b with multiplicity. That check makes every map returned an
-    isomorphism, whatever the quivers and pins; on recognised quivers
-    pinned at connecting vertices, the certificate also finds every one.
-    Linear in the arrows, with no size limit.
+    Equal forms are an isomorphism, whatever the quivers and pins: the two
+    orders list every vertex once, from the pin, and have one length, so
+    the zip is a bijection mapping pin to pin; it sends the arrow at
+    positions (i, j) in a to positions (i, j) in b, and the sorted pairs
+    are equal, so it maps the arrows onto b's with multiplicity. On
+    recognised quivers pinned at connecting vertices the walk order is
+    canonical (`connecting_keys`), so it finds every pinned isomorphism.
+    Linear in the arrows, up to the sort, with no size limit.
     """
-    orders = []
-    for q, v in zip((a, b), pin):
-        if v not in q.vertices:
-            return None
-        order = list(_walk(_blocks(q), v)[0])
-        if len(order) < len(q.vertices):
-            return None
-        orders.append(order)
-    if len(orders[0]) != len(orders[1]):
+    if pin[0] not in a.vertices or pin[1] not in b.vertices:
         return None
-    mapping = dict(zip(*orders))
-    arrows = Counter((mapping[x.src], mapping[x.tgt]) for x in a.arrows)
-    return mapping if arrows == Counter((x.src, x.tgt) for x in b.arrows) else None
+    forms = [_pinned_form(q, _blocks(q), v) for q, v in zip((a, b), pin)]
+    if None in forms or len(forms[0][0]) != len(forms[1][0]) or forms[0][1] != forms[1][1]:
+        return None
+    return dict(zip(forms[0][0], forms[1][0]))
 
 
 # --- emission ----------------------------------------------------------------

@@ -33,10 +33,10 @@ of the object list alone, so `_certificates` runs it once per list, in
 enumeration order, and every check that walks the same list reads the
 position of each member's representative from that one pass.
 `check_converse` works on the same quotient: it builds, keys and compares
-the quivers of the representatives only, each keyed once at every
-connecting vertex, and puts every other object in its representative's
-class by that certificate. `check_rigid` compares every object with the
-brute route's masks.
+the quivers of the representatives only, by one pinned form per connecting
+vertex, which is both key and isomorphism certificate, and puts every
+other object in its representative's class by that certificate.
+`check_rigid` compares every object with the brute route's masks.
 """
 
 from __future__ import annotations
@@ -416,11 +416,11 @@ def check_converse(n: int) -> list[Outcome]:
     A class is keyed at its loop vertex, and its other connecting vertices
     look up the classes that realize them (the loop vertex would hit its
     own class, with the same pin). Every hit, a membership or a realization,
-    is certified by `find_isomorphism`, which zips the block walks of the
-    two quivers from their pins and checks the vertex map on the arrows; a
-    hit the certificate refutes fails the check, naming the object or the
-    vertex. A key that split an isomorphism class would leave a class short
-    of n objects, so the verdict does not rest on the key being exact.
+    is certified by `find_isomorphism`, which compares the two quivers'
+    pinned forms; a hit the certificate refutes fails the check, naming the
+    object or the vertex. The key is exact by construction, being that
+    form's arrows, yet the verdict does not rest on it: a key that merged
+    classes is refuted at the hit, one that split a class leaves it short.
     """
 
     def run():

@@ -6,7 +6,9 @@ strings of an algebra with the projective/injective comparison built on
 them, an algebra with a band, the former recursive path
 count, the former object-building brute enumeration, the former pinned
 isomorphism invariant, the former `quiver.canonical_key` of a quiver pinned
-at any vertex, the former `quiver.find_isomorphism`, an exhaustive search
+at any vertex, the recursive form that `quiver.connecting_keys` returned
+before it read the pinned form of the block walk, the former
+`quiver.find_isomorphism`, an exhaustive search
 limited to 12 vertices that is now the reference for the block-walk
 certificate, a test that a vertex map is a pinned isomorphism, the pinned
 pairs that decide whether a key partitions as isomorphism does and the gate
@@ -321,8 +323,9 @@ def pinned_invariant(q: Quiver, v: int) -> int:
 
 def reference_canonical_key(q: Quiver, v: int) -> tuple:
     """The former `quiver.canonical_key`: the canonical form of the quiver q
-    with any vertex v pinned, built from its own `_blocks(q)`, the reference
-    for `quiver.connecting_keys` at the connecting vertices.
+    with any vertex v pinned, built from its own `_blocks(q)`, and the
+    reference whose partition `quiver.connecting_keys` must give at the
+    connecting vertices.
 
     A type-A cluster-tilted quiver is a tree of blocks, rebuilt up to
     isomorphism from the tree rooted at v: two pinned quivers have equal

@@ -73,6 +73,47 @@ MUTANTS = (
         "tube._oracle_dim(n, d, b, (a - c) % n)", "tube._oracle_dim(n, d, b, (a - c + 1) % n)",
         {"hom-functor": r"^\d+ dimension mismatches"},
     ),
+    # The walk from a pin no longer follows a 3-cycle's orientation at one
+    # of its vertices: a connecting vertex's key misses the class that
+    # realizes it, or a certificate refutes the hit.
+    Mutant(
+        "cycle-block-against-its-orientation", "quiver.py",
+        'blocks[u].append(("cycle", w, x))', 'blocks[u].append(("cycle", x, w))',
+        {"converse": r"^connecting vertex \d+ (of a class quiver unrealized|hits a class that the certificate refutes)$"},
+    ),
+    Mutant(
+        "key-of-unordered-position-pairs", "quiver.py",
+        "(at[a.src], at[a.tgt])", "tuple(sorted((at[a.src], at[a.tgt])))",
+        {"converse": r"^class at vertex \d+ has \d+ objects$"},
+    ),
+    Mutant(
+        "translate-certificate-one-step-too-far", "verify.py",
+        "representatives.get(tau_rigid(t, k).summands)",
+        "representatives.get(tau_rigid(t, k + 1).summands)",
+        dict.fromkeys(
+            ("endo", "gentle", "strings", "hom-functor", "converse"),
+            r"^translate certificate fails: ",
+        ),
+    ),
+    Mutant(
+        "hom-count-lower-bound-off-by-one", "kernel.py",
+        "lo = b - d", "lo = b - d + 1",
+        {
+            "oracle": r"^\d+/\d+ disagreements, first at ",
+            "rigid": r"^brute route lacks ",
+            "endo": r"^path/Hom mismatch at ",
+        },
+    ),
+    Mutant(
+        "gorenstein-n-g-off-by-one", "quiver.py",
+        "n_g = len(best)", "n_g = len(best) + 1",
+        {"gentle": r"^dimension 1, expected 0$"},
+    ),
+    Mutant(
+        "union-find-skips-zero-rows", "tube.py",
+        "if not grounded[u]:", "if False:",
+        {"oracle": r"^\d+/\d+ disagreements, first at ", "hom-functor": r"^\d+ dimension mismatches"},
+    ),
 )
 
 SUITE = "\n".join([

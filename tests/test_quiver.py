@@ -650,7 +650,7 @@ class TestPinnedInvariant:
         # a second arrow on the same two vertices, or a loop, is a second
         # block there: no tree of blocks
         single = Quiver((1, 2), (Arrow("a", 1, 2),))
-        assert connecting_keys(single) == {1: (("out", ()),), 2: (("in", ()),)}
+        assert connecting_keys(single) == {1: ((0, 1),), 2: ((1, 0),)}
         for extra, witness in (
             (Arrow("b", 1, 2), "length-2 cycle between 1 and 2"),
             (Arrow("b", 2, 1), "length-2 cycle between 1 and 2"),
@@ -709,9 +709,10 @@ LONG_CHAIN = _chain([
 
 
 class TestCertificate:
-    """`find_isomorphism`, which zips the block walks of two quivers from
-    their pins, against `support.reference_find_isomorphism`; each map it
-    returns is checked here."""
+    """`find_isomorphism`, which compares the pinned forms of two quivers
+    from their pins and zips their walk orders, against
+    `support.reference_find_isomorphism`; each map it returns is checked
+    here."""
 
     @pytest.mark.parametrize("n", range(2, 10))
     def test_agrees_with_the_search_on_the_partition_pairs(self, n):

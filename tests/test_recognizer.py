@@ -12,8 +12,9 @@ formerly in `quiver`, serve only these two references. On the mutation
 classes, `support.reference_canonical_key`, the former
 `quiver.canonical_key`, must group the quivers pinned at any vertex exactly
 as `support.reference_find_isomorphism`, the former exhaustive isomorphism
-search, does, and `quiver.connecting_keys` must equal it at every
-connecting vertex.
+search, does; `quiver.connecting_keys`, the pinned form of the block walk,
+must partition the pins at connecting vertices exactly as it does, and two
+equal keys, their walk orders zipped, must be a pinned isomorphism.
 """
 
 import itertools
@@ -27,6 +28,8 @@ from tubecat.quiver import (
     Arrow,
     CheckResult,
     Quiver,
+    _blocks,
+    _walk,
     connecting_keys,
     connecting_vertices,
     find_isomorphism,
@@ -358,75 +361,98 @@ def test_accepts_the_mutation_class_of_A(m, classes):
             assert assert_agrees(matrix_quiver(mutate(b, k)))
 
 
+def arising_quivers(n):
+    """Each representative's loopless endomorphism quiver at rank n."""
+    return [
+        loopless_quiver(cached_endomorphism_algebra(t))[0]
+        for t in maximal_rigid_objects(n)
+        if t.top.orbit == 1
+    ]
+
+
+def mutation_class_quivers(m):
+    """Every quiver of the mutation class of A_m, and each of its
+    mutations, which are the class's quivers again under other labels."""
+    return [
+        matrix_quiver(c)
+        for b in mutation_class(m)
+        for c in (b, *(mutate(b, k) for k in range(m)))
+    ]
+
+
 @pytest.mark.parametrize("n", range(2, 9))
 def test_connecting_vertices_on_every_arising_quiver(n):
-    for t in maximal_rigid_objects(n):
-        if t.top.orbit == 1:
-            bare, _ = loopless_quiver(cached_endomorphism_algebra(t))
-            assert connecting_vertices(bare) == triangle_connecting_vertices(bare)
+    for bare in arising_quivers(n):
+        assert connecting_vertices(bare) == triangle_connecting_vertices(bare)
 
 
 @pytest.mark.parametrize("m", range(1, 7))
 def test_connecting_vertices_on_the_mutation_class_of_A(m):
-    for b in mutation_class(m):
-        for c in (b, *(mutate(b, k) for k in range(m))):
-            q = matrix_quiver(c)
-            assert connecting_vertices(q) == triangle_connecting_vertices(q), q
+    for q in mutation_class_quivers(m):
+        assert connecting_vertices(q) == triangle_connecting_vertices(q), q
 
 
 @pytest.mark.parametrize(
     "m, pinned", [(1, 1), (2, 2), (3, 8), (4, 24), (5, 85), (6, 286)]
 )
 def test_canonical_key_on_the_mutation_class_of_A(m, pinned):
-    # every vertex of every quiver in the class, and of its mutations,
-    # which are the class's quivers again under other labels; `pinned` is
-    # the number of classes of pinned quivers (the least relabelled matrix
-    # with the pin kept first gives the same counts)
-    pins = [
-        (matrix_quiver(c), v)
-        for b in mutation_class(m)
-        for c in (b, *(mutate(b, k) for k in range(m)))
-        for v in range(1, m + 1)
-    ]
+    # every vertex of every quiver in the class and its mutations; `pinned`
+    # is the number of classes of pinned quivers (the least relabelled
+    # matrix with the pin kept first gives the same counts)
+    pins = [(q, v) for q in mutation_class_quivers(m) for v in range(1, m + 1)]
     assert assert_keys_partition_as_the_search(pins, reference_canonical_key) == pinned
 
 
-def assert_keys_equal_the_reference(q):
-    keys = connecting_keys(q)
-    assert set(keys) == connecting_vertices(q), q
-    for c, key in keys.items():
-        assert key == reference_canonical_key(q, c), (q, c)
-    return keys
+def assert_keys_partition_as_the_reference(quivers):
+    """Assert that `connecting_keys` is keyed at the connecting vertices and
+    groups the pins (q, c) of all the quivers exactly as
+    `reference_canonical_key` does, and return the pins."""
+    pins, pairs = [], set()
+    for q in quivers:
+        keys = connecting_keys(q)
+        assert set(keys) == connecting_vertices(q), q
+        for c, key in keys.items():
+            pins.append((q, c))
+            pairs.add((key, reference_canonical_key(q, c)))
+    # one reference key per key, and one key per reference key
+    assert len({key for key, _ in pairs}) == len(pairs) == len({ref for _, ref in pairs})
+    return pins
 
 
 @pytest.mark.parametrize("n", range(2, 10))
 def test_connecting_keys_on_every_arising_quiver(n):
-    for t in maximal_rigid_objects(n):
-        if t.top.orbit == 1:
-            assert_keys_equal_the_reference(loopless_quiver(cached_endomorphism_algebra(t))[0])
+    assert_keys_partition_as_the_reference(arising_quivers(n))
 
 
 @pytest.mark.parametrize("m, catalan", [(1, 1), (2, 2), (3, 5), (4, 14), (5, 42), (6, 132)])
 def test_connecting_keys_on_the_mutation_class_of_A(m, catalan):
     # pinned at connecting vertices only, the classes are the Catalan(m)
     # that arise at rank m + 1, one per translate orbit
-    pins = []
-    for b in mutation_class(m):
-        for c in (b, *(mutate(b, k) for k in range(m))):
-            q = matrix_quiver(c)
-            pins += [(q, v) for v in assert_keys_equal_the_reference(q)]
+    pins = assert_keys_partition_as_the_reference(mutation_class_quivers(m))
     assert assert_keys_partition_as_the_search(pins, lambda q, v: connecting_keys(q)[v]) == catalan
+
+
+@pytest.mark.parametrize(
+    "quivers, size",
+    [(arising_quivers, n) for n in range(2, 10)] + [(mutation_class_quivers, m) for m in range(1, 7)],
+    ids=[f"rank-{n}" for n in range(2, 10)] + [f"A{m}" for m in range(1, 7)],
+)
+def test_equal_keys_are_a_certificate(quivers, size):
+    # the two walk orders of pins with equal keys, zipped, map pin to pin
+    # and arrows onto arrows: no further check is needed at a key hit
+    pins = [(q, c) for q in quivers(size) for c in connecting_vertices(q)]
+    pairs = keyed_pairs(pins, lambda q, v: connecting_keys(q)[v])
+    assert pairs.alike or len(pins) == 1
+    for a, b, pin in pairs.alike:
+        orders = [_walk(_blocks(q), v)[0] for q, v in zip((a, b), pin)]
+        assert_pinned_isomorphism(a, b, pin, dict(zip(*orders)))
 
 
 @pytest.mark.parametrize("m", range(1, 7))
 def test_certificate_on_the_mutation_class_of_A(m):
     # on the pairs that the partition above checks, the block-walk
     # certificate finds a pinned isomorphism exactly when the search does
-    pins = []
-    for b in mutation_class(m):
-        for c in (b, *(mutate(b, k) for k in range(m))):
-            q = matrix_quiver(c)
-            pins += [(q, v) for v in connecting_vertices(q)]
+    pins = [(q, v) for q in mutation_class_quivers(m) for v in connecting_vertices(q)]
     pairs = keyed_pairs(pins, lambda q, v: connecting_keys(q)[v])
     for a, b, pin in pairs.alike + pairs.apart:
         found = find_isomorphism(a, b, pin)
@@ -448,16 +474,16 @@ def test_accepted_random_quivers_are_trees_of_blocks():
     # block decomposition: what the first accepts, the reference key walks
     # from every vertex, and the others agree with their references
     rng = random.Random(1796)
-    accepted = 0
+    accepted = []
     for _ in range(2000):
         q = random_quiver(rng)
         if is_cluster_tilted_A(q):
-            accepted += 1
+            accepted.append(q)
             for v in q.vertices:
                 reference_canonical_key(q, v)  # raises unless the blocks form a tree
             assert connecting_vertices(q) == triangle_connecting_vertices(q), q
-            assert_keys_equal_the_reference(q)
-    assert accepted > 100
+    assert_keys_partition_as_the_reference(accepted)
+    assert len(accepted) > 100
 
 
 def test_agrees_on_perturbed_type_A_quivers():
