@@ -350,7 +350,7 @@ def _blocks(q: Quiver) -> dict[int, list[tuple]]:
             blocks[u].append(("out", w))
             blocks[w].append(("in", u))
         for b, c in cycles:
-            if a <= b and a <= c:  # from the cycle's least arrow
+            if a.id <= b.id and a.id <= c.id:  # from the cycle's least arrow
                 x = b.tgt
                 blocks[u].append(("cycle", w, x))
                 blocks[w].append(("cycle", x, u))

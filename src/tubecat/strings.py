@@ -21,6 +21,9 @@ walk has distinct letters, at most 2 * #arrows of them. `enumerate_strings`
 therefore needs no length cap: it ends by itself or at its first band, and
 one band is enough, since a presentation is of finite type exactly when it
 has none (Butler-Ringel).
+
+`string_module` builds a string's module in the one walk that `is_string`
+makes, with no relation test (see there).
 """
 
 from __future__ import annotations
@@ -341,37 +344,40 @@ class StringModule:
 
 
 def string_module(p: Presentation, w: StringWord) -> StringModule:
-    """The standard module of a string: one basis slot per traversed vertex,
-    identity arrow actions along the word. The zero string yields the zero
-    module.
+    """The standard module of a string (Butler-Ringel): one basis slot per
+    traversed vertex, identity arrow actions along the word, only the
+    word's vertices and arrows kept. The zero string yields the zero module.
 
-    Only the word's vertices and arrows are walked and kept. An arrow off
-    the word acts by zero, and so does any relation through it, so testing
-    only the relations with both arrows on the word is exact."""
-    if not is_string(p, w):
-        raise ValueError(f"not a string of this presentation: {w}")
+    One walk over the letter table places each letter's target slot and a
+    1 of its arrow at (target slot, source slot), and raises ValueError at
+    a letter that is not a letter of p (the first) or may not follow the
+    one before, exactly where `is_string` is false.
+
+    No relation is tested. Each slot is one walk position, so a 1 of arrow
+    a in row s and a 1 of arrow b in column s compose in b a only at slot
+    s's position, where the word reads a then b or b^-1 then a^-1; there
+    `letters_composable` refuses the relation (b, a)."""
     if w.kind == "zero":
         return zero_module()
+    if w.kind == "trivial":
+        if w.vertex not in p.quiver.vertices:
+            raise ValueError(f"not a string of this presentation: {w}")
+        return StringModule(((w.vertex, 1),), ())
+    table = _letters(p)
+    ends = allowed = table.ends
     dims: dict[int, int] = {}
-    slot: list[int] = []
-    for v in traversed_vertices(p, w):
-        slot.append(dims.get(v, 0))
-        dims[v] = slot[-1] + 1
-
-    # Each letter puts one 1 at (target slot, source slot) of its arrow.
     ones: dict[str, list[tuple[int, int]]] = {}
-    for i, (aid, d) in enumerate(w.letters):
-        ones.setdefault(aid, []).append((slot[i + 1], slot[i]) if d > 0 else (slot[i], slot[i + 1]))
-
-    # With 0/1 entries, second @ first is nonzero iff some row of `first`
-    # holding a one is a column of `second` holding a one.
-    for second, first in p.relations:
-        if first in ones and second in ones and (
-            {i for i, _ in ones[first]} & {j for _, j in ones[second]}
-        ):
-            raise AssertionError(f"relation ({second}, {first}) acts nonzero")
-
-    ends = _letters(p).ends
+    here = 0
+    for x in w.letters:
+        if x not in allowed:
+            raise ValueError(f"not a string of this presentation: {w}")
+        src, tgt = ends[x]
+        if not dims:  # the first letter's source takes the first slot
+            dims[src] = 1
+        there = dims.get(tgt, 0)
+        dims[tgt] = there + 1
+        ones.setdefault(x[0], []).append((there, here) if x[1] > 0 else (here, there))
+        here, allowed = there, table.successors[x]
     return StringModule(tuple(sorted(dims.items())), tuple([
         (aid, (dims[tgt], dims[src]), tuple(pos))
         for aid, pos in sorted(ones.items()) for src, tgt in (ends[aid, 1],)

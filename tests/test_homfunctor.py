@@ -1,6 +1,7 @@
 """Fundamental domain, hammock strings and image-prediction tests."""
 
 import hashlib
+import inspect
 import json
 import re
 from collections import Counter
@@ -133,7 +134,7 @@ def reference_verify_hom_functor(t, ql_cap=None):
     locus_failures = []
     assigned = {}
     domain_count = 0
-    for x in homfunctor._sweep(n, ql_cap):
+    for x in homfunctor._painting(n, ql_cap).swept:
         in_f = in_fundamental_domain(t, x)
         is_tau = in_add_tau(t, x)
         pred = homfunctor.predicted_dims(t, x)
@@ -868,13 +869,13 @@ class TestObjectTable:
         report = verify_hom_functor(t)
         assert not report.ok
         [failure] = report.dimension_failures
-        assert failure["x"] == homfunctor._sweep(n, 3 * n)[cell].to_json()
+        assert failure["x"] == homfunctor._painting(n, 3 * n).swept[cell].to_json()
         pred, orac = failure["predicted_dims"], failure["oracle_dims"]
         assert pred.get(str(dropped), 0) == orac[str(dropped)] - 1
 
     def test_failing_string_module_is_an_error_outcome(self, monkeypatch):
-        """A string whose module fails its relation check fails the
-        hom-functor outcome of its object with the error."""
+        """A string whose module build raises fails the hom-functor
+        outcome of its object with the error."""
         from tubecat.verify import check_hom_functor
 
         t = maximal_rigid_objects(3)[1]
@@ -884,13 +885,13 @@ class TestObjectTable:
 
         def failing(p, w):
             if p is lam and w == target:
-                raise AssertionError(f"relation check fails on {w}")
+                raise AssertionError(f"module build fails on {w}")
             return honest(p, w)
 
         monkeypatch.setattr(strings, "string_module", failing)
         failed = [o for o in check_hom_functor(3) if not o.ok]
         assert [o.subject for o in failed] == [str(t)]
-        assert failed[0].detail == f"error: relation check fails on {target}"
+        assert failed[0].detail == f"error: module build fails on {target}"
 
     def test_state_held_for_one_object(self):
         objects = maximal_rigid_objects(5)
@@ -902,13 +903,11 @@ class TestObjectTable:
             if not name.startswith("__")
             and isinstance(value, (dict, list, set, tuple, homfunctor._ObjectTable, homfunctor._Summands))
         }
-        assert set(held) == {"_held", "_summands", "_swept"}
+        assert set(held) == {"_held", "_summands"}
         assert held["_held"].obj is objects[0]
         summands = held["_summands"]
         assert summands.key == (5, 30) and len(summands.cells) == len(summands.masks) == 5 * 4
-        key, swept = held["_swept"]
-        assert key == (5, 30) and len(swept) == 5 * 30
-        assert swept == tuple(Indec(5, a, b) for b in range(1, 31) for a in range(1, 6))
+        assert summands.swept == tuple(Indec(5, a, b) for b in range(1, 31) for a in range(1, 6))
         caches = {
             name for name, value in vars(homfunctor).items()
             if hasattr(value, "cache_info")
@@ -975,6 +974,21 @@ class TestDimensionsPerSummand:
                     assert (tube_side[cell], shifted[cell]) == parts, (n, c, d, cell)
                     assert nz >> cell & 1 == (sum(parts) != 0)
                 assert max(tube_side | shifted, default=0) < n * cap
+
+    @pytest.mark.parametrize("old, new, cell", [
+        ("if r < d:", "if r <= d:", -2),
+        ("range((d - r - 1) * n + a - 1, cap * n, n)", "range((d - r - 1) * n + a - 1, (cap + 1) * n, n)", 9),
+    ], ids=["ray-from-b-0", "ray-past-the-cap"])
+    def test_cell_outside_the_sweep_fails_in_the_painter(self, old, new, cell):
+        """A painter fault that leaves the swept cells raises where the
+        summand is painted, naming the cell, instead of wrapping a negative
+        cell to the cap's row or indexing past the sweep."""
+        source = inspect.getsource(homfunctor._summand_cells)
+        assert source.count(old) == 1
+        namespace = dict(vars(homfunctor))
+        exec(source.replace(old, new), namespace)
+        with pytest.raises(AssertionError, match=rf"^summand \(1,1\) paints cell {cell} outside the 9 swept cells$"):
+            namespace["_summand_cells"](3, 1, 1, 3)
 
     @pytest.mark.parametrize("honest_part", [0, 1])
     def test_part_of_two_sends_its_summand_to_the_fallback(self, honest_part, monkeypatch):
@@ -1116,7 +1130,7 @@ class TestDimensionsPerSummand:
         if change == "repeat":
             assert isinstance(ended, str)
         else:
-            assert [f["x"] for f in ended] == [homfunctor._sweep(n, 3 * n)[cell].to_json()]
+            assert [f["x"] for f in ended] == [homfunctor._painting(n, 3 * n).swept[cell].to_json()]
 
     @pytest.mark.parametrize("fault", ["is nonzero", "vanishes"])
     def test_oracle_off_the_locus_pattern_is_reported(self, fault, monkeypatch):
@@ -1126,7 +1140,7 @@ class TestDimensionsPerSummand:
         reports it."""
         n = 4
         t = _representatives(n)[2]
-        outside = [x for x in homfunctor._sweep(n, 3 * n) if not in_fundamental_domain(t, x)]
+        outside = [x for x in homfunctor._painting(n, 3 * n).swept if not in_fundamental_domain(t, x)]
         target = next(x for x in outside if on_vanishing_locus(t, x) == (fault == "is nonzero"))
         top = (t.top.orbit, t.top.ql)
         honest = homfunctor.oracle_parts
@@ -1152,7 +1166,7 @@ class TestDimensionsPerSummand:
         still passes. The summand is the first or the last member of the
         chain there in every holder, so the chain left is a string."""
         representatives = _representatives(n)
-        swept = homfunctor._sweep(n, 3 * n)
+        swept = homfunctor._painting(n, 3 * n).swept
 
         def at_an_end_everywhere(s, cell):
             holders = [t for t in representatives if s in t.summands]
@@ -1267,7 +1281,7 @@ class TestChainPass:
             table.paint(3 * n)
             homfunctor._build_chain_strings(t, table, 3 * n)
             assert read and not any(in_fundamental_domain(t, x) for x in read)
-            swept = homfunctor._sweep(n, 3 * n)
+            swept = homfunctor._painting(n, 3 * n).swept
             outside = {
                 chain
                 for hammock in table.hammocks.values()

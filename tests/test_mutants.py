@@ -38,6 +38,8 @@ class Mutant(NamedTuple):
     catches: dict[str, str]  # check -> pattern that a failing detail of it matches
 
 
+INCOMPATIBLE = r"^error: summands \(\d+,\d+\) and \(\d+,\d+\) are incompatible$"
+
 MUTANTS = (
     Mutant(
         "shifted-side-painted-with-tau3", "homfunctor.py",
@@ -47,7 +49,7 @@ MUTANTS = (
     Mutant(
         "ray-with-r-le-d", "homfunctor.py",
         "if r < d:", "if r <= d:",
-        {"hom-functor": r"^(\d+ dimension mismatches|error: chain members .* are not triple-related)"},
+        {"hom-functor": r"^error: summand \(\d+,\d+\) paints cell -\d+ outside the \d+ swept cells$"},
     ),
     Mutant(
         "composable-ignores-inverse-relations", "strings.py",
@@ -60,12 +62,12 @@ MUTANTS = (
         "or head and letter in successors.get(head[-1], ())",
         {"hom-functor": r"^error: \S+ does not join \S+ to \S+ for \(\d+,\d+\)$"},
     ),
-    # Survives: the module of a string is built only after `is_string`,
-    # whose letter table already refuses every relation, so no check can
-    # reach this relation test with a word that fails it.
+    # Survives: the sweep builds modules only of enumerated strings, which
+    # pass the successor test by construction, so no check can reach it
+    # with a word that fails it.
     Mutant(
-        "string-module-skips-relations", "strings.py",
-        'raise AssertionError(f"relation ({second}, {first}) acts nonzero")', "pass",
+        "string-module-skips-successors", "strings.py",
+        "here, allowed = there, table.successors[x]", "here, allowed = there, table.ends",
         {},
     ),
     Mutant(
@@ -114,6 +116,23 @@ MUTANTS = (
         "if not grounded[u]:", "if False:",
         {"oracle": r"^\d+/\d+ disagreements, first at ", "hom-functor": r"^\d+ dimension mismatches"},
     ),
+    # The shifted part read at tau x instead of tau^2 x: rigid objects
+    # enumerate with incompatible summands, and the oracle's sample sees
+    # an asymmetric extension space.
+    Mutant(
+        "cluster-dims-shifted-at-tau", "kernel.py",
+        "hom_tube_dim(n, c, d, a - 2, b)", "hom_tube_dim(n, c, d, a - 1, b)",
+        {
+            "oracle": r"^asymmetric extension space at ",
+            **dict.fromkeys(("rigid", "gentle", "strings", "hom-functor", "converse"), INCOMPATIBLE),
+            "endo": rf"{INCOMPATIBLE}|^path/Hom mismatch at ",
+        },
+    ),
+    Mutant(
+        "chain-letter-up-read-inverse", "homfunctor.py",
+        "letters.append((up.id, 1))", "letters.append((up.id, -1))",
+        {"hom-functor": r"^error: (constructed chain word is not a string|no connecting arrow \d+ -> \d+ exists for)"},
+    ),
 )
 
 SUITE = "\n".join([
@@ -149,4 +168,3 @@ def test_each_mutant_fails_its_checks(mutant, tmp_path):
     for check, pattern in mutant.catches.items():
         details = [detail for c, _, detail in failed if c == check]
         assert any(re.search(pattern, detail) for detail in details), (check, details[:3])
-

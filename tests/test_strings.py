@@ -4,6 +4,7 @@ import hashlib
 import inspect
 import json
 import random
+import re
 import sys
 from collections import namedtuple
 
@@ -85,6 +86,17 @@ def stored_matrix(m, arrow_id):
                 matrix[i, j] = 1
             return matrix
     raise KeyError(arrow_id)
+
+
+def _builds_a_module(p, w):
+    """Whether `string_module` builds a module for w; the only refusal it
+    may give is that w is not a string."""
+    try:
+        string_module(p, w)
+    except ValueError as exc:
+        assert str(exc) == f"not a string of this presentation: {w}"
+        return False
+    return True
 
 
 def dense_string_module(p, w):
@@ -239,17 +251,18 @@ class TestLetterTable:
     def test_is_string_on_short_and_forged_words(self):
         """Every word of one or two letters over the letters of p and the
         forged ones: unknown ids, directions 0, 2 and -5, and every pair
-        that does not compose."""
+        that does not compose. `string_module` raises exactly on the words
+        that are not strings."""
         algebras = [cached_endomorphism_algebra(t) for n in (2, 3, 4) for t in _representatives(n)]
         rejected = 0
         for p in [*algebras, *_small_gentle(finite_only=True), RANK3, KRONECKER]:
             alphabet = [*strings._letters(p).ends, *_forged_letters(p)]
-            for x in alphabet:
-                assert is_string(p, word([x])) == reference_is_string(p, word([x])), (p, x)
-                for y in alphabet:
-                    w = word([x, y])
-                    assert is_string(p, w) == reference_is_string(p, w), (p, w)
-                    rejected += not is_string(p, w)
+            words = [word([x]) for x in alphabet] + [word([x, y]) for x in alphabet for y in alphabet]
+            for w in words:
+                expected = reference_is_string(p, w)
+                assert is_string(p, w) == expected, (p, w)
+                assert _builds_a_module(p, w) == expected, (p, w)
+                rejected += not expected
         assert rejected > 10_000
 
     @pytest.mark.parametrize("forged", [("a", 0), ("a", 2), ("a", -5), ("no-such-arrow", 1)])
@@ -462,28 +475,33 @@ class TestStringModules:
             m.action("nope")
 
     def test_relation_acting_nonzero_is_caught(self, monkeypatch):
-        # w*w is a relation, so only a forged string can pass through it.
+        # w*w is a relation: the walk refuses it even past a forged `is_string`.
         monkeypatch.setattr(strings, "is_string", lambda p, w: True)
-        with pytest.raises(AssertionError, match=r"relation \(w, w\) acts nonzero"):
+        with pytest.raises(ValueError, match=r"^not a string of this presentation: w\*w$"):
             string_module(RANK3, word([("w", 1), ("w", 1)]))
 
     @pytest.mark.parametrize("builder", [string_module, reference_string_module, dense_string_module])
     @pytest.mark.parametrize("inverse", [False, True])
     def test_tube_and_shifted_relation_is_caught(self, builder, inverse, monkeypatch):
         """A relation between a tube-map arrow and a shifted-part arrow,
-        forged forwards and as its inverse, in both builders."""
+        forged forwards and as its inverse, past a forged `is_string`: the
+        one-pass walk refuses the word, and the reference and dense
+        builders, which trust `is_string`, fail their relation test."""
         lam = cached_endomorphism_algebra(maximal_rigid_objects(4)[0])
         kinds = {a.id: a.kind for a in lam.quiver.arrows}
         second, first = next(
             r for r in lam.relations if {kinds[r[0]], kinds[r[1]]} == {"T", "D"}
         )
         forged = word([(first, 1), (second, 1)])
+        forged = forged.inverse() if inverse else forged
         assert not is_string(lam, forged)
         monkeypatch.setattr(strings, "is_string", lambda p, w: True)
-        with pytest.raises(
-            AssertionError, match=rf"^relation \({second}, {first}\) acts nonzero$"
-        ):
-            builder(lam, forged.inverse() if inverse else forged)
+        if builder is string_module:
+            caught = pytest.raises(ValueError, match=rf"^not a string of this presentation: {re.escape(str(forged))}$")
+        else:
+            caught = pytest.raises(AssertionError, match=rf"^relation \({second}, {first}\) acts nonzero$")
+        with caught:
+            builder(lam, forged)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
     def test_modules_equal_the_dense_builder(self, n):
@@ -513,15 +531,19 @@ class TestStringModules:
                 assert string_module(lam, s) == StringModule(reference.dims, kept), (t, s)
 
     def test_forged_relation_fails_as_the_reference(self, monkeypatch):
-        """Past a forged `is_string`, both builders name the same relation."""
-        monkeypatch.setattr(strings, "is_string", lambda p, w: True)
+        """Past a forged `is_string`, the reference builder names the
+        relation, and `string_module` refuses the word as `is_string`
+        would have."""
         forged = word([("w", 1), ("w", 1)])
-        messages = []
-        for builder in (string_module, reference_string_module):
-            with pytest.raises(AssertionError) as caught:
-                builder(RANK3, forged)
-            messages.append(str(caught.value))
-        assert messages == ["relation (w, w) acts nonzero"] * 2
+        with pytest.raises(ValueError) as honest:
+            string_module(RANK3, forged)
+        monkeypatch.setattr(strings, "is_string", lambda p, w: True)
+        with pytest.raises(ValueError) as past_forged:
+            string_module(RANK3, forged)
+        with pytest.raises(AssertionError) as reference:
+            reference_string_module(RANK3, forged)
+        assert str(past_forged.value) == str(honest.value) == "not a string of this presentation: w*w"
+        assert str(reference.value) == "relation (w, w) acts nonzero"
 
     def test_rejects_non_string(self):
         with pytest.raises(ValueError):
