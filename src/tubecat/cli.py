@@ -142,7 +142,7 @@ def cmd_endo(parser, args) -> int:
         parser.error(f"argument --tilting: {exc}")
     presentations = bundle(t)
     data = bundle_json(t, presentations)
-    dots = bundle_dot(t, presentations) if args.out is not None or args.format == "dot" else {}
+    dots = bundle_dot(presentations) if args.out is not None or args.format == "dot" else {}
     if args.out is not None:
         try:
             args.out.mkdir(parents=True, exist_ok=True)

@@ -136,16 +136,15 @@ def bundle(t: RigidObject) -> dict[str, Presentation]:
     }
 
 
-def bundle_json(t: RigidObject, presentations: dict | None = None) -> dict:
-    """The object, its tilting intervals and `presentations` (default:
-    `bundle(t)`) as JSON."""
+def bundle_json(t: RigidObject, presentations: dict[str, Presentation]) -> dict:
+    """The object, its tilting intervals and its `bundle` as JSON."""
     out: dict = t.to_json()
     out["tilting_intervals"] = [f"{lo}-{hi}" for lo, hi in tilting_intervals(t)]
-    for name, pres in (presentations or bundle(t)).items():
+    for name, pres in presentations.items():
         out[name] = pres.to_json()
     return out
 
 
-def bundle_dot(t: RigidObject, presentations: dict | None = None) -> dict[str, str]:
-    """DOT text of each of `presentations` (default: `bundle(t)`)."""
-    return {name: to_dot(pres, name) for name, pres in (presentations or bundle(t)).items()}
+def bundle_dot(presentations: dict[str, Presentation]) -> dict[str, str]:
+    """DOT text of each presentation of a `bundle`."""
+    return {name: to_dot(pres, name) for name, pres in presentations.items()}

@@ -39,7 +39,7 @@ class NotClusterTiltedError(ValueError):
         self.witness = witness
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class Arrow:
     id: str
     src: int

@@ -12,9 +12,9 @@ per presentation from `letter_source`, `letter_target` and
 `letters_composable`, which stay the definitions: the arrows by id, each
 letter's (source, target) and each letter's successors. One table is held,
 for the last presentation asked for, matched by identity. `is_string`,
-`traversed_vertices`, `end_vertex`, `enumerate_strings` and `string_module`
-read it; a letter that is not in it (an unknown arrow id, or a direction
-other than 1 and -1) is answered from the definitions, as without a table.
+`end_vertex`, `enumerate_strings` and `string_module` read it alone: a
+letter outside it (an unknown arrow id, or a direction other than 1 and -1)
+is not a letter of p.
 
 A walk that repeats a letter has closed a band, so without bands every
 walk has distinct letters, at most 2 * #arrows of them. `enumerate_strings`
@@ -35,7 +35,7 @@ from tubecat.quiver import Presentation, is_special_biserial
 
 Letter = tuple[str, int]  # (arrow id, +1 direct / -1 inverse)
 
-_arrow_id = attrgetter("id")  # sorts arrows by id, faster than by `Arrow` order
+_arrow_id = attrgetter("id")  # sorts arrows by id; `Arrow`s have no order
 
 
 @dataclass(frozen=True, order=True)
@@ -143,29 +143,16 @@ def letter_target(p: Presentation, letter: Letter) -> int:
 
 
 def end_vertex(p: Presentation, w: StringWord) -> int:
+    """The vertex a string ends at, read from the letter table; ValueError
+    on a last letter that is not a letter of p, as in `string_module`."""
     if w.kind == "trivial":
         return w.vertex
     if w.kind == "word":
-        last = w.letters[-1]
-        ends = _letters(p).ends.get(last)
-        return ends[1] if ends is not None else letter_target(p, last)
+        ends = _letters(p).ends.get(w.letters[-1])
+        if ends is None:
+            raise ValueError(f"not a string of this presentation: {w}")
+        return ends[1]
     raise ValueError("the zero string has no endpoints")
-
-
-def traversed_vertices(p: Presentation, w: StringWord) -> list[int]:
-    """Vertices visited by the walk, with multiplicity; length + 1 entries."""
-    if w.kind == "zero":
-        return []
-    if w.kind == "trivial":
-        return [w.vertex]
-    ends = _letters(p).ends
-    out: list[int] = []
-    for x in w.letters:
-        src, tgt = ends.get(x) or (letter_source(p, x), letter_target(p, x))
-        if not out:
-            out.append(src)
-        out.append(tgt)
-    return out
 
 
 def letters_composable(p: Presentation, x: Letter, y: Letter) -> bool:
@@ -183,17 +170,16 @@ def letters_composable(p: Presentation, x: Letter, y: Letter) -> bool:
 
 class _LetterTable:
     """The letters of one presentation, direct before inverse by arrow id:
-    `arrows` sorted by id, `ends` maps each letter to its (source, target)
-    and `successors` to the letters that may follow it, in that order."""
+    `ends` maps each letter to its (source, target) and `successors` to the
+    letters that may follow it, in that order."""
 
-    __slots__ = ("presentation", "arrows", "ends", "successors")
+    __slots__ = ("presentation", "ends", "successors")
 
     def __init__(self, p: Presentation):
         self.presentation = p
-        self.arrows = tuple(sorted(p.quiver.arrows, key=_arrow_id))
         self.ends: dict[Letter, tuple[int, int]] = {}
         by_source: dict[int, list[Letter]] = {}
-        for a in self.arrows:
+        for a in sorted(p.quiver.arrows, key=_arrow_id):
             for x in ((a.id, 1), (a.id, -1)):
                 self.ends[x] = ends = (letter_source(p, x), letter_target(p, x))
                 by_source.setdefault(ends[0], []).append(x)

@@ -28,7 +28,7 @@ leaves unchanged:
 
 Each member still gets its own outcome, and takes its representative's only
 after an exact certificate: its summands are the representative's translated
-element by element (`_translate_certificate`). The certificate is a function
+element by element (see `_certificates`). The certificate is a function
 of the object list alone, so `_certificates` runs it once per list, in
 enumeration order, and every check that walks the same list reads the
 position of each member's representative from that one pass.
@@ -290,22 +290,10 @@ def _hom_functor_verdict(t, ql_cap: int | None) -> tuple[bool, str]:
     return True, f"bijection onto {rep.expected_count} strings, dimensions match"
 
 
-def _translate_certificate(t, representatives: dict):
-    """Which representative t is a translate of: (what `representatives`
-    holds for it, None), or (None, a failure detail naming t).
-
-    A representative is an object whose top is at orbit 1, and
-    `representatives` is keyed by their summands tuples. With
-    k = t.top.orbit - 1 the certificate is exact: `tau_rigid(t, k).summands`
-    is, element by element, a key of `representatives`. `_certificates`
-    runs it once per object list; the detail depends on t alone, so a check
-    rebuilds it against an empty table.
-    """
-    k = t.top.orbit - 1
-    found = representatives.get(tau_rigid(t, k).summands)
-    if found is None:
-        return None, f"translate certificate fails: tau^{k} of {t} is no representative"
-    return found, None
+def _no_certificate(t) -> str:
+    """The failure detail of a member t that `_certificates` gives no
+    representative."""
+    return f"translate certificate fails: tau^{t.top.orbit - 1} of {t} is no representative"
 
 
 _held: tuple | None = None  # (object list, its certificates), the last list certified
@@ -316,12 +304,14 @@ def _certificates(objects) -> memoryview:
     (its own for a representative), or -1 when it has no certificate, as
     one C int per object.
 
-    One pass in enumeration order: each member is certified by
-    `_translate_certificate` against the representatives listed before it,
-    the rule every check applied in its own pass. The result depends on the
-    list alone, so it is kept for one list, matched by identity (held, so
-    its id is never reused): the checks of one rank share the cached
-    enumeration and one pass, and any other list gets a pass of its own.
+    One pass in enumeration order. A representative is an object whose top
+    is at orbit 1; any other member t, with k = t.top.orbit - 1, is
+    certified exactly when `tau_rigid(t, k).summands` is, element by
+    element, the summands of a representative listed before it. The result
+    depends on the list alone, so it is kept for one list, matched by
+    identity (held, so its id is never reused): the checks of one rank
+    share the cached enumeration and one pass, and any other list gets a
+    pass of its own.
     """
     global _held
     if _held is None or _held[0] is not objects:
@@ -332,8 +322,7 @@ def _certificates(objects) -> memoryview:
                 representatives[t.summands] = i
                 positions[i] = i
             else:
-                found, _ = _translate_certificate(t, representatives)
-                positions[i] = -1 if found is None else found
+                positions[i] = representatives.get(tau_rigid(t, t.top.orbit - 1).summands, -1)
         _held = (objects, positions)
     return _held[1]
 
@@ -369,7 +358,7 @@ def _per_orbit(check: str, n: int, verdict) -> list[Outcome]:
                 return verdict(t)
             rep = _certificates(objects)[i]
             if rep < 0:
-                return False, _translate_certificate(t, {})[1]
+                return False, _no_certificate(t)
             if not out[rep].ok:
                 return verdict(t)
             return True, out[rep].detail
@@ -431,7 +420,7 @@ def check_converse(n: int) -> list[Outcome]:
         for i, t in enumerate(objects):
             if t.top.orbit != 1:
                 if certificates[i] < 0:
-                    return False, _translate_certificate(t, {})[1]
+                    return False, _no_certificate(t)
                 class_of[certificates[i]].append(t)
                 continue
             bare, lv = loopless_quiver(cached_endomorphism_algebra(t))

@@ -511,6 +511,17 @@ def reference_is_string(p: Presentation, w: StringWord) -> bool:
     )
 
 
+def reference_traversed(p: Presentation, w: StringWord) -> list[int]:
+    """The vertices a string visits, with multiplicity (length + 1 of them),
+    walked from the definitions `letter_source` and `letter_target` rather
+    than the letter table."""
+    if w.kind == "zero":
+        return []
+    if w.kind == "trivial":
+        return [w.vertex]
+    return [strings.letter_source(p, w.letters[0]), *(strings.letter_target(p, x) for x in w.letters)]
+
+
 def reference_string_module(p: Presentation, w: StringWord) -> StringModule:
     """The former `strings.string_module`: dimensions and ones kept for
     every vertex and arrow of p, and every relation of p tested, in
@@ -519,7 +530,7 @@ def reference_string_module(p: Presentation, w: StringWord) -> StringModule:
         raise ValueError(f"not a string of this presentation: {w}")
     if w.kind == "zero":
         return zero_module()
-    verts = strings.traversed_vertices(p, w)
+    verts = reference_traversed(p, w)
     dims: dict[int, int] = {v: 0 for v in p.quiver.vertices}
     slot: list[int] = []
     for v in verts:

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from tubecat import cli, endo, homfunctor
-from tubecat.endo import bundle_dot, bundle_json
+from tubecat.endo import bundle, bundle_dot, bundle_json
 from tubecat.quiver import Presentation
 from tubecat.rigid import RigidObject, enumerate_maximal_rigid, tilting_intervals
 
@@ -196,7 +196,7 @@ class TestSuccessPaths:
             f"object {ENDO_OBJECT} (intervals {ENDO_TILTING}, "
             f"top orbit {ENDO_OBJECT.top.orbit})"
         )
-        data = bundle_json(ENDO_OBJECT)
+        data = bundle_json(ENDO_OBJECT, bundle(ENDO_OBJECT))
         assert [row.split(":")[0].strip() for row in rows] == list(BUNDLE_NAMES)
         for row, name in zip(rows, BUNDLE_NAMES):
             assert f"{len(data[name]['arrows'])} arrows" in row
@@ -205,7 +205,7 @@ class TestSuccessPaths:
         code, out, _ = run_cli(ENDO_ARGV + ["--format", "json"], capsys)
         assert code == 0
         data = json.loads(out)
-        assert data == bundle_json(ENDO_OBJECT)
+        assert data == bundle_json(ENDO_OBJECT, bundle(ENDO_OBJECT))
         assert RigidObject.from_json(data) == ENDO_OBJECT
         assert data["tilting_intervals"] == ENDO_TILTING.split(",")
         for name in BUNDLE_NAMES:
@@ -214,7 +214,7 @@ class TestSuccessPaths:
     def test_endo_dot(self, capsys):
         code, out, _ = run_cli(ENDO_ARGV + ["--format", "dot"], capsys)
         assert code == 0
-        for name, text in bundle_dot(ENDO_OBJECT).items():
+        for name, text in bundle_dot(bundle(ENDO_OBJECT)).items():
             assert f"// {name}\n{text}" in out
 
     def test_endo_out_writes_three_dot_files(self, tmp_path, capsys):
@@ -225,20 +225,26 @@ class TestSuccessPaths:
         assert sorted(p.name for p in out_dir.iterdir()) == sorted(
             f"{name}.dot" for name in BUNDLE_NAMES
         )
-        for name, text in bundle_dot(ENDO_OBJECT).items():
+        for name, text in bundle_dot(bundle(ENDO_OBJECT)).items():
             assert (out_dir / f"{name}.dot").read_text() == text
 
     def test_endo_out_and_dot_print_the_files_written(self, tmp_path, capsys, monkeypatch):
-        built = []
+        """One bundle is built, and its DOT text once, for both outputs."""
+        built, drawn = [], []
 
-        def counting(t, presentations=None):
+        def counting_bundle(t):
             built.append(t)
-            return bundle_dot(t, presentations)
+            return bundle(t)
 
-        monkeypatch.setattr(cli, "bundle_dot", counting)
+        def counting_dot(presentations):
+            drawn.append(presentations)
+            return bundle_dot(presentations)
+
+        monkeypatch.setattr(cli, "bundle", counting_bundle)
+        monkeypatch.setattr(cli, "bundle_dot", counting_dot)
         code, out, _ = run_cli(ENDO_ARGV + ["--out", str(tmp_path), "--format", "dot"], capsys)
         assert code == 0
-        assert built == [ENDO_OBJECT]
+        assert built == [ENDO_OBJECT] and len(drawn) == 1
         head, printed = out.split("\n", 1)
         assert head == f"wrote 3 dot files to {tmp_path}"
         assert printed == "".join(

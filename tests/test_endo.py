@@ -3,6 +3,7 @@
 import pytest
 
 from tubecat.endo import (
+    bundle,
     bundle_dot,
     bundle_json,
     cartan_check,
@@ -192,7 +193,7 @@ class TestSevenRankInstance:
 
 class TestEmission:
     def test_bundle_json_schema(self):
-        data = bundle_json(T4_CYCLE)
+        data = bundle_json(T4_CYCLE, bundle(T4_CYCLE))
         assert data["rank"] == 4
         assert data["tilting_intervals"] == ["1-3", "1-1", "3-3"]
         for name in ("tilted", "cluster_tilted", "endomorphism"):
@@ -201,6 +202,6 @@ class TestEmission:
         assert kinds == {"T", "D", "loop"}
 
     def test_bundle_dot(self):
-        dots = bundle_dot(T4_CYCLE)
+        dots = bundle_dot(bundle(T4_CYCLE))
         assert set(dots) == {"tilted", "cluster_tilted", "endomorphism"}
         assert "style=dashed" in dots["endomorphism"]

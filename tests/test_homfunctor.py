@@ -33,7 +33,6 @@ from tubecat.strings import (
     enumerate_strings,
     is_string,
     string_module,
-    traversed_vertices,
     word,
 )
 from tubecat.tube import (
@@ -51,6 +50,7 @@ from support import (
     projective_string,
     quasisimple_map,
     quasisimples,
+    reference_traversed,
     wing_members,
 )
 
@@ -115,7 +115,7 @@ def reference_sigma(t, x):
     if not is_string(lam, joined):
         raise ValueError(f"concatenation is not a string: {joined}")
     both = [s for kind in ("T", "D") for s in reverse_hammock(t, x, kind)]
-    if sorted(traversed_vertices(lam, joined)) != sorted(map(t.vertex_of, both)):
+    if sorted(reference_traversed(lam, joined)) != sorted(map(t.vertex_of, both)):
         raise AssertionError(f"joined string {joined} of {x} does not traverse {both}")
     return joined
 
@@ -302,7 +302,7 @@ class TestSigmaStrings:
                             assert sig.is_zero
                             continue
                         assert end_vertex(lam, sig) == t.vertex_of(chain[-1])
-                        visited = sorted(traversed_vertices(lam, sig))
+                        visited = sorted(reference_traversed(lam, sig))
                         assert visited == sorted(t.vertex_of(s) for s in chain)
 
     def test_no_shifted_letters(self):
@@ -1195,7 +1195,7 @@ class TestDimensionsPerSummand:
             assert failure["oracle_dims"][str(v)] - failure["predicted_dims"].get(str(v), 0) == 1
             chain = homfunctor._table(t).chain(x, "T")
             sig = sigma_string(t, x, "T")
-            assert v not in chain and sorted(traversed_vertices(lam, sig)) == sorted(chain)
+            assert v not in chain and sorted(reference_traversed(lam, sig)) == sorted(chain)
             assert failure["sigmaT"] == sig.to_json() != honest[t].to_json()
             assert report.to_json() == reference_verify_hom_functor(t).to_json()
 

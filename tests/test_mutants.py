@@ -90,8 +90,7 @@ MUTANTS = (
     ),
     Mutant(
         "translate-certificate-one-step-too-far", "verify.py",
-        "representatives.get(tau_rigid(t, k).summands)",
-        "representatives.get(tau_rigid(t, k + 1).summands)",
+        "tau_rigid(t, t.top.orbit - 1)", "tau_rigid(t, t.top.orbit)",
         dict.fromkeys(
             ("endo", "gentle", "strings", "hom-functor", "converse"),
             r"^translate certificate fails: ",
@@ -132,6 +131,13 @@ MUTANTS = (
         "chain-letter-up-read-inverse", "homfunctor.py",
         "letters.append((up.id, 1))", "letters.append((up.id, -1))",
         {"hom-functor": r"^error: (constructed chain word is not a string|no connecting arrow \d+ -> \d+ exists for)"},
+    ),
+    # A string's end read as its last letter's source: the sweep's
+    # connecting arrows are looked up between the wrong vertices.
+    Mutant(
+        "letter-end-read-as-start", "strings.py",
+        "        return ends[1]\n", "        return ends[0]\n",
+        {"hom-functor": r"^error: no connecting arrow \d+ -> \d+ exists for \(\d+,\d+\)$"},
     ),
 )
 
