@@ -44,11 +44,12 @@ besides the rigid summands of one (rank, cap) (see below). The table keeps
 the summands as (orbit, ql) integers, the translates of the summands, the
 painted reverse hammocks as one chain tuple per cell, the arrows of the
 endomorphism algebra by their (source, target) vertices, and one memo: each
-chain's string. A chain string depends only on its chain, so every wing,
-arrow and string check runs once per distinct chain. Consecutive members of
-a chain are joined by the algebra's tube-map arrow between them (kind "T"),
-and the two strings of x by its shifted-part arrow (kind "D") or the loop,
-so no arrow id is formed here.
+chain's string beside its end vertex. A chain string depends only on its
+chain, so every wing, arrow and string check, and every end read, runs once
+per distinct chain. Consecutive members of a chain are joined by the
+algebra's tube-map arrow between them (kind "T"), and the two strings of x
+by its shifted-part arrow (kind "D") or the loop, so no arrow id is formed
+here.
 
 Both reverse hammocks are painted once per rigid summand and (rank, cap)
 (`_summand_cells`), not filtered once per x. `kernel.hom_tube_dim(n, a, b,
@@ -224,7 +225,7 @@ class _ObjectTable:
         )
         self.painted = 0
         self.hammocks: dict[str, tuple[Chain, ...]] = {"T": (), "D": ()}
-        self.words: dict[Chain, StringWord] = {}
+        self.words: dict[Chain, tuple[StringWord, int | None]] = {}
 
     def paint(self, cap: int) -> None:
         """Paint both reverse hammocks of every x up to `cap` from the cells
@@ -252,6 +253,12 @@ class _ObjectTable:
             self.paint(max(x.ql, 2 * self.painted))
         return self.hammocks[kind][(x.ql - 1) * self.obj.rank + x.orbit - 1]
 
+    def remember(self, chain: Chain, word: StringWord) -> tuple[StringWord, int | None]:
+        """Memoise the string of `chain` beside its end vertex, read once by
+        `strings.end_vertex` (None for the zero string)."""
+        entry = self.words[chain] = (word, None if word.is_zero else st.end_vertex(self.lam, word))
+        return entry
+
 
 _held: _ObjectTable | None = None
 
@@ -278,13 +285,17 @@ def sigma_string(t: RigidObject, x: Indec, kind: str) -> StringWord:
     """The unique string traversing the reverse-hammock chain once each,
     without shifted-part arrows, ending at the highest-quasilength vertex.
     The zero string when the chain is empty."""
-    table = _table(t)
+    return _chain_entry(_table(t), x, kind)[0]
+
+
+def _chain_entry(table: _ObjectTable, x: Indec, kind: str) -> tuple[StringWord, int | None]:
+    """The memo entry of x's chain of `kind`: its string and end vertex,
+    built and checked on the chain's first fetch."""
     chain = table.chain(x, kind)
-    word = table.words.get(chain)
-    if word is None:
-        summands = reverse_hammock(t, x, kind)
-        word = table.words[chain] = _chain_string(table, chain, summands)
-    return word
+    entry = table.words.get(chain)
+    if entry is None:
+        entry = table.remember(chain, _chain_string(table, chain, reverse_hammock(table.obj, x, kind)))
+    return entry
 
 
 def _chain_string(table: _ObjectTable, chain: Chain, summands: list[Indec]) -> StringWord:
@@ -327,19 +338,17 @@ def _build_chain_strings(t: RigidObject, table: _ObjectTable, ql_cap: int) -> No
             for kind, hammock in table.hammocks.items():
                 chain = hammock[cell]
                 if chain and chain not in words:
-                    words[chain] = _chain_string(table, chain, reverse_hammock(t, swept[cell], kind))
+                    table.remember(chain, _chain_string(table, chain, reverse_hammock(t, swept[cell], kind)))
 
 
 def beta_arrow(t: RigidObject, x: Indec) -> str | None:
     """Connecting arrow from the end of the tube-side string to the end of
-    the shifted-side string; None when either string is zero."""
+    the shifted-side string; None when either string is zero. The ends
+    are read from the memo of the two chains."""
     table = _table(t)
-    sig_t = sigma_string(t, x, "T")
-    sig_d = sigma_string(t, x, "D")
-    if sig_t.is_zero or sig_d.is_zero:
+    end_t, end_d = _chain_entry(table, x, "T")[1], _chain_entry(table, x, "D")[1]
+    if end_t is None or end_d is None:
         return None
-    end_t = st.end_vertex(table.lam, sig_t)
-    end_d = st.end_vertex(table.lam, sig_d)
     if end_t == end_d:
         top_vertex = t.vertex_of(t.top)
         if end_t != top_vertex:
@@ -363,7 +372,8 @@ def sigma(t: RigidObject, x: Indec) -> StringWord:
         raise ValueError(f"{x} is a translate of a summand; no string assigned")
     if not in_fundamental_domain(t, x):
         raise ValueError(f"{x} is outside the fundamental domain")
-    lam = _table(t).lam
+    table = _table(t)
+    lam = table.lam
     sig_t = sigma_string(t, x, "T")
     sig_d = sigma_string(t, x, "D")
     if sig_t.is_zero and sig_d.is_zero:
@@ -377,8 +387,8 @@ def sigma(t: RigidObject, x: Indec) -> StringWord:
     head, tail = sig_t.letters, tuple((aid, -d) for aid, d in reversed(sig_d.letters))
     successors = st._letters(lam).successors
     if (
-        arrow.src != st.end_vertex(lam, sig_t)
-        or arrow.tgt != st.end_vertex(lam, sig_d)
+        arrow.src != _chain_entry(table, x, "T")[1]
+        or arrow.tgt != _chain_entry(table, x, "D")[1]
         or head and letter not in successors.get(head[-1], ())
         or tail and tail[0] not in successors.get(letter, ())
     ):

@@ -8,15 +8,16 @@ oracle is the nullity of the model's commutation system. Each row of that
 system equates two unknowns or sets one unknown to zero, so over any field
 the nullity is the number of connected components of the graph of equated
 unknowns that hold no zero-row. The systems for X = (0, b) and Y of growing
-quasilength with a fixed top vertex nest, so each such family is one
-union-find, `_nullities`, over the columns of Y, which yields the nullity
-after each column. `_columns` numbers each column's unknowns in the order
-of their index in X, which steps by n, so an unknown's id is found by
-arithmetic: the column's first id plus the index's distance from the
-column's lowest index, divided by n. The union-find is kept suspended
-between requests and resumed where it stopped, so every column of a family
-is solved once (see `_oracle_dim`). The oracle uses nothing from `kernel`
-and no closed-form reasoning about the tube.
+quasilength with a fixed top vertex nest, so each such family is solved by
+one pass, `_solve`, over the columns of Y: it numbers each column's
+unknowns by arithmetic (the column's first id plus the index's distance
+from the column's lowest index, divided by n, since the index in X steps by
+n), joins them by union-find, and yields the nullity after each column.
+The solver is kept suspended between requests and resumed where it
+stopped, and one reader, `_family`, extends a family and returns its list
+of nullities, so every column of a family is solved once; `_oracle_dim`
+reads one entry of it. The oracle uses nothing from `kernel` and no
+closed-form reasoning about the tube.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import count
-from typing import Iterable, Iterator, NamedTuple
+from itertools import count, islice
+from typing import Iterator, NamedTuple
 
 from tubecat import kernel
 
@@ -157,87 +158,70 @@ def hom_tube_oracle(x: Indec, y: Indec) -> int:
 
 
 # Each started family (n, b, top): the nullities found so far, for d = 1,
-# 2, ..., and its suspended solver; see `_oracle_dim`.
+# 2, ..., and its suspended solver; see `_family`.
 _families: dict[tuple[int, int, int], tuple[list[int], Iterator[int]]] = {}
 
 
 @lru_cache(maxsize=None)
 def _oracle_dim(n: int, b: int, d: int, shift: int) -> int:
-    """Nullity of the commutation system for X = (0, b) and Y = (shift, d).
+    """Nullity of the commutation system for X = (0, b) and Y = (shift, d):
+    one entry of the family (n, b, (shift + d) mod n), read by `_family`.
 
     The unknowns are the entries (i, j) of a graded map with e^X_i and e^Y_j
     at the same vertex. Each row says that the map commutes with one arrow
-    at one basis vector: the arrow sends e^X_i to e^X_{i+1} and e^Y_m to
-    e^Y_{m-1}, so the row equates the unknowns (i + 1, m) and (i, m - 1), or
+    at one basis vector: the arrow sends e^X_i to e^X_{i+1} and e^Y_{m-1}
+    to e^Y_m, so the row equates the unknowns (i + 1, m) and (i, m - 1), or
     sets the one that exists to zero when the other index falls off its
     basis. A system of such rows is solved by exactly the assignments that
     are constant on each connected component of the graph joining equated
     unknowns and zero on every component holding a zero-row, over any
-    field; `_nullities` counts the free components.
+    field; `_solve` counts the free components.
 
     The systems nest. The vertex of e^Y_j is (shift + d - 1 - j) mod n,
     which depends only on the top t = (shift + d) mod n and on j. Fix n, b
     and t and let d grow: the system for d + 1 is the system for d plus the
     unknowns (i, d) and the rows at m = d, and no earlier unknown or row
-    changes. So one pass over the columns m = 0, 1, ... (`_columns`) gives
-    the nullity for every d. The family (n, b, t) keeps the nullities it has
-    found and its solver, suspended after the last column it solved; a miss
-    here resumes the solver until entry d - 1 exists. Every column of every
-    family is thus solved exactly once, whatever the order of requests.
+    changes. So one pass over the columns m = 0, 1, ... gives the nullity
+    for every d. The cache serves the repeated one-key reads of the sweep
+    and the calibration; a caller that wants a whole family reads it from
+    `_family` at once.
+    """
+    return _family(n, b, (shift + d) % n, d)[d - 1]
+
+
+def _family(n: int, b: int, top: int, d: int) -> list[int]:
+    """The nullities of the family (n, b, top) for Y of quasilength 1, 2,
+    ..., at least d, in order: the family's own list, which the caller
+    must not change.
+
+    The family keeps the nullities it has found and its solver, suspended
+    after the last column it solved; a shorter list resumes the solver
+    until it has d entries. Every column of every family is thus solved
+    exactly once, whatever the order of requests.
     """
     if b < 1 or d < 1:
         raise ValueError(f"quasilengths must be >= 1, got b={b}, d={d}")
-    family = (n, b, (shift + d) % n)
-    state = _families.get(family)
+    state = _families.get((n, b, top))
     if state is None:
-        state = _families[family] = ([], _nullities(_columns(*family)))
+        state = _families[n, b, top] = ([], _solve(n, b, top))
     dims, solver = state
-    while len(dims) < d:
-        dims.append(next(solver))
-    return dims[d - 1]
+    if len(dims) < d:
+        dims.extend(islice(solver, d - len(dims)))
+    return dims
 
 
-def _columns(n: int, b: int, top: int) -> Iterator[tuple[int, list[tuple[int, ...]]]]:
-    """The commutation system of X = (0, b) against Y with top vertex `top`
-    (vertex of e^Y_j is (top - 1 - j) mod n), one step per column m of Y,
-    without end: the number of new unknowns (i, m) and the rows at m,
-    numbered over all unknowns so far.
+def _solve(n: int, b: int, top: int) -> Iterator[int]:
+    """The nullity of the commutation system of X = (0, b) against Y with
+    top vertex `top` (vertex of e^Y_j is (top - 1 - j) mod n) after each
+    column m of Y, without end.
 
     The unknowns of column m are the (i, m) with e^X_i at the vertex of
     e^Y_m, that is i in range(lowest, b, n) for lowest = (b - 1 - vy) % n,
     numbered in that order after those of the earlier columns. So the id of
     (i, m) is the column's first id plus (i - lowest) // n, and a row at m,
     which names unknowns of columns m and m - 1 only, reads both ids from
-    those two columns' first ids and lowest indices. That the ids are the
-    ones a per-column table would give is checked against
-    `tests/support.reference_columns`.
-    """
-    size = 0
-    first = lowest = 0
-    for m in count():
-        vy = (top - 1 - m) % n  # vertex of e^Y_m; e^X_i sits at (b - 1 - i) mod n
-        previous, below = first, lowest  # column m - 1
-        first, lowest = size, (b - 1 - vy) % n
-        new = len(range(lowest, b, n))
-        size += new
-        rows = []
-        for i in range((b - 2 - vy) % n, b, n):  # e^X_i at vy + 1
-            row = ()
-            if i + 1 < b:
-                row = (first + (i + 1 - lowest) // n,)
-            if m >= 1:
-                row += (previous + (i - below) // n,)
-            if row:
-                rows.append(row)
-        yield new, rows
+    those two columns' first ids and lowest indices.
 
-
-def _nullities(steps: Iterable[tuple[int, Iterable[tuple[int, ...]]]]) -> Iterator[int]:
-    """Dimension of the solutions of a growing system over any field k,
-    after each step.
-
-    A step (new, rows) adds `new` unknowns and then the rows x_u = x_v,
-    given as (u, v), and x_u = 0, given as (u,), over all unknowns so far.
     A solution is constant on each connected component of the graph whose
     edges are the equating rows, and zero on each component that holds a
     zero-row; any such assignment is a solution. So the nullity is the
@@ -246,27 +230,38 @@ def _nullities(steps: Iterable[tuple[int, Iterable[tuple[int, ...]]]]) -> Iterat
     one, a zero-row on a free root removes one, and joining two distinct
     roots removes one unless both are grounded. The forest is held in an
     `array` and the grounded flags in a `bytearray`, since a family's
-    solver stays alive between requests.
+    solver stays alive between requests. That the nullities are those of
+    the explicit system is checked in `tests/test_tube.py`.
     """
     parent = array("i")
     grounded = bytearray()
     free = 0
-    for new, rows in steps:
-        size = len(parent)
-        parent.extend(range(size, size + new))
+    first = lowest = 0
+    for m in count():
+        vy = (top - 1 - m) % n  # vertex of e^Y_m; e^X_i sits at (b - 1 - i) mod n
+        previous, below = first, lowest  # column m - 1
+        first, lowest = len(parent), (b - 1 - vy) % n
+        new = len(range(lowest, b, n))
+        parent.extend(range(first, first + new))
         grounded.extend(bytes(new))
         free += new
-        for row in rows:
-            u = row[0]
+        for i in range((b - 2 - vy) % n, b, n):  # e^X_i at vy + 1
+            # The row equates (i + 1, m) and (i, m - 1); -1 marks the one
+            # that does not exist, and the row then sets the other to zero.
+            u = first + (i + 1 - lowest) // n if i + 1 < b else -1
+            v = previous + (i - below) // n if m else -1
+            if u < 0:
+                if v < 0:
+                    continue
+                u, v = v, u
             while parent[u] != u:
                 parent[u] = parent[parent[u]]
                 u = parent[u]
-            if len(row) == 1:
+            if v < 0:
                 if not grounded[u]:
                     grounded[u] = 1
                     free -= 1
                 continue
-            v = row[1]
             while parent[v] != v:
                 parent[v] = parent[parent[v]]
                 v = parent[v]

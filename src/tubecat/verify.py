@@ -17,9 +17,10 @@ leaves unchanged:
 - `kernel.hom_tube_dim` sees orbits only through (c - a) mod n, so every
   closed-form Hom count between summands, and from a summand to x, is
   invariant when both are translated.
-- `tube._oracle_dim` is keyed on that shift alone, and each of its nested
-  families, keyed on (shift + d) mod n, is one solver resumed column by
-  column, so the oracle's dimensions are invariant too.
+- `tube._oracle_dim` is keyed on that shift alone: it reads entry d of the
+  nested family keyed on (shift + d) mod n (`tube._family`), each family
+  one solver resumed column by column, so the oracle's dimensions are
+  invariant too.
 - The Hom-functor sweep covers every orbit 1..n for each ql <= cap, so the
   swept set of x is closed under the translate. Its dimension and locus
   proofs are masks per rigid summand, each painted and read from the oracle
@@ -145,13 +146,16 @@ def check_oracle(n: int, ql_cap: int | None = None, seed: int = 0) -> list[Outco
     cap = 3 * n if ql_cap is None else ql_cap
 
     def agreement():  # on integer coordinates; `calibration` calls the oracle by Indec
-        # The oracle depends on a pair only through (b, d, (c - a) mod n), so
-        # each of its n * cap**2 values is read once; every pair still meets
-        # the kernel.
-        oracle = [
-            [[tube._oracle_dim(n, b, d, shift) for shift in range(n)] for d in range(1, cap + 1)]
-            for b in range(1, cap + 1)
-        ]
+        # The oracle depends on a pair only through (b, d, (c - a) mod n), and
+        # its value at shift is entry d of the family (n, b, (shift + d) mod n),
+        # so the n * cap**2 values come from reading each of the n * cap
+        # families once; every pair still meets the kernel.
+        oracle = []
+        for b in range(1, cap + 1):
+            family = [tube._family(n, b, top, cap) for top in range(n)]
+            oracle.append([
+                [family[(shift + d) % n][d - 1] for shift in range(n)] for d in range(1, cap + 1)
+            ])
         xs = [(a, b) for a in range(1, n + 1) for b in range(1, cap + 1)]
         bad = 0
         first = ""

@@ -15,10 +15,13 @@ pairs that decide whether a key partitions as isomorphism does and the gate
 that checks them with the search, the former per-check translate
 certificates, the former `strings.string_module`, which walks every vertex,
 arrow and relation of the algebra, the former `strings.is_string`, which
-reads every letter from the quiver, and the former `tube._columns`, which
-looks its unknowns' ids up in a table per column."""
+reads every letter from the quiver, the `tube._columns` before that, which
+looked its unknowns' ids up in a table per column, and the former pair
+`tube._columns` and `tube._nullities`, which the one solver per family
+`tube._solve` replaced."""
 
 import itertools
+from array import array
 from collections import Counter
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
@@ -217,9 +220,10 @@ def free_loop(p: Presentation) -> Presentation:
 
 
 def reference_columns(n: int, b: int, top: int) -> Iterator[tuple[int, list[tuple[int, ...]]]]:
-    """The former `tube._columns`: the same steps (new, rows), with the ids
-    of the unknowns (i, m) of columns m and m - 1 kept in a dict per column;
-    a row naming an unknown that does not exist raises `KeyError`."""
+    """The `tube._columns` before `columns`: the same steps (new, rows),
+    with the ids of the unknowns (i, m) of columns m and m - 1 kept in a
+    dict per column; a row naming an unknown that does not exist raises
+    `KeyError`."""
     size = 0
     previous: dict[int, int] = {}  # i -> id of the unknown (i, m - 1)
     for m in itertools.count():
@@ -238,6 +242,69 @@ def reference_columns(n: int, b: int, top: int) -> Iterator[tuple[int, list[tupl
                 rows.append(row)
         yield len(new), rows
         previous = current
+
+
+def columns(n: int, b: int, top: int) -> Iterator[tuple[int, list[tuple[int, ...]]]]:
+    """The former `tube._columns`: the commutation system of X = (0, b)
+    against Y with top vertex `top` (vertex of e^Y_j is (top - 1 - j) mod
+    n), one step per column m of Y, without end: the number of new unknowns
+    (i, m) and the rows at m, numbered over all unknowns so far. The id of
+    (i, m) is the column's first id plus (i - lowest) // n."""
+    size = 0
+    first = lowest = 0
+    for m in itertools.count():
+        vy = (top - 1 - m) % n  # vertex of e^Y_m; e^X_i sits at (b - 1 - i) mod n
+        previous, below = first, lowest  # column m - 1
+        first, lowest = size, (b - 1 - vy) % n
+        new = len(range(lowest, b, n))
+        size += new
+        rows = []
+        for i in range((b - 2 - vy) % n, b, n):  # e^X_i at vy + 1
+            row = ()
+            if i + 1 < b:
+                row = (first + (i + 1 - lowest) // n,)
+            if m >= 1:
+                row += (previous + (i - below) // n,)
+            if row:
+                rows.append(row)
+        yield new, rows
+
+
+def nullities(steps: Iterable[tuple[int, Iterable[tuple[int, ...]]]]) -> Iterator[int]:
+    """The former `tube._nullities`: the dimension of the solutions of a
+    growing system over any field, after each step. A step (new, rows) adds
+    `new` unknowns and then the rows x_u = x_v, given as (u, v), and
+    x_u = 0, given as (u,), over all unknowns so far; the nullity is the
+    number of components of the equating graph without a zero-row, kept by
+    union-find with path halving."""
+    parent = array("i")
+    grounded = bytearray()
+    free = 0
+    for new, rows in steps:
+        size = len(parent)
+        parent.extend(range(size, size + new))
+        grounded.extend(bytes(new))
+        free += new
+        for row in rows:
+            u = row[0]
+            while parent[u] != u:
+                parent[u] = parent[parent[u]]
+                u = parent[u]
+            if len(row) == 1:
+                if not grounded[u]:
+                    grounded[u] = 1
+                    free -= 1
+                continue
+            v = row[1]
+            while parent[v] != v:
+                parent[v] = parent[parent[v]]
+                v = parent[v]
+            if u != v:
+                parent[v] = u
+                if not (grounded[u] and grounded[v]):
+                    free -= 1
+                    grounded[u] = grounded[u] or grounded[v]
+        yield free
 
 
 def reference_count_paths(p: Presentation) -> dict[tuple[int, int], int]:

@@ -115,6 +115,17 @@ MUTANTS = (
         "if not grounded[u]:", "if False:",
         {"oracle": r"^\d+/\d+ disagreements, first at ", "hom-functor": r"^\d+ dimension mismatches"},
     ),
+    # The previous column's ids read with the current column's lowest
+    # index: rows equate the wrong unknowns, or ground one through the
+    # solver's absent-unknown mark.
+    Mutant(
+        "column-id-reads-current-lowest", "tube.py",
+        "previous + (i - below) // n", "previous + (i - lowest) // n",
+        {
+            "oracle": r"^\d+/\d+ disagreements, first at ",
+            "hom-functor": r"^\d+ dimension mismatches; vanishing locus: ",
+        },
+    ),
     # The shifted part read at tau x instead of tau^2 x: rigid objects
     # enumerate with incompatible summands, and the oracle's sample sees
     # an asymmetric extension space.

@@ -235,12 +235,15 @@ class TestLetterTable:
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
     def test_is_string_on_enumerated_and_chain_strings(self, n):
         """Every enumerated string and every chain string of the sweep is a
-        string for the table and for the former predicate."""
+        string for the table and for the former predicate, and the sweep's
+        memo holds the end vertex of each chain string's walk."""
         for t in _representatives(n):
             lam = cached_endomorphism_algebra(t)
             assert homfunctor.verify_hom_functor(t).ok
-            chain_strings = list(homfunctor._table(t).words.values())
-            for w in (*enumerate_strings(lam).strings, *chain_strings):
+            entries = list(homfunctor._table(t).words.values())
+            for w, end in entries:
+                assert end == (None if w.is_zero else reference_traversed(lam, w)[-1]), (t, w)
+            for w in (*enumerate_strings(lam).strings, *(w for w, _ in entries)):
                 assert is_string(lam, w) and reference_is_string(lam, w), (t, w)
 
     def test_is_string_on_the_small_gentle_strings(self):

@@ -31,12 +31,13 @@ from tubecat.tube import (
     is_rigid,
     lift_orbit,
     tau,
-    _nullities,
     _oracle_dim,
 )
 
 from support import (
+    columns,
     hom_cluster_oracle,
+    nullities,
     quasisimples,
     reference_columns,
     rigid_indecomposables,
@@ -189,7 +190,32 @@ def reference_oracle_dim(n, b, d, shift):
 
 def _one_step(size, rows):
     """Nullity of one system, solved as a single step."""
-    return next(_nullities([(size, rows)]))
+    return next(nullities([(size, rows)]))
+
+
+def commutation_nullity(n, b, top, d):
+    """dim Hom(X, Y) for X = (0, b) and Y of quasilength d with top vertex
+    `top`, as the nullity of the written-out commutation matrix, by exact
+    rank. In the model of `hom_tube_oracle` the arrow sends e_j to e_{j+1}
+    in both, and f(e^X_i) = sum of f[i, j] e^Y_j over the e^Y_j at the
+    vertex of e^X_i; one row per (i, j) is the coefficient of e^Y_j in
+    f(arrow e^X_i) - arrow f(e^X_i)."""
+    vx = [(b - 1 - i) % n for i in range(b)]
+    vy = [(top - 1 - j) % n for j in range(d)]
+    pairs = [(i, j) for i in range(b) for j in range(d) if vx[i] == vy[j]]
+    if not pairs:
+        return 0
+    unknown = {pair: k for k, pair in enumerate(pairs)}
+    matrix = []
+    for i in range(b):
+        for j in range(d):
+            row = [0] * len(pairs)
+            if (i + 1, j) in unknown:
+                row[unknown[i + 1, j]] += 1
+            if (i, j - 1) in unknown:
+                row[unknown[i, j - 1]] -= 1
+            matrix.append(row)
+    return len(pairs) - _rational_rank(matrix)
 
 
 def _rational_rank(matrix):
@@ -307,36 +333,41 @@ class TestOracle:
 
     def test_each_family_solved_once(self, monkeypatch):
         starts, pulled = {}, []
-        columns = tube._columns
+        solve = tube._solve
 
         def counted(n, b, top):
             starts[n, b, top] = starts.get((n, b, top), 0) + 1
-            for step in columns(n, b, top):
+            for nullity in solve(n, b, top):
                 pulled.append((n, b, top))
-                yield step
+                yield nullity
 
-        monkeypatch.setattr(tube, "_columns", counted)
+        monkeypatch.setattr(tube, "_solve", counted)
         _clear_oracle_memos()
         assert all(outcome.ok for outcome in check_oracle(5, 30))
         assert len(starts) == 150  # b <= 30, five top vertices
         assert set(starts.values()) == {1}
         assert len(pulled) == 4500  # 30 columns per family, each once
-        assert _oracle_dim.cache_info().currsize == 4500
         assert all(len(dims) == 30 for dims, _ in tube._families.values())
+        # One-key reads in any order, as the sweep makes, solve nothing more.
+        for key in reversed(_oracle_keys()):
+            if key[0] == 5 and key[1] <= 30 and key[2] <= 30:
+                _oracle_dim(*key)
+        assert len(starts) == 150 and len(pulled) == 4500
 
     @pytest.mark.parametrize(
-        "n, b_max, columns",
+        "n, b_max, length",
         [(n, 3 * n + 1, 3 * n + 1) for n in range(2, 9)] + [(5, 30, 30)],
     )
-    def test_columns_equal_the_per_column_tables(self, n, b_max, columns):
-        # The ids by arithmetic against the former dict per column, over the
-        # first columns of every family with b <= b_max; (5, 30, 30) is every
+    def test_columns_equal_the_per_column_tables(self, n, b_max, length):
+        # Over the first `length` columns of every family with b <= b_max,
+        # the one solver's nullities equal the former pair's, whose ids by
+        # arithmetic equal those of a dict per column; (5, 30, 30) is every
         # family that `check_oracle(5, 30)` solves, to its last column.
         for b in range(1, b_max + 1):
             for top in range(n):
-                assert list(islice(tube._columns(n, b, top), columns)) == list(
-                    islice(reference_columns(n, b, top), columns)
-                ), (b, top)
+                steps = list(islice(columns(n, b, top), length))
+                assert steps == list(islice(reference_columns(n, b, top), length)), (b, top)
+                assert list(islice(tube._solve(n, b, top), length)) == list(nullities(steps)), (b, top)
 
     def test_rejects_quasilength_below_one(self):
         # A d below 1 once read the last solved entry through dims[-1].
@@ -345,17 +376,31 @@ class TestOracle:
         for key in [(3, 2, 0, 0), (3, 0, 3, 0), (3, -1, 2, 1), (3, 2, -3, 0)]:
             with pytest.raises(ValueError, match="quasilengths must be >= 1"):
                 _oracle_dim(*key)
+        with pytest.raises(ValueError, match="quasilengths must be >= 1"):
+            tube._family(3, 0, 0, 3)
         assert _oracle_dim.cache_info().currsize == 1
+        assert list(tube._families) == [(3, 2, 0)]
 
     @given(growing_system())
     @settings(max_examples=300)
     def test_nullity_matches_rational_rank(self, steps):
         size, rows = 0, []
-        for nullity, (new, step_rows) in zip(_nullities(steps), steps):
+        for nullity, (new, step_rows) in zip(nullities(steps), steps):
             size += new
             rows += step_rows
             matrix = [_coefficient_row(size, row) for row in rows]
             assert nullity == size - _rational_rank(matrix)
+
+    @given(hst.data())
+    @settings(max_examples=100, deadline=None)
+    def test_solver_matches_rational_rank(self, data):
+        # Every prefix of a family against its explicit matrix, by exact rank.
+        n = data.draw(hst.integers(2, 5))
+        b, d = data.draw(hst.integers(1, 2 * n + 1)), data.draw(hst.integers(1, 2 * n + 1))
+        top = data.draw(hst.integers(0, n - 1))
+        assert list(islice(tube._solve(n, b, top), d)) == [
+            commutation_nullity(n, b, top, k) for k in range(1, d + 1)
+        ]
 
     def test_nullity_examples(self):
         assert _one_step(0, []) == 0
@@ -370,8 +415,8 @@ class TestOracle:
     def test_oracle_independent_of_closed_forms(self):
         tree = ast.parse(inspect.getsource(tube))
         forbidden = {"kernel", "hom_tube", "hom_cluster", "ext1_cluster"}
-        used = _references(tree, ["hom_tube_oracle", "_oracle_dim", "_nullities"])
-        assert {"_oracle_dim", "_columns", "_nullities", "_same_rank"} <= used
+        used = _references(tree, ["hom_tube_oracle", "_oracle_dim", "_family"])
+        assert {"_oracle_dim", "_family", "_solve", "_same_rank"} <= used
         assert not used & forbidden, used & forbidden
         # The scan sees a closed form's use of the kernel.
         assert "kernel" in _references(tree, ["hom_tube"])

@@ -180,27 +180,35 @@ class TestOracleFault:
         # contracts, which only start at quasilength <= n, never ask for it.
         # The agreement loop reads the oracle on integer coordinates, where
         # (n, b, d, shift) = (3, 9, 9, 1) is that pair and the n = 3 pairs
-        # (a,9) -> (a+1,9) that share its value.
-        real = tube._oracle_dim
+        # (a,9) -> (a+1,9) that share its value: entry d = 9 of the family
+        # (n, b, top) = (3, 9, 1), top = (shift + d) mod n.
+        real = tube._family
 
-        def faulty(n, b, d, shift):
-            return real(n, b, d, shift) + (1 if (n, b, d, shift) == (3, 9, 9, 1) else 0)
+        def faulty(n, b, top, d):
+            dims = real(n, b, top, d)
+            if (n, b, top) == (3, 9, 1) and len(dims) >= 9:
+                dims = dims[:8] + [dims[8] + 1] + dims[9:]
+            return dims
 
-        monkeypatch.setattr(tube, "_oracle_dim", faulty)
-        agreement, calibration, boundary, symmetry = verify.check_oracle(3)
+        monkeypatch.setattr(tube, "_family", faulty)
+        try:
+            agreement, calibration, boundary, symmetry = verify.check_oracle(3)
+        finally:
+            tube._oracle_dim.cache_clear()  # drop any one-key read of the fault
         assert not agreement.ok
         assert agreement.detail == "3/729 disagreements, first at (1,9)->(2,9)"
         assert calibration.ok and boundary.ok and symmetry.ok
 
     def test_agreement_reads_each_oracle_key_once(self, monkeypatch):
-        # The oracle is read once per (b, d, shift), 30 * 30 * 5 keys, and the
-        # kernel once per pair, 150 ** 2; counted over the agreement alone.
+        # The oracle's 30 * 30 * 5 values are read as 30 * 5 families, each
+        # once, and the kernel once per pair, 150 ** 2; counted over the
+        # agreement alone.
         reads, pairs = [], [0]
-        real_oracle, real_hom = tube._oracle_dim, kernel.hom_tube_dim
+        real_family, real_hom = tube._family, kernel.hom_tube_dim
 
-        def oracle(*key):
+        def family(*key):
             reads.append(key)
-            return real_oracle(*key)
+            return real_family(*key)
 
         def hom(*args):
             pairs[0] += 1
@@ -215,13 +223,16 @@ class TestOracleFault:
             counts.append((predicate.__name__, len(reads) - before[0], pairs[0] - before[1]))
             return out
 
-        monkeypatch.setattr(tube, "_oracle_dim", oracle)
+        monkeypatch.setattr(tube, "_family", family)
         monkeypatch.setattr(kernel, "hom_tube_dim", hom)
         monkeypatch.setattr(verify, "_timed", timed)
         agreement = verify.check_oracle(5, 30)[0]
         assert agreement.ok and agreement.detail == "22500 pairs agree exactly"
-        assert counts[0] == ("agreement", 4500, 22500)
-        assert len(set(reads[:4500])) == 4500
+        assert counts[0] == ("agreement", 150, 22500)
+        assert {(n, b, top) for n, b, top, _ in reads[:150]} == {
+            (5, b, top) for b in range(1, 31) for top in range(5)
+        }
+        assert {d for *_, d in reads[:150]} == {30}
 
     def test_cap_zero_is_not_the_default(self):
         """A cap below the fundamental domain is rejected before any
