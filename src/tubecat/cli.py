@@ -23,7 +23,7 @@ from tubecat.rigid import (
 )
 from tubecat.verify import CHECK_NAMES, run_suite
 
-DEFAULT_MAX_RANK = 7
+DEFAULT_MAX_RANK = 10
 
 
 def max_rank() -> int:

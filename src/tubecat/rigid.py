@@ -3,23 +3,33 @@
 A maximal rigid object is stored as its n-1 pairwise-compatible summands in
 a canonical order: the top summand first, then by descending quasilength,
 ties broken by orbit lifted into the top's window. `enumerate_maximal_rigid`
-builds every object by filling the wing of each top; `maximal_compatible_masks`
-finds the same objects by subset search, as summand bitmasks, and
-`verify.check_rigid` compares the two routes on those masks at run time.
+builds every object from the representatives of the translate orbits;
+`maximal_compatible_masks` finds the same objects by subset search, as
+summand bitmasks, and `verify.check_rigid` compares the two routes on those
+masks at run time.
 
-Objects are built through `from_summands`, which validates each against one
-compatibility table per rank, `kernel.compat_masks(n)`, held by
-`_compat_table`. The rigid indecomposable (a, b) has index
-`rigid_index(n, a, b)` there, and bit j of mask[i] is set iff the
-summands with indices i != j are compatible. With `chosen` the set bits of
-an object's summands, the summands are pairwise compatible exactly when
-`chosen & ~(mask[i] | 1 << i)` is 0 for every summand i: the own bit is
-ORed in because mask[i] never holds it, and a rigid summand is compatible
-with itself. The summands are tested in canonical order, and the masks are
-symmetric, so when the test first fails at a summand, it is compatible with
-every earlier one; a scan of the later ones finds the pair that the error
-names, the same pair as the pairwise loop this replaces
-(`reference_from_summands` in the tests).
+The translate tau is an autoequivalence, and canonical order is relative to
+the top, so each translate orbit of n objects is fixed by its
+representative, the member whose top is at orbit 1 (Catalan(n - 1) of the
+C(2n - 2, n - 1) objects). The representatives are built by filling the
+wing of (1, n - 1) and validated through `from_summands`; block k = 2..n of
+the list holds their translates by tau^(1 - k), each block sorted like the
+first, and the list records the position of each member's representative
+(`RigidObjects.positions`). Every object of a rank shares one instance of
+each rigid indecomposable, from `_rigid_indecomposables`.
+
+`from_summands` validates an object against one compatibility table per
+rank, `kernel.compat_masks(n)`, held by `_compat_table`. The rigid
+indecomposable (a, b) has index `rigid_index(n, a, b)` there, and bit j of
+mask[i] is set iff the summands with indices i != j are compatible. With
+`chosen` the set bits of an object's summands, the summands are pairwise
+compatible exactly when `chosen & ~(mask[i] | 1 << i)` is 0 for every
+summand i: the own bit is ORed in because mask[i] never holds it, and a
+rigid summand is compatible with itself. The summands are tested in
+canonical order, and the masks are symmetric, so when the test first fails
+at a summand, it is compatible with every earlier one; a scan of the later
+ones finds the pair that the error names, the same pair as the pairwise
+loop this replaces (`reference_from_summands` in the tests).
 
 The wing test before each summand's mask test cannot fail on a correct
 table: every rigid indecomposable outside the wing of a top is incompatible
@@ -29,6 +39,7 @@ shares nothing with it.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, Mapping
@@ -127,25 +138,64 @@ def from_summands(n: int, summands: Iterable[Indec]) -> RigidObject:
     return RigidObject(n, xs)
 
 
+@lru_cache(maxsize=1)
+def _rigid_indecomposables(n: int) -> tuple[Indec, ...]:
+    """The n(n - 1) rigid indecomposables of rank n in `rigid_index` order,
+    one instance each, shared by every object that `enumerate_maximal_rigid`
+    and `tau_rigid` build at the current rank: orbit a holds the translates
+    by tau^(1 - a) of orbit 1."""
+    first = [Indec(n, 1, b) for b in range(1, n)]
+    return tuple(tau(x, 1 - a) for a in range(1, n + 1) for x in first)
+
+
 def tau_rigid(t: RigidObject, k: int = 1) -> RigidObject:
     """Apply the translate to every summand.
 
     The translate is an autoequivalence, so the result is maximal rigid
     again, and canonical order is relative to the top, so it keeps its
-    order: no re-validation through `from_summands` is needed.
+    order: no re-validation through `from_summands` is needed. tau^k moves
+    (a, b) to orbit a - k, which is k(n - 1) places down the index order.
     """
-    return RigidObject(t.rank, tuple(tau(s, k) for s in t.summands))
+    n = t.rank
+    table = _rigid_indecomposables(n)
+    shift = k * (n - 1)
+    return RigidObject(
+        n, tuple(table[(rigid_index(n, s.orbit, s.ql) - shift) % len(table)] for s in t.summands)
+    )
 
 
 # --- enumeration ----------------------------------------------------------
 
-def enumerate_maximal_rigid(n: int) -> list[RigidObject]:
+class RigidObjects(list):
+    """The maximal rigid objects of one rank, in enumeration order, with
+    `positions[i]` the position of object i's representative (its own for
+    a representative), one C int per object."""
+
+    def __init__(self, objects: Iterable[RigidObject], positions: array):
+        super().__init__(objects)
+        self.positions = positions
+
+
+def _order(t: RigidObject) -> tuple:
+    """The enumeration order: top orbit, then the summands' coordinates."""
+    return t.top.orbit, tuple((s.orbit, s.ql) for s in t.summands)
+
+
+def enumerate_maximal_rigid(n: int) -> RigidObjects:
     """All maximal rigid objects, each once, deterministically ordered:
-    choose the top orbit, then fill its wing by recursive subwing splits."""
+    the validated representatives, whose top is at orbit 1, then each top
+    orbit k = 2..n as the block of their translates by tau^(1 - k)."""
     if n < 2:
         raise ValueError("rank must be >= 2")
-    objects = [from_summands(n, f) for a in range(1, n + 1) for f in _wing_fillings(n, a, n - 1)]
-    objects.sort(key=lambda t: (t.top.orbit, tuple((s.orbit, s.ql) for s in t.summands)))
+    representatives = sorted(
+        (from_summands(n, f) for f in _wing_fillings(n, 1, n - 1)), key=_order
+    )
+    objects = RigidObjects(representatives, array("i", range(len(representatives))))
+    for k in range(2, n + 1):
+        block = [tau_rigid(r, 1 - k) for r in representatives]
+        order = sorted(range(len(block)), key=lambda j: _order(block[j]))
+        objects.extend(block[j] for j in order)
+        objects.positions.extend(order)
     return objects
 
 
@@ -171,8 +221,10 @@ def _wing_fillings(n: int, orbit: int, height: int) -> list[tuple[Indec, ...]]:
     """All ways to place `height` pairwise-compatible summands in the wing
     with summit (orbit, height), summit included: split below the summit
     into a left subwing of height c and a right subwing of height
-    height - 1 - c."""
-    summit = Indec(n, orbit, height)
+    height - 1 - c. The wing must not cross the seam between orbits n and
+    1, as the wing of (1, n - 1) does not; the summands are the rank's
+    shared instances."""
+    summit = _rigid_indecomposables(n)[rigid_index(n, orbit, height)]
     if height == 1:
         return [(summit,)]
     out = []
@@ -185,13 +237,14 @@ def _wing_fillings(n: int, orbit: int, height: int) -> list[tuple[Indec, ...]]:
     return out
 
 
-@lru_cache(maxsize=32)
-def _enumerated(n: int) -> tuple[RigidObject, ...]:
-    return tuple(enumerate_maximal_rigid(n))
+@lru_cache(maxsize=1)
+def _enumerated(n: int) -> RigidObjects:
+    return enumerate_maximal_rigid(n)
 
 
-def maximal_rigid_objects(n: int) -> tuple[RigidObject, ...]:
-    """Cached structured enumeration, for the verification sweeps."""
+def maximal_rigid_objects(n: int) -> RigidObjects:
+    """Cached structured enumeration of the current rank, for the
+    verification sweeps; the caller must not change it."""
     return _enumerated(n)
 
 

@@ -27,17 +27,18 @@ leaves unchanged:
   through (a - c) mod n alone, so they move with T and x; the fundamental
   domain and the vanishing locus are stated in top-normalized coordinates.
 
-Each member still gets its own outcome, and takes its representative's only
-after an exact certificate: its summands are the representative's translated
-element by element (see `_certificates`). The certificate is a function
-of the object list alone, so `_certificates` runs it once per list, in
-enumeration order, and every check that walks the same list reads the
-position of each member's representative from that one pass.
+Each member still gets its own outcome, and takes its representative's by
+the position that the object list records for it (`RigidObjects.positions`):
+`rigid.enumerate_maximal_rigid` builds each member as a translate of its
+representative, so the quotient needs no certificate pass. `check_rigid`
+proves that construction: each block holds one top orbit, each member
+rotated to top orbit 1 is its representative, and the brute route's masks,
+rotated the same way, hit every representative exactly n times, so the list
+is every maximal rigid object once, in translate orbits of n.
 `check_converse` works on the same quotient: it builds, keys and compares
 the quivers of the representatives only, by one pinned form per connecting
 vertex, which is both key and isomorphism certificate, and puts every
-other object in its representative's class by that certificate.
-`check_rigid` compares every object with the brute route's masks.
+other object in its representative's class by its recorded position.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ from tubecat.quiver import (
     find_isomorphism,
     gorenstein_bound,
 )
-from tubecat.rigid import maximal_compatible_masks, maximal_rigid_objects, rigid_index, tau_rigid
+from tubecat.rigid import maximal_compatible_masks, maximal_rigid_objects, rigid_index
 from tubecat.tube import (
     Indec,
     ext1_cluster,
@@ -215,29 +216,69 @@ def check_oracle(n: int, ql_cap: int | None = None, seed: int = 0) -> list[Outco
 
 
 def check_rigid(n: int) -> list[Outcome]:
-    def count():
+    def partition():
         # The cached objects every other check walks, against the brute
-        # route's summand masks; no brute object is built.
-        by_mask = {}
-        for t in maximal_rigid_objects(n):
-            mask = sum(1 << rigid_index(n, s.orbit, s.ql) for s in t.summands)
-            if mask in by_mask:
-                return False, f"structured route lists {t} twice"
-            by_mask[mask] = t
-        total = len(by_mask)
+        # route's summand masks; only the representatives' masks are held.
+        # A summand mask has n(n - 1) bits, n - 1 per orbit, so tau^(1 - a)
+        # moves a mask with its top at orbit a to orbit 1 by a cyclic shift
+        # of (a - 1)(n - 1) bits.
+        objects = maximal_rigid_objects(n)
+        positions = objects.positions
+        size, extra = divmod(len(objects), n)
+        if extra:
+            return False, f"{len(objects)} objects do not fill {n} blocks"
+        width = n * (n - 1)
+        full = (1 << width) - 1
+
+        def at_orbit_one(mask, a):
+            shift = (a - 1) * (n - 1)
+            return (mask >> shift | mask << (width - shift)) & full
+
+        index = {}  # a representative's mask -> its position
+        for k in range(1, n + 1):
+            taken = bytearray(size)
+            for i in range((k - 1) * size, k * size):
+                t, r = objects[i], positions[i]
+                if t.top.orbit != k:
+                    return False, f"{t} has top orbit {t.top.orbit} in block {k}"
+                if not (r == i if k == 1 else 0 <= r < size):
+                    return False, f"{t} names position {r}, no representative"
+                if taken[r]:
+                    return False, f"structured route lists {t} twice"
+                taken[r] = 1
+                mask = at_orbit_one(sum(1 << rigid_index(n, s.orbit, s.ql) for s in t.summands), k)
+                if k == 1:
+                    if mask in index:
+                        return False, f"structured route lists {t} twice"
+                    index[mask] = i
+                elif index.get(mask) != r:
+                    return False, f"tau^{k - 1} of {t} is not its representative {objects[r]}"
+
+        tops = sum(1 << rigid_index(n, a, n - 1) for a in range(1, n + 1))
+        hits = [0] * size  # per representative, one bit per top orbit hit
         for mask in maximal_compatible_masks(n):
-            if by_mask.pop(mask, None) is None:
+            top, r = mask & tops, None
+            if top and not top & (top - 1):
+                a = top.bit_length() // (n - 1)
+                r = index.get(at_orbit_one(mask, a))
+            if r is None or hits[r] >> (a - 1) & 1:
                 bits = [i for i in range(mask.bit_length()) if mask >> i & 1]
                 coords = "+".join("({},{})".format(*kernel.rigid_coords(n, i)) for i in bits)
                 return False, f"structured route lacks brute mask {coords}"
-        if by_mask:
-            return False, f"brute route lacks {next(iter(by_mask.values()))}"
+            hits[r] |= 1 << (a - 1)
+        every = (1 << n) - 1
+        for r, hit in enumerate(hits):
+            if hit != every:
+                missing = every & ~hit
+                k = (missing & -missing).bit_length()
+                t = next(objects[i] for i in range((k - 1) * size, k * size) if positions[i] == r)
+                return False, f"brute route lacks {t}"
         expected = comb(2 * (n - 1), n - 1)
-        if total != expected:
-            return False, f"{total} objects, expected {expected}"
+        if len(objects) != expected:
+            return False, f"{len(objects)} objects, expected {expected}"
         return True, f"{expected} objects, both routes identical"
 
-    return [_timed("rigid", n, count)]
+    return [_timed("rigid", n, partition)]
 
 
 def _endo_verdict(t) -> tuple[bool, str]:
@@ -294,55 +335,16 @@ def _hom_functor_verdict(t, ql_cap: int | None) -> tuple[bool, str]:
     return True, f"bijection onto {rep.expected_count} strings, dimensions match"
 
 
-def _no_certificate(t) -> str:
-    """The failure detail of a member t that `_certificates` gives no
-    representative."""
-    return f"translate certificate fails: tau^{t.top.orbit - 1} of {t} is no representative"
-
-
-_held: tuple | None = None  # (object list, its certificates), the last list certified
-
-
-def _certificates(objects) -> memoryview:
-    """For each object, the position of its representative in `objects`
-    (its own for a representative), or -1 when it has no certificate, as
-    one C int per object.
-
-    One pass in enumeration order. A representative is an object whose top
-    is at orbit 1; any other member t, with k = t.top.orbit - 1, is
-    certified exactly when `tau_rigid(t, k).summands` is, element by
-    element, the summands of a representative listed before it. The result
-    depends on the list alone, so it is kept for one list, matched by
-    identity (held, so its id is never reused): the checks of one rank
-    share the cached enumeration and one pass, and any other list gets a
-    pass of its own.
-    """
-    global _held
-    if _held is None or _held[0] is not objects:
-        representatives: dict[tuple, int] = {}
-        positions = memoryview(bytearray(4 * len(objects))).cast("i")
-        for i, t in enumerate(objects):
-            if t.top.orbit == 1:
-                representatives[t.summands] = i
-                positions[i] = i
-            else:
-                positions[i] = representatives.get(tau_rigid(t, t.top.orbit - 1).summands, -1)
-        _held = (objects, positions)
-    return _held[1]
-
-
 def _per_orbit(check: str, n: int, verdict) -> list[Outcome]:
     """One outcome per object, in enumeration order, with `verdict` run once
     per translate orbit when the orbit's representative passes.
 
     Representatives come first in enumeration order. Any other member t
-    takes the outcome of the representative that `_certificates` gives it,
-    read by position; with none, t fails with a detail naming it. If the
-    representative failed, t runs `verdict` itself, so every failure keeps
-    its own concrete witness. When no check has certified the list yet,
-    the pass runs inside the first member's outcome, so the outcomes'
-    seconds still cover it. An enumeration that raises gives one failing
-    outcome with no subject, as in rigid and converse.
+    takes the outcome of the representative at the position that the list
+    records for it; if the representative failed, t runs `verdict` itself,
+    so every failure keeps its own concrete witness. An enumeration that
+    raises gives one failing outcome with no subject, as in rigid and
+    converse.
     """
     objects = None
 
@@ -354,18 +356,15 @@ def _per_orbit(check: str, n: int, verdict) -> list[Outcome]:
     listed = _timed(check, n, listing)
     if not listed.ok:
         return [listed]
+    positions = objects.positions
     out: list[Outcome] = []
     for i, t in enumerate(objects):
 
         def one(t=t, i=i):
-            if t.top.orbit == 1:
+            r = positions[i]
+            if r == i or not out[r].ok:
                 return verdict(t)
-            rep = _certificates(objects)[i]
-            if rep < 0:
-                return False, _no_certificate(t)
-            if not out[rep].ok:
-                return verdict(t)
-            return True, out[rep].detail
+            return True, out[r].detail
 
         out.append(_timed(check, n, one, subject=str(t)))
     return out
@@ -390,19 +389,17 @@ def check_hom_functor(n: int, ql_cap: int | None = None) -> list[Outcome]:
 
 def check_converse(n: int) -> list[Outcome]:
     """Group objects by the isomorphism class of (loopless quiver, loop
-    vertex); every class must contain exactly n objects forming one
-    translate orbit, and every connecting vertex of every class quiver must
-    be realized by some class.
+    vertex); every class must contain exactly n objects, and every
+    connecting vertex of every class quiver must be realized by some class.
 
     Only representatives (top at orbit 1) have their quivers built and
     compared. Every other object joins its representative's class by the
-    position that `_certificates` gives it, from the pass the per-object
-    checks share, or fails the check when it has none. The
-    certificate shows that tau^(top.orbit - 1) of each member is its
-    class's representative, so n members with n distinct top orbits are
-    exactly the n translates of it. This is exact because canonical order
-    is relative to the top: tau^k T has the same labelled endomorphism
-    algebra as T, hence the same (quiver, loop vertex).
+    position that the object list records for it. `check_rigid` proves
+    that each member is the translate of the representative at its
+    position, one per top orbit, so a class of n objects is exactly one
+    translate orbit. This is exact because canonical order is relative to
+    the top: tau^k T has the same labelled endomorphism algebra as T, hence
+    the same (quiver, loop vertex).
 
     Each representative's quiver is keyed once, by `connecting_keys`; a
     loop vertex that is not connecting fails the check, naming the object.
@@ -418,14 +415,12 @@ def check_converse(n: int) -> list[Outcome]:
 
     def run():
         objects = maximal_rigid_objects(n)
-        certificates = _certificates(objects)
+        positions = objects.positions
         classes: dict[tuple, tuple] = {}  # key -> (quiver, loop vertex, other keys, members)
         class_of: dict[int, list] = {}  # representative's position -> members
         for i, t in enumerate(objects):
-            if t.top.orbit != 1:
-                if certificates[i] < 0:
-                    return False, _no_certificate(t)
-                class_of[certificates[i]].append(t)
+            if positions[i] != i:
+                class_of[positions[i]].append(t)
                 continue
             bare, lv = loopless_quiver(cached_endomorphism_algebra(t))
             keys = connecting_keys(bare)
@@ -440,8 +435,6 @@ def check_converse(n: int) -> list[Outcome]:
         for _, vertex, _, members in classes.values():
             if len(members) != n:
                 return False, f"class at vertex {vertex} has {len(members)} objects"
-            if len({t.top.orbit for t in members}) != n:
-                return False, f"class at vertex {vertex} is not one translate orbit"
 
         # every other connecting vertex of every arising quiver is realized
         for quiver, _, keys, _ in classes.values():

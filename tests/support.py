@@ -4,7 +4,8 @@ enumerations of the tube, the oracle's cluster Hom, the quasisimple map of
 a rigid object, the vanishing locus of the Hom-functor sweep, the end
 strings of an algebra with the projective/injective comparison built on
 them, an algebra with a band, the former recursive path
-count, the former object-building brute enumeration, the former pinned
+count, the former object-building brute enumeration, the former builder
+that filled the wing of every top and validated every object, the former pinned
 isomorphism invariant, the former `quiver.canonical_key` of a quiver pinned
 at any vertex, the recursive form that `quiver.connecting_keys` returned
 before it read the pinned form of the block walk, the former
@@ -12,8 +13,8 @@ before it read the pinned form of the block walk, the former
 limited to 12 vertices that is now the reference for the block-walk
 certificate, a test that a vertex map is a pinned isomorphism, the pinned
 pairs that decide whether a key partitions as isomorphism does and the gate
-that checks them with the search, the former per-check translate
-certificates, the former `strings.string_module`, which walks every vertex,
+that checks them with the search, the former translate certificates,
+the former `strings.string_module`, which walks every vertex,
 arrow and relation of the algebra, the former `strings.is_string`, which
 reads every letter from the quiver, the `tube._columns` before that, which
 looked its unknowns' ids up in a table per column, and the former pair
@@ -118,6 +119,36 @@ def reference_enumerate_brute(n: int) -> list[RigidObject]:
         summands = [Indec(n, *kernel.rigid_coords(n, i)) for i in subset]
         out.append(from_summands(n, summands))
     return out
+
+
+def reference_wing_fillings(n: int, orbit: int, height: int) -> list[tuple[Indec, ...]]:
+    """The former `rigid._wing_fillings`, with fresh `Indec`s: every way to
+    place `height` pairwise-compatible summands in the wing with summit
+    (orbit, height), summit included, by splitting below the summit into a
+    left subwing of height c and a right one of height height - 1 - c."""
+    summit = Indec(n, orbit, height)
+    if height == 1:
+        return [(summit,)]
+    out = []
+    for c in range(height):
+        left = reference_wing_fillings(n, orbit, c) if c else [()]
+        right = reference_wing_fillings(n, orbit + c + 1, height - 1 - c) if c < height - 1 else [()]
+        for fl in left:
+            for fr in right:
+                out.append((summit,) + fl + fr)
+    return out
+
+
+def reference_enumerate_maximal_rigid(n: int) -> list[RigidObject]:
+    """The former `enumerate_maximal_rigid`, before it built each translate
+    orbit from its representative: fill the wing of every top, validate
+    every object through `from_summands`, and sort by top orbit, then
+    summands."""
+    objects = [
+        from_summands(n, f) for a in range(1, n + 1) for f in reference_wing_fillings(n, a, n - 1)
+    ]
+    objects.sort(key=lambda t: (t.top.orbit, tuple((s.orbit, s.ql) for s in t.summands)))
+    return objects
 
 
 def quasisimples(n: int) -> list[Indec]:
@@ -545,8 +576,8 @@ def assert_keys_partition_as_the_search(
 
 
 def reference_certificates(objects: Sequence[RigidObject]) -> list[int]:
-    """The loop that each per-object check and converse ran on its own
-    before `verify._certificates` shared one pass: in list order, each
+    """The translate certificates that the checks computed before the
+    object list recorded each member's representative: in list order, each
     representative (top at orbit 1) is entered by its summands, and each
     other object looks up `tau_rigid(t, top.orbit - 1).summands` among the
     representatives entered so far. The position of the representative

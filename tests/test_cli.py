@@ -277,13 +277,13 @@ class TestSuccessPaths:
         # `endo` builds one object, so the cap of `rigid` and `verify`
         # does not apply to it.
         monkeypatch.delenv("TUBECAT_MAX_RANK", raising=False)
-        tilting = ",".join(f"1-{hi}" for hi in range(7, 0, -1))
-        argv = ["endo", "--rank", "8", "--top", "1", "--tilting", tilting]
+        tilting = ",".join(f"1-{hi}" for hi in range(10, 0, -1))
+        argv = ["endo", "--rank", "11", "--top", "1", "--tilting", tilting]
         code, out, err = run_cli(argv, capsys)
         assert code == 0 and err == ""
         assert out.startswith("object ") and f"(intervals {tilting}, top orbit 1)" in out
-        code, _, err = run_cli(["rigid", "--rank", "8", "--count"], capsys)
-        assert code == 2 and "rank 8 exceeds the cap 7" in err
+        code, _, err = run_cli(["rigid", "--rank", "11", "--count"], capsys)
+        assert code == 2 and "rank 11 exceeds the cap 10" in err
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_rigid_count(self, n, capsys):

@@ -88,13 +88,12 @@ MUTANTS = (
         "(at[a.src], at[a.tgt])", "tuple(sorted((at[a.src], at[a.tgt])))",
         {"converse": r"^class at vertex \d+ has \d+ objects$"},
     ),
+    # Block k built as the translates by tau^-k: every member is still the
+    # translate of its representative, so only rigid's block check sees it.
     Mutant(
-        "translate-certificate-one-step-too-far", "verify.py",
-        "tau_rigid(t, t.top.orbit - 1)", "tau_rigid(t, t.top.orbit)",
-        dict.fromkeys(
-            ("endo", "gentle", "strings", "hom-functor", "converse"),
-            r"^translate certificate fails: ",
-        ),
+        "block-translated-one-step-too-far", "rigid.py",
+        "tau_rigid(r, 1 - k)", "tau_rigid(r, -k)",
+        {"rigid": r"^\(\d+,\d+\)(\+\(\d+,\d+\))* has top orbit \d+ in block \d+$"},
     ),
     Mutant(
         "hom-count-lower-bound-off-by-one", "kernel.py",
@@ -185,3 +184,19 @@ def test_each_mutant_fails_its_checks(mutant, tmp_path):
     for check, pattern in mutant.catches.items():
         details = [detail for c, _, detail in failed if c == check]
         assert any(re.search(pattern, detail) for detail in details), (check, details[:3])
+
+
+def test_dropped_representative_fails_rigid(tmp_path):
+    """One representative left out of the builder takes its translate
+    orbit with it; at every rank rigid names a brute mask that no
+    representative rotates to. Other checks may fail too."""
+    dropped = Mutant(
+        "first-representative-dropped", "rigid.py",
+        "for f in _wing_fillings(n, 1, n - 1)", "for f in _wing_fillings(n, 1, n - 1)[1:]",
+        {},
+    )
+    failed = _failures(dropped, tmp_path)
+    details = {rank: detail for check, rank, detail in failed if check == "rigid"}
+    assert sorted(details) == [2, 3, 4, 5], failed[:3]
+    for detail in details.values():
+        assert re.fullmatch(r"structured route lacks brute mask \(\d+,\d+\)(\+\(\d+,\d+\))*", detail)

@@ -489,13 +489,25 @@ class TestCompatTable:
 
     @pytest.mark.parametrize("i, j", compatible_index_pairs(4))
     def test_cleared_bit_pair_fails_check_rigid(self, i, j, serve_table):
+        # Only the representatives are validated: a pair that one of them
+        # holds fails its validation, any other pair the brute route's
+        # masks, which then lack the objects that hold it.
+        holders = [
+            t for t in reference_enumerate_brute(4)
+            if {i, j} <= {rigid_index(4, s.orbit, s.ql) for s in t.summands}
+        ]
+        assert holders
         table = kernel.compat_masks(4)
         table[i] &= ~(1 << j)
         table[j] &= ~(1 << i)
         serve_table(table)
         (outcome,) = check_rigid(4)
         assert not outcome.ok
-        assert "are incompatible" in outcome.detail
+        if any(t.top.orbit == 1 for t in holders):
+            assert "are incompatible" in outcome.detail
+        else:
+            assert outcome.detail.startswith("brute route lacks ")
+            assert outcome.detail in {f"brute route lacks {t}" for t in holders}
 
     def test_spurious_bit_pair_meets_the_wing_test(self, serve_table):
         # (3,2) lies outside the wing of (1,3) and is incompatible with
@@ -512,3 +524,7 @@ class TestCompatTable:
     def test_table_cache_is_bounded(self):
         maxsize = rigid._compat_table.cache_info().maxsize
         assert maxsize is not None and maxsize > 0
+
+    def test_objects_and_shared_summands_held_for_one_rank(self):
+        for cached in (rigid._enumerated, rigid._rigid_indecomposables):
+            assert cached.cache_info().maxsize == 1

@@ -1,11 +1,14 @@
 """The verification suite itself: outcome records, error capture, check
 selection, faults injected into the oracle and the converse check, and the
 per-orbit checks and the converse on representatives, keyed by the
-canonical form, shown equal to a loop over every object, and the translate
-certificates they share, shown equal to the loop each check ran."""
+canonical form, shown equal to a loop over every object, and the builder of
+the object list, shown equal to the former one, with the representatives'
+positions it records equal to the translate certificates the checks
+computed before."""
 
 import hashlib
 import json
+from array import array
 from math import comb
 
 import pytest
@@ -13,7 +16,13 @@ import pytest
 from tubecat import endo, kernel, quiver, rigid, tube, verify
 from tubecat.endo import cached_endomorphism_algebra, endomorphism_algebra
 from tubecat.quiver import Arrow, Presentation, Quiver
-from tubecat.rigid import from_summands, maximal_rigid_objects, rigid_index, tau_rigid
+from tubecat.rigid import (
+    RigidObjects,
+    from_summands,
+    maximal_rigid_objects,
+    rigid_index,
+    tau_rigid,
+)
 from tubecat.tube import Indec
 
 from support import (
@@ -21,6 +30,7 @@ from support import (
     pinned_invariant,
     presentation,
     reference_certificates,
+    reference_enumerate_maximal_rigid,
     reference_find_isomorphism,
 )
 
@@ -110,25 +120,66 @@ class TestRunSuite:
         }
 
 
+def _built_without(monkeypatch, n, dropped):
+    """Serve the checks the list that `enumerate_maximal_rigid` builds
+    with the representative `dropped` left out of its wing fillings, so
+    that its whole translate orbit is missing."""
+    real = rigid._wing_fillings
+    with monkeypatch.context() as m:
+        m.setattr(rigid, "_wing_fillings", lambda n, a, h: [
+            f for f in real(n, a, h) if set(f) != set(dropped.summands)
+        ])
+        objects = rigid.enumerate_maximal_rigid(n)
+    monkeypatch.setattr(verify, "maximal_rigid_objects", lambda n: objects)
+    return objects
+
+
+def _served(monkeypatch, objects, positions):
+    """Serve the checks `objects` with the recorded `positions`."""
+    listed = RigidObjects(objects, array("i", positions))
+    monkeypatch.setattr(verify, "maximal_rigid_objects", lambda n: listed)
+    return listed
+
+
 class TestRigid:
     def test_checks_the_cached_objects(self, monkeypatch):
         # The cached enumeration is what every other check walks; a fault in
         # it must fail the comparison with the brute route.
         objects = maximal_rigid_objects(4)
-        monkeypatch.setattr(verify, "maximal_rigid_objects", lambda n: objects[1:])
+        assert len(_built_without(monkeypatch, 4, objects[0])) == 16
         (outcome,) = verify.check_rigid(4)
         assert not outcome.ok
         # objects[0] is (1,3)+(1,1)+(3,1); the mask lists it in index order.
         assert outcome.detail == "structured route lacks brute mask (1,1)+(1,3)+(3,1)"
 
     def test_duplicate_cached_object_is_named(self, monkeypatch):
+        # objects[6] replaced by an equal copy of objects[5], in the same
+        # block and with the same representative
         objects = maximal_rigid_objects(4)
         twin = from_summands(4, reversed(objects[5].summands))
         assert twin == objects[5] and twin is not objects[5]
-        monkeypatch.setattr(verify, "maximal_rigid_objects", lambda n: objects + (twin,))
+        positions = list(objects.positions)
+        positions[6] = positions[5]
+        _served(monkeypatch, objects[:6] + [twin] + objects[7:], positions)
         (outcome,) = verify.check_rigid(4)
         assert not outcome.ok
         assert outcome.detail == f"structured route lists {objects[5]} twice"
+
+    def test_faulty_blocks_are_named(self, monkeypatch):
+        objects = maximal_rigid_objects(4)
+        positions = list(objects.positions)
+        swapped = positions[:5] + [positions[6], positions[5]] + positions[7:]
+        outside = positions[:5] + [7] + positions[6:]
+        cases = [
+            (objects[:-1], positions[:-1], "19 objects do not fill 4 blocks"),
+            (objects[5:] + objects[:5], positions, f"{objects[5]} has top orbit 2 in block 1"),
+            (objects, swapped, f"tau^1 of {objects[5]} is not its representative {objects[positions[6]]}"),
+            (objects, outside, f"{objects[5]} names position 7, no representative"),
+        ]
+        for listed, recorded, detail in cases:
+            _served(monkeypatch, listed, recorded)
+            (outcome,) = verify.check_rigid(4)
+            assert (outcome.ok, outcome.detail) == (False, detail)
 
     def test_extra_brute_mask_is_named(self, monkeypatch):
         real = verify.maximal_compatible_masks
@@ -344,35 +395,30 @@ class TestConverse:
         assert all(t.top.orbit == 1 for t in built)
 
     def test_orphaned_members_fail_by_the_certificate(self, monkeypatch):
-        objects = maximal_rigid_objects(4)
-        dropped = objects[2]
-        assert dropped.top.orbit == 1
-        kept = [t for t in objects if t != dropped]
-        first = next(
-            t for t in kept if t.top.orbit != 1
-            and tau_rigid(t, t.top.orbit - 1) == dropped
-        )
-        monkeypatch.setattr(verify, "maximal_rigid_objects", lambda n: kept)
+        # A representative left out takes its orbit with it: a connecting
+        # vertex that its class realized is found unrealized, and rigid
+        # names the first brute mask of the orbit.
+        dropped = maximal_rigid_objects(4)[1]
+        assert str(dropped) == "(1,3)+(1,2)+(1,1)"
+        _built_without(monkeypatch, 4, dropped)
         (out,) = verify.check_converse(4)
-        assert not out.ok
-        assert out.detail == (
-            f"translate certificate fails: tau^{first.top.orbit - 1} of {first} "
-            "is no representative"
-        )
+        assert (out.ok, out.detail) == (False, "connecting vertex 3 of a class quiver unrealized")
+        (rigid_out,) = verify.check_rigid(4)
+        assert rigid_out.detail == "structured route lacks brute mask (1,1)+(1,2)+(1,3)"
 
     def test_repeated_member_fails_the_orbit_count(self, monkeypatch):
-        # One member listed twice in place of another: the class still has
-        # n objects and each has its certificate, but not n distinct tops.
+        # One member listed twice in place of another, with the same
+        # representative: the class still has n objects, as converse counts
+        # them, and the orbit count that rigid proves fails.
         objects = maximal_rigid_objects(4)
         rep = objects[0]
         twice, dropped = tau_rigid(rep, -1), tau_rigid(rep, -2)
         assert rep.top.orbit == 1 and len({rep, twice, dropped}) == 3
-        listed = [twice if t == dropped else t for t in objects]
-        monkeypatch.setattr(verify, "maximal_rigid_objects", lambda n: listed)
+        _served(monkeypatch, [twice if t == dropped else t for t in objects], objects.positions)
         (out,) = verify.check_converse(4)
-        _, vertex = verify.loopless_quiver(cached_endomorphism_algebra(rep))
-        assert not out.ok
-        assert out.detail == f"class at vertex {vertex} is not one translate orbit"
+        assert out.ok
+        (rigid_out,) = verify.check_rigid(4)
+        assert rigid_out.detail == f"{twice} has top orbit 2 in block 3"
 
     def test_outcomes_pinned(self):
         converse = [o for n in range(2, 7) for o in verify.check_converse(n)]
@@ -474,8 +520,8 @@ class TestConverse:
         (out,) = verify.check_converse(6)
         assert out.ok
         # Each of the 42 representatives opens its own class, with no
-        # isomorphism certificate, and the 210 other objects join by the
-        # translate certificate. Of the 112 (class quiver, connecting
+        # isomorphism certificate, and the 210 other objects join by their
+        # recorded positions. Of the 112 (class quiver, connecting
         # vertex) pairs, the 42 at a class's own loop vertex hit that class
         # with the same pin and take none; each of the other 70 takes one,
         # which certifies its key's hit. A scan over all classes takes
@@ -634,21 +680,23 @@ class TestPerOrbit:
         assert [(o.ok, o.detail) for o in outcomes] == [(False, "band detected: w")] * 2
 
     def test_orphaned_members_fail_by_name(self, monkeypatch):
+        # A representative left out takes its orbit with it: the per-orbit
+        # checks see 16 objects, and rigid names a member of the orbit.
         objects = maximal_rigid_objects(4)
         dropped = objects[2]
         assert dropped.top.orbit == 1
-        orphans = {tau_rigid(dropped, -k) for k in range(1, 4)}
-        monkeypatch.setattr(
-            verify, "maximal_rigid_objects", lambda n: [t for t in objects if t != dropped]
-        )
+        orbit = {tau_rigid(dropped, -k) for k in range(4)}
+        _built_without(monkeypatch, 4, dropped)
         for check in ("endo", "gentle", "strings", "hom-functor"):
             outcomes = PER_ORBIT[check][0](4)
-            assert len(outcomes) == 19
-            failed = [o for o in outcomes if not o.ok]
-            assert {o.subject for o in failed} == {str(t) for t in orphans}
-            for o in failed:
-                assert o.detail.startswith("translate certificate fails:")
-                assert o.subject in o.detail
+            assert len(outcomes) == 16 and all(o.ok for o in outcomes)
+            assert not {o.subject for o in outcomes} & {str(t) for t in orbit}
+        (outcome,) = verify.check_rigid(4)
+        masks = {
+            "+".join(map(str, sorted(t.summands, key=lambda s: rigid_index(4, s.orbit, s.ql))))
+            for t in orbit
+        }
+        assert outcome.detail in {f"structured route lacks brute mask {m}" for m in masks}
 
     def test_failed_representative_makes_members_run_their_own(self, monkeypatch):
         n = 5
@@ -688,7 +736,7 @@ def _variants(n):
     member = objects[-1]
     assert member.top.orbit != 1
     return {
-        "real": maximal_rigid_objects(n),
+        "real": objects,
         "dropped": [t for t in objects if t != rep],
         "repeated": objects + [member],
         "member-first": [member] + objects[:-1],
@@ -696,64 +744,96 @@ def _variants(n):
 
 
 def _count_tau_rigid(monkeypatch) -> list:
-    """Count `tau_rigid` in every namespace that holds it, with no list
-    certified yet."""
+    """Count the calls of `tau_rigid`, with no object list built yet."""
     calls = []
-    real = verify.tau_rigid
+    real = rigid.tau_rigid
 
     def counting(t, k=1):
         calls.append(t)
         return real(t, k)
 
-    for module in (rigid, verify):
-        monkeypatch.setattr(module, "tau_rigid", counting)
-    monkeypatch.setattr(verify, "_held", None)
+    monkeypatch.setattr(rigid, "tau_rigid", counting)
+    rigid._enumerated.cache_clear()
     return calls
 
 
 class TestCertificates:
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_builder_equals_the_former_one(self, n):
+        objects = rigid.enumerate_maximal_rigid(n)
+        assert type(objects) is RigidObjects
+        assert objects == reference_enumerate_maximal_rigid(n)
+        assert list(objects.positions) == reference_certificates(objects)
+
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_members_share_the_interned_summands(self, n):
+        objects = rigid.enumerate_maximal_rigid(n)
+        table = rigid._rigid_indecomposables(n)
+        assert list(table) == [Indec(n, a, b) for a in range(1, n + 1) for b in range(1, n)]
+        for t in objects:
+            for s in t.summands:
+                assert s is table[rigid_index(n, s.orbit, s.ql)]
+
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_validates_only_the_representatives(self, n, monkeypatch):
+        calls = []
+        real = rigid.from_summands
+
+        def counting(m, summands):
+            calls.append(m)
+            return real(m, summands)
+
+        monkeypatch.setattr(rigid, "from_summands", counting)
+        rigid.enumerate_maximal_rigid(n)
+        assert len(calls) == comb(2 * n - 2, n - 1) // n  # Catalan(n - 1)
+
     @pytest.mark.parametrize("variant", ["real", "dropped", "repeated", "member-first"])
     @pytest.mark.parametrize("n", range(2, 9))
-    def test_equals_the_loop_each_check_ran(self, n, variant):
+    def test_equals_the_loop_each_check_ran(self, n, variant, monkeypatch):
+        # The recorded positions are the certificates the checks computed;
+        # a faulty list served with its certificates fails rigid.
         objects = _variants(n)[variant]
-        got = verify._certificates(objects)
-        assert list(got) == reference_certificates(objects)
-        assert (-1 in got) == (variant in ("dropped", "member-first"))
-        assert verify._certificates(objects) is got
+        certificates = reference_certificates(objects)
+        assert (-1 in certificates) == (variant in ("dropped", "member-first"))
+        if variant == "real":
+            assert list(maximal_rigid_objects(n).positions) == certificates
+        _served(monkeypatch, objects, certificates)
+        (outcome,) = verify.check_rigid(n)
+        assert outcome.ok == (variant == "real")
 
     def test_one_integer_per_object(self):
-        got = verify._certificates(maximal_rigid_objects(6))
-        assert got.format == "i" and got.nbytes == 4 * len(got) == 4 * comb(10, 5)
+        got = maximal_rigid_objects(6).positions
+        assert got.typecode == "i" and got.itemsize * len(got) == 4 * comb(10, 5)
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_full_suite_certifies_each_member_once(self, n, monkeypatch):
+        # Each member is built once, as the translate of its representative.
         calls = _count_tau_rigid(monkeypatch)
         assert verify.run_suite([n]).ok
         assert len(calls) == comb(2 * n - 2, n - 1) - comb(2 * n - 2, n - 1) // n
+        assert all(t.top.orbit == 1 for t in calls)
 
     def test_structure_checks_at_rank_seven_certify_each_member_once(self, monkeypatch):
         calls = _count_tau_rigid(monkeypatch)
         for check in ("rigid", "endo", "gentle", "strings", "converse"):
             assert verify.run_suite([7], only=check).ok
         assert len(calls) == 924 - 132
-        assert all(t.top.orbit != 1 for t in calls)
+        assert all(t.top.orbit == 1 for t in calls)
 
     @pytest.mark.parametrize("check", ["endo", "gentle", "strings", "hom-functor", "converse"])
-    def test_fresh_list_for_one_check_fails_only_its_orphans(self, check, monkeypatch):
+    def test_fresh_list_for_one_check_is_read_by_its_own_positions(self, check, monkeypatch):
         # The other checks walk the cached enumeration before and after the
-        # faulty list, so a certificate kept for the wrong list would show.
+        # fresh list, one orbit short; each list carries its own positions,
+        # so only the one check sees the fresh list, as it sees it alone.
         n = 4
         real = verify.maximal_rigid_objects
-        dropped = real(n)[2]
-        assert dropped.top.orbit == 1
-        orphans = [
-            t for t in real(n) if t.top.orbit != 1 and tau_rigid(t, t.top.orbit - 1) == dropped
-        ]
-        assert len(orphans) == n - 1
+        with monkeypatch.context() as m:
+            fresh = _built_without(m, n, real(n)[2])
+            alone = verify._CHECK_FUNCTIONS[check](n, None, 0)
         faulty = []
 
         def objects(n):
-            return [t for t in real(n) if t != dropped] if faulty else real(n)
+            return fresh if faulty else real(n)
 
         def once(*args, inner=verify._CHECK_FUNCTIONS[check]):
             faulty.append(check)
@@ -762,16 +842,12 @@ class TestCertificates:
             finally:
                 faulty.clear()
 
+        expected = verify.run_suite([n]).outcomes
         monkeypatch.setattr(verify, "maximal_rigid_objects", objects)
         monkeypatch.setitem(verify._CHECK_FUNCTIONS, check, once)
-        verify._certificates(real(n))
-        failed = [o for o in verify.run_suite([n]).outcomes if not o.ok]
-        assert {o.check for o in failed} == {check}
-        detail = "translate certificate fails: tau^{} of {} is no representative".format
-        if check == "converse":
-            first = orphans[0]
-            assert [o.detail for o in failed] == [detail(first.top.orbit - 1, first)]
-        else:
-            assert [(o.subject, o.detail) for o in failed] == [
-                (str(t), detail(t.top.orbit - 1, t)) for t in orphans
-            ]
+        got = verify.run_suite([n]).outcomes
+        assert _rows(o for o in got if o.check != check) == _rows(
+            o for o in expected if o.check != check
+        )
+        assert _rows(o for o in got if o.check == check) == _rows(alone)
+        assert len(alone) == (1 if check == "converse" else 16)
