@@ -4,10 +4,10 @@ Path counting and the Gorenstein dimension of a gentle algebra, both read
 from `_free_order`, the one walk over relation-free paths, which does not
 recurse; the special biserial and gentle conditions; recognition of type-A
 cluster-tilted quivers as trees of blocks, built once per quiver, whose
-block counts give the connecting vertices; and `_pinned_form`, the arrows
-read in the order of the block walk from a connecting vertex: an exact key
-of the quiver pinned there and, zipped with an equal form, the pinned
-isomorphism that certifies the converse check's key hits.
+block counts give the connecting vertices; `_pinned_form`, the arrows read
+in the order of the block walk from a connecting vertex, an exact key of the
+quiver pinned there, kept with that order; and `find_isomorphism`, which
+checks the zip of two such orders against the two quivers' own arrows.
 """
 
 from __future__ import annotations
@@ -477,21 +477,20 @@ def connecting_vertices(q: Quiver) -> frozenset[int]:
     return frozenset(_tree_of_blocks(q)[1])
 
 
-def _pinned_form(q: Quiver, blocks: dict[int, list[tuple]], v: int) -> tuple[list, tuple] | None:
-    """The vertices of q in the order of the block walk from v (`_walk`;
-    `blocks` is `_blocks(q)`), and q's arrows as (position of src, position
-    of tgt) pairs, sorted; the vertex count is the order's length. None
-    when the walk misses a vertex."""
-    order = list(_walk(blocks, v)[0])
-    if len(order) < len(q.vertices):
-        return None
+def _pinned_form(q: Quiver, blocks: dict[int, list[tuple]], v: int) -> tuple[tuple, tuple]:
+    """q's arrows as (position of src, position of tgt) pairs, sorted, and
+    its vertices, in the order of the block walk from v (`_walk`; `blocks`
+    is `_blocks(q)`). q must be connected, as a recognised quiver is, so
+    the walk meets every vertex and the order's length is the vertex count."""
+    order = tuple(_walk(blocks, v)[0])
     at = {u: i for i, u in enumerate(order)}
-    return order, tuple(sorted((at[a.src], at[a.tgt]) for a in q.arrows))
+    return tuple(sorted((at[a.src], at[a.tgt]) for a in q.arrows)), order
 
 
-def connecting_keys(q: Quiver) -> dict[int, tuple[tuple[int, int], ...]]:
-    """The arrows of `_pinned_form` at each connecting vertex, from one
-    `_blocks` build: equal keys exactly when an isomorphism maps pin to pin.
+def connecting_keys(q: Quiver) -> dict[int, tuple[tuple, tuple]]:
+    """`_pinned_form` at each connecting vertex, from one `_blocks` build:
+    the key, equal exactly when an isomorphism maps pin to pin, and the
+    walk order, which `find_isomorphism` zips at a key hit.
 
     The walk order is canonical. From a connecting vertex of a recognised
     quiver the walk meets every vertex once and leaves each by at most one
@@ -499,35 +498,33 @@ def connecting_keys(q: Quiver) -> dict[int, tuple[tuple[int, int], ...]]:
     one of them the block it was entered by. A block lists its other
     vertices as the arrows orient them, a 3-cycle in its cyclic order. So
     a pinned isomorphism maps the i-th vertex of one walk to the i-th of
-    the other, and the keys are equal. Conversely equal keys zip into an
-    isomorphism (`find_isomorphism`): a recognised quiver is connected, so
-    its key gives its vertex count, one more than its largest position.
+    the other, and the keys are equal. Conversely equal keys give equal
+    vertex counts, one more than the largest position, and the zip of their
+    orders sends each arrow at positions (i, j) to one at (i, j).
     """
     blocks, connecting = _tree_of_blocks(q)
-    return {v: _pinned_form(q, blocks, v)[1] for v in connecting}
+    return {v: _pinned_form(q, blocks, v) for v in connecting}
 
 
 # --- isomorphism ------------------------------------------------------------
 
-def find_isomorphism(a: Quiver, b: Quiver, pin: tuple[int, int]) -> dict[int, int] | None:
-    """The isomorphism from a to b that maps pin[0] to pin[1], zipped from
-    the walk orders of two equal pinned forms (`_pinned_form`), or None.
+def find_isomorphism(a: Quiver, b: Quiver, pin: tuple, orders: tuple) -> dict[int, int] | None:
+    """The map zipping orders[0], a's vertices, with orders[1], b's, if it
+    is an isomorphism from a to b that maps pin[0] to pin[1], else None.
 
-    Equal forms are an isomorphism, whatever the quivers and pins: the two
-    orders list every vertex once, from the pin, and have one length, so
-    the zip is a bijection mapping pin to pin; it sends the arrow at
-    positions (i, j) in a to positions (i, j) in b, and the sorted pairs
-    are equal, so it maps the arrows onto b's with multiplicity. On
-    recognised quivers pinned at connecting vertices the walk order is
-    canonical (`connecting_keys`), so it finds every pinned isomorphism.
-    Linear in the arrows, up to the sort, with no size limit.
+    The map is checked on the two quivers alone: a bijection of the vertex
+    sets, pin to pin, carrying a's arrows onto b's with multiplicity. No
+    block, walk or key is read, so a map returned is a pinned isomorphism
+    whatever computed the orders; on the walk orders of equal keys
+    (`connecting_keys`) one is returned. Linear in the arrows.
     """
-    if pin[0] not in a.vertices or pin[1] not in b.vertices:
+    iso = dict(zip(*orders))
+    if iso.keys() != set(a.vertices) or set(iso.values()) != set(b.vertices):
         return None
-    forms = [_pinned_form(q, _blocks(q), v) for q, v in zip((a, b), pin)]
-    if None in forms or len(forms[0][0]) != len(forms[1][0]) or forms[0][1] != forms[1][1]:
+    if len(b.vertices) != len(iso) or iso.get(pin[0]) != pin[1]:
         return None
-    return dict(zip(forms[0][0], forms[1][0]))
+    moved = Counter((iso[x.src], iso[x.tgt]) for x in a.arrows)
+    return iso if moved == Counter((x.src, x.tgt) for x in b.arrows) else None
 
 
 # --- emission ----------------------------------------------------------------

@@ -35,16 +35,17 @@ proves that construction: each block holds one top orbit, each member
 rotated to top orbit 1 is its representative, and the brute route's masks,
 rotated the same way, hit every representative exactly n times, so the list
 is every maximal rigid object once, in translate orbits of n.
-`check_converse` works on the same quotient: it builds, keys and compares
-the quivers of the representatives only, by one pinned form per connecting
-vertex, which is both key and isomorphism certificate, and puts every
-other object in its representative's class by its recorded position.
+`check_converse` works on the same quotient: it keys the quivers of the
+representatives only, one pinned form per connecting vertex, sizes each
+class by the recorded positions, and certifies each key hit on the two
+quivers' arrows through the stored walk orders, sharing no code with the key.
 """
 
 from __future__ import annotations
 
 import random
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from math import comb
 
@@ -393,56 +394,56 @@ def check_converse(n: int) -> list[Outcome]:
     connecting vertex of every class quiver must be realized by some class.
 
     Only representatives (top at orbit 1) have their quivers built and
-    compared. Every other object joins its representative's class by the
-    position that the object list records for it. `check_rigid` proves
-    that each member is the translate of the representative at its
-    position, one per top orbit, so a class of n objects is exactly one
-    translate orbit. This is exact because canonical order is relative to
-    the top: tau^k T has the same labelled endomorphism algebra as T, hence
-    the same (quiver, loop vertex).
+    compared; a class counts the objects whose recorded position is one of
+    its representatives. `check_rigid` proves that each member is the
+    translate of the representative at its position, one per top orbit, so
+    a class of n objects is exactly one translate orbit. This is exact
+    because canonical order is relative to the top: tau^k T has the same
+    labelled endomorphism algebra as T, hence the same (quiver, loop vertex).
 
     Each representative's quiver is keyed once, by `connecting_keys`; a
     loop vertex that is not connecting fails the check, naming the object.
     A class is keyed at its loop vertex, and its other connecting vertices
     look up the classes that realize them (the loop vertex would hit its
-    own class, with the same pin). Every hit, a membership or a realization,
-    is certified by `find_isomorphism`, which compares the two quivers'
-    pinned forms; a hit the certificate refutes fails the check, naming the
-    object or the vertex. The key is exact by construction, being that
-    form's arrows, yet the verdict does not rest on it: a key that merged
-    classes is refuted at the hit, one that split a class leaves it short.
+    own class). Every hit, a membership or a realization, is certified by
+    `find_isomorphism` from the two stored walk orders, on the two quivers'
+    own vertices and arrows; a hit it refutes fails the check, naming the
+    object or the vertex. The certificate reads no block, walk or key, so a
+    fault in them that merges classes is refuted at the hit, and one that
+    splits a class leaves it short.
     """
 
     def run():
         objects = maximal_rigid_objects(n)
         positions = objects.positions
-        classes: dict[tuple, tuple] = {}  # key -> (quiver, loop vertex, other keys, members)
-        class_of: dict[int, list] = {}  # representative's position -> members
+        counts = Counter(positions)  # representative's position -> objects
+        classes: dict[tuple, tuple] = {}  # key -> (quiver, loop vertex's order, other forms)
+        sizes: Counter = Counter()  # key -> objects
         for i, t in enumerate(objects):
             if positions[i] != i:
-                class_of[positions[i]].append(t)
                 continue
             bare, lv = loopless_quiver(cached_endomorphism_algebra(t))
-            keys = connecting_keys(bare)
-            if lv not in keys:
+            forms = connecting_keys(bare)
+            if lv not in forms:
                 return False, f"loop of {t} at non-connecting vertex {lv}"
-            quiver, vertex, _, members = classes.setdefault(keys.pop(lv), (bare, lv, keys, []))
-            if quiver is not bare and find_isomorphism(bare, quiver, pin=(lv, vertex)) is None:
+            key, order = forms.pop(lv)
+            first, loop, _ = classes.setdefault(key, (bare, order, forms))
+            pin = (lv, loop[0])  # the walk order starts at the class's loop vertex
+            if first is not bare and find_isomorphism(bare, first, pin, (order, loop)) is None:
                 return False, f"key of {t} hits a class that the certificate refutes"
-            members.append(t)
-            class_of[i] = members
+            sizes[key] += counts[i]
 
-        for _, vertex, _, members in classes.values():
-            if len(members) != n:
-                return False, f"class at vertex {vertex} has {len(members)} objects"
+        for key, (_, order, _) in classes.items():
+            if sizes[key] != n:
+                return False, f"class at vertex {order[0]} has {sizes[key]} objects"
 
         # every other connecting vertex of every arising quiver is realized
-        for quiver, _, keys, _ in classes.values():
-            for c, key in keys.items():
-                hit = classes.get(key)
-                if hit is None:
+        for quiver, _, forms in classes.values():
+            for c, (key, order) in forms.items():
+                if key not in classes:
                     return False, f"connecting vertex {c} of a class quiver unrealized"
-                if find_isomorphism(quiver, hit[0], pin=(c, hit[1])) is None:
+                target, loop, _ = classes[key]
+                if find_isomorphism(quiver, target, (c, loop[0]), (order, loop)) is None:
                     return False, f"connecting vertex {c} hits a class that the certificate refutes"
         return True, f"{len(classes)} classes, each a full translate orbit"
 

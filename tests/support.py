@@ -10,7 +10,7 @@ isomorphism invariant, the former `quiver.canonical_key` of a quiver pinned
 at any vertex, the recursive form that `quiver.connecting_keys` returned
 before it read the pinned form of the block walk, the former
 `quiver.find_isomorphism`, an exhaustive search
-limited to 12 vertices that is now the reference for the block-walk
+limited to 12 vertices that is now the reference for the walk-order
 certificate, a test that a vertex map is a pinned isomorphism, the pinned
 pairs that decide whether a key partitions as isomorphism does and the gate
 that checks them with the search, the former translate certificates,
@@ -393,7 +393,7 @@ def pinned_invariant(q: Quiver, v: int) -> int:
     arrows and any renaming of their ids: if (q, v) and (q', v') are
     isomorphic with v mapped to v', their keys are equal. The converse need
     not hold, so equal keys still call for `reference_find_isomorphism`,
-    which, unlike the certificate in `quiver`, needs no tree of blocks.
+    which, unlike the certificate in `quiver`, needs no walk order.
     """
     if v not in q.vertices:
         raise ValueError(f"pinned vertex {v} is not a vertex of the quiver")

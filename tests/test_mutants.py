@@ -83,10 +83,21 @@ MUTANTS = (
         'blocks[u].append(("cycle", w, x))', 'blocks[u].append(("cycle", x, w))',
         {"converse": r"^connecting vertex \d+ (of a class quiver unrealized|hits a class that the certificate refutes)$"},
     ),
+    # The key forgets each arrow's direction and merges classes; the
+    # certificate checks the arrows themselves and refutes the merge at
+    # the hit.
     Mutant(
         "key-of-unordered-position-pairs", "quiver.py",
         "(at[a.src], at[a.tgt])", "tuple(sorted((at[a.src], at[a.tgt])))",
-        {"converse": r"^class at vertex \d+ has \d+ objects$"},
+        {"converse": r"^key of \(\d+,\d+\)(\+\(\d+,\d+\))* hits a class that the certificate refutes$"},
+    ),
+    # The certificate compares a's arrows unmapped with b's: it refutes the
+    # realization hits whose two quivers are labelled apart.
+    Mutant(
+        "certificate-compares-arrows-unmapped", "quiver.py",
+        "Counter((iso[x.src], iso[x.tgt]) for x in a.arrows)",
+        "Counter((x.src, x.tgt) for x in a.arrows)",
+        {"converse": r"^connecting vertex \d+ hits a class that the certificate refutes$"},
     ),
     # Block k built as the translates by tau^-k: every member is still the
     # translate of its representative, so only rigid's block check sees it.

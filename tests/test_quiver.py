@@ -584,14 +584,29 @@ def _representative_pins(n):
     return pins
 
 
+@lru_cache(maxsize=None)
+def _forms(q):
+    """`connecting_keys(q)`, built once per quiver: the tests below key and
+    certify each arising quiver many times. Read it, never change it."""
+    return connecting_keys(q)
+
+
 def connecting_key(q, v):
-    return connecting_keys(q)[v]
+    return _forms(q)[v][0]
+
+
+def certify(a, b, pin):
+    """`find_isomorphism` on the walk orders that `connecting_keys` stores
+    beside the keys at the two pins."""
+    orders = tuple(_forms(q)[v][1] for q, v in zip((a, b), pin))
+    return find_isomorphism(a, b, pin, orders)
 
 
 class TestPinnedInvariant:
     """`connecting_keys`, the exact invariant of a quiver pinned at each
     connecting vertex; the arising pins are all connecting. Each changed
-    copy must also be certified by `find_isomorphism`, its map checked."""
+    copy must also be certified by `find_isomorphism` through the stored
+    walk orders, its map checked."""
 
     @pytest.mark.parametrize(
         "change", [_relabel_vertices, _shuffle_arrows, _rename_arrows]
@@ -602,7 +617,7 @@ class TestPinnedInvariant:
         for bare, v in _arising_pins(7):
             moved, w = change(bare, v, rng)
             assert connecting_key(moved, w) == connecting_key(bare, v), (bare, v)
-            found = find_isomorphism(bare, moved, (v, w))
+            found = certify(bare, moved, (v, w))
             assert found is not None, (bare, v)
             assert_pinned_isomorphism(bare, moved, (v, w), found)
             pairs += 1
@@ -615,7 +630,7 @@ class TestPinnedInvariant:
             for change in (_rename_arrows, _shuffle_arrows, _relabel_vertices):
                 moved, w = change(moved, w, rng)
             assert moved != bare or not bare.arrows
-            found = find_isomorphism(moved, bare, pin=(w, v))
+            found = certify(moved, bare, (w, v))
             assert found is not None
             assert_pinned_isomorphism(moved, bare, (w, v), found)
             assert connecting_key(moved, w) == connecting_key(bare, v)
@@ -636,21 +651,28 @@ class TestPinnedInvariant:
 
     def test_moving_the_pin_changes_the_key(self):
         # the middle vertex of a path lies in two blocks: it is not keyed
+        def keys(q):
+            return {v: key for v, (key, _) in connecting_keys(q).items()}
+
         linear = Quiver((1, 2, 3), (Arrow("x", 1, 2), Arrow("y", 2, 3)))
-        source, sink = connecting_keys(linear).values()
-        assert list(connecting_keys(linear)) == [1, 3] and source != sink
-        sources = connecting_keys(Quiver((1, 2, 3), (Arrow("x", 1, 2), Arrow("y", 3, 2))))
+        source, sink = keys(linear).values()
+        assert list(keys(linear)) == [1, 3] and source != sink
+        sources = keys(Quiver((1, 2, 3), (Arrow("x", 1, 2), Arrow("y", 3, 2))))
         assert list(sources) == [1, 3] and sources[1] == sources[3]
         assert sources[1] != source
-        cycle = connecting_keys(CYCLE3)
+        cycle = keys(CYCLE3)
         assert list(cycle) == [1, 2, 3] and len(set(cycle.values())) == 1
         assert cycle[1] != source
+        # each walk order starts at its pin and follows the arrows
+        assert [order for _, order in connecting_keys(CYCLE3).values()] == [
+            (1, 2, 3), (2, 3, 1), (3, 1, 2),
+        ]
 
     def test_counts_arrow_multiplicity(self):
         # a second arrow on the same two vertices, or a loop, is a second
         # block there: no tree of blocks
         single = Quiver((1, 2), (Arrow("a", 1, 2),))
-        assert connecting_keys(single) == {1: ((0, 1),), 2: ((1, 0),)}
+        assert connecting_keys(single) == {1: (((0, 1),), (1, 2)), 2: (((1, 0),), (2, 1))}
         for extra, witness in (
             (Arrow("b", 1, 2), "length-2 cycle between 1 and 2"),
             (Arrow("b", 2, 1), "length-2 cycle between 1 and 2"),
@@ -709,8 +731,8 @@ LONG_CHAIN = _chain([
 
 
 class TestCertificate:
-    """`find_isomorphism`, which compares the pinned forms of two quivers
-    from their pins and zips their walk orders, against
+    """`find_isomorphism`, which zips the two walk orders stored with the
+    keys and checks the map against the two quivers' arrows, against
     `support.reference_find_isomorphism`; each map it returns is checked
     here."""
 
@@ -719,7 +741,7 @@ class TestCertificate:
         pairs = keyed_pairs(_representative_pins(n), connecting_key)
         assert pairs.alike
         for a, b, pin in pairs.alike + pairs.apart:
-            found = find_isomorphism(a, b, pin)
+            found = certify(a, b, pin)
             assert (found is None) == (reference_find_isomorphism(a, b, pin) is None), (a, b, pin)
             if found is not None:
                 assert_pinned_isomorphism(a, b, pin, found)
@@ -731,28 +753,53 @@ class TestCertificate:
         moved, w = q, 0
         for change in (_rename_arrows, _shuffle_arrows, _relabel_vertices):
             moved, w = change(moved, w, rng)
-        found = find_isomorphism(q, moved, (0, w))
+        found = certify(q, moved, (0, w))
         assert found is not None
         assert_pinned_isomorphism(q, moved, (0, w), found)
         with pytest.raises(SizeLimitError):
             reference_find_isomorphism(q, moved, pin=(0, w))
 
     def test_refutes_a_reversed_lone_arrow(self):
-        # The reversed copy is still a chain of blocks from the pin, but its
-        # pinned key, exact at connecting vertices, differs.
+        # The reversed copy is still a chain of blocks from the pin, with the
+        # same walk order, but its pinned key, exact at connecting vertices,
+        # differs, and the certificate sees the arrow reversed.
         q = LONG_CHAIN
         lone = q.arrow("c16")
         assert ("out", lone.tgt) in _blocks(q)[lone.src]  # on no 3-cycle
         reversed_ = Quiver(q.vertices, tuple(
             Arrow(x.id, x.tgt, x.src) if x == lone else x for x in q.arrows
         ))
-        assert connecting_keys(reversed_)[0] != connecting_keys(q)[0]
-        assert find_isomorphism(q, reversed_, (0, 0)) is None
-        assert find_isomorphism(reversed_, q, (0, 0)) is None
+        (key, order), (reversed_key, reversed_order) = (
+            connecting_keys(x)[0] for x in (q, reversed_)
+        )
+        assert key != reversed_key and order == reversed_order
+        assert certify(q, reversed_, (0, 0)) is None
+        assert certify(reversed_, q, (0, 0)) is None
 
-    def test_pin_outside_either_quiver(self):
-        assert find_isomorphism(CYCLE3, CYCLE3, (1, 4)) is None
-        assert find_isomorphism(CYCLE3, CYCLE3, (4, 1)) is None
+    def test_refutes_an_order_with_two_vertices_swapped(self):
+        # On an isomorphic pair, pinned at a connecting vertex, the zip of
+        # the stored orders is the one pinned isomorphism; swapping two
+        # neighbours in the target's order breaks an arrow or moves the pin.
+        rng = random.Random(5)
+        for q, v in [(LONG_CHAIN, 0)] + _arising_pins(5)[::7]:
+            moved, w = _relabel_vertices(q, v, rng)
+            order, target = connecting_keys(q)[v][1], connecting_keys(moved)[w][1]
+            assert find_isomorphism(q, moved, (v, w), (order, target)) is not None
+            for i in range(len(target) - 1):
+                swapped = list(target)
+                swapped[i], swapped[i + 1] = swapped[i + 1], swapped[i]
+                assert find_isomorphism(q, moved, (v, w), (order, swapped)) is None, (q, v, i)
+
+    def test_refutes_a_map_that_is_no_pinned_bijection(self):
+        order = connecting_keys(CYCLE3)[1][1]
+        assert find_isomorphism(CYCLE3, CYCLE3, (1, 1), (order, order)) == {1: 1, 2: 2, 3: 3}
+        for pin, orders in (
+            ((1, 2), (order, order)),  # the map does not send pin to pin
+            ((1, 1), (order, order[:2])),  # short of a vertex
+            ((1, 1), (order, (1, 2, 2))),  # not injective
+            ((1, 1), (order + (4,), order + (3,))),  # a vertex outside a
+        ):
+            assert find_isomorphism(CYCLE3, CYCLE3, pin, orders) is None, (pin, orders)
 
 
 class TestEmission:

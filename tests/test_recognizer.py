@@ -13,8 +13,9 @@ classes, `support.reference_canonical_key`, the former
 `quiver.canonical_key`, must group the quivers pinned at any vertex exactly
 as `support.reference_find_isomorphism`, the former exhaustive isomorphism
 search, does; `quiver.connecting_keys`, the pinned form of the block walk,
-must partition the pins at connecting vertices exactly as it does, and two
-equal keys, their walk orders zipped, must be a pinned isomorphism.
+must partition the pins at connecting vertices exactly as it does, and the
+walk orders stored with two equal keys, zipped, must be a pinned
+isomorphism.
 """
 
 import itertools
@@ -28,8 +29,6 @@ from tubecat.quiver import (
     Arrow,
     CheckResult,
     Quiver,
-    _blocks,
-    _walk,
     connecting_keys,
     connecting_vertices,
     find_isomorphism,
@@ -411,7 +410,7 @@ def assert_keys_partition_as_the_reference(quivers):
     for q in quivers:
         keys = connecting_keys(q)
         assert set(keys) == connecting_vertices(q), q
-        for c, key in keys.items():
+        for c, (key, _) in keys.items():
             pins.append((q, c))
             pairs.add((key, reference_canonical_key(q, c)))
     # one reference key per key, and one key per reference key
@@ -429,7 +428,7 @@ def test_connecting_keys_on_the_mutation_class_of_A(m, catalan):
     # pinned at connecting vertices only, the classes are the Catalan(m)
     # that arise at rank m + 1, one per translate orbit
     pins = assert_keys_partition_as_the_reference(mutation_class_quivers(m))
-    assert assert_keys_partition_as_the_search(pins, lambda q, v: connecting_keys(q)[v]) == catalan
+    assert assert_keys_partition_as_the_search(pins, lambda q, v: connecting_keys(q)[v][0]) == catalan
 
 
 @pytest.mark.parametrize(
@@ -438,24 +437,26 @@ def test_connecting_keys_on_the_mutation_class_of_A(m, catalan):
     ids=[f"rank-{n}" for n in range(2, 10)] + [f"A{m}" for m in range(1, 7)],
 )
 def test_equal_keys_are_a_certificate(quivers, size):
-    # the two walk orders of pins with equal keys, zipped, map pin to pin
-    # and arrows onto arrows: no further check is needed at a key hit
+    # the two walk orders stored with equal keys, zipped, map pin to pin
+    # and arrows onto arrows, so the certificate holds at every key hit
     pins = [(q, c) for q in quivers(size) for c in connecting_vertices(q)]
-    pairs = keyed_pairs(pins, lambda q, v: connecting_keys(q)[v])
+    pairs = keyed_pairs(pins, lambda q, v: connecting_keys(q)[v][0])
     assert pairs.alike or len(pins) == 1
     for a, b, pin in pairs.alike:
-        orders = [_walk(_blocks(q), v)[0] for q, v in zip((a, b), pin)]
+        orders = [connecting_keys(q)[v][1] for q, v in zip((a, b), pin)]
         assert_pinned_isomorphism(a, b, pin, dict(zip(*orders)))
 
 
 @pytest.mark.parametrize("m", range(1, 7))
 def test_certificate_on_the_mutation_class_of_A(m):
-    # on the pairs that the partition above checks, the block-walk
-    # certificate finds a pinned isomorphism exactly when the search does
+    # on the pairs that the partition above checks, the certificate on the
+    # stored walk orders finds a pinned isomorphism exactly when the search
+    # does
     pins = [(q, v) for q in mutation_class_quivers(m) for v in connecting_vertices(q)]
-    pairs = keyed_pairs(pins, lambda q, v: connecting_keys(q)[v])
+    pairs = keyed_pairs(pins, lambda q, v: connecting_keys(q)[v][0])
     for a, b, pin in pairs.alike + pairs.apart:
-        found = find_isomorphism(a, b, pin)
+        orders = tuple(connecting_keys(q)[v][1] for q, v in zip((a, b), pin))
+        found = find_isomorphism(a, b, pin, orders)
         assert (found is None) == (reference_find_isomorphism(a, b, pin) is None), (a, b, pin)
         if found is not None:
             assert_pinned_isomorphism(a, b, pin, found)

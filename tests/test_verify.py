@@ -432,10 +432,14 @@ class TestConverse:
         assert out.detail == "132 classes, each a full translate orbit"
 
     def test_constant_key_fails_on_the_refuted_hit(self, monkeypatch):
-        # A constant key sends every representative to the first class. At
-        # rank 2 there is one class, so every hit holds; from rank 3 on the
-        # certificate refutes the second representative.
-        monkeypatch.setattr(verify, "connecting_keys", lambda q: dict.fromkeys(q.vertices, 0))
+        # A constant key, beside the real walk orders, sends every
+        # representative to the first class. At rank 2 there is one class,
+        # so every hit holds; from rank 3 on the certificate refutes the
+        # second representative.
+        real = verify.connecting_keys
+        monkeypatch.setattr(verify, "connecting_keys", lambda q: {
+            c: (0, order) for c, (_, order) in real(q).items()
+        })
         assert verify.check_converse(2)[0].ok
         for n in range(3, 7):
             second = [t for t in maximal_rigid_objects(n) if t.top.orbit == 1][1]
@@ -444,9 +448,10 @@ class TestConverse:
             assert out.detail == f"key of {second} hits a class that the certificate refutes"
 
     def test_refuted_realization_fails_naming_the_vertex(self, monkeypatch):
-        # Each representative's key at its loop vertex is its own, so the
+        # Each representative's form at its loop vertex is its own, so the
         # five classes at rank 4 form; every other connecting vertex gets
-        # the first class's key. The first class quiver is an oriented
+        # the first class's key beside its own walk order, which the
+        # certificate zips. The first class quiver is an oriented
         # 3-cycle, so each of its vertices does realize the first class.
         # The second class quiver is 1 -> 2 -> 3 with the loop at 1, which
         # is not looked up; its other end, vertex 3, does not realize it.
@@ -456,10 +461,13 @@ class TestConverse:
             for t in maximal_rigid_objects(4) if t.top.orbit == 1
         )
         first, vertex = next(iter(loops.items()))
-        first_key = real(first)[vertex]
+        first_key = real(first)[vertex][0]
 
         def faulty(q):
-            return {c: key if c == loops[q] else first_key for c, key in real(q).items()}
+            return {
+                c: form if c == loops[q] else (first_key, form[1])
+                for c, form in real(q).items()
+            }
 
         monkeypatch.setattr(verify, "connecting_keys", faulty)
         (out,) = verify.check_converse(4)
@@ -503,10 +511,10 @@ class TestConverse:
         (out,) = verify.check_converse(7)
         assert out.ok
         # Catalan(6) representatives, each keyed at every connecting vertex
-        # from one block tree, and two block trees per certificate, one for
-        # each quiver it walks
+        # from one block tree; the certificates read the stored walk orders
+        # and build none
         assert len(certificates) == 252
-        assert len(calls) == 132 + 2 * 252
+        assert len(calls) == 132
 
     def test_isomorphism_searches_stay_linear(self, monkeypatch):
         calls = []
