@@ -37,12 +37,11 @@ def tilted_algebra(t: RigidObject) -> Presentation:
     vertices = tuple(range(1, n))
     arrows: list[Arrow] = []
     relations: set[tuple[str, str]] = set()
-    for summand, triple in sorted(
-        subwing_decomposition(t).items(), key=lambda kv: t.vertex_of(kv[0])
-    ):
-        i = t.vertex_of(summand)
-        left = t.vertex_of(triple.left) if triple.left is not None else None
-        right = t.vertex_of(triple.right) if triple.right is not None else None
+    vertex = {s: v for v, s in enumerate(t.summands, start=1)}
+    for summand, triple in subwing_decomposition(t).items():  # in summand order
+        i = vertex[summand]
+        left = vertex[triple.left] if triple.left is not None else None
+        right = vertex[triple.right] if triple.right is not None else None
         if left is not None:
             arrows.append(_t_arrow(i, left))
         if right is not None:

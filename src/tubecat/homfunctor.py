@@ -21,11 +21,11 @@ new; and once beta runs from the end of sigma_T to the end of sigma_D, the
 walk visits the vertices of sigma_T and then those of sigma_D (through the
 loop, the top vertex twice). So `sigma` checks just that, which also
 covers a trivial chain string, from the algebra's letter table (see
-`strings`). The sweep first checks the chain strings of the painted cells
-outside the fundamental domain, in sweep order (`_build_chain_strings`);
-it then builds sigma(x) at every domain point, which the bijection check
-needs anyway, and that checks the domain's other chains on their first
-fetch. So each chain string is checked once.
+`strings`). The sweep walks the swept cells once, in order: at a domain
+point off add tau T it builds sigma(x), which the bijection check needs
+anyway and which checks x's chains on their first fetch; at a cell outside
+the domain it checks those of x's two non-empty chains, T before D, that no
+earlier cell built. So each chain string is checked once.
 
 No module is built per x, and a module checks nothing beyond its string
 (see `strings.string_module`). The sweep builds the module of each string
@@ -89,6 +89,7 @@ record during the sweep.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import pairwise
 
 from tubecat import strings as st
@@ -192,16 +193,11 @@ class _Summands:
         return self._masks
 
 
-_summands: _Summands | None = None
-
-
+@lru_cache(maxsize=1)
 def _painting(n: int, cap: int) -> _Summands:
     """The rigid summands of (n, cap); one entry is held, for the last
     (n, cap) asked for."""
-    global _summands
-    if _summands is None or _summands.key != (n, cap):
-        _summands = _Summands(n, cap)
-    return _summands
+    return _Summands(n, cap)
 
 
 # --- the table of one object ----------------------------------------------------
@@ -324,21 +320,6 @@ def _chain_string(table: _ObjectTable, chain: Chain, summands: list[Indec]) -> S
     if not st.is_string(table.lam, word):
         raise AssertionError(f"constructed chain word is not a string: {word}")
     return word
-
-
-def _build_chain_strings(t: RigidObject, table: _ObjectTable, ql_cap: int) -> None:
-    """Memoise the string of every chain painted at a swept x outside the
-    fundamental domain, in sweep order and T before D, building only the
-    chains not yet held. `sigma` builds the chains of the domain points on
-    their first fetch, so each chain string of the sweep is checked once."""
-    summands, words = _painting(t.rank, ql_cap), table.words
-    swept, outside = summands.swept, summands.regions[t.top.orbit][0]
-    for cell in range(outside.bit_length()):
-        if outside >> cell & 1:
-            for kind, hammock in table.hammocks.items():
-                chain = hammock[cell]
-                if chain and chain not in words:
-                    table.remember(chain, _chain_string(table, chain, reverse_hammock(t, swept[cell], kind)))
 
 
 def beta_arrow(t: RigidObject, x: Indec) -> str | None:
@@ -509,9 +490,12 @@ def verify_hom_functor(t: RigidObject, ql_cap: int | None = None) -> HomFunctorR
     the quasilength cap, the string bijection on the fundamental domain, its
     cardinality, and the outside vanishing locus.
 
-    The dimensions and the vanishing locus are read from the masks of the
-    summands of t, and the sweep builds the record of x only where the
-    dimensions differ, in sweep order (see the module docstring). Its
+    One walk over the swept cells does each cell's work there (see the
+    module docstring). On add tau T it compares `predicted_dims` with
+    `oracle_dims` once; elsewhere it reads the dimensions from the masks of
+    the summands of t and builds the record of x only where they differ.
+    Then it builds sigma(x) at a domain point, or the chain strings not yet
+    held at an outside one. The vanishing locus is read from the masks. Its
     string modules only fire the benchmark's `strings.string_module` hook."""
     n = t.rank
     check_ql_cap(n, ql_cap)
@@ -520,27 +504,33 @@ def verify_hom_functor(t: RigidObject, ql_cap: int | None = None) -> HomFunctorR
     lam = cached_endomorphism_algebra(t)
     table = _table(t)
     table.paint(ql_cap)
-    summands, add_tau = _painting(n, ql_cap), table.add_tau
+    summands, add_tau, words = _painting(n, ql_cap), table.add_tau, table.words
     swept = summands.swept
     masks, fail, nz = summands.masks, 0, 0
     for s in table.coords:
         fail |= masks[s][0]
         nz |= masks[s][1]
-    for a, b in add_tau:  # the prediction there is empty whatever the cells hold
-        cell = (b - 1) * n + a - 1
-        fail &= ~(1 << cell)
-        fail |= (predicted_dims(t, swept[cell]) != oracle_dims(t, swept[cell])) << cell
-    _build_chain_strings(t, table, ql_cap)
 
     failures = []
     assigned: dict[StringWord, Indec] = {}
     domain_count = 0
     for cell, x in enumerate(swept):
-        if fail and fail >> cell & 1:
+        in_f = in_fundamental_domain(t, x)
+        if in_f and (x.orbit, x.ql) in add_tau:  # the prediction there is empty whatever the cells hold
+            pred, orac = predicted_dims(t, x), oracle_dims(t, x)
+            if pred != orac:
+                failures.append(_record(t, x, pred, orac))
+            continue
+        if fail >> cell & 1:
             failures.append(_record(t, x, predicted_dims(t, x), oracle_dims(t, x)))
-        if in_fundamental_domain(t, x) and (x.orbit, x.ql) not in add_tau:
+        if in_f:
             domain_count += 1
             assigned[sigma(t, x).canonical()] = x
+            continue
+        for kind, hammock in table.hammocks.items():
+            chain = hammock[cell]
+            if chain and chain not in words:
+                table.remember(chain, _chain_string(table, chain, reverse_hammock(t, x, kind)))
     outside, locus = summands.regions[t.top.orbit]
     off = (outside & ~nz) ^ locus
     locus_failures = [

@@ -268,7 +268,8 @@ class SubwingTriple:
 
 
 def subwing_decomposition(t: RigidObject) -> dict[Indec, SubwingTriple]:
-    """The subwing triple of every summand of quasilength > 1.
+    """The subwing triple of every summand of quasilength > 1, keyed in
+    summand order.
 
     For each such summand the left member is the summand of largest
     quasilength sharing its ray, if any; the right member is then forced.

@@ -762,7 +762,7 @@ class TestObjectTable:
                     query(x)
                     pytest.fail(f"{name} answered for {x}")
 
-    def test_wrong_oracle_for_one_x_is_reported(self, monkeypatch):
+    def test_wrong_oracle_for_one_x_is_reported(self, monkeypatch, drop_painting):
         """An oracle part off by one at a single (summand, x) fails exactly
         that x, also when its chain strings were already memoised for an
         earlier x, and exactly as the per-x reference reports it."""
@@ -787,7 +787,7 @@ class TestObjectTable:
             return hom, hom_shifted
 
         monkeypatch.setattr(homfunctor, "oracle_parts", off_by_one)
-        monkeypatch.setattr(homfunctor, "_summands", None)
+        homfunctor._painting.cache_clear()
         report = verify_hom_functor(t)
         assert not report.ok
         assert [r["x"] for r in report.dimension_failures] == [target.to_json()]
@@ -852,7 +852,7 @@ class TestObjectTable:
             assert o.detail.startswith("error: chain members "), o.detail
             assert o.detail.endswith(" are not triple-related")
 
-    def test_dropped_hammock_summand_fails_that_x(self, monkeypatch):
+    def test_dropped_hammock_summand_fails_that_x(self, monkeypatch, drop_painting):
         """A summand that lost one of its painted cells is missing from the
         chain there, a dimension failure at exactly that x."""
         n = 4
@@ -903,9 +903,12 @@ class TestObjectTable:
             if not name.startswith("__")
             and isinstance(value, (dict, list, set, tuple, homfunctor._ObjectTable, homfunctor._Summands))
         }
-        assert set(held) == {"_held", "_summands"}
+        assert set(held) == {"_held"}
         assert held["_held"].obj is objects[0]
-        summands = held["_summands"]
+        info = homfunctor._painting.cache_info()
+        assert info.maxsize == info.currsize == 1
+        summands = homfunctor._painting(5, 30)
+        assert homfunctor._painting.cache_info().hits == info.hits + 1
         assert summands.key == (5, 30) and len(summands.cells) == len(summands.masks) == 5 * 4
         assert summands.swept == tuple(Indec(5, a, b) for b in range(1, 31) for a in range(1, 6))
         caches = {
@@ -913,17 +916,26 @@ class TestObjectTable:
             if hasattr(value, "cache_info")
             and getattr(value, "__module__", None) == homfunctor.__name__
         }
-        assert caches == set()  # no module-level cache of any kind
+        assert caches == {"_painting"}  # the one (rank, cap) above
 
 
 def _representatives(n):
     return [t for t in maximal_rigid_objects(n) if t.top.orbit == 1]
 
 
+@pytest.fixture
+def drop_painting():
+    """Drop the held painting of a (rank, cap) when the test ends, so that a
+    fault planted in it reaches no later test."""
+    yield
+    homfunctor._painting.cache_clear()
+
+
 def _plant(monkeypatch, summand, kind, change):
     """Plant a fault in the painting of one rigid summand: `change` maps its
     tube-side (kind "T") or shifted-side ("D") cells to the planted ones.
-    The tables painted afterwards and the summands' masks read them."""
+    The tables painted afterwards and the summands' masks read them; the
+    test that plants asks for `drop_painting`."""
     honest, side = homfunctor._summand_cells, "TD".index(kind)
 
     def planted(n, c, d, cap):
@@ -933,7 +945,7 @@ def _plant(monkeypatch, summand, kind, change):
         return tuple(cells)
 
     monkeypatch.setattr(homfunctor, "_summand_cells", planted)
-    monkeypatch.setattr(homfunctor, "_summands", None)
+    homfunctor._painting.cache_clear()
     monkeypatch.setattr(homfunctor, "_held", None)
 
 
@@ -945,6 +957,7 @@ def _ending(route, t):
         return repr(exc)
 
 
+@pytest.mark.usefixtures("drop_painting")
 class TestDimensionsPerSummand:
     """The sweep's dimension and locus proofs, read from each rigid
     summand's masks, against the per-x reference route, with faults planted
@@ -1015,7 +1028,7 @@ class TestDimensionsPerSummand:
             return hom, hom_shifted
 
         monkeypatch.setattr(homfunctor, "oracle_parts", doubled)
-        monkeypatch.setattr(homfunctor, "_summands", None)
+        homfunctor._painting.cache_clear()
         calls = []
         counted = homfunctor.oracle_dims
         monkeypatch.setattr(
@@ -1082,6 +1095,38 @@ class TestDimensionsPerSummand:
         assert homfunctor._painting(n, 3 * n).masks[s.orbit, s.ql][0] == 1 << cell
         report = verify_hom_functor(t)
         assert report.ok
+        assert report.to_json() == reference_verify_hom_functor(t).to_json()
+
+    def test_add_tau_point_is_compared_once(self, monkeypatch):
+        """A nonzero oracle value planted at one point of add tau T fails the
+        dimension check there with the reference's record, while
+        `predicted_dims` and `oracle_dims` are each called once at every
+        point of add tau T, the failing one included, and nowhere else."""
+        n = 5
+        t = _representatives(n)[4]
+        target = tau(t.summands[1], 1)
+        c, d = t.summands[0].orbit, t.summands[0].ql
+        honest = homfunctor.oracle_parts
+
+        def planted(n_, c_, d_, a, b):
+            hom, hom_shifted = honest(n_, c_, d_, a, b)
+            if (c_, d_, a, b) == (c, d, target.orbit, target.ql):
+                hom += 1
+            return hom, hom_shifted
+
+        monkeypatch.setattr(homfunctor, "oracle_parts", planted)
+        homfunctor._painting.cache_clear()
+        calls = {"predicted_dims": Counter(), "oracle_dims": Counter()}
+        for name, seen in calls.items():
+            counted = getattr(homfunctor, name)
+            monkeypatch.setattr(
+                homfunctor, name, lambda u, x, f=counted, seen=seen: seen.update([x]) or f(u, x)
+            )
+        report = verify_hom_functor(t)
+        assert calls["predicted_dims"] == calls["oracle_dims"] == Counter(tau(s, 1) for s in t.summands)
+        [failure] = report.dimension_failures
+        assert failure["x"] == target.to_json()
+        assert (failure["predicted_dims"], failure["oracle_dims"]) == ({}, {"1": 1})
         assert report.to_json() == reference_verify_hom_functor(t).to_json()
 
     def test_summand_moved_to_another_cell_is_not_proved(self, monkeypatch):
@@ -1151,7 +1196,7 @@ class TestDimensionsPerSummand:
             return (1, 0) if fault == "is nonzero" and (c, d) == top else (0, 0)
 
         monkeypatch.setattr(homfunctor, "oracle_parts", planted)
-        monkeypatch.setattr(homfunctor, "_summands", None)
+        homfunctor._painting.cache_clear()
         report = verify_hom_functor(t)
         assert report.locus_failures == (f"{target}: oracle {fault} off pattern",)
         assert [f["x"] for f in report.dimension_failures] == [target.to_json()]
@@ -1226,8 +1271,8 @@ class TestDimensionsPerSummand:
 
 
 class TestChainPass:
-    """The sweep builds the chain strings in one pass over the painted
-    cells, before it walks the x's."""
+    """The sweep builds each chain string at the first swept cell that needs
+    it, in its one walk over the cells."""
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_each_chain_string_is_built_once(self, n, monkeypatch):
@@ -1263,32 +1308,48 @@ class TestChainPass:
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_pass_walks_only_cells_outside_the_domain(self, n, monkeypatch):
-        """On a fresh table the pass reads the hammocks of outside x only,
-        and builds exactly the distinct non-empty chains painted there."""
+        """On a fresh table the sweep reads a hammock, in sweep order, only
+        for a chain that no earlier cell built: at an outside x, each of its
+        non-empty chains not yet held, T before D; at a domain point off add
+        tau T, each chain of its sigma not yet held. Each distinct non-empty
+        chain off add tau T is built exactly once. (On these objects every
+        chain painted outside the domain is held by the time its cell is
+        swept, so the reads all fall on domain points; a chain painted only
+        outside is built, and fails, at its cell in
+        `test_unnested_chain_outside_the_domain_fails_its_object`.)"""
         read, built = [], []
         honest_read, honest_build = homfunctor.reverse_hammock, homfunctor._chain_string
         monkeypatch.setattr(
-            homfunctor, "reverse_hammock", lambda t, x, k: read.append(x) or honest_read(t, x, k)
+            homfunctor, "reverse_hammock", lambda t, x, k: read.append((x, k)) or honest_read(t, x, k)
         )
         monkeypatch.setattr(
             homfunctor, "_chain_string", lambda table, c, s: built.append(c) or honest_build(table, c, s)
         )
+        swept = homfunctor._painting(n, 3 * n).swept
         for t in _representatives(n):
             monkeypatch.setattr(homfunctor, "_held", None)
             read.clear()
             built.clear()
+            assert verify_hom_functor(t).ok
             table = homfunctor._table(t)
-            table.paint(3 * n)
-            homfunctor._build_chain_strings(t, table, 3 * n)
-            assert read and not any(in_fundamental_domain(t, x) for x in read)
-            swept = homfunctor._painting(n, 3 * n).swept
-            outside = {
+            first, held = [], set()
+            for cell, x in enumerate(swept):
+                if (x.orbit, x.ql) in table.add_tau:
+                    continue
+                inside = in_fundamental_domain(t, x)
+                for kind in ("T", "D"):
+                    chain = table.hammocks[kind][cell]
+                    if chain not in held and (chain or inside):
+                        held.add(chain)
+                        first.append((x, kind))
+            assert read == first, t
+            chains = {
                 chain
                 for hammock in table.hammocks.values()
                 for cell, chain in enumerate(hammock)
-                if chain and not in_fundamental_domain(t, swept[cell])
+                if chain and (cell % n + 1, cell // n + 1) not in table.add_tau
             }
-            assert sorted(built) == sorted(outside) == sorted(table.words), t
+            assert sorted(c for c in built if c) == sorted(chains) == sorted(c for c in table.words if c), t
 
     def test_unnested_chain_outside_the_domain_fails_its_object(self, monkeypatch):
         """A chain painted in reverse at one x outside the fundamental
