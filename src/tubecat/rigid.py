@@ -13,9 +13,9 @@ the top, so each translate orbit of n objects is fixed by its
 representative, the member whose top is at orbit 1 (Catalan(n - 1) of the
 C(2n - 2, n - 1) objects). The representatives are built by filling the
 wing of (1, n - 1) and validated through `from_summands`; block k = 2..n of
-the list holds their translates by tau^(1 - k), each block sorted like the
-first, and the list records the position of each member's representative
-(`RigidObjects.positions`). Every object of a rank shares one instance of
+the list holds their translates by tau^(1 - k) in the representatives'
+order, so object i's representative is object i mod Catalan(n - 1)
+(`representative_position`). Every object of a rank shares one instance of
 each rigid indecomposable, from `_rigid_indecomposables`.
 
 `from_summands` validates an object against one compatibility table per
@@ -39,7 +39,6 @@ shares nothing with it.
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, Mapping
@@ -166,37 +165,33 @@ def tau_rigid(t: RigidObject, k: int = 1) -> RigidObject:
 
 # --- enumeration ----------------------------------------------------------
 
-class RigidObjects(list):
-    """The maximal rigid objects of one rank, in enumeration order, with
-    `positions[i]` the position of object i's representative (its own for
-    a representative), one C int per object."""
-
-    def __init__(self, objects: Iterable[RigidObject], positions: array):
-        super().__init__(objects)
-        self.positions = positions
-
-
 def _order(t: RigidObject) -> tuple:
-    """The enumeration order: top orbit, then the summands' coordinates."""
-    return t.top.orbit, tuple((s.orbit, s.ql) for s in t.summands)
+    """The representatives' order: the summands' coordinates."""
+    return tuple((s.orbit, s.ql) for s in t.summands)
 
 
-def enumerate_maximal_rigid(n: int) -> RigidObjects:
+def enumerate_maximal_rigid(n: int) -> list[RigidObject]:
     """All maximal rigid objects, each once, deterministically ordered:
-    the validated representatives, whose top is at orbit 1, then each top
-    orbit k = 2..n as the block of their translates by tau^(1 - k)."""
+    the validated representatives, whose top is at orbit 1, sorted by
+    `_order`, then for each top orbit k = 2..n the block of their
+    translates by tau^(1 - k), in the representatives' order."""
     if n < 2:
         raise ValueError("rank must be >= 2")
     representatives = sorted(
         (from_summands(n, f) for f in _wing_fillings(n, 1, n - 1)), key=_order
     )
-    objects = RigidObjects(representatives, array("i", range(len(representatives))))
+    objects = list(representatives)
     for k in range(2, n + 1):
-        block = [tau_rigid(r, 1 - k) for r in representatives]
-        order = sorted(range(len(block)), key=lambda j: _order(block[j]))
-        objects.extend(block[j] for j in order)
-        objects.positions.extend(order)
+        objects.extend(tau_rigid(r, 1 - k) for r in representatives)
     return objects
+
+
+def representative_position(n: int, count: int, i: int) -> int:
+    """The position of object i's representative in a list of `count`
+    objects of rank n laid out as `enumerate_maximal_rigid` lays them out:
+    n blocks of count // n objects, member j of each block the translate
+    of representative j (its own position for a representative)."""
+    return i % (count // n)
 
 
 def maximal_compatible_masks(n: int) -> Iterator[int]:
@@ -238,11 +233,11 @@ def _wing_fillings(n: int, orbit: int, height: int) -> list[tuple[Indec, ...]]:
 
 
 @lru_cache(maxsize=1)
-def _enumerated(n: int) -> RigidObjects:
+def _enumerated(n: int) -> list[RigidObject]:
     return enumerate_maximal_rigid(n)
 
 
-def maximal_rigid_objects(n: int) -> RigidObjects:
+def maximal_rigid_objects(n: int) -> list[RigidObject]:
     """Cached structured enumeration of the current rank, for the
     verification sweeps; the caller must not change it."""
     return _enumerated(n)

@@ -27,18 +27,19 @@ leaves unchanged:
   through (a - c) mod n alone, so they move with T and x; the fundamental
   domain and the vanishing locus are stated in top-normalized coordinates.
 
-Each member still gets its own outcome, and takes its representative's by
-the position that the object list records for it (`RigidObjects.positions`):
-`rigid.enumerate_maximal_rigid` builds each member as a translate of its
-representative, so the quotient needs no certificate pass. `check_rigid`
-proves that construction: each block holds one top orbit, each member
-rotated to top orbit 1 is its representative, and the brute route's masks,
-rotated the same way, hit every representative exactly n times, so the list
-is every maximal rigid object once, in translate orbits of n.
-`check_converse` works on the same quotient: it keys the quivers of the
-representatives only, one pinned form per connecting vertex, sizes each
-class by the recorded positions, and certifies each key hit on the two
-quivers' arrows through the stored walk orders, sharing no code with the key.
+Each member still gets its own outcome, and takes its representative's:
+`rigid.enumerate_maximal_rigid` lists the representatives, then each top
+orbit's block of their translates in the same order, so the quotient needs
+no certificate pass, and `rigid.representative_position` reads that layout
+for every check. `check_rigid` proves it: each block holds one top orbit,
+each member rotated to top orbit 1 is the representative that the layout
+names, and the brute route's masks, rotated the same way, hit every
+representative exactly n times, so the list is every maximal rigid object
+once, in translate orbits of n. `check_converse` works on the same
+quotient: it keys the quivers of the representatives only, one pinned form
+per connecting vertex, counts n objects per representative, and certifies
+each key hit on the two quivers' arrows through the stored walk orders,
+sharing no code with the key.
 """
 
 from __future__ import annotations
@@ -64,7 +65,12 @@ from tubecat.quiver import (
     find_isomorphism,
     gorenstein_bound,
 )
-from tubecat.rigid import maximal_compatible_masks, maximal_rigid_objects, rigid_index
+from tubecat.rigid import (
+    maximal_compatible_masks,
+    maximal_rigid_objects,
+    representative_position,
+    rigid_index,
+)
 from tubecat.tube import (
     Indec,
     ext1_cluster,
@@ -224,7 +230,6 @@ def check_rigid(n: int) -> list[Outcome]:
         # moves a mask with its top at orbit a to orbit 1 by a cyclic shift
         # of (a - 1)(n - 1) bits.
         objects = maximal_rigid_objects(n)
-        positions = objects.positions
         size, extra = divmod(len(objects), n)
         if extra:
             return False, f"{len(objects)} objects do not fill {n} blocks"
@@ -237,22 +242,17 @@ def check_rigid(n: int) -> list[Outcome]:
 
         index = {}  # a representative's mask -> its position
         for k in range(1, n + 1):
-            taken = bytearray(size)
             for i in range((k - 1) * size, k * size):
-                t, r = objects[i], positions[i]
+                t = objects[i]
                 if t.top.orbit != k:
                     return False, f"{t} has top orbit {t.top.orbit} in block {k}"
-                if not (r == i if k == 1 else 0 <= r < size):
-                    return False, f"{t} names position {r}, no representative"
-                if taken[r]:
-                    return False, f"structured route lists {t} twice"
-                taken[r] = 1
                 mask = at_orbit_one(sum(1 << rigid_index(n, s.orbit, s.ql) for s in t.summands), k)
                 if k == 1:
                     if mask in index:
                         return False, f"structured route lists {t} twice"
                     index[mask] = i
-                elif index.get(mask) != r:
+                r = representative_position(n, len(objects), i)
+                if index.get(mask) != r:
                     return False, f"tau^{k - 1} of {t} is not its representative {objects[r]}"
 
         tops = sum(1 << rigid_index(n, a, n - 1) for a in range(1, n + 1))
@@ -272,8 +272,7 @@ def check_rigid(n: int) -> list[Outcome]:
             if hit != every:
                 missing = every & ~hit
                 k = (missing & -missing).bit_length()
-                t = next(objects[i] for i in range((k - 1) * size, k * size) if positions[i] == r)
-                return False, f"brute route lacks {t}"
+                return False, f"brute route lacks {objects[(k - 1) * size + r]}"
         expected = comb(2 * (n - 1), n - 1)
         if len(objects) != expected:
             return False, f"{len(objects)} objects, expected {expected}"
@@ -341,10 +340,11 @@ def _per_orbit(check: str, n: int, verdict) -> list[Outcome]:
     per translate orbit when the orbit's representative passes.
 
     Representatives come first in enumeration order. Any other member t
-    takes the outcome of the representative at the position that the list
-    records for it; if the representative failed, t runs `verdict` itself,
-    so every failure keeps its own concrete witness. An enumeration that
-    raises gives one failing outcome with no subject, as in rigid and
+    takes the outcome of its representative, at the earlier position that
+    `representative_position` names; an object with no representative
+    before it runs `verdict` itself, and so does t if its representative
+    failed, so every failure keeps its own concrete witness. An enumeration
+    that raises gives one failing outcome with no subject, as in rigid and
     converse.
     """
     objects = None
@@ -357,13 +357,12 @@ def _per_orbit(check: str, n: int, verdict) -> list[Outcome]:
     listed = _timed(check, n, listing)
     if not listed.ok:
         return [listed]
-    positions = objects.positions
     out: list[Outcome] = []
     for i, t in enumerate(objects):
 
         def one(t=t, i=i):
-            r = positions[i]
-            if r == i or not out[r].ok:
+            r = representative_position(n, len(objects), i)
+            if r >= i or not out[r].ok:
                 return verdict(t)
             return True, out[r].detail
 
@@ -393,13 +392,14 @@ def check_converse(n: int) -> list[Outcome]:
     vertex); every class must contain exactly n objects, and every
     connecting vertex of every class quiver must be realized by some class.
 
-    Only representatives (top at orbit 1) have their quivers built and
-    compared; a class counts the objects whose recorded position is one of
-    its representatives. `check_rigid` proves that each member is the
-    translate of the representative at its position, one per top orbit, so
-    a class of n objects is exactly one translate orbit. This is exact
-    because canonical order is relative to the top: tau^k T has the same
-    labelled endomorphism algebra as T, hence the same (quiver, loop vertex).
+    Only representatives (top at orbit 1), the first block, have their
+    quivers built and compared; each counts for the n objects of its
+    translate orbit. `check_rigid` proves that each member is the translate
+    of the representative that `representative_position` names, one per
+    top orbit, so a class of n objects is exactly one translate orbit. This
+    is exact because canonical order is relative to the top: tau^k T has
+    the same labelled endomorphism algebra as T, hence the same (quiver,
+    loop vertex).
 
     Each representative's quiver is keyed once, by `connecting_keys`; a
     loop vertex that is not connecting fails the check, naming the object.
@@ -415,13 +415,11 @@ def check_converse(n: int) -> list[Outcome]:
 
     def run():
         objects = maximal_rigid_objects(n)
-        positions = objects.positions
-        counts = Counter(positions)  # representative's position -> objects
         classes: dict[tuple, tuple] = {}  # key -> (quiver, loop vertex's order, other forms)
         sizes: Counter = Counter()  # key -> objects
         for i, t in enumerate(objects):
-            if positions[i] != i:
-                continue
+            if representative_position(n, len(objects), i) != i:
+                break  # the representatives come first
             bare, lv = loopless_quiver(cached_endomorphism_algebra(t))
             forms = connecting_keys(bare)
             if lv not in forms:
@@ -431,7 +429,7 @@ def check_converse(n: int) -> list[Outcome]:
             pin = (lv, loop[0])  # the walk order starts at the class's loop vertex
             if first is not bare and find_isomorphism(bare, first, pin, (order, loop)) is None:
                 return False, f"key of {t} hits a class that the certificate refutes"
-            sizes[key] += counts[i]
+            sizes[key] += n  # the representative's translate orbit
 
         for key, (_, order, _) in classes.items():
             if sizes[key] != n:

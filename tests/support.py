@@ -5,7 +5,8 @@ a rigid object, the vanishing locus of the Hom-functor sweep, the end
 strings of an algebra with the projective/injective comparison built on
 them, an algebra with a band, the former recursive path
 count, the former object-building brute enumeration, the former builder
-that filled the wing of every top and validated every object, the former pinned
+that filled the wing of every top and validated every object, and its
+order, which the pinned digests were taken in, the former pinned
 isomorphism invariant, the former `quiver.canonical_key` of a quiver pinned
 at any vertex, the recursive form that `quiver.connecting_keys` returned
 before it read the pinned form of the block walk, the former
@@ -144,11 +145,15 @@ def reference_enumerate_maximal_rigid(n: int) -> list[RigidObject]:
     orbit from its representative: fill the wing of every top, validate
     every object through `from_summands`, and sort by top orbit, then
     summands."""
-    objects = [
+    return enumeration_order(
         from_summands(n, f) for a in range(1, n + 1) for f in reference_wing_fillings(n, a, n - 1)
-    ]
-    objects.sort(key=lambda t: (t.top.orbit, tuple((s.orbit, s.ql) for s in t.summands)))
-    return objects
+    )
+
+
+def enumeration_order(objects: Iterable[RigidObject]) -> list[RigidObject]:
+    """The former order of `enumerate_maximal_rigid`: top orbit, then
+    summands. The pinned digests were taken in it."""
+    return sorted(objects, key=lambda t: (t.top.orbit, tuple((s.orbit, s.ql) for s in t.summands)))
 
 
 def quasisimples(n: int) -> list[Indec]:

@@ -13,7 +13,8 @@ import pytest
 from tubecat import cli, endo, homfunctor
 from tubecat.endo import bundle, bundle_dot, bundle_json
 from tubecat.quiver import Presentation
-from tubecat.rigid import RigidObject, enumerate_maximal_rigid, tilting_intervals
+from tubecat.rigid import RigidObject, enumerate_maximal_rigid, from_summands, tilting_intervals
+from tubecat.tube import Indec
 
 OUTCOME_KEYS = {"check", "rank", "ok", "detail", "subject", "seconds"}
 
@@ -179,7 +180,7 @@ class TestUsageErrors:
 
 
 # a rank-4 object whose top is not at orbit 1, named as on the command line
-ENDO_OBJECT = enumerate_maximal_rigid(4)[-1]
+ENDO_OBJECT = from_summands(4, [Indec(4, 4, 3), Indec(4, 4, 2), Indec(4, 4, 1)])
 ENDO_TILTING = ",".join(f"{lo}-{hi}" for lo, hi in tilting_intervals(ENDO_OBJECT))
 ENDO_ARGV = [
     "endo", "--rank", "4", "--top", str(ENDO_OBJECT.top.orbit), "--tilting", ENDO_TILTING,

@@ -106,6 +106,14 @@ MUTANTS = (
         "tau_rigid(r, 1 - k)", "tau_rigid(r, -k)",
         {"rigid": r"^\(\d+,\d+\)(\+\(\d+,\d+\))* has top orbit \d+ in block \d+$"},
     ),
+    # Object i's representative read one place on: every check that reads
+    # the layout takes a wrong representative for its members, and rigid,
+    # which proves the layout through the same function, fails.
+    Mutant(
+        "layout-names-the-next-representative", "rigid.py",
+        "i % (count // n)", "(i + 1) % (count // n)",
+        {"rigid": r"^tau\^\d+ of .+ is not its representative .+$"},
+    ),
     Mutant(
         "hom-count-lower-bound-off-by-one", "kernel.py",
         "lo = b - d", "lo = b - d + 1",

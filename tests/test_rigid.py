@@ -40,9 +40,16 @@ def summand_mask(t: RigidObject) -> int:
     return sum(1 << rigid_index(t.rank, s.orbit, s.ql) for s in t.summands)
 
 
-def enumeration_order(objects) -> list[RigidObject]:
-    """The order of `enumerate_maximal_rigid`: top orbit, then summands."""
-    return sorted(objects, key=lambda t: (t.top.orbit, tuple((s.orbit, s.ql) for s in t.summands)))
+def layout_order(objects) -> list[RigidObject]:
+    """The order of `enumerate_maximal_rigid`: top orbit, then the summands'
+    coordinates with the orbit taken relative to the top, which are those of
+    the object's translate with top at orbit 1."""
+
+    def key(t):
+        n, a = t.rank, t.top.orbit
+        return a, tuple(((s.orbit - a) % n + 1, s.ql) for s in t.summands)
+
+    return sorted(objects, key=key)
 
 
 def is_maximal_rigid(n: int, summands) -> bool:
@@ -122,10 +129,12 @@ class TestEnumeration:
     @pytest.mark.parametrize("n", range(2, 9))
     def test_masks_follow_the_reference_brute_route(self, n):
         """The masks are those of the objects the former brute route built
-        and validated, in its order; those objects are the structured ones."""
+        and validated, in its order; those objects, laid out in blocks of
+        one top orbit each in the representatives' order, are the
+        structured ones."""
         objects = reference_enumerate_brute(n)
         assert [summand_mask(t) for t in objects] == list(maximal_compatible_masks(n))
-        assert enumeration_order(objects) == enumerate_maximal_rigid(n)
+        assert layout_order(objects) == enumerate_maximal_rigid(n)
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_orbit_representatives_come_first(self, n):
@@ -167,8 +176,24 @@ class TestEnumeration:
 
     def test_deterministic_order(self):
         objects = enumerate_maximal_rigid(4)
-        assert objects == enumeration_order(objects)
+        assert type(objects) is list
+        assert objects == layout_order(objects)
         assert objects == enumerate_maximal_rigid(4)
+        # block 4 lists the translates of block 1 in its order, unsorted
+        assert [str(t) for t in objects[:5]] == [
+            "(1,3)+(1,1)+(3,1)",
+            "(1,3)+(1,2)+(1,1)",
+            "(1,3)+(1,2)+(2,1)",
+            "(1,3)+(2,2)+(2,1)",
+            "(1,3)+(2,2)+(3,1)",
+        ]
+        assert [str(t) for t in objects[15:]] == [
+            "(4,3)+(4,1)+(2,1)",
+            "(4,3)+(4,2)+(4,1)",
+            "(4,3)+(4,2)+(1,1)",
+            "(4,3)+(1,2)+(1,1)",
+            "(4,3)+(1,2)+(2,1)",
+        ]
 
     def test_invalid_rank(self):
         with pytest.raises(ValueError):

@@ -31,6 +31,7 @@ from tubecat.strings import (
 from tubecat.tube import Indec, in_wing
 
 from support import (
+    enumeration_order,
     injective_string,
     presentation,
     projective_string,
@@ -338,12 +339,13 @@ class TestEnumeration:
             enumerate_strings(bad)
 
     def test_pinned_for_all_objects(self):
-        # Digest of every enumeration at ranks 2..6 as produced by the
-        # earlier recursive walk, whose record also held the bands, a
-        # completeness flag and the default length cap: rebuilt here.
+        # Digest of every enumeration at ranks 2..6, in the former
+        # enumeration order, as produced by the earlier recursive walk,
+        # whose record also held the bands, a completeness flag and the
+        # default length cap: rebuilt here.
         data = []
         for n in range(2, 7):
-            for t in maximal_rigid_objects(n):
+            for t in enumeration_order(maximal_rigid_objects(n)):
                 lam = cached_endomorphism_algebra(t)
                 enum = enumerate_strings(lam)
                 assert enum.band is None

@@ -2,13 +2,12 @@
 selection, faults injected into the oracle and the converse check, and the
 per-orbit checks and the converse on representatives, keyed by the
 canonical form, shown equal to a loop over every object, and the builder of
-the object list, shown equal to the former one, with the representatives'
-positions it records equal to the translate certificates the checks
-computed before."""
+the object list, shown equal to the former one up to order, with the
+representatives' positions its layout names equal to the translate
+certificates the checks computed before."""
 
 import hashlib
 import json
-from array import array
 from math import comb
 
 import pytest
@@ -17,15 +16,16 @@ from tubecat import endo, kernel, quiver, rigid, tube, verify
 from tubecat.endo import cached_endomorphism_algebra, endomorphism_algebra
 from tubecat.quiver import Arrow, Presentation, Quiver
 from tubecat.rigid import (
-    RigidObjects,
     from_summands,
     maximal_rigid_objects,
+    representative_position,
     rigid_index,
     tau_rigid,
 )
 from tubecat.tube import Indec
 
 from support import (
+    enumeration_order,
     free_loop,
     pinned_invariant,
     presentation,
@@ -134,11 +134,9 @@ def _built_without(monkeypatch, n, dropped):
     return objects
 
 
-def _served(monkeypatch, objects, positions):
-    """Serve the checks `objects` with the recorded `positions`."""
-    listed = RigidObjects(objects, array("i", positions))
-    monkeypatch.setattr(verify, "maximal_rigid_objects", lambda n: listed)
-    return listed
+def _served(monkeypatch, objects):
+    """Serve the checks the list `objects`."""
+    monkeypatch.setattr(verify, "maximal_rigid_objects", lambda n: objects)
 
 
 class TestRigid:
@@ -153,31 +151,31 @@ class TestRigid:
         assert outcome.detail == "structured route lacks brute mask (1,1)+(1,3)+(3,1)"
 
     def test_duplicate_cached_object_is_named(self, monkeypatch):
-        # objects[6] replaced by an equal copy of objects[5], in the same
-        # block and with the same representative
+        # objects[1] replaced by an equal copy of objects[0], a
+        # representative; and objects[6] by an equal copy of objects[5], in
+        # block 2, where the layout names another representative for it
         objects = maximal_rigid_objects(4)
-        twin = from_summands(4, reversed(objects[5].summands))
-        assert twin == objects[5] and twin is not objects[5]
-        positions = list(objects.positions)
-        positions[6] = positions[5]
-        _served(monkeypatch, objects[:6] + [twin] + objects[7:], positions)
-        (outcome,) = verify.check_rigid(4)
-        assert not outcome.ok
-        assert outcome.detail == f"structured route lists {objects[5]} twice"
+        cases = [
+            (1, f"structured route lists {objects[0]} twice"),
+            (6, f"tau^1 of {objects[5]} is not its representative {objects[1]}"),
+        ]
+        for i, detail in cases:
+            twin = from_summands(4, reversed(objects[i - 1].summands))
+            assert twin == objects[i - 1] and twin is not objects[i - 1]
+            _served(monkeypatch, objects[:i] + [twin] + objects[i + 1:])
+            (outcome,) = verify.check_rigid(4)
+            assert (outcome.ok, outcome.detail) == (False, detail)
 
     def test_faulty_blocks_are_named(self, monkeypatch):
         objects = maximal_rigid_objects(4)
-        positions = list(objects.positions)
-        swapped = positions[:5] + [positions[6], positions[5]] + positions[7:]
-        outside = positions[:5] + [7] + positions[6:]
+        swapped = objects[:5] + [objects[6], objects[5]] + objects[7:]
         cases = [
-            (objects[:-1], positions[:-1], "19 objects do not fill 4 blocks"),
-            (objects[5:] + objects[:5], positions, f"{objects[5]} has top orbit 2 in block 1"),
-            (objects, swapped, f"tau^1 of {objects[5]} is not its representative {objects[positions[6]]}"),
-            (objects, outside, f"{objects[5]} names position 7, no representative"),
+            (objects[:-1], "19 objects do not fill 4 blocks"),
+            (objects[5:] + objects[:5], f"{objects[5]} has top orbit 2 in block 1"),
+            (swapped, f"tau^1 of {objects[6]} is not its representative {objects[0]}"),
         ]
-        for listed, recorded, detail in cases:
-            _served(monkeypatch, listed, recorded)
+        for listed, detail in cases:
+            _served(monkeypatch, listed)
             (outcome,) = verify.check_rigid(4)
             assert (outcome.ok, outcome.detail) == (False, detail)
 
@@ -196,7 +194,7 @@ class TestRigid:
 
     def test_missing_brute_mask_names_the_object(self, monkeypatch):
         real = verify.maximal_compatible_masks
-        last = maximal_rigid_objects(4)[-1]
+        last = enumeration_order(maximal_rigid_objects(4))[-1]
         dropped = sum(1 << rigid_index(4, s.orbit, s.ql) for s in last.summands)
         monkeypatch.setattr(
             verify, "maximal_compatible_masks", lambda n: (m for m in real(n) if m != dropped)
@@ -414,7 +412,7 @@ class TestConverse:
         rep = objects[0]
         twice, dropped = tau_rigid(rep, -1), tau_rigid(rep, -2)
         assert rep.top.orbit == 1 and len({rep, twice, dropped}) == 3
-        _served(monkeypatch, [twice if t == dropped else t for t in objects], objects.positions)
+        _served(monkeypatch, [twice if t == dropped else t for t in objects])
         (out,) = verify.check_converse(4)
         assert out.ok
         (rigid_out,) = verify.check_rigid(4)
@@ -422,7 +420,10 @@ class TestConverse:
 
     def test_outcomes_pinned(self):
         converse = [o for n in range(2, 7) for o in verify.check_converse(n)]
-        endo = [o for n in range(2, 7) for o in verify.check_endo(n)]
+        endo = []  # by subject, in the former enumeration order
+        for n in range(2, 7):
+            by_subject = {o.subject: o for o in verify.check_endo(n)}
+            endo += [by_subject[str(t)] for t in enumeration_order(maximal_rigid_objects(n))]
         assert _digest(converse) == CONVERSE_DIGEST
         assert _digest(endo) == ENDO_DIGEST
 
@@ -528,8 +529,8 @@ class TestConverse:
         (out,) = verify.check_converse(6)
         assert out.ok
         # Each of the 42 representatives opens its own class, with no
-        # isomorphism certificate, and the 210 other objects join by their
-        # recorded positions. Of the 112 (class quiver, connecting
+        # isomorphism certificate, and the 210 other objects are counted
+        # with their representatives. Of the 112 (class quiver, connecting
         # vertex) pairs, the 42 at a class's own loop vertex hit that class
         # with the same pin and take none; each of the other 70 takes one,
         # which certifies its key's hit. A scan over all classes takes
@@ -768,10 +769,18 @@ def _count_tau_rigid(monkeypatch) -> list:
 class TestCertificates:
     @pytest.mark.parametrize("n", range(2, 10))
     def test_builder_equals_the_former_one(self, n):
+        # The same objects, each in block k as the translate of the
+        # representative that the layout names; those positions are the
+        # translate certificates.
         objects = rigid.enumerate_maximal_rigid(n)
-        assert type(objects) is RigidObjects
-        assert objects == reference_enumerate_maximal_rigid(n)
-        assert list(objects.positions) == reference_certificates(objects)
+        assert type(objects) is list
+        assert enumeration_order(objects) == reference_enumerate_maximal_rigid(n)
+        positions = [representative_position(n, len(objects), i) for i in range(len(objects))]
+        size = len(objects) // n
+        for i, t in enumerate(objects):
+            k = i // size + 1  # t's block
+            assert t == tau_rigid(objects[positions[i]], 1 - k)
+        assert positions == reference_certificates(objects)
 
     @pytest.mark.parametrize("n", range(2, 10))
     def test_members_share_the_interned_summands(self, n):
@@ -798,20 +807,17 @@ class TestCertificates:
     @pytest.mark.parametrize("variant", ["real", "dropped", "repeated", "member-first"])
     @pytest.mark.parametrize("n", range(2, 9))
     def test_equals_the_loop_each_check_ran(self, n, variant, monkeypatch):
-        # The recorded positions are the certificates the checks computed;
-        # a faulty list served with its certificates fails rigid.
+        # The layout's positions are the certificates the checks computed;
+        # a faulty list fails rigid.
         objects = _variants(n)[variant]
         certificates = reference_certificates(objects)
         assert (-1 in certificates) == (variant in ("dropped", "member-first"))
         if variant == "real":
-            assert list(maximal_rigid_objects(n).positions) == certificates
-        _served(monkeypatch, objects, certificates)
+            count = len(objects)
+            assert [representative_position(n, count, i) for i in range(count)] == certificates
+        _served(monkeypatch, objects)
         (outcome,) = verify.check_rigid(n)
         assert outcome.ok == (variant == "real")
-
-    def test_one_integer_per_object(self):
-        got = maximal_rigid_objects(6).positions
-        assert got.typecode == "i" and got.itemsize * len(got) == 4 * comb(10, 5)
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_full_suite_certifies_each_member_once(self, n, monkeypatch):
@@ -829,10 +835,11 @@ class TestCertificates:
         assert all(t.top.orbit == 1 for t in calls)
 
     @pytest.mark.parametrize("check", ["endo", "gentle", "strings", "hom-functor", "converse"])
-    def test_fresh_list_for_one_check_is_read_by_its_own_positions(self, check, monkeypatch):
+    def test_fresh_list_for_one_check_is_laid_out_by_its_own_length(self, check, monkeypatch):
         # The other checks walk the cached enumeration before and after the
-        # fresh list, one orbit short; each list carries its own positions,
-        # so only the one check sees the fresh list, as it sees it alone.
+        # fresh list, one orbit short; each check reads the layout from the
+        # length of the list it walks, so only the one check sees the fresh
+        # list, as it sees it alone.
         n = 4
         real = verify.maximal_rigid_objects
         with monkeypatch.context() as m:
